@@ -3,12 +3,17 @@
 Second-order central differences on a cube of side L centered at x.
 Dirichlet grids exclude the boundary (spacing L/(n+1)), Neumann grids put
 nodes at cell centers with mirror ghosts (spacing L/n), periodic grids wrap
-(spacing L/n).  All operators are assembled as sparse symmetric matrices;
-symmetry is exact by construction, not up to tolerance.
+(spacing L/n).  The free stencil is a sparse symmetric matrix, assembled
+once per box and shared read-only; symmetry is exact by construction, not up
+to tolerance.  Adding a potential keeps the parent operator and the added
+diagonal instead of a new matrix: d=1 open-boundary operators expose their
+tridiagonal bands directly, and the sparse matrix is summed only when a
+solver asks for it, with the same floating-point additions an eager sum does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ Bc = Literal["dirichlet", "neumann", "periodic"]
 MAX_DIMENSION = 3
 DOF_BUDGET = 2_000_000
 DENSE_LIMIT = 2000  # dense eigensolves above this many dof are refused
+FREE_CACHE_SIZE = 32  # distinct boxes whose free stencil is kept
 
 
 class GridError(ValueError):
@@ -39,6 +45,8 @@ class BoxSpec:
     bc: Bc = "dirichlet"
 
     def __post_init__(self) -> None:
+        # plain floats keep the box hashable whatever sequence the center came in
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not (1 <= self.d <= MAX_DIMENSION):
             raise GridError(f"dimension {self.d} unsupported, need 1..{MAX_DIMENSION}")
         if not (self.length > 0 and math.isfinite(self.length)):
@@ -83,13 +91,32 @@ class BoxSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """-Laplacian + diag(potential) on a BoxSpec grid."""
+    """-Laplacian + diag(potential) on a BoxSpec grid.
+
+    A leaf operator holds its sparse matrix in `leaf_matrix`.  One made by
+    add_potential holds its parent and the added diagonal instead, and
+    derives its bands and its matrix from them on first use.
+    """
 
     box: BoxSpec
     potential: np.ndarray
-    matrix: sp.csr_matrix
+    leaf_matrix: sp.csr_matrix | None = None
+    parent: DiscreteHamiltonian | None = None
+    added: np.ndarray | None = None
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        if self.leaf_matrix is not None:
+            return self.leaf_matrix
+        assert self.parent is not None and self.added is not None
+        return (self.parent.matrix + sp.diags(self.added, format="csr")).tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -99,12 +126,18 @@ class DiscreteHamiltonian:
 
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) bands; only meaningful for d=1 non-periodic."""
-        if self.box.d != 1 or self.box.bc == "periodic":
+        if not self.is_tridiagonal:
             raise GridError("tridiagonal bands exist only for d=1 with open boundary")
-        m = self.matrix.tocsr()
-        diag = m.diagonal()
-        off = np.asarray(m.diagonal(k=1)).ravel()
-        return diag, off
+        return self._bands
+
+    @functools.cached_property
+    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.parent is not None:
+            # the sparse sum makes these same additions on the diagonal
+            diag, off = self.parent.tridiagonal()
+            return _read_only(diag + self.added), off
+        m = self.matrix
+        return _read_only(m.diagonal()), _read_only(np.asarray(m.diagonal(k=1)).ravel())
 
     @property
     def is_tridiagonal(self) -> bool:
@@ -125,8 +158,13 @@ def _laplacian_1d(n: int, h: float, bc: Bc) -> sp.csr_matrix:
     return (mat.tocsr() * (1.0 / (h * h))).tocsr()
 
 
+@functools.lru_cache(maxsize=FREE_CACHE_SIZE)
 def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
-    """Assemble -Delta on the box as a Kronecker sum of 1-d stencils."""
+    """Assemble -Delta on the box as a Kronecker sum of 1-d stencils.
+
+    Memoised per box: equal boxes share one operator, whose arrays are
+    read-only.
+    """
     one = _laplacian_1d(box.n, box.h, box.bc)
     eye = sp.identity(box.n, format="csr")
     total: sp.spmatrix | None = None
@@ -137,18 +175,20 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
             term = sp.kron(term, f, format="csr")
         total = term if total is None else total + term
     assert total is not None
-    return DiscreteHamiltonian(box=box, potential=np.zeros(box.ndof), matrix=total.tocsr())
+    total = total.tocsr()
+    for a in (total.data, total.indices, total.indptr):
+        _read_only(a)
+    return DiscreteHamiltonian(box=box, potential=_read_only(np.zeros(box.ndof)), leaf_matrix=total)
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:
     """Return a new operator with diag(v) added; the input is left untouched."""
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.array(v, dtype=float).ravel()  # a copy, so later writes by the caller cannot reach it
     if v.shape[0] != ham.box.ndof:
         raise GridError(f"potential length {v.shape[0]} does not match {ham.box.ndof} dof")
     if not np.all(np.isfinite(v)):
         raise GridError("potential contains non-finite entries")
-    mat = ham.matrix + sp.diags(v, format="csr")
-    return DiscreteHamiltonian(box=ham.box, potential=ham.potential + v, matrix=mat.tocsr())
+    return DiscreteHamiltonian(box=ham.box, potential=ham.potential + v, parent=ham, added=_read_only(v))
 
 
 def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
@@ -156,7 +196,7 @@ def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
     diag = np.asarray(diag, dtype=float).ravel()
     if diag.shape[0] != box.ndof:
         raise GridError("diagonal length does not match the grid")
-    return DiscreteHamiltonian(box=box, potential=diag.copy(), matrix=sp.diags(diag, format="csr").tocsr())
+    return DiscreteHamiltonian(box=box, potential=diag.copy(), leaf_matrix=sp.diags(diag, format="csr").tocsr())
 
 
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:

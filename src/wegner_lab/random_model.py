@@ -15,6 +15,7 @@ a sparse, independent, strictly positive lower bound W_omega <= V_omega.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grids import BoxSpec
 from .thick_sets import (
@@ -462,18 +464,35 @@ class AlloyModel:
             )
 
 
+PROFILE_CACHE_SIZE = 64  # (model, box) pairs whose profile matrix is kept
+
+
 def sample_couplings(model: AlloyModel, seed: int | tuple[int, ...]) -> np.ndarray:
     return np.array([sample_value(d, seed, i) for i, d in enumerate(model.dists)])
 
 
-def _assemble_potential(model: AlloyModel, box: BoxSpec, coupling_of: dict[int, float]) -> np.ndarray:
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.csr_matrix]:
+    """Sites whose bump can reach the box, ascending, and the profile matrix P.
+
+    P has one row per grid node and one column per listed site, holding u_j
+    at the nodes.  Each row of the CSR product P @ c starts at 0.0 and adds
+    u_j * c_j in ascending site order: the same IEEE additions as summing
+    c_j * u_j site by site, less the zero terms, which would add nothing.
+    """
+    near = tuple(model.sites_near_box(box))
     nodes = box.nodes()
-    v = np.zeros(box.ndof)
-    for i in model.sites_near_box(box):
-        c = coupling_of[i]
-        if c != 0.0:
-            v += c * model.sites[i].evaluate(nodes)
-    return v
+    rows, data, indptr = [], [], [0]
+    for i in near:
+        u = model.sites[i].evaluate(nodes)
+        hit = np.flatnonzero(u)
+        rows.append(hit)
+        data.append(u[hit])
+        indptr.append(indptr[-1] + hit.size)
+    if not near:
+        return near, sp.csr_matrix((box.ndof, 0))
+    P = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), shape=(box.ndof, len(near)))
+    return near, P.tocsr()
 
 
 def sample_potential(
@@ -490,23 +509,21 @@ def sample_potential(
     couplings_override pins all couplings to a constant, a diagnostic seam.
     """
     model.check_box_registered(box)
-    needed = model.sites_near_box(box)
-    coupling_of: dict[int, float] = {}
-    for i in needed:
-        if couplings_override is not None:
-            coupling_of[i] = couplings_override
-        elif conditioning_cap is not None:
-            coupling_of[i] = sample_value_below(model.dists[i], seed, i, conditioning_cap)
-        else:
-            coupling_of[i] = sample_value(model.dists[i], seed, i)
-    return _assemble_potential(model, box, coupling_of)
+    near, P = _box_profiles(model, box)
+    if couplings_override is not None:
+        c = [couplings_override] * len(near)
+    elif conditioning_cap is not None:
+        c = [sample_value_below(model.dists[i], seed, i, conditioning_cap) for i in near]
+    else:
+        c = [sample_value(model.dists[i], seed, i) for i in near]
+    return P @ np.array(c, dtype=float)
 
 
 def mean_potential(model: AlloyModel, box: BoxSpec) -> np.ndarray:
     """Expected potential: per-site means against the profiles."""
     model.check_box_registered(box)
-    coupling_of = {i: model.dists[i].mean for i in model.sites_near_box(box)}
-    return _assemble_potential(model, box, coupling_of)
+    near, P = _box_profiles(model, box)
+    return P @ np.array([model.dists[i].mean for i in near], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,26 @@ def _operator_scale(H: DiscreteHamiltonian) -> float:
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Eigenvalues of the symmetric tridiagonal matrix strictly below x."""
+    """Eigenvalues of the symmetric tridiagonal matrix strictly below x.
+
+    The recurrence runs on Python floats, which are much cheaper to index
+    and combine than numpy scalars; the IEEE operations and their order are
+    those of the plain recurrence q_i = (d_i - x) - o_i*o_i / q_{i-1}.
+    """
+    x = float(x)
+    d = np.asarray(diag, dtype=float).tolist()
+    off = np.asarray(off, dtype=float)
     count = 0
-    q = diag[0] - x
+    q = d[0] - x
     if q == 0.0:
         q = 1e-300
-    if q < 0.0:
+    elif q < 0.0:
         count += 1
-    for i in range(1, diag.shape[0]):
-        q = (diag[i] - x) - off[i - 1] * off[i - 1] / q
+    for di, o2 in zip(d[1:], (off * off).tolist()):
+        q = (di - x) - o2 / q
         if q == 0.0:
             q = 1e-300
-        if q < 0.0:
+        elif q < 0.0:
             count += 1
     return count
 
@@ -94,8 +102,6 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
     """Number of eigenvalues strictly below x, or None when no exact path fits."""
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
-        if diag.shape[0] == 1:
-            return int(diag[0] < x)
         return sturm_count(diag, off, x)
     if H.box.ndof <= INERTIA_DENSE_LIMIT:
         A = H.matrix.toarray().astype(float)

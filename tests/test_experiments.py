@@ -207,6 +207,11 @@ class TestIds:
             "monotone_in_energy": "PASS",
         }
 
+    def test_tiny_run_is_worker_count_invariant(self, covering):
+        # every worker process fills its own operator and profile caches
+        kw = dict(L=4.0, E_list=(2.0, 5.0, 10.0), replicas=8, seed=5)
+        assert X.estimate_ids(covering, **kw).to_json() == X.estimate_ids(covering, workers=2, **kw).to_json()
+
 
 class TestStubbornWindows:
     def test_geometry_frozen(self, stubborn_report):
@@ -374,6 +379,10 @@ class TestIse:
             "probability_improves_with_box": "PASS",
             "probability_scaling": "PASS",
         }
+
+    def test_tiny_run_is_worker_count_invariant(self, covering):
+        kw = dict(L_list=(4.0, 8.0), replicas=8, seed=5)
+        assert X.run_ise(covering, **kw).to_json() == X.run_ise(covering, workers=2, **kw).to_json()
 
 
 class TestUncertainty:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,14 @@ class TestBoxSpec:
     def test_invalid_specs_refused(self, kwargs):
         with pytest.raises(GridError):
             BoxSpec(**kwargs)
+
+    @pytest.mark.parametrize("center", [[0.5, -1.0], np.array([0.5, -1.0]), (np.float64(0.5), -1)])
+    def test_any_sequence_center_gives_a_hashable_box(self, center):
+        box = BoxSpec(d=2, length=2.0, center=center, n=4)
+        twin = BoxSpec(d=2, length=2.0, center=(0.5, -1.0), n=4)
+        assert box.center == (0.5, -1.0) and all(type(c) is float for c in box.center)
+        assert box == twin and hash(box) == hash(twin)
+        assert {box: 1}[twin] == 1
 
     def test_dof_budget_is_the_refusal_line(self):
         n = int(round(DOF_BUDGET ** (1 / 3))) + 1
@@ -139,6 +148,84 @@ class TestLaplacian:
         box = _box(n=3)
         H = diagonal_hamiltonian(box, np.array([3.0, 1.0, 2.0]))
         assert np.allclose(np.sort(np.linalg.eigvalsh(H.matrix.toarray())), [1, 2, 3])
+
+
+def _eager_sum(matrix, v):
+    """The sparse assembly add_potential made before operators kept their parent."""
+    return (matrix + sp.diags(v, format="csr")).tocsr()
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_matrix(a, b):
+    return all(_same_bits(x, y) for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+@st.composite
+def _box_and_potentials(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 24 if d == 1 else 6))
+    box = _box(d=d, L=draw(st.sampled_from([0.5, 1.0, 3.0, 7.5])), n=n, bc=draw(st.sampled_from(["dirichlet", "neumann"])))
+    values = st.floats(-50.0, 50.0, allow_nan=False)
+    vs = [np.array(draw(st.lists(values, min_size=box.ndof, max_size=box.ndof))) for _ in range(draw(st.integers(1, 2)))]
+    return box, vs
+
+
+class TestFastOperator:
+    """Direct bands, lazy matrix and the free-stencil cache against eager assembly."""
+
+    @given(_box_and_potentials())
+    @settings(max_examples=80, deadline=None)
+    def test_bands_and_lazy_matrix_match_eager_sums(self, case):
+        box, vs = case
+        H = build_free_laplacian(box)
+        eager = H.matrix
+        for v in vs:
+            H = add_potential(H, v)
+            eager = _eager_sum(eager, v)
+        if box.d == 1:
+            diag, off = H.tridiagonal()
+            assert _same_bits(diag, eager.diagonal())
+            assert _same_bits(off, np.asarray(eager.diagonal(k=1)).ravel())
+        assert _same_matrix(H.matrix, eager)
+
+    def test_free_operator_shared_per_box(self):
+        box = _box(n=9, L=2.0)
+        H = build_free_laplacian(box)
+        assert build_free_laplacian(BoxSpec(d=1, length=2.0, center=[0.0], n=9)) is H
+        assert build_free_laplacian(_box(n=10, L=2.0)) is not H
+
+    def test_cached_free_operator_is_read_only(self):
+        H = build_free_laplacian(_box(n=7, L=1.5))
+        diag, off = H.tridiagonal()
+        for a in (H.matrix.data, H.matrix.indices, H.matrix.indptr, H.potential, diag, off):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 99
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_add_potential_leaves_cached_operator_unchanged(self, d):
+        box = _box(d=d, n=6, L=1.5)
+        H = build_free_laplacian(box)
+        snapshot = H.matrix.copy()
+        potential = H.potential.copy()
+        chained = add_potential(add_potential(H, np.full(box.ndof, 3.0)), np.arange(box.ndof, dtype=float))
+        chained.matrix, chained.diagonal()
+        if d == 1:
+            chained.tridiagonal()
+        assert build_free_laplacian(box) is H
+        assert _same_matrix(H.matrix, snapshot) and _same_bits(H.potential, potential)
+        build_free_laplacian.cache_clear()
+        assert _same_matrix(build_free_laplacian(box).matrix, snapshot)
+
+    def test_caller_writes_after_add_potential_do_not_leak(self):
+        H0 = build_free_laplacian(_box(n=5))
+        v = np.ones(5)
+        H = add_potential(H0, v)
+        v[:] = 7.0
+        assert np.array_equal(H.tridiagonal()[0], H0.tridiagonal()[0] + 1.0)
+        assert np.array_equal(H.matrix.diagonal(), H0.tridiagonal()[0] + 1.0)
 
 
 class TestContinuumSpectra:

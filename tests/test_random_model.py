@@ -42,7 +42,7 @@ from wegner_lab.random_model import (
     verify_NoPi,
     verify_Pi,
 )
-from wegner_lab.thick_sets import interval_member
+from wegner_lab.thick_sets import RasterGeometry, RasterSet, interval_member, save_raster
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -254,6 +254,15 @@ class TestAlloyModel:
     def test_mean_potential_covering(self, covering):
         assert np.allclose(mean_potential(covering, _box()), 0.5)
 
+    def test_profile_matrix_built_once_per_box(self, covering, monkeypatch):
+        box = _box(L=6.0, n=95, center=(2.0,))
+        first = sample_potential(covering, 3, box)
+        calls = []
+        monkeypatch.setattr(AlloyModel, "sites_near_box", lambda self, b: calls.append(b))
+        assert np.array_equal(sample_potential(covering, 3, box), first)
+        assert np.array_equal(mean_potential(covering, box), np.full(box.ndof, 0.5))
+        assert calls == []
+
     def test_sample_couplings_matches_sitewise(self, covering):
         cs = sample_couplings(covering, 9)
         assert cs[3] == sample_value(covering.dists[3], 9, 3)
@@ -438,3 +447,77 @@ class TestFactoriesAndConfig:
         )
         with pytest.raises(ModelConfigError, match="cauchy"):
             load_model_config(bad)
+
+
+# ---------------------------------------------------------------------------
+# the cached profile matrix against the per-site loop it replaced
+
+
+def _loop_potential(model, box, coupling):
+    """Sum of coupling(j) * u_j over the sites near the box, one site at a time."""
+    nodes = box.nodes()
+    v = np.zeros(box.ndof)
+    for i in model.sites_near_box(box):
+        c = coupling(i)
+        if c != 0.0:
+            v += c * model.sites[i].evaluate(nodes)
+    return v
+
+
+@pytest.fixture(scope="module")
+def raster_bump(tmp_path_factory):
+    # a ragged 1.5-wide raster bump, so neighbouring sites overlap
+    geo = RasterGeometry(origin=(-0.75,), extent=(1.5,), resolution=(8,), periodic=False)
+    cells = np.array([1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0], dtype=bool)
+    folder = tmp_path_factory.mktemp("raster_model")
+    save_raster(RasterSet(geometry=geo, cells=cells), folder / "bump.rast")
+    (folder / "bump.model.ini").write_text(
+        "[model]\ndimension = 1\nextent = 20\nresolution = 16\n"
+        "[sites]\nprofile = raster-file\nraster = bump.rast\nplacement = all-integers\n"
+        "[distribution]\nkind = truncated-power\nm_plus = 2.0\nalpha = 0.5\n"
+    )
+    return load_model_config(folder / "bump.model.ini")
+
+
+@st.composite
+def _draw_case(draw):
+    name = draw(st.sampled_from(["covering", "cantor", "geometric", "slab", "raster_bump"]))
+    d = 2 if name == "slab" else 1
+    L = draw(st.sampled_from([1.0, 2.0, 4.0, 8.0]))
+    span = 6 if name in ("slab", "raster_bump") else 28
+    center = tuple(draw(st.integers(-2 * span, 2 * span)) / 4.0 for _ in range(d))
+    n = draw(st.integers(3, 16 if d == 2 else 90))
+    seed = draw(st.one_of(st.integers(0, 2**31), st.tuples(st.integers(0, 999), st.integers(0, 999))))
+    mode = draw(st.sampled_from(["plain", "cap", "override"]))
+    knob = draw(st.floats(0.05, 1.5) if mode == "cap" else st.floats(-2.0, 2.0))
+    return name, BoxSpec(d=d, length=L, center=center, n=n), seed, mode, knob
+
+
+@given(case=_draw_case())
+@settings(max_examples=120, deadline=None)
+def test_profile_matrix_matches_per_site_loop(case, covering, cantor, geometric, slab, raster_bump):
+    name, box, seed, mode, knob = case
+    model = {"covering": covering, "cantor": cantor, "geometric": geometric, "slab": slab, "raster_bump": raster_bump}[name]
+    if mode == "plain":
+        got = sample_potential(model, seed, box)
+        want = _loop_potential(model, box, lambda i: sample_value(model.dists[i], seed, i))
+    elif mode == "cap":
+        got = sample_potential(model, seed, box, conditioning_cap=knob)
+        want = _loop_potential(model, box, lambda i: sample_value_below(model.dists[i], seed, i, knob))
+    else:
+        got = sample_potential(model, seed, box, couplings_override=knob)
+        want = _loop_potential(model, box, lambda i: knob)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    mean = _loop_potential(model, box, lambda i: model.dists[i].mean)
+    assert mean_potential(model, box).tobytes() == mean.tobytes()
+
+
+def test_slab_balls_overlap_two_deep(slab):
+    # nodes between neighbouring sites carry two couplings, summed in site order
+    box = BoxSpec(d=2, length=3.0, center=(0.0, 0.5), n=23)
+    v = sample_potential(slab, 4, box)
+    want = _loop_potential(slab, box, lambda i: sample_value(slab.dists[i], 4, i))
+    assert v.tobytes() == want.tobytes()
+    near = slab.sites_near_box(box)
+    depth = sum(slab.sites[i].evaluate(box.nodes()) for i in near)
+    assert depth.max() == 2.0

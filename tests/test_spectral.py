@@ -69,6 +69,64 @@ class TestSturmCount:
         assert sturm_count(diag, off, -1.0) == 0
 
 
+def _ndarray_sturm(diag, off, x):
+    """The recurrence as it ran on numpy scalars before moving to Python floats."""
+    count = 0
+    q = diag[0] - x
+    if q == 0.0:
+        q = 1e-300
+    if q < 0.0:
+        count += 1
+    for i in range(1, diag.shape[0]):
+        q = (diag[i] - x) - off[i - 1] * off[i - 1] / q
+        if q == 0.0:
+            q = 1e-300
+        if q < 0.0:
+            count += 1
+    return count
+
+
+class TestSturmFloatLoop:
+    def test_one_unknown_counts_strictly_below(self):
+        diag, off = np.array([2.0]), np.array([])
+        assert [sturm_count(diag, off, x) for x in (1.0, 2.0, np.nextafter(2.0, 3.0))] == [0, 0, 1]
+
+    @given(
+        st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40),
+        st.lists(st.floats(-3.0, 3.0), min_size=39, max_size=39),
+        st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ndarray_recurrence(self, d, o, probes):
+        diag = np.array(d)
+        off = np.array(o[: len(d) - 1])
+        # probes on the diagonal values themselves force zero pivots and ties
+        for x in list(probes) + list(d[:3]):
+            with np.errstate(over="ignore"):  # a 1e-300 pivot can overflow the next quotient
+                want = _ndarray_sturm(diag, off, np.float64(x))
+            assert sturm_count(diag, off, x) == want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eigvalsh(self, seed, n):
+        rng = np.random.default_rng(seed)
+        diag = rng.normal(scale=4.0, size=n)
+        off = rng.normal(size=n - 1)
+        ev = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        gaps = np.concatenate([[1.0], np.diff(ev), [1.0]])
+        probes = [p for p in rng.uniform(ev[0] - 1.0, ev[-1] + 1.0, size=8) if np.min(np.abs(ev - p)) > 1e-9]
+        probes += [0.5 * (a + b) for a, b, g in zip(ev, ev[1:], gaps[1:-1]) if g > 1e-9]
+        for x in probes:
+            assert sturm_count(diag, off, x) == int(np.count_nonzero(ev < x))
+
+    def test_inertia_uses_operator_bands(self):
+        _, H = _random_operator(1, 50, 5.0, seed=3, amplitude=4.0)
+        diag, off = H.tridiagonal()
+        assert H.tridiagonal()[0] is diag
+        for x in (0.0, 10.0, 200.0, 3000.0):
+            assert inertia_count(H, x) == _ndarray_sturm(diag, off, x)
+
+
 class TestInertiaCount:
     def test_tridiagonal_route_matches_dense(self):
         box, H = _random_operator(1, 60, 6.0, seed=21, amplitude=5.0)
