@@ -56,13 +56,8 @@ def main(argv=None) -> int:
     failed = False
     for name, job in jobs:
         rep = job()
-        d = out / name
-        d.mkdir(parents=True, exist_ok=True)
-        (d / "report.json").write_text(rep.to_json())
-        (d / "records.csv").write_text(rep.to_records_csv())
-        (d / "summary.txt").write_text(rep.human_summary())
-        clock = rep.wall_clock_s or 0.0
-        print(f"{name:<30s} {rep.overall:<13s} {clock:7.2f}s")
+        rep.write(out / name)
+        print(f"{name:<30s} {rep.overall:<13s} {rep.wall_clock_s:7.2f}s")
         failed = failed or rep.overall == "FAIL"
     print(f"reports under {out}/")
     return 1 if failed else 0

@@ -6,19 +6,28 @@ Subcommands:
   certify   certify thickness of a raster, or a model's structural claims
   report    re-render a stored report as a human summary
 
+An experiment's driver in the experiments module is its one declaration: a
+run file's [parameters] keys are the driver's keyword arguments lowercased,
+with the driver's defaults and the kinds its annotations give (plus those
+of build_set when the driver takes a set, not a model).  [run] holds the
+experiment, a seed >= 0, and those of replicas, workers and mesh_density
+(each >= 1) the driver takes; workers = 1 is the serial run of any driver.
+
 Exit codes: 0 when every verdict is PASS or INFORMATIONAL, 1 when any
 verdict is FAIL, 2 on execution errors (bad config, failed preconditions,
-missing files).  Run outputs are written as report.json and records.csv
-(byte-stable, no timing), summary.txt (human text, timing allowed), and
-config.resolved.ini (the fully resolved configuration actually used).
-The output directory may also be set through WEGNER_LAB_OUT; no other
-behavior is environment-dependent.
+missing files, a box the grid or the eigensolver cannot handle).  Run
+outputs are written as report.json and records.csv (byte-stable, no
+timing), summary.txt (human text, timing allowed), and config.resolved.ini
+(the fully resolved configuration actually used).  The output directory may
+also be set through WEGNER_LAB_OUT; no other behavior is
+environment-dependent.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,10 +35,14 @@ from pathlib import Path
 from typing import Any
 
 from . import experiments
-from .random_model import AlloyModel, ModelConfigError, ModelError, load_model_config, verify_NoPi, verify_Pi
+from .experiments import PreconditionError
+from .grids import GridError
+from .random_model import ModelError, load_model_config, verify_NoPi, verify_Pi
 from .reports import ExperimentReport
+from .spectral import EigensolverError
 from .thick_sets import (
     RasterError,
+    RasterSet,
     WindowSpec,
     build_fat_cantor,
     certify_thickness,
@@ -44,64 +57,68 @@ class ConfigError(ValueError):
     pass
 
 
-# parameter schema per experiment: key -> (parser kind, default or REQUIRED)
-_REQUIRED = object()
-
-_PARAM_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
-    "wegner": {
-        "l_list": ("floats", (8.0, 16.0, 32.0)),
-        "eps_list": ("floats", (0.4, 0.2, 0.1)),
-        "e_ref": ("float", 30.0),
-    },
-    "ids": {
-        "l": ("float", 12.0),
-        "e_list": ("floats", (2.0, 5.0, 10.0, 15.0, 20.0)),
-        "eps": ("float", 0.25),
-        "c_w": ("float", None),
-    },
-    "stubborn": {
-        "e": ("float", 4.0),
-        "l_list": ("floats", (8.0, 16.0)),
-        "min_boxes": ("int", 3),
-    },
-    "stubborn-exp": {
-        "l": ("float", 6.0),
-        "eigen_index": ("int", 3),
-    },
-    "uncertainty": {
-        "a": ("floats", (1.0,)),
-        "e_list": ("floats", (25.0, 100.0, 225.0, 400.0)),
-        "l_list": ("floats", (2.0, 3.0, 4.0)),
-        "bc": ("str", "dirichlet"),
-        "lambda_floor": ("float", 1e-6),
-        "set_kind": ("str", "stripes"),
-        "set_width": ("float", 1.0 / 3.0),
-        "set_period": ("float", 1.0),
-        "set_resolution": ("int", 48),
-        "set_depth": ("int", 4),
-        "set_path": ("str", None),
-    },
-    "ise": {
-        "l_list": ("floats", (8.0, 16.0)),
-    },
-    "spectral-minimum": {
-        "eps_list": ("floats", (0.5, 0.25)),
-        "l": ("float", 8.0),
-    },
-    "localisation-probe": {
-        "e_lo": ("float", 0.0),
-        "e_hi": ("float", 2.0),
-        "l": ("float", 24.0),
-    },
-    "minorant": {
-        "l": ("float", 4.0),
-        "box_length": ("float", 8.0),
-    },
+# experiment name -> its driver in the experiments module
+EXPERIMENTS = {
+    "wegner": "run_wegner",
+    "ids": "estimate_ids",
+    "stubborn": "run_stubborn",
+    "stubborn-exp": "run_stubborn_exponential",
+    "uncertainty": "run_uncertainty",
+    "ise": "run_ise",
+    "spectral-minimum": "run_spectral_minimum",
+    "localisation-probe": "localisation_probe",
+    "minorant": "run_minorant_check",
 }
 
-_MODEL_FREE = {"uncertainty"}
+# [run] keys besides the experiment, with the least value each accepts
+_RUN_KEYS = {"seed": 0, "replicas": 1, "workers": 1, "mesh_density": 1}
 
-_RUN_KEYS = {"experiment", "seed", "replicas", "workers", "mesh_density"}
+
+def _floats(raw: str) -> tuple[float, ...]:
+    values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# annotation (less any "| None") -> parser of a config value
+_KINDS = {"float": float, "int": int, "str": str.strip, "Sequence[float]": _floats}
+
+
+def build_set(
+    set_kind: str = "stripes",
+    set_width: float = 1.0 / 3.0,
+    set_period: float = 1.0,
+    set_resolution: int = 48,
+    set_depth: int = 4,
+    set_path: str | None = None,
+    *,
+    base: Path = Path("."),
+) -> RasterSet:
+    """Stripes, a fat Cantor stage, or a raster file (set_path, relative to base)."""
+    if set_kind == "stripes":
+        return stripes_raster(set_width, set_period, set_resolution)
+    if set_kind == "cantor":
+        return build_fat_cantor(smith_volterra_spec(set_depth), set_resolution)
+    if set_kind == "file":
+        if not set_path:
+            raise ConfigError("set_kind = file needs set_path")
+        return load_raster(base / set_path)
+    raise ConfigError(f"unknown set_kind {set_kind!r}")
+
+
+def _keys(fn) -> dict[str, inspect.Parameter]:
+    """fn's keyword arguments by lowercased name (keyword-only ones are not config keys)."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name.lower(): p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
+
+
+def _schema(experiment: str) -> tuple[Any, dict[str, inspect.Parameter], dict[str, inspect.Parameter] | None]:
+    """The experiment's driver, the keys the driver reads after its first argument,
+    and the keys of build_set when that first argument is a set, not a model."""
+    driver = getattr(experiments, EXPERIMENTS[experiment])
+    (first, _), *rest = _keys(driver).items()
+    return driver, dict(rest), None if first == "model" else _keys(build_set)
 
 
 @dataclass
@@ -115,20 +132,15 @@ class RunConfig:
 
 
 def _parse_value(kind: str, raw: str, key: str, where: str) -> Any:
+    kind = kind.removesuffix(" | None")
     try:
-        if kind == "floats":
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        return raw.strip()
+        return _KINDS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {kind}") from exc
 
 
 def parse_run_config(path: str | Path) -> RunConfig:
-    """Strict run-file parser: every key must be known for its experiment."""
+    """Strict run-file parser: every key must be one the experiment's driver reads."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -144,33 +156,31 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if "run" not in parser:
         raise ConfigError(f"{path}: missing [run] section")
     run = parser["run"]
-    for key in run:
+    experiment = run.pop("experiment", "").strip()
+    if experiment not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise ConfigError(f"{path}: experiment must be one of {known}, got {experiment!r}")
+    _, keys, set_keys = _schema(experiment)
+    cfg = RunConfig(experiment=experiment)
+    for key, raw in run.items():
         if key not in _RUN_KEYS:
             raise ConfigError(f"{path}: unknown key {key!r} in [run]")
-    experiment = run.get("experiment", "").strip()
-    if experiment not in _PARAM_SCHEMA:
-        known = ", ".join(sorted(_PARAM_SCHEMA))
-        raise ConfigError(f"{path}: experiment must be one of {known}, got {experiment!r}")
-    cfg = RunConfig(experiment=experiment)
-    cfg.seed = run.getint("seed", 0)
-    cfg.workers = run.getint("workers", 1)
-    if "replicas" in run:
-        cfg.replicas = run.getint("replicas")
-    if "mesh_density" in run:
-        cfg.mesh_density = run.getint("mesh_density")
-    schema = _PARAM_SCHEMA[experiment]
+        value = _parse_value("int", raw, key, str(path))
+        if value < _RUN_KEYS[key]:
+            raise ConfigError(f"{path}: {key} must be at least {_RUN_KEYS[key]}, got {value}")
+        if key not in keys and (key, value) != ("workers", 1):
+            raise ConfigError(f"{path}: experiment {experiment} takes no {key!r} in [run]")
+        setattr(cfg, key, value)
+    params = {k: p for k, p in keys.items() if k not in _RUN_KEYS} | (set_keys or {})
     if "parameters" in parser:
         for key, raw in parser["parameters"].items():
-            if key not in schema:
+            if key not in params:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [parameters] for experiment {experiment}"
                 )
-            cfg.params[key] = _parse_value(schema[key][0], raw, key, str(path))
-    for key, (_, default) in schema.items():
-        if key not in cfg.params:
-            if default is _REQUIRED:
-                raise ConfigError(f"{path}: experiment {experiment} requires parameter {key!r}")
-            cfg.params[key] = default
+            cfg.params[key] = _parse_value(params[key].annotation, raw, key, str(path))
+    for key, p in params.items():
+        cfg.params.setdefault(key, p.default)
     return cfg
 
 
@@ -192,87 +202,30 @@ def resolved_ini(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_set(params: dict[str, Any], base: Path):
-    kind = params["set_kind"]
-    if kind == "stripes":
-        return stripes_raster(params["set_width"], params["set_period"], params["set_resolution"])
-    if kind == "cantor":
-        return build_fat_cantor(smith_volterra_spec(params["set_depth"]), params["set_resolution"])
-    if kind == "file":
-        if not params.get("set_path"):
-            raise ConfigError("set_kind = file needs set_path")
-        return load_raster(base / params["set_path"])
-    raise ConfigError(f"unknown set_kind {kind!r}")
-
-
-def _dispatch(cfg: RunConfig, model: AlloyModel | None, config_dir: Path) -> ExperimentReport:
-    p = cfg.params
-    common: dict[str, Any] = {"seed": cfg.seed}
-    if cfg.replicas is not None:
-        common["replicas"] = cfg.replicas
-    if cfg.mesh_density is not None:
-        common["mesh_density"] = cfg.mesh_density
-    if cfg.experiment == "uncertainty":
-        S = _build_set(p, config_dir)
-        return experiments.run_uncertainty(
-            S,
-            a=p["a"],
-            E_list=p["e_list"],
-            L_list=p["l_list"],
-            bc=p["bc"],
-            lambda_floor=p["lambda_floor"],
-            seed=cfg.seed,
-            **({"mesh_density": cfg.mesh_density} if cfg.mesh_density is not None else {}),
-        )
-    if model is None:
-        raise ConfigError(f"experiment {cfg.experiment} needs a model file (--model)")
-    common["workers"] = cfg.workers
-    if cfg.experiment == "wegner":
-        return experiments.run_wegner(model, L_list=p["l_list"], eps_list=p["eps_list"], e_ref=p["e_ref"], **common)
-    if cfg.experiment == "ids":
-        return experiments.estimate_ids(model, L=p["l"], E_list=p["e_list"], eps=p["eps"], c_w=p["c_w"], **common)
-    if cfg.experiment == "stubborn":
-        return experiments.run_stubborn(model, E=p["e"], L_list=p["l_list"], min_boxes=p["min_boxes"], **common)
-    if cfg.experiment == "stubborn-exp":
-        return experiments.run_stubborn_exponential(model, L=p["l"], eigen_index=p["eigen_index"], **common)
-    if cfg.experiment == "ise":
-        return experiments.run_ise(model, L_list=p["l_list"], **common)
-    if cfg.experiment == "spectral-minimum":
-        return experiments.run_spectral_minimum(model, eps_list=p["eps_list"], L=p["l"], **common)
-    if cfg.experiment == "localisation-probe":
-        return experiments.localisation_probe(model, E_lo=p["e_lo"], E_hi=p["e_hi"], L=p["l"], **common)
-    if cfg.experiment == "minorant":
-        common.pop("workers", None)
-        return experiments.run_minorant_check(model, L=p["l"], box_length=p["box_length"], **common)
-    raise ConfigError(f"no dispatch for {cfg.experiment}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_run_config(args.config)
-    config_dir = Path(args.config).parent
-    model = None
-    if args.model is not None:
-        model = load_model_config(args.model)
-    elif cfg.experiment not in _MODEL_FREE:
+    driver, keys, set_keys = _schema(cfg.experiment)
+    if set_keys is not None:
+        if args.model is not None:
+            raise ConfigError(f"experiment {cfg.experiment} takes no model file")
+        subject = build_set(**{k: cfg.params[k] for k in set_keys}, base=Path(args.config).parent)
+    elif args.model is None:
         raise ConfigError(f"experiment {cfg.experiment} needs a model file (--model)")
+    else:
+        subject = load_model_config(args.model)
+    kwargs = {p.name: getattr(cfg, k) if k in _RUN_KEYS else cfg.params[k] for k, p in keys.items()}
     out_dir = Path(os.environ.get("WEGNER_LAB_OUT", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    rep = _dispatch(cfg, model, config_dir)
-    (out_dir / "report.json").write_text(rep.to_json(include_timing=False))
-    (out_dir / "records.csv").write_text(rep.to_records_csv())
-    (out_dir / "summary.txt").write_text(rep.human_summary())
+    # unset replicas and mesh_density, and an unset c_w, leave the driver's default
+    rep = driver(subject, **{name: v for name, v in kwargs.items() if v is not None})
+    rep.write(out_dir)
     (out_dir / "config.resolved.ini").write_text(resolved_ini(cfg))
     sys.stdout.write(rep.human_summary())
     return 0 if rep.overall in ("PASS", "INFORMATIONAL") else 1
 
 
 def _cmd_make_set(args: argparse.Namespace) -> int:
-    if args.kind == "stripes":
-        S = stripes_raster(args.width, args.period, args.resolution)
-    elif args.kind == "cantor":
-        S = build_fat_cantor(smith_volterra_spec(args.depth), args.resolution)
-    else:
-        raise ConfigError(f"unknown set kind {args.kind!r}")
+    S = build_set(args.kind, args.width, args.period, args.resolution, args.depth)
     save_raster(S, args.out)
     sys.stdout.write(f"wrote {args.out}: measure {S.measure!r} of period {S.geometry.extent[0]!r}\n")
     return 0
@@ -281,8 +234,7 @@ def _cmd_make_set(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.raster is not None:
         S = load_raster(args.raster)
-        window = WindowSpec(tuple(float(v) for v in args.window.split(",")))
-        cert = certify_thickness(S, window)
+        cert = certify_thickness(S, WindowSpec(args.window))
         sys.stdout.write(
             f"gamma_star = {cert.gamma_star!r}\nerror_bound = {cert.error_bound!r}\n"
             f"argmin_anchor = {cert.argmin!r}\n"
@@ -303,9 +255,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             )
             return 0 if cert.passed else 1
         if model.claimed_bound is not None:
-            kappas = [float(v) for v in args.kappa.split(",")] if args.kappa else [0.5]
-            win = tuple(float(v) for v in args.window.split(","))
-            cert2 = verify_NoPi(model, kappas, [win])
+            cert2 = verify_NoPi(model, args.kappa or [0.5], [args.window])
             sys.stdout.write(
                 f"sup potential = {cert2.sup_u!r} (claimed bound {cert2.bound_claimed!r})\n"
             )
@@ -349,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     ct = sub.add_parser("certify", help="certify thickness or structural claims")
     ct.add_argument("--raster", help="raster file to certify")
     ct.add_argument("--model", help="model file whose claims to verify")
-    ct.add_argument("--window", default="1.0", help="window sides, comma separated")
+    ct.add_argument("--window", type=_floats, default="1.0", help="window sides, comma separated")
     ct.add_argument("--gamma", type=float, help="claimed thickness to check (raster mode)")
-    ct.add_argument("--kappa", help="level list for refutation, comma separated (model mode)")
+    ct.add_argument("--kappa", type=_floats, help="level list for refutation, comma separated (model mode)")
     ct.set_defaults(fn=_cmd_certify)
 
     rp = sub.add_parser("report", help="re-render a stored report")
@@ -362,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ModelConfigError, ModelError, RasterError, experiments.PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ConfigError, ModelError, RasterError, GridError, EigensolverError, PreconditionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,6 +12,7 @@ statistical allowance (usually 2 or 3 standard errors), never a tuned fudge.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +47,19 @@ class PreconditionError(RuntimeError):
     """The run's standing assumptions fail before any statistics are drawn."""
 
 
+def _timed(driver):
+    """Stamp the report a driver returns with the driver's wall-clock time."""
+
+    @functools.wraps(driver)
+    def timed(*args, **kwargs) -> ExperimentReport:
+        t0 = time.perf_counter()
+        rep = driver(*args, **kwargs)
+        rep.wall_clock_s = time.perf_counter() - t0
+        return rep
+
+    return timed
+
+
 def _map_replicas(worker, arg_tuples: list, workers: int) -> list:
     if workers <= 1:
         return [worker(a) for a in arg_tuples]
@@ -69,11 +83,12 @@ def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None,
 # eigenvalue counting in random boxes (the volume-law estimate)
 
 
-def _wegner_replica(args) -> tuple[int, ...]:
-    model, box, seed_key, e_anchor, eps_list = args
-    v = sample_potential(model, seed_key, box)
+def _count_replica(args) -> tuple[int, ...]:
+    """Eigenvalue counts of one disorder draw, one per (lo, hi) window."""
+    model, box, seed_key, windows, override = args
+    v = sample_potential(model, seed_key, box, couplings_override=override)
     H = add_potential(build_free_laplacian(box), v)
-    return tuple(count_in_interval(H, e_anchor - e, e_anchor + e) for e in eps_list)
+    return tuple(count_in_interval(H, lo, hi) for lo, hi in windows)
 
 
 def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float) -> float:
@@ -91,6 +106,7 @@ def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float
     return float(usable[-1] + shift)
 
 
+@_timed
 def run_wegner(
     model: AlloyModel,
     L_list: Sequence[float] = (8.0, 16.0, 32.0),
@@ -109,7 +125,6 @@ def run_wegner(
     so the fitted constant is the maximum of mean + 3 stderr over the grid
     and the trend verdict demands no growth from smallest to largest box.
     """
-    t0 = time.perf_counter()
     eps_sorted = tuple(sorted(eps_list))
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
@@ -130,8 +145,9 @@ def run_wegner(
         box = _box(model.d, L, mesh_density)
         e_anchor = _anchor_energy(model, box, e_ref, eps_sorted[-1])
         rep.fitted[f"anchor_energy_L={L:g}"] = e_anchor
-        args = [(model, box, (seed, r), e_anchor, eps_sorted) for r in range(replicas)]
-        counts = np.array(_map_replicas(_wegner_replica, args, workers), dtype=float)
+        windows = tuple((e_anchor - e, e_anchor + e) for e in eps_sorted)
+        args = [(model, box, (seed, r), windows, None) for r in range(replicas)]
+        counts = np.array(_map_replicas(_count_replica, args, workers), dtype=float)
         if np.any(np.diff(counts, axis=1) < 0):
             nested_ok = False
         for k, e in enumerate(eps_sorted):
@@ -149,7 +165,6 @@ def run_wegner(
         rep.verdicts[f"volume_trend_eps={e:g}"] = PASS if ok else FAIL
     rep.fitted["c_w_hat"] = max(m + 3 * s for (m, s) in ratios.values())
     rep.fitted["modulus"] = {f"{e:g}": s_eps[e] for e in eps_sorted}
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -157,13 +172,7 @@ def run_wegner(
 # integrated density of states
 
 
-def _ids_replica(args) -> tuple[int, ...]:
-    model, box, seed_key, thresholds = args
-    v = sample_potential(model, seed_key, box)
-    H = add_potential(build_free_laplacian(box), v)
-    return tuple(count_in_interval(H, -math.inf, t) for t in thresholds)
-
-
+@_timed
 def estimate_ids(
     model: AlloyModel,
     L: float = 12.0,
@@ -182,7 +191,6 @@ def estimate_ids(
     window increments N(E+eps) - N(E-eps) by the volume-law constant when one
     is supplied (informational otherwise).
     """
-    t0 = time.perf_counter()
     E_sorted = tuple(sorted(E_list))
     rep = ExperimentReport(
         experiment="ids",
@@ -198,9 +206,9 @@ def estimate_ids(
     )
     box = _box(model.d, L, mesh_density)
     vol = L**model.d
-    thresholds = tuple(v for E in E_sorted for v in (E - eps, E, E + eps))
-    args = [(model, box, (seed, r), thresholds) for r in range(replicas)]
-    counts = np.array(_map_replicas(_ids_replica, args, workers), dtype=float)
+    windows = tuple((-math.inf, v) for E in E_sorted for v in (E - eps, E, E + eps))
+    args = [(model, box, (seed, r), windows, None) for r in range(replicas)]
+    counts = np.array(_map_replicas(_count_replica, args, workers), dtype=float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
     ses = at_e.std(axis=0, ddof=1) / math.sqrt(replicas) / vol
@@ -209,12 +217,10 @@ def estimate_ids(
     rep.verdicts["monotone_in_energy"] = PASS if bool(np.all(np.diff(means) >= 0)) else FAIL
 
     # zero-coupling seam: one deterministic evaluation must hit the free count
-    free_v = sample_potential(model, (seed, 0), box, couplings_override=0.0)
-    H_free = add_potential(build_free_laplacian(box), free_v)
+    free = _count_replica((model, box, (seed, 0), [(-math.inf, E) for E in E_sorted], 0.0))
     spec = discrete_dirichlet_spectrum(box)
     seam_ok = True
-    for E in E_sorted:
-        got = count_in_interval(H_free, -math.inf, E)
+    for E, got in zip(E_sorted, free):
         want = sum(1 for lam in spec if lam <= E + 1e-12 * max(1.0, E))
         rep.records.append(record(E, "ids_free_seam", got / vol, None, 1))
         seam_ok = seam_ok and got == want
@@ -231,7 +237,6 @@ def estimate_ids(
         rep.verdicts["continuity_bound"] = PASS if worst <= c_w * s_val else FAIL
     else:
         rep.verdicts["continuity_bound"] = INFORMATIONAL
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -268,13 +273,7 @@ def _greedy_disjoint(centers: list[tuple[tuple[float, ...], float]], L: float, w
     return chosen
 
 
-def _stubborn_replica(args) -> int:
-    model, box, seed_key, lo, hi, override = args
-    v = sample_potential(model, seed_key, box, couplings_override=override)
-    H = add_potential(build_free_laplacian(box), v)
-    return count_in_interval(H, lo, hi)
-
-
+@_timed
 def run_stubborn(
     model: AlloyModel,
     E: float = 4.0,
@@ -295,7 +294,6 @@ def run_stubborn(
     half from E.  The verdict demands an eigenvalue in the window for every
     box, every draw, including both coupling extremes.
     """
-    t0 = time.perf_counter()
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
@@ -343,19 +341,19 @@ def run_stubborn(
             box = _box(model.d, L, rho, center=x)
             draws: list[tuple[Any, float | None]] = [((seed, r), None) for r in range(replicas)]
             draws += [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
-            args = [(model, box, key, lo, hi, override) for key, override in draws]
-            counts = _map_replicas(_stubborn_replica, args, workers)
-            hits += sum(1 for c in counts if c >= 1)
+            args = [(model, box, key, ((lo, hi),), override) for key, override in draws]
+            counts = _map_replicas(_count_replica, args, workers)
+            hits += sum(1 for (c,) in counts if c >= 1)
             total += len(counts)
         rep.records.append(record([L], "window_hit_fraction", hits / total, None, total))
         ok = hits == total
         rep.verdicts[f"persistent_window_L={L:g}"] = PASS if ok else FAIL
         all_ok = all_ok and ok
     rep.fitted["kappa"] = kappa0
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
+@_timed
 def run_stubborn_exponential(
     model: AlloyModel,
     L: float = 6.0,
@@ -373,7 +371,6 @@ def run_stubborn_exponential(
     with probability one.  Boxes longer than 28 are refused because exp(-L)
     then falls below attainable eigenvalue accuracy.
     """
-    t0 = time.perf_counter()
     if L >= 28:
         raise PreconditionError("exp(-L) below achievable eigenvalue accuracy; use L < 28")
     rep = ExperimentReport(
@@ -386,7 +383,6 @@ def run_stubborn_exponential(
     if not zero_centers:
         rep.verdicts["persistent_eigenvalue"] = FAIL
         rep.fitted["reason"] = "no potential-free box inside the registered region"
-        rep.wall_clock_s = time.perf_counter() - t0
         return rep
     x0 = zero_centers[0]
     box = _box(model.d, L, mesh_density, center=x0)
@@ -430,15 +426,11 @@ def run_stubborn_exponential(
         model.check_box_registered(cbox)
         c_spec = discrete_dirichlet_spectrum(cbox)
         Ec = float(c_spec[eigen_index])
-        in_win = 0
-        for r in range(replicas):
-            v = sample_potential(model, (seed, r), cbox)
-            H = add_potential(build_free_laplacian(cbox), v)
-            in_win += int(count_in_interval(H, Ec - width, Ec + width) >= 1)
+        window = ((Ec - width, Ec + width),)
+        in_win = sum(_count_replica((model, cbox, (seed, r), window, None))[0] >= 1 for r in range(replicas))
         rep.records.append(record([L], "contrast_hit_fraction", in_win / replicas, None, replicas))
     except ModelError:
         pass
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -468,6 +460,7 @@ def _solve_rate_constant(log_inv_lambda: float, E: float, a_sum: float, d: int, 
     return hi
 
 
+@_timed
 def run_uncertainty(
     S: RasterSet,
     a: Sequence[float] = (1.0,),
@@ -493,7 +486,6 @@ def run_uncertainty(
     would measure discretization, not the claim.  Excluded energies are
     listed in the fitted summary.
     """
-    t0 = time.perf_counter()
     d = S.d
     E_sorted = tuple(sorted(E_list))
     L_sorted = tuple(sorted(L_list))
@@ -577,7 +569,6 @@ def run_uncertainty(
         if val > 0:
             k_hat = max(k_hat, _solve_rate_constant(math.log(1.0 / val), E, a_sum, d, gamma))
     rep.fitted["K_hat"] = k_hat
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -597,6 +588,7 @@ def _ise_replica(args) -> float | None:
         return None
 
 
+@_timed
 def run_ise(
     model: AlloyModel,
     L_list: Sequence[float] = (8.0, 16.0),
@@ -614,7 +606,6 @@ def run_ise(
     within binomial noise.  Samples whose shift lands on an eigenvalue are
     counted separately, never silently dropped into the statistics.
     """
-    t0 = time.perf_counter()
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
         experiment="ise",
@@ -668,7 +659,6 @@ def run_ise(
     q_lo, q_hi = qs[L_sorted[0]], qs[L_sorted[-1]]
     improves = q_hi[0] >= q_lo[0] - 2 * math.hypot(q_lo[1], q_hi[1])
     rep.verdicts["probability_improves_with_box"] = PASS if improves else FAIL
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -686,6 +676,7 @@ def _minimum_replica(args) -> float:
     return float(ev[0])
 
 
+@_timed
 def run_spectral_minimum(
     model: AlloyModel,
     eps_list: Sequence[float] = (0.5, 0.25),
@@ -702,7 +693,6 @@ def run_spectral_minimum(
     staying at or below eps must land within eps times the potential ceiling
     of that floor.  The zero-coupling seam must reproduce the floor exactly.
     """
-    t0 = time.perf_counter()
     rep = ExperimentReport(
         experiment="spectral-minimum",
         config={"eps_list": list(eps_list), "replicas": replicas, "L": L, "mesh_density": mesh_density},
@@ -741,7 +731,6 @@ def run_spectral_minimum(
     ev0 = eigs_below(H0, e_cap).eigenvalues
     exact = abs(float(ev0[0]) - ground) <= 1e-9 * max(1.0, ground)
     rep.verdicts["zero_coupling_exact"] = PASS if exact else FAIL
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -773,6 +762,7 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
     return -slope
 
 
+@_timed
 def localisation_probe(
     model: AlloyModel,
     E_lo: float = 0.0,
@@ -790,7 +780,6 @@ def localisation_probe(
     is broken).  Reports participation ratios and per-shell decay rates;
     every verdict is informational by design.
     """
-    t0 = time.perf_counter()
     for dist in model.dists:
         if dist.holder_exponent is None:
             raise PreconditionError("localization probe needs Holder-continuous couplings")
@@ -827,7 +816,6 @@ def localisation_probe(
         rep.fitted["decay_positive_fraction"] = float(np.mean([d > 0 for d in decays]))
     rep.fitted["states_found"] = found
     rep.verdicts["probe"] = INFORMATIONAL
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep
 
 
@@ -835,6 +823,7 @@ def localisation_probe(
 # minorant demonstration wrapper (ties the construction to sampled fields)
 
 
+@_timed
 def run_minorant_check(
     model: AlloyModel,
     L: float = 4.0,
@@ -844,7 +833,6 @@ def run_minorant_check(
     mesh_density: int = 16,
 ) -> ExperimentReport:
     """Build the diluted minorant and confirm W <= V pathwise on sampled draws."""
-    t0 = time.perf_counter()
     rep = ExperimentReport(
         experiment="minorant",
         config={"L": L, "replicas": replicas, "box_length": box_length, "mesh_density": mesh_density},
@@ -867,5 +855,4 @@ def run_minorant_check(
     rep.records.append(record([L], "active_fraction", active / replicas, None, replicas))
     rep.verdicts["pathwise_minorant"] = PASS if ok else FAIL
     rep.verdicts["positive_margin"] = PASS if dm.margin > 0 else FAIL
-    rep.wall_clock_s = time.perf_counter() - t0
     return rep

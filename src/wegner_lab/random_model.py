@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,14 +32,13 @@ from .thick_sets import (
     RasterGeometry,
     RasterSet,
     WindowSpec,
-    build_fat_cantor,
     certify_thickness,
     interval_member,
     level_set,
     load_raster,
+    rasterize_intervals,
     smith_volterra_spec,
     stripes_raster,
-    window_measure,
 )
 
 
@@ -83,7 +83,7 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def _from_uniform(self, u: float) -> float:
+    def _from_uniform(self, u):
         return self.lo + u * (self.hi - self.lo)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
@@ -132,8 +132,8 @@ class BernoulliAt:
     def mean(self) -> float:
         return self.p0 * self.v0 + (1 - self.p0) * self.v1
 
-    def _from_uniform(self, u: float) -> float:
-        return self.v0 if u < self.p0 else self.v1
+    def _from_uniform(self, u):
+        return np.where(u < self.p0, self.v0, self.v1)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
         atoms = [(v, p) for v, p in ((self.v0, self.p0), (self.v1, 1 - self.p0)) if v <= cap]
@@ -195,7 +195,7 @@ class TruncatedPowerHolder:
             return 1.0
         return (x / self.m_plus) ** self.alpha
 
-    def _from_uniform(self, u: float) -> float:
+    def _from_uniform(self, u):
         return self.m_plus * u ** (1.0 / self.alpha)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
@@ -217,6 +217,7 @@ class TruncatedPowerHolder:
         return min(self.alpha, 1.0)
 
 
+# each law maps a uniform draw u, a float or an array of them, through _from_uniform
 Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 
 
@@ -226,7 +227,7 @@ def _site_rng(seed: int | tuple[int, ...], site_index: int) -> np.random.Generat
 
 
 def sample_value(dist: Distribution, seed: int | tuple[int, ...], site_index: int) -> float:
-    return dist._from_uniform(float(_site_rng(seed, site_index).uniform(0.0, 1.0)))
+    return float(dist._from_uniform(float(_site_rng(seed, site_index).uniform(0.0, 1.0))))
 
 
 def sample_value_below(
@@ -238,18 +239,7 @@ def sample_value_below(
 def sample_iid(dist: Distribution, seed: int | tuple[int, ...], n: int) -> np.ndarray:
     """Vectorized draws for statistics on a single distribution."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    u = rng.uniform(0.0, 1.0, size=n)
-    if isinstance(dist, BernoulliAt):
-        return np.where(u < dist.p0, dist.v0, dist.v1)
-    return _vector_from_uniform(dist, u)
-
-
-def _vector_from_uniform(dist: Distribution, u: np.ndarray) -> np.ndarray:
-    if isinstance(dist, Uniform):
-        return dist.lo + u * (dist.hi - dist.lo)
-    if isinstance(dist, TruncatedPowerHolder):
-        return dist.m_plus * u ** (1.0 / dist.alpha)
-    raise ModelError("no vectorized path for this kind")
+    return dist._from_uniform(rng.uniform(0.0, 1.0, size=n))
 
 
 def empirical_modulus(
@@ -770,9 +760,7 @@ def construct_diluted_minorant(
     site_by_center = {s.center: i for i, s in enumerate(model.sites)}
 
     cells: list[MinorantCell] = []
-    import itertools as _it
-
-    for anchor in _it.product(anchor_axis, repeat=model.d):
+    for anchor in itertools.product(anchor_axis, repeat=model.d):
         geo = RasterGeometry(
             origin=tuple(a - L / 2 for a in anchor),
             extent=(float(L),) * model.d,
@@ -784,7 +772,7 @@ def construct_diluted_minorant(
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         best: tuple[int, int] | None = None  # (cell count, site index), maximizing count
         best_mask: np.ndarray | None = None
-        for offs in sorted(_it.product(zs, repeat=model.d)):
+        for offs in sorted(itertools.product(zs, repeat=model.d)):
             center = tuple(a + o for a, o in zip(anchor, offs))
             idx = site_by_center.get(center)
             if idx is None:
@@ -830,14 +818,75 @@ def construct_diluted_minorant(
 
 
 # ---------------------------------------------------------------------------
-# model factories
+# the model builder and the named models
 
 
-def _integer_sites(extent: float, d: int) -> list[tuple[float, ...]]:
-    import itertools as _it
+def _place_sites(placement: str, d: int, extent: float) -> list[tuple[float, ...]]:
+    side = range(-int(extent), int(extent) + 1)
+    if placement == "all-integers":
+        return [tuple(float(v) for v in tup) for tup in itertools.product(side, repeat=d)]
+    if placement == "powers-of-two":
+        if d != 1:
+            raise ModelConfigError("powers-of-two placement is one-dimensional")
+        centers: list[tuple[float, ...]] = []
+        m = 1
+        while m <= extent:
+            centers.extend([(-float(m),), (float(m),)])
+            m *= 2
+        return sorted(centers)
+    if placement == "hyperplane":
+        if d < 2:
+            raise ModelConfigError("hyperplane placement needs dimension at least 2")
+        return [(0.0,) + tuple(float(v) for v in tup) for tup in itertools.product(side, repeat=d - 1)]
+    raise ModelConfigError(f"unknown placement {placement!r}")
 
-    rng = range(-int(extent), int(extent) + 1)
-    return [tuple(float(v) for v in tup) for tup in _it.product(rng, repeat=d)]
+
+def build_model(
+    d: int,
+    extent: float,
+    resolution: int,
+    dist: Distribution,
+    profile: Profile,
+    placement: str = "all-integers",
+    claimed_set: str | Path | None = None,
+    gamma: float | None = None,
+    a: Sequence[float] = (1.0,),
+    set_resolution: int = 1024,
+    bound: float | None = None,
+) -> AlloyModel:
+    """The alloy model that the named factories and the model files describe.
+
+    Sites sit at the integer points of [-extent, extent]^d, at +-2^m
+    ("powers-of-two", d=1) or on the plane x_0 = 0 ("hyperplane").  A
+    thickness claim (gamma, a) names its set: "full", "cantor" (the
+    translates of a cantor-translate profile) or a raster file.
+    """
+    if isinstance(profile, CantorTranslate) and d != 1:
+        raise ModelConfigError("cantor-translate profiles are one-dimensional")
+    centers = _place_sites(placement, d, extent)
+    sites = tuple(SingleSite(center=c, radius=profile.radius, profile=profile) for c in centers)
+    S = None
+    if claimed_set == "full":
+        S = stripes_raster(1.0, 1.0, resolution)
+    elif claimed_set == "cantor":
+        if not isinstance(profile, CantorTranslate):
+            raise ModelConfigError("thickness set 'cantor' needs a cantor-translate profile")
+        # S = union of the profile's translates, in cells [j-1/2, j+1/2): roll by half a period
+        stage = rasterize_intervals(profile.intervals, set_resolution)
+        S = RasterSet(geometry=stage.geometry, cells=np.roll(stage.cells, set_resolution // 2))
+    elif claimed_set is not None:
+        S = load_raster(claimed_set)
+    return AlloyModel(
+        d=d,
+        sites=sites,
+        dists=(dist,) * len(sites),
+        extent=float(extent),
+        u_resolution=resolution,
+        claimed_gamma=gamma,
+        claimed_window=None if S is None else WindowSpec(tuple(a)),
+        claimed_set=S,
+        claimed_bound=bound,
+    )
 
 
 def covering_model(
@@ -846,20 +895,7 @@ def covering_model(
     u_resolution: int = 16,
 ) -> AlloyModel:
     """d=1 unit-cell indicators at every integer: sum_j u_j = 1 everywhere."""
-    centers = _integer_sites(extent, 1)
-    profile = BallIndicator(radius=0.5)
-    sites = tuple(SingleSite(center=c, radius=0.5, profile=profile) for c in centers)
-    full = stripes_raster(width=1.0, period=1.0, resolution=u_resolution)
-    return AlloyModel(
-        d=1,
-        sites=sites,
-        dists=(dist,) * len(sites),
-        extent=float(extent),
-        u_resolution=u_resolution,
-        claimed_gamma=1.0,
-        claimed_window=WindowSpec((1.0,)),
-        claimed_set=full,
-    )
+    return build_model(1, extent, u_resolution, dist, BallIndicator(radius=0.5), claimed_set="full", gamma=1.0)
 
 
 def fat_cantor_model(
@@ -870,24 +906,9 @@ def fat_cantor_model(
     set_resolution: int = 1024,
 ) -> AlloyModel:
     """d=1 fat-Cantor stage indicators: the support is nowhere dense yet thick."""
-    cspec = smith_volterra_spec(depth)
     profile = CantorTranslate.from_depth(depth)
-    centers = _integer_sites(extent, 1)
-    sites = tuple(SingleSite(center=c, radius=0.5, profile=profile) for c in centers)
-    stage = build_fat_cantor(cspec, set_resolution, periodic=True)
-    # S = union of stage translates sits in cells [j-1/2, j+1/2): roll by half a period
-    rolled = np.roll(stage.cells, set_resolution // 2)
-    claimed = RasterSet(geometry=stage.geometry, cells=rolled)
-    return AlloyModel(
-        d=1,
-        sites=sites,
-        dists=(dist,) * len(sites),
-        extent=float(extent),
-        u_resolution=u_resolution,
-        claimed_gamma=float(cspec.stage_measure()),
-        claimed_window=WindowSpec((1.0,)),
-        claimed_set=claimed,
-    )
+    gamma = float(smith_volterra_spec(depth).stage_measure())
+    return build_model(1, extent, u_resolution, dist, profile, claimed_set="cantor", gamma=gamma, set_resolution=set_resolution)
 
 
 def geometric_dilution_model(
@@ -896,22 +917,7 @@ def geometric_dilution_model(
     u_resolution: int = 8,
 ) -> AlloyModel:
     """d=1 sites only at +-2^m: gaps double forever, so no level set is thick."""
-    centers: list[tuple[float, ...]] = []
-    m = 1
-    while m <= extent:
-        centers.extend([(-float(m),), (float(m),)])
-        m *= 2
-    centers.sort()
-    profile = BallIndicator(radius=0.5)
-    sites = tuple(SingleSite(center=c, radius=0.5, profile=profile) for c in centers)
-    return AlloyModel(
-        d=1,
-        sites=sites,
-        dists=(dist,) * len(sites),
-        extent=float(extent),
-        u_resolution=u_resolution,
-        claimed_bound=1.0,
-    )
+    return build_model(1, extent, u_resolution, dist, BallIndicator(radius=0.5), "powers-of-two", bound=1.0)
 
 
 def slab_model(
@@ -920,17 +926,8 @@ def slab_model(
     u_resolution: int = 8,
 ) -> AlloyModel:
     """d=2 balls along one axis: support confined to a slab, thick nowhere."""
-    centers = [(0.0, float(k)) for k in range(-int(extent), int(extent) + 1)]
-    profile = BallIndicator(radius=1.0)
-    sites = tuple(SingleSite(center=c, radius=1.0, profile=profile) for c in centers)
-    return AlloyModel(
-        d=2,
-        sites=sites,
-        dists=(dist,) * len(sites),
-        extent=float(extent),
-        u_resolution=u_resolution,
-        claimed_bound=2.0,  # adjacent balls overlap pairwise, never three deep
-    )
+    # adjacent balls overlap pairwise, never three deep
+    return build_model(2, extent, u_resolution, dist, BallIndicator(radius=1.0), "hyperplane", bound=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -975,85 +972,38 @@ def load_model_config(path: str | Path) -> AlloyModel:
         raise ModelConfigError(f"{path}: need [model], [sites], and [distribution] sections")
 
     m = parser["model"]
-    d = m.getint("dimension", 1)
-    extent = m.getfloat("extent", 40.0)
-    resolution = m.getint("resolution", 16)
-    dist = _parse_distribution(parser["distribution"])
-
     s = parser["sites"]
-    placement = s.get("placement", "all-integers").strip()
     profile_kind = s.get("profile", "indicator-ball").strip()
-
     profile: Profile
     if profile_kind == "indicator-ball":
-        radius = s.getfloat("radius", 0.5)
-        profile = BallIndicator(radius=radius)
+        profile = BallIndicator(radius=s.getfloat("radius", 0.5))
     elif profile_kind == "cantor-translate":
-        if d != 1:
-            raise ModelConfigError("cantor-translate profiles are one-dimensional")
         profile = CantorTranslate.from_depth(s.getint("cantor_depth", 4))
-        radius = 0.5
     elif profile_kind == "raster-file":
         rel = s.get("raster", "")
         if not rel:
             raise ModelConfigError(f"{path}: raster-file profile needs a raster key")
-        raster = load_raster(path.parent / rel)
-        profile = RasterProfile(raster=raster)
-        radius = profile.radius
+        profile = RasterProfile(raster=load_raster(path.parent / rel))
     else:
         raise ModelConfigError(f"unknown profile kind {profile_kind!r}")
 
-    if placement == "all-integers":
-        centers = _integer_sites(extent, d)
-    elif placement == "powers-of-two":
-        if d != 1:
-            raise ModelConfigError("powers-of-two placement is one-dimensional")
-        centers = []
-        v = 1
-        while v <= extent:
-            centers.extend([(-float(v),), (float(v),)])
-            v *= 2
-        centers.sort()
-    elif placement == "hyperplane":
-        if d < 2:
-            raise ModelConfigError("hyperplane placement needs dimension at least 2")
-        side = range(-int(extent), int(extent) + 1)
-        import itertools as _it
-
-        centers = [(0.0,) + tuple(float(v) for v in tup) for tup in _it.product(side, repeat=d - 1)]
-    else:
-        raise ModelConfigError(f"unknown placement {placement!r}")
-
-    sites = tuple(SingleSite(center=c, radius=radius, profile=profile) for c in centers)
-
-    claimed_gamma = claimed_window = claimed_set = None
+    claims: dict = {}
     if "thickness" in parser:
         t = parser["thickness"]
-        claimed_gamma = t.getfloat("gamma")
-        a_vals = tuple(float(v.strip()) for v in t.get("a", "1.0").split(","))
-        claimed_window = WindowSpec(a_vals)
         which = t.get("set", "full").strip()
-        if which == "full":
-            claimed_set = stripes_raster(1.0, 1.0, resolution)
-        elif which == "cantor":
-            if not isinstance(profile, CantorTranslate):
-                raise ModelConfigError("thickness set 'cantor' needs a cantor-translate profile")
-            set_res = s.getint("set_resolution", 1024)
-            stage = build_fat_cantor(smith_volterra_spec(s.getint("cantor_depth", 4)), set_res)
-            claimed_set = RasterSet(geometry=stage.geometry, cells=np.roll(stage.cells, set_res // 2))
-        else:
-            claimed_set = load_raster(path.parent / which)
-
-    claimed_bound = parser["bound"].getfloat("c_u") if "bound" in parser else None
-
-    return AlloyModel(
-        d=d,
-        sites=sites,
-        dists=(dist,) * len(sites),
-        extent=extent,
-        u_resolution=resolution,
-        claimed_gamma=claimed_gamma,
-        claimed_window=claimed_window,
-        claimed_set=claimed_set,
-        claimed_bound=claimed_bound,
+        claims = {
+            "claimed_set": which if which in ("full", "cantor") else path.parent / which,
+            "gamma": t.getfloat("gamma"),
+            "a": tuple(float(v.strip()) for v in t.get("a", "1.0").split(",")),
+            "set_resolution": s.getint("set_resolution", 1024),
+        }
+    return build_model(
+        m.getint("dimension", 1),
+        m.getfloat("extent", 40.0),
+        m.getint("resolution", 16),
+        _parse_distribution(parser["distribution"]),
+        profile,
+        s.get("placement", "all-integers").strip(),
+        bound=parser["bound"].getfloat("c_u") if "bound" in parser else None,
+        **claims,
     )

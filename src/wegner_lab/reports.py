@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -124,6 +125,14 @@ class ExperimentReport:
                     row.append(str(v))
             out.write(",".join(row) + "\n")
         return out.getvalue()
+
+    def write(self, out_dir: str | Path) -> None:
+        """Write report.json, records.csv and summary.txt into out_dir, creating it."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(self.to_json())
+        (out / "records.csv").write_text(self.to_records_csv())
+        (out / "summary.txt").write_text(self.human_summary())
 
     def human_summary(self) -> str:
         lines = [f"experiment: {self.experiment}", f"seed: {self.seed}", ""]

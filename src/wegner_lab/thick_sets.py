@@ -358,16 +358,22 @@ def smith_volterra_spec(depth: int) -> CantorSpec:
 
 
 def build_fat_cantor(cspec: CantorSpec, resolution: int, periodic: bool = True) -> RasterSet:
-    """Rasterize the stage-depth pre-Cantor set on [0,1].
+    """Rasterize the stage-depth pre-Cantor set on [0,1]."""
+    return rasterize_intervals(cspec.stage_intervals(), resolution, periodic)
 
-    Requires every surviving interval to span at least four cells so the
-    raster resolves the construction rather than aliasing it.
+
+def rasterize_intervals(
+    intervals: Sequence[tuple[Fraction, Fraction]], resolution: int, periodic: bool = True
+) -> RasterSet:
+    """Rasterize a union of closed rational intervals in [0,1], exactly, by cell centers.
+
+    Requires every interval to span at least four cells so the raster
+    resolves the set rather than aliasing it.
     """
-    intervals = cspec.stage_intervals()
     finest = min(hi - lo for lo, hi in intervals)
     if finest * resolution < 4:
         raise RasterError(
-            f"resolution {resolution} cannot resolve stage intervals of length {finest}; "
+            f"resolution {resolution} cannot resolve intervals of length {finest}; "
             f"need at least {math.ceil(4 / finest)} cells per unit"
         )
     geo = RasterGeometry(origin=(0.0,), extent=(1.0,), resolution=(resolution,), periodic=periodic)

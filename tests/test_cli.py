@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from wegner_lab import experiments as X
 from wegner_lab.cli import ConfigError, main, parse_run_config, resolved_ini
-from wegner_lab.thick_sets import build_fat_cantor, load_raster, smith_volterra_spec
+from wegner_lab.random_model import load_model_config
+from wegner_lab.thick_sets import build_fat_cantor, load_raster, smith_volterra_spec, stripes_raster
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -26,6 +28,28 @@ mesh_density = 32
 e_list = 25.0
 l_list = 2.0
 """
+
+
+GOLDEN_RESOLVED = {
+    "wegner": (
+        "[run]\nexperiment = wegner\nseed = 20260822\nworkers = 1\nreplicas = 200\nmesh_density = 16\n\n"
+        "[parameters]\ne_ref = 30.0\neps_list = 0.4,0.2,0.1\nl_list = 8.0,16.0,32.0\n"
+    ),
+    "uncertainty": (
+        "[run]\nexperiment = uncertainty\nseed = 0\nworkers = 1\nmesh_density = 64\n\n"
+        "[parameters]\na = 1.0\nbc = dirichlet\ne_list = 25.0,100.0,225.0,400.0\nl_list = 2.0,3.0,4.0\n"
+        "lambda_floor = 1e-06\nset_depth = 4\nset_kind = stripes\nset_period = 1.0\nset_resolution = 48\n"
+        "set_width = 0.3333333333333333\n"
+    ),
+    "ise": (
+        "[run]\nexperiment = ise\nseed = 777\nworkers = 1\nreplicas = 200\nmesh_density = 16\n\n"
+        "[parameters]\nl_list = 8.0,16.0\n"
+    ),
+    "stubborn": (
+        "[run]\nexperiment = stubborn\nseed = 7\nworkers = 1\nreplicas = 6\n\n"
+        "[parameters]\ne = 4.0\nl_list = 8.0,16.0\nmin_boxes = 3\n"
+    ),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -63,9 +87,20 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="'eps'.*ise"):
             parse_run_config(p)
 
-    def test_unparseable_value_reported(self, tmp_path):
-        p = _write(tmp_path / "r.ini", "[run]\nexperiment = ids\n\n[parameters]\nl = wide\n")
-        with pytest.raises(ConfigError, match="cannot parse l"):
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[run]\nexperiment = ids\n\n[parameters]\nl = wide\n", "l"),
+            ("[run]\nexperiment = ids\nseed = abc\n", "seed"),
+            ("[run]\nexperiment = ids\nworkers = x\n", "workers"),
+            ("[run]\nexperiment = ids\nreplicas = 2.5\n", "replicas"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\nl_list =\n", "l_list"),
+        ],
+        ids=["parameter", "seed", "workers", "replicas", "empty-list"],
+    )
+    def test_unparseable_value_reported(self, tmp_path, text, key):
+        p = _write(tmp_path / "r.ini", text)
+        with pytest.raises(ConfigError, match=f"cannot parse {key} ="):
             parse_run_config(p)
 
     def test_unknown_experiment_lists_known_ones(self, tmp_path):
@@ -92,6 +127,13 @@ class TestParseRunConfig:
         for name in ("wegner", "uncertainty", "ise", "stubborn"):
             cfg = parse_run_config(CONFIG_DIR / f"{name}.run.ini")
             assert cfg.experiment in name or cfg.experiment == name
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RESOLVED))
+    def test_shipped_run_configs_resolve_to_golden_text(self, name, tmp_path):
+        cfg = parse_run_config(CONFIG_DIR / f"{name}.run.ini")
+        assert resolved_ini(cfg) == GOLDEN_RESOLVED[name]
+        # the resolved file is itself a run file for the same run
+        assert parse_run_config(_write(tmp_path / "resolved.ini", GOLDEN_RESOLVED[name])) == cfg
 
 
 class TestRunCommand:
@@ -173,10 +215,50 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "needs a model file" in capsys.readouterr().err
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "u.ini", "[run]\nexperiment = uncertainty\nbogus = 1\n")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "bogus" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[run]\nexperiment = uncertainty\nbogus = 1\n", "bogus"),
+            ("[run]\nexperiment = wegner\nreplicas = 0\n", "replicas must be at least 1"),
+            ("[run]\nexperiment = ise\nreplicas = 0\n", "replicas must be at least 1"),
+            ("[run]\nexperiment = ise\nworkers = 0\n", "workers must be at least 1"),
+            ("[run]\nexperiment = ise\nmesh_density = 0\n", "mesh_density must be at least 1"),
+            ("[run]\nexperiment = ise\nseed = -1\n", "seed must be at least 0"),
+            ("[run]\nexperiment = ise\nseed = abc\n", "cannot parse seed"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\nl_list =\n", "cannot parse l_list"),
+            ("[run]\nexperiment = minorant\nworkers = 2\n", "minorant takes no 'workers'"),
+            ("[run]\nexperiment = uncertainty\nreplicas = 3\n", "uncertainty takes no 'replicas'"),
+            ("[run]\nexperiment = uncertainty\nworkers = 2\n", "uncertainty takes no 'workers'"),
+        ],
+        ids=[
+            "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
+            "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
+            "uncertainty-workers",
+        ],
+    )
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
+        cfg = _write(tmp_path / "u.ini", text)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path)]
+        if "uncertainty" not in text:
+            argv += ["--model", str(CONFIG_DIR / "covering.model.ini")]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+    def test_unresolvable_grid_exits_two(self, tmp_path, capsys):
+        # one unit box at one node per unit leaves no interior grid point
+        text = "[run]\nexperiment = spectral-minimum\nmesh_density = 1\n\n[parameters]\nl = 1\n"
+        cfg = _write(tmp_path / "s.ini", text)
+        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "grid points" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_two(self, tmp_path, capsys):
+        # 5041 unknowns: past the exact LDL inertia limit, and the Lanczos count fails
+        text = "[run]\nexperiment = wegner\nreplicas = 1\nmesh_density = 4\n\n[parameters]\nl_list = 18\n"
+        cfg = _write(tmp_path / "w.ini", text)
+        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "slab.model.ini")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "converge" in capsys.readouterr().err
 
     def test_set_from_file_feeds_uncertainty(self, tmp_path):
         raster = tmp_path / "set.rast"
@@ -193,6 +275,75 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["fitted"]["gamma_certified"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+# one tiny run per experiment: (run file, model file, the same run as a direct driver call)
+TINY_RUNS = {
+    "wegner": (
+        "seed = 99\nreplicas = 4\n\n[parameters]\nl_list = 4\neps_list = 0.4,0.2\n",
+        "covering",
+        lambda m: X.run_wegner(m, L_list=(4.0,), eps_list=(0.4, 0.2), e_ref=30.0, seed=99, replicas=4, workers=1),
+    ),
+    "ids": (
+        "seed = 2\nreplicas = 3\n\n[parameters]\nl = 4\ne_list = 2,5\n",
+        "covering",
+        lambda m: X.estimate_ids(m, L=4.0, E_list=(2.0, 5.0), eps=0.25, c_w=None, seed=2, replicas=3, workers=1),
+    ),
+    "stubborn": (
+        "seed = 7\nreplicas = 2\n\n[parameters]\nl_list = 8\nmin_boxes = 2\n",
+        "geometric",
+        lambda m: X.run_stubborn(m, E=4.0, L_list=(8.0,), min_boxes=2, seed=7, replicas=2, workers=1),
+    ),
+    "stubborn-exp": (
+        "replicas = 2\n\n[parameters]\nl = 4\n",
+        "geometric",
+        lambda m: X.run_stubborn_exponential(m, L=4.0, eigen_index=3, seed=0, replicas=2, workers=1),
+    ),
+    "uncertainty": (
+        "mesh_density = 32\n\n[parameters]\ne_list = 25.0\nl_list = 2.0\n",
+        None,
+        lambda _: X.run_uncertainty(
+            stripes_raster(1.0 / 3.0, 1.0, 48), a=(1.0,), E_list=(25.0,), L_list=(2.0,), bc="dirichlet",
+            lambda_floor=1e-6, seed=0, mesh_density=32,
+        ),
+    ),
+    "ise": (
+        "seed = 5\nreplicas = 4\nmesh_density = 8\n\n[parameters]\nl_list = 4,8\n",
+        "covering",
+        lambda m: X.run_ise(m, L_list=(4.0, 8.0), seed=5, replicas=4, mesh_density=8, workers=1),
+    ),
+    "spectral-minimum": (
+        "replicas = 3\n\n[parameters]\nl = 4\neps_list = 0.5\n",
+        "covering",
+        lambda m: X.run_spectral_minimum(m, eps_list=(0.5,), L=4.0, seed=0, replicas=3, workers=1),
+    ),
+    "localisation-probe": (
+        "replicas = 2\n\n[parameters]\nl = 8\n",
+        "covering",
+        lambda m: X.localisation_probe(m, E_lo=0.0, E_hi=2.0, L=8.0, seed=0, replicas=2, workers=1),
+    ),
+    "minorant": (
+        "replicas = 2\n\n[parameters]\nl = 4\n",
+        "covering",
+        lambda m: X.run_minorant_check(m, L=4.0, box_length=8.0, seed=0, replicas=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY_RUNS))
+def test_run_matches_direct_driver_call(experiment, tmp_path):
+    body, model_name, direct = TINY_RUNS[experiment]
+    cfg = _write(tmp_path / "r.ini", f"[run]\nexperiment = {experiment}\n{body}")
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    model = None
+    if model_name is not None:
+        model_path = CONFIG_DIR / f"{model_name}.model.ini"
+        argv += ["--model", str(model_path)]
+        model = load_model_config(model_path)
+    assert main(argv) in (0, 1)
+    rep = direct(model)
+    assert (tmp_path / "out" / "report.json").read_text() == rep.to_json()
+    assert (tmp_path / "out" / "records.csv").read_text() == rep.to_records_csv()
 
 
 class TestMakeSet:

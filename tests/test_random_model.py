@@ -412,13 +412,34 @@ class TestFactoriesAndConfig:
         assert model.d in (1, 2)
         assert model.sites
 
-    def test_config_matches_factory(self, covering):
-        loaded = load_model_config(CONFIG_DIR / "covering.model.ini")
-        box = _box()
-        assert np.array_equal(
-            sample_potential(loaded, 3, box), sample_potential(covering, 3, box)
+    @pytest.mark.parametrize(
+        "name, fixture",
+        [
+            ("covering.model.ini", "covering"),
+            ("fat_cantor.model.ini", "cantor"),
+            ("geometric.model.ini", "geometric"),
+            ("slab.model.ini", "slab"),
+        ],
+    )
+    def test_config_matches_factory(self, name, fixture, request):
+        loaded = load_model_config(CONFIG_DIR / name)
+        built = request.getfixturevalue(fixture)
+        assert (loaded.d, loaded.sites, loaded.dists) == (built.d, built.sites, built.dists)
+        assert (loaded.extent, loaded.u_resolution) == (built.extent, built.u_resolution)
+        assert (loaded.claimed_gamma, loaded.claimed_window, loaded.claimed_bound) == (
+            built.claimed_gamma,
+            built.claimed_window,
+            built.claimed_bound,
         )
-        assert verify_Pi(loaded).passed
+        if built.claimed_set is None:
+            assert loaded.claimed_set is None
+        else:
+            assert loaded.claimed_set.geometry == built.claimed_set.geometry
+            assert np.array_equal(loaded.claimed_set.cells, built.claimed_set.cells)
+        if loaded.claimed_set is not None:
+            assert verify_Pi(loaded).passed
+        box = _box(d=loaded.d)
+        assert np.array_equal(sample_potential(loaded, 3, box), sample_potential(built, 3, box))
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.model.ini"
