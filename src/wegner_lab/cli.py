@@ -39,7 +39,7 @@ from .experiments import PreconditionError
 from .grids import GridError
 from .random_model import ModelError, load_model_config, verify_NoPi, verify_Pi
 from .reports import ExperimentReport
-from .spectral import EigensolverError
+from .spectral import EigensolverError, ResonantSampleError
 from .thick_sets import (
     RasterError,
     RasterSet,
@@ -312,7 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ModelError, RasterError, GridError, EigensolverError, PreconditionError, OSError) as exc:
+    except (
+        ConfigError, ModelError, RasterError, GridError, EigensolverError, ResonantSampleError,
+        PreconditionError, OSError,
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

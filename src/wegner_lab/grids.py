@@ -7,8 +7,9 @@ nodes at cell centers with mirror ghosts (spacing L/n), periodic grids wrap
 once per box and shared read-only; symmetry is exact by construction, not up
 to tolerance.  Adding a potential keeps the parent operator and the added
 diagonal instead of a new matrix: d=1 open-boundary operators expose their
-tridiagonal bands directly, and the sparse matrix is summed only when a
-solver asks for it, with the same floating-point additions an eager sum does.
+tridiagonal bands directly, d>=2 open-boundary operators their blocks along
+the first axis, and the sparse matrix is summed only when a solver asks for
+it, with the same floating-point additions an eager sum does.
 """
 
 from __future__ import annotations
@@ -96,13 +97,48 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True)
+class BlockTridiagonal:
+    """An operator cut along its first axis into n slices of m unknowns.
+
+    Diagonal block k is inner + diag(diag[k]); slices k and k+1 meet through
+    coupling[k] times the identity.  Every slice shares `inner` (its own
+    couplings, zero on the diagonal), so the blocks read the same in reverse.
+    """
+
+    inner: sp.csr_matrix  # m x m
+    diag: np.ndarray  # (n, m): the operator's diagonal, one row per slice
+    coupling: np.ndarray  # (n - 1,)
+
+    def reversed(self) -> BlockTridiagonal:
+        return BlockTridiagonal(self.inner, self.diag[::-1], self.coupling[::-1])
+
+
+def _slice_blocks(a: sp.csr_matrix, n: int) -> BlockTridiagonal:
+    """Slice a leaf matrix, refusing one the slices would not reproduce exactly."""
+    m = a.shape[0] // n
+    first = a[:m, :m]
+    inner = (sp.triu(first, 1) + sp.tril(first, -1)).tocsr()
+    blocks = BlockTridiagonal(inner, a.diagonal().reshape(n, m), a.diagonal(k=-m)[::m].copy())
+    rebuilt = (
+        sp.kron(sp.identity(n), inner)
+        + sp.diags(blocks.diag.ravel())
+        + sp.kron(sp.diags([blocks.coupling, blocks.coupling], [-1, 1]), sp.identity(m))
+    )
+    if (rebuilt != a).nnz:
+        raise GridError("operator is not block tridiagonal along its first axis")
+    for arr in (inner.data, inner.indices, inner.indptr, blocks.diag, blocks.coupling):
+        _read_only(arr)
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
     """-Laplacian + diag(potential) on a BoxSpec grid.
 
     A leaf operator holds its sparse matrix in `leaf_matrix`.  One made by
     add_potential holds its parent and the added diagonal instead, and
-    derives its bands and its matrix from them on first use.
+    derives its bands, its blocks and its matrix from them on first use.
     """
 
     box: BoxSpec
@@ -142,6 +178,24 @@ class DiscreteHamiltonian:
     @property
     def is_tridiagonal(self) -> bool:
         return self.box.d == 1 and self.box.bc != "periodic"
+
+    def blocks(self) -> BlockTridiagonal:
+        """Slices along the first axis; only for d>=2 with open boundary."""
+        if not self.is_block_tridiagonal:
+            raise GridError("first-axis blocks exist only for d>=2 with open boundary")
+        return self._blocks
+
+    @functools.cached_property
+    def _blocks(self) -> BlockTridiagonal:
+        if self.parent is not None:
+            # the sparse sum makes these same additions on the diagonal
+            b = self.parent.blocks()
+            return BlockTridiagonal(b.inner, _read_only(b.diag + self.added.reshape(b.diag.shape)), b.coupling)
+        return _slice_blocks(self.matrix, self.box.n)
+
+    @property
+    def is_block_tridiagonal(self) -> bool:
+        return self.box.d >= 2 and self.box.bc != "periodic"
 
 
 def _laplacian_1d(n: int, h: float, bc: Bc) -> sp.csr_matrix:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -942,14 +942,33 @@ _MODEL_SECTIONS = {
 }
 
 
-def _parse_distribution(sec: configparser.SectionProxy) -> Distribution:
+def _value(
+    path: Path, sec: configparser.SectionProxy, key: str, parse: Callable[[str], Any], default: Any = None
+) -> Any:
+    """One model-file value parsed by `parse`, or `default` when the key is absent."""
+    raw = sec.get(key)
+    if raw is None:
+        return default
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ModelConfigError(f"{path}: cannot parse [{sec.name}] {key} = {raw!r}") from exc
+
+
+def _parse_distribution(path: Path, sec: configparser.SectionProxy) -> Distribution:
     kind = sec.get("kind", "").strip()
     if kind == "uniform":
-        return Uniform(lo=sec.getfloat("lo", 0.0), hi=sec.getfloat("hi", 1.0))
+        return Uniform(lo=_value(path, sec, "lo", float, 0.0), hi=_value(path, sec, "hi", float, 1.0))
     if kind == "bernoulli":
-        return BernoulliAt(v0=sec.getfloat("v0", 0.0), v1=sec.getfloat("v1", 1.0), p0=sec.getfloat("p0", 0.5))
+        return BernoulliAt(
+            v0=_value(path, sec, "v0", float, 0.0),
+            v1=_value(path, sec, "v1", float, 1.0),
+            p0=_value(path, sec, "p0", float, 0.5),
+        )
     if kind == "truncated-power":
-        return TruncatedPowerHolder(m_plus=sec.getfloat("m_plus", 1.0), alpha=sec.getfloat("alpha", 0.5))
+        return TruncatedPowerHolder(
+            m_plus=_value(path, sec, "m_plus", float, 1.0), alpha=_value(path, sec, "alpha", float, 0.5)
+        )
     raise ModelConfigError(f"unknown distribution kind {kind!r}")
 
 
@@ -976,9 +995,9 @@ def load_model_config(path: str | Path) -> AlloyModel:
     profile_kind = s.get("profile", "indicator-ball").strip()
     profile: Profile
     if profile_kind == "indicator-ball":
-        profile = BallIndicator(radius=s.getfloat("radius", 0.5))
+        profile = BallIndicator(radius=_value(path, s, "radius", float, 0.5))
     elif profile_kind == "cantor-translate":
-        profile = CantorTranslate.from_depth(s.getint("cantor_depth", 4))
+        profile = CantorTranslate.from_depth(_value(path, s, "cantor_depth", int, 4))
     elif profile_kind == "raster-file":
         rel = s.get("raster", "")
         if not rel:
@@ -993,17 +1012,17 @@ def load_model_config(path: str | Path) -> AlloyModel:
         which = t.get("set", "full").strip()
         claims = {
             "claimed_set": which if which in ("full", "cantor") else path.parent / which,
-            "gamma": t.getfloat("gamma"),
-            "a": tuple(float(v.strip()) for v in t.get("a", "1.0").split(",")),
-            "set_resolution": s.getint("set_resolution", 1024),
+            "gamma": _value(path, t, "gamma", float),
+            "a": _value(path, t, "a", lambda raw: tuple(float(v) for v in raw.split(",")), (1.0,)),
+            "set_resolution": _value(path, s, "set_resolution", int, 1024),
         }
     return build_model(
-        m.getint("dimension", 1),
-        m.getfloat("extent", 40.0),
-        m.getint("resolution", 16),
-        _parse_distribution(parser["distribution"]),
+        _value(path, m, "dimension", int, 1),
+        _value(path, m, "extent", float, 40.0),
+        _value(path, m, "resolution", int, 16),
+        _parse_distribution(path, parser["distribution"]),
         profile,
         s.get("placement", "all-integers").strip(),
-        bound=parser["bound"].getfloat("c_u") if "bound" in parser else None,
+        bound=_value(path, parser["bound"], "c_u", float) if "bound" in parser else None,
         **claims,
     )

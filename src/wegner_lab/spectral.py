@@ -1,10 +1,20 @@
 """Spectral primitives: counting, bounded eigensolves, resolvent blocks.
 
-Counting is exact integer arithmetic on matrix inertia (Sturm sequences for
-tridiagonal operators, symmetric-indefinite factorization otherwise), so
-interval counts never depend on eigensolver convergence.  The iterative
-eigensolver cross-checks its accepted Ritz count against the inertia count
-whenever one is available and refuses to return silently short.
+Counting is exact integer arithmetic on matrix inertia, so interval counts
+never depend on eigensolver convergence.  Which count runs depends on the box:
+
+- d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
+  tridiagonal bands (`sturm_count`).
+- d>=2 with Dirichlet or Neumann boundary: the block Sturm count
+  (`block_sturm_count`) on slices along the first axis, exact at every size
+  whose slice (n^(d-1) unknowns) fits INERTIA_DENSE_LIMIT, so every d=2 box
+  within the dof budget.  A shift at which a Schur block is nearly singular
+  in both slice orders raises ResonantSampleError instead of a count.
+- periodic boxes: a dense symmetric-indefinite (LDL) factorization up to
+  INERTIA_DENSE_LIMIT unknowns, and no exact count beyond.
+
+The iterative eigensolver cross-checks its accepted Ritz count against the
+inertia count whenever one is available and refuses to return silently short.
 
 Everything here is deterministic: iterative starts come from a fixed
 counter-based key, never from global state.
@@ -20,10 +30,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import DENSE_LIMIT, BoxSpec, DiscreteHamiltonian
+from .grids import DENSE_LIMIT, BlockTridiagonal, BoxSpec, DiscreteHamiltonian
 from .thick_sets import RasterSet
 
-INERTIA_DENSE_LIMIT = 4096  # LDL on anything larger is slower than re-solving
+INERTIA_DENSE_LIMIT = 4096  # largest matrix (a periodic operator or a Schur block) factored densely
+SCHUR_PIVOT_TOL = 1e-10  # relative to the operator scale: a Schur block this close to singular is refused
 _LANCZOS_KEY = 12345
 
 
@@ -44,8 +55,21 @@ class EigenResult:
 
 
 def _operator_scale(H: DiscreteHamiltonian) -> float:
-    # 1-norm of a symmetric matrix dominates its spectral radius
-    return float(max(abs(H.matrix).sum(axis=0).max(), 1.0))
+    # 1-norm of a symmetric matrix (its largest absolute row sum) dominates its
+    # spectral radius; bands and blocks give it without summing the sparse matrix
+    if H.is_tridiagonal:
+        diag, off = H.tridiagonal()
+        rows = np.abs(diag)
+        side = np.abs(off)
+    elif H.is_block_tridiagonal:
+        b = H.blocks()
+        rows = np.abs(b.diag) + np.asarray(abs(b.inner).sum(axis=1)).ravel()
+        side = np.abs(b.coupling)[:, np.newaxis]
+    else:
+        return float(max(abs(H.matrix).sum(axis=0).max(), 1.0))
+    rows[1:] += side
+    rows[:-1] += side
+    return float(max(rows.max(), 1.0))
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -71,6 +95,45 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
         elif q < 0.0:
             count += 1
     return count
+
+
+def block_sturm_count(blocks: BlockTridiagonal, x: float, tol: float) -> int | None:
+    """Eigenvalues strictly below x of a block tridiagonal operator.
+
+    Block LDL^T: S_1 = D_1 - x and S_k = D_k - x - c_k^2 S_{k-1}^{-1}.  By
+    Sylvester's law of inertia and Haynsworth's inertia additivity the count
+    is the sum of the negative eigenvalue counts of the S_k; this is
+    `sturm_count` with m x m blocks for scalars.  Returns None when a
+    non-final S_k has an eigenvalue within tol of zero: its inverse would
+    carry rounding large enough to flip later signs.
+    """
+    x = float(x)
+    base = blocks.inner.toarray()
+    on_diag = np.diag_indices_from(base)
+    below = np.tril_indices_from(base, -1)
+    last = blocks.diag.shape[0] - 1
+    count = 0
+    s_inv = None
+    for k, dk in enumerate(blocks.diag):
+        S = base.copy()
+        S[on_diag] = dk - x
+        if s_inv is not None:
+            c = blocks.coupling[k - 1]
+            S -= (c * c) * s_inv
+        w = np.linalg.eigvalsh(S)
+        if k == last:
+            break
+        if np.abs(w).min() <= tol:
+            return None
+        count += int(np.count_nonzero(w < 0.0))
+        # a Bunch-Kaufman inverse costs a fraction of one built from eigenvectors
+        factor, pivots, info = sla.lapack.dsytrf(S, lower=1)
+        if info == 0:
+            s_inv, info = sla.lapack.dsytri(factor, pivots, lower=1)
+        if info != 0:
+            return None
+        s_inv.T[below] = s_inv[below]  # dsytri fills the lower triangle only
+    return count + int(np.count_nonzero(w < 0.0))
 
 
 def _ldl_negative_count(A: np.ndarray) -> int:
@@ -99,10 +162,24 @@ def _ldl_negative_count(A: np.ndarray) -> int:
 
 
 def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
-    """Number of eigenvalues strictly below x, or None when no exact path fits."""
+    """Number of eigenvalues strictly below x, or None when no exact path fits.
+
+    The block count runs in the other slice order when a Schur block is
+    nearly singular, and raises ResonantSampleError when both orders are.
+    """
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
+    if H.is_block_tridiagonal:
+        if H.box.n ** (H.box.d - 1) > INERTIA_DENSE_LIMIT:
+            return None
+        blocks = H.blocks()
+        tol = SCHUR_PIVOT_TOL * _operator_scale(H)
+        for order in (blocks, blocks.reversed()):
+            count = block_sturm_count(order, x, tol)
+            if count is not None:
+                return count
+        raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")
     if H.box.ndof <= INERTIA_DENSE_LIMIT:
         A = H.matrix.toarray().astype(float)
         A[np.diag_indices_from(A)] -= x

@@ -8,6 +8,7 @@ import pytest
 from wegner_lab import experiments as X
 from wegner_lab.cli import ConfigError, main, parse_run_config, resolved_ini
 from wegner_lab.random_model import load_model_config
+from wegner_lab.spectral import ResonantSampleError
 from wegner_lab.thick_sets import build_fat_cantor, load_raster, smith_volterra_spec, stripes_raster
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -253,12 +254,32 @@ class TestRunCommand:
         assert "grid points" in capsys.readouterr().err
 
     def test_eigensolver_failure_exits_two(self, tmp_path, capsys):
-        # 5041 unknowns: past the exact LDL inertia limit, and the Lanczos count fails
-        text = "[run]\nexperiment = wegner\nreplicas = 1\nmesh_density = 4\n\n[parameters]\nl_list = 18\n"
-        cfg = _write(tmp_path / "w.ini", text)
+        # 5041 unknowns: the Lanczos run stops short of the exact count below E=2
+        text = (
+            "[run]\nexperiment = localisation-probe\nreplicas = 1\nmesh_density = 4\n\n"
+            "[parameters]\nl = 18\ne_hi = 2.0\n"
+        )
+        cfg = _write(tmp_path / "p.ini", text)
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "slab.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "converge" in capsys.readouterr().err
+        assert "iteration stalled: 38 Ritz values at cutoff, inertia says 41" in capsys.readouterr().err
+
+    def test_resonant_shift_exits_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(H, lo, hi):
+            raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {hi}")
+
+        monkeypatch.setattr(X, "count_in_interval", refuse)
+        cfg = _write(tmp_path / "w.ini", "[run]\nexperiment = wegner\nreplicas = 1\n\n[parameters]\nl_list = 4\n")
+        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "both slice orders" in capsys.readouterr().err
+
+    def test_unparseable_model_value_exits_two(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "covering.model.ini").read_text().replace("extent = 40", "extent = ten")
+        model = _write(tmp_path / "bad.model.ini", text)
+        assert main(["certify", "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.model.ini" in err and "[model] extent = 'ten'" in err
 
     def test_set_from_file_feeds_uncertainty(self, tmp_path):
         raster = tmp_path / "set.rast"

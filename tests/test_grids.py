@@ -228,6 +228,74 @@ class TestFastOperator:
         assert np.array_equal(H.matrix.diagonal(), H0.tridiagonal()[0] + 1.0)
 
 
+@st.composite
+def _block_box_and_potentials(draw):
+    d = draw(st.integers(2, 3))
+    box = _box(
+        d=d,
+        L=draw(st.sampled_from([0.5, 1.0, 3.0, 7.5])),
+        n=draw(st.integers(2, 6 if d == 2 else 4)),
+        bc=draw(st.sampled_from(["dirichlet", "neumann"])),
+    )
+    values = st.floats(-50.0, 50.0, allow_nan=False)
+    vs = [np.array(draw(st.lists(values, min_size=box.ndof, max_size=box.ndof))) for _ in range(draw(st.integers(0, 2)))]
+    return box, vs
+
+
+def _assemble_blocks(blocks):
+    n, m = blocks.diag.shape
+    return (
+        sp.kron(sp.identity(n), blocks.inner)
+        + sp.diags(blocks.diag.ravel())
+        + sp.kron(sp.diags([blocks.coupling, blocks.coupling], [-1, 1]), sp.identity(m))
+    ).toarray()
+
+
+class TestFirstAxisBlocks:
+    """Slices along the first axis, which the block Sturm count runs on."""
+
+    @given(_block_box_and_potentials())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_eager_sums(self, case):
+        box, vs = case
+        H = build_free_laplacian(box)
+        eager = H.matrix
+        for v in vs:
+            H = add_potential(H, v)
+            eager = _eager_sum(eager, v)
+        blocks = H.blocks()
+        assert _same_bits(blocks.diag, eager.diagonal().reshape(box.n, box.ndof // box.n))
+        assert np.array_equal(_assemble_blocks(blocks), eager.toarray())
+        assert np.all(blocks.coupling == -1.0 / box.h**2)
+        if vs:
+            assert "matrix" not in vars(H)  # a child's blocks never sum the sparse matrix
+
+    def test_child_shares_the_cached_free_blocks(self):
+        box = _box(d=2, n=5, L=2.0)
+        free = build_free_laplacian(box).blocks()
+        H = add_potential(add_potential(build_free_laplacian(box), np.ones(25)), np.arange(25.0))
+        blocks = H.blocks()
+        assert build_free_laplacian(box).blocks() is free
+        assert blocks.inner is free.inner and blocks.coupling is free.coupling
+        for a in (free.inner.data, free.diag, free.coupling, blocks.diag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 99
+
+    def test_diagonal_leaf_is_sliced_directly(self):
+        box = _box(d=3, n=3)
+        blocks = diagonal_hamiltonian(box, np.arange(27.0)).blocks()
+        assert blocks.inner.nnz == 0 and np.all(blocks.coupling == 0.0)
+        assert np.array_equal(blocks.diag, np.arange(27.0).reshape(3, 9))
+        assert np.array_equal(blocks.reversed().diag, np.arange(27.0).reshape(3, 9)[::-1])
+
+    @pytest.mark.parametrize("d, bc", [(1, "dirichlet"), (2, "periodic")])
+    def test_only_open_boxes_in_two_or_more_dimensions(self, d, bc):
+        H = build_free_laplacian(_box(d=d, n=4, bc=bc))
+        assert not H.is_block_tridiagonal
+        with pytest.raises(GridError, match="first-axis blocks"):
+            H.blocks()
+
+
 class TestContinuumSpectra:
     def test_unit_interval_levels(self):
         pairs = free_dirichlet_spectrum(1.0, 1, 50.0)

@@ -469,6 +469,22 @@ class TestFactoriesAndConfig:
         with pytest.raises(ModelConfigError, match="cauchy"):
             load_model_config(bad)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "extent", "ten"), ("model", "dimension", "1.5"), ("distribution", "hi", "1,0"),
+         ("thickness", "a", "1.0, x")],
+    )
+    def test_unparseable_value_names_file_section_and_key(self, tmp_path, section, key, value):
+        bad = tmp_path / "bad5.model.ini"
+        bad.write_text(
+            "[model]\ndimension = 1\nextent = 4\n"
+            "[sites]\nplacement = all-integers\n"
+            "[distribution]\nkind = uniform\nhi = 1.0\n"
+            "[thickness]\ngamma = 1.0\na = 1.0\n".replace(f"\n{key} = ", f"\n{key} = {value}  # ", 1)
+        )
+        with pytest.raises(ModelConfigError, match=rf"bad5\.model\.ini: cannot parse \[{section}\] {key} = '{value}'"):
+            load_model_config(bad)
+
 
 # ---------------------------------------------------------------------------
 # the cached profile matrix against the per-site loop it replaced

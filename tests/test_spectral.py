@@ -6,6 +6,7 @@ iterative path is forced explicitly so method dispatch cannot hide it.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from wegner_lab.grids import (
     diagonal_hamiltonian,
     discrete_dirichlet_spectrum,
 )
+from wegner_lab.random_model import load_model_config, sample_potential
 from wegner_lab.spectral import (
+    INERTIA_DENSE_LIMIT,
     EigensolverError,
     ResonantSampleError,
     SubBox,
+    block_sturm_count,
     compressed_indicator_min_eig,
     count_in_interval,
     eigs_below,
@@ -32,6 +36,8 @@ from wegner_lab.spectral import (
     sturm_count,
 )
 from wegner_lab.thick_sets import stripes_raster
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _random_operator(d, n, length, seed, amplitude=1.0):
@@ -149,10 +155,123 @@ class TestInertiaCount:
         assert inertia_count(H, mid) == int(np.count_nonzero(ev < mid))
 
     def test_too_large_for_exact_count_returns_none(self):
+        # past the old dense LDL limit the block Sturm count is still exact
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=70)
         H = build_free_laplacian(box)
         assert box.ndof > 4096
-        assert inertia_count(H, 30.0) is None
+        levels = discrete_dirichlet_spectrum(box)
+        with np.errstate(all="raise"):  # 69 Schur steps at h^-4 = 2.5e7 must not overflow
+            for x in (30.0, 500.0, 2.0e4):
+                assert inertia_count(H, x) == int(np.count_nonzero(levels < x))
+
+
+def _sub_box_levels(H, leading):
+    """Eigenvalues of every leading (or trailing) run of first-axis slices."""
+    A = H.matrix.toarray()
+    n = H.box.n
+    m = H.box.ndof // n
+    cuts = [slice(0, k * m) if leading else slice((n - k) * m, n * m) for k in range(1, n)]
+    return np.concatenate([np.linalg.eigvalsh(A[c, c]) for c in cuts])
+
+
+@st.composite
+def _block_operator(draw):
+    """d=2 or d=3 open boxes: the free stencil or a diagonal leaf, then up to two potentials."""
+    d = draw(st.integers(2, 3))
+    box = BoxSpec(
+        d=d,
+        length=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        center=(0.0,) * d,
+        n=draw(st.integers(2, 7 if d == 2 else 4)),
+        bc=draw(st.sampled_from(["dirichlet", "neumann"])),
+    )
+    values = st.lists(st.floats(-40.0, 40.0, allow_nan=False), min_size=box.ndof, max_size=box.ndof)
+    leaf = draw(st.booleans())
+    H = diagonal_hamiltonian(box, np.array(draw(values))) if leaf else build_free_laplacian(box)
+    for _ in range(draw(st.integers(0, 2))):
+        H = add_potential(H, np.array(draw(values)))
+    return H
+
+
+def _exact_or_refused(H, shifts):
+    """Each shift well off the spectrum gets the dense count or a refusal; returns the refusals."""
+    ev = np.linalg.eigvalsh(H.matrix.toarray())
+    scale = float(abs(H.matrix).sum(axis=0).max())
+    refused = 0
+    for x in shifts:
+        if np.min(np.abs(ev - x)) < 1e-8 * max(scale, 1.0):
+            continue  # on the spectrum the strict count is a rounding call
+        try:
+            got = inertia_count(H, x)
+        except ResonantSampleError:
+            refused += 1
+        else:
+            assert got == int(np.count_nonzero(ev < x)), x
+    return refused
+
+
+class TestBlockSturmCount:
+    """The block Schur count of d>=2 open boxes against numpy.linalg.eigvalsh."""
+
+    @given(_block_operator(), st.lists(st.floats(-2.0, 1.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eigvalsh(self, H, fractions):
+        ev = np.linalg.eigvalsh(H.matrix.toarray())
+        span = ev[-1] - ev[0] + 1.0
+        shifts = [ev[0] + f * span for f in fractions] + [0.5 * (a + b) for a, b in zip(ev, ev[1:])][::3]
+        _exact_or_refused(H, shifts + [ev[0] - 1.0, ev[-1] + 1.0])
+
+    @given(_block_operator(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_shifts_on_sub_box_levels_never_miscount(self, H, leading):
+        # a shift at an eigenvalue of leading (trailing) slices makes a Schur
+        # block singular in the forward (reverse) recursion
+        levels = _sub_box_levels(H, leading)
+        _exact_or_refused(H, levels[:: max(1, levels.size // 40)])
+
+    @pytest.mark.parametrize("d, n, bc", [(2, 9, "dirichlet"), (2, 8, "neumann"), (3, 4, "dirichlet")])
+    def test_reverse_order_rescues_leading_sub_box_levels(self, d, n, bc):
+        box = BoxSpec(d=d, length=3.0, center=(0.0,) * d, n=n, bc=bc)
+        rng = np.random.default_rng(n)
+        H = add_potential(build_free_laplacian(box), rng.uniform(-5.0, 5.0, box.ndof))
+        blocks = H.blocks()
+        tol = 1e-10 * float(abs(H.matrix).sum(axis=0).max())
+        levels = _sub_box_levels(H, leading=True)
+        assert all(block_sturm_count(blocks, x, tol) is None for x in levels)
+        assert _exact_or_refused(H, levels) == 0
+
+    def test_mirror_symmetric_operator_refuses_a_shared_sub_box_level(self):
+        # the free stencil reads the same in both slice orders, so a level of
+        # the first slice makes a Schur block singular in both recursions
+        box = BoxSpec(d=2, length=2.0, center=(0.0, 0.0), n=6)
+        H = build_free_laplacian(box)
+        x = float(_sub_box_levels(H, leading=True)[0])
+        with pytest.raises(ResonantSampleError, match="both slice orders"):
+            inertia_count(H, x)
+
+    def test_exact_past_the_old_dense_limit_on_the_slab(self):
+        # 5041 unknowns; numpy.linalg.eigvalsh on the dense matrix finds 51
+        # eigenvalues in [3, 5], the nearest 0.030 and 0.0033 from its ends
+        model = load_model_config(CONFIG_DIR / "slab.model.ini")
+        box = BoxSpec(d=2, length=18.0, center=(0.0, 0.0), n=71)
+        H = add_potential(build_free_laplacian(box), sample_potential(model, (1, 0), box))
+        assert count_in_interval(H, 3.0, 5.0) == 51
+        assert "matrix" not in vars(H)
+
+    def test_slices_past_the_dense_limit_give_no_count(self):
+        # a d=3 slice of 65^2 unknowns would be factored densely at every step
+        box = BoxSpec(d=3, length=1.0, center=(0.0, 0.0, 0.0), n=65)
+        assert box.n**2 > INERTIA_DENSE_LIMIT
+        assert inertia_count(diagonal_hamiltonian(box, np.zeros(box.ndof)), 1.0) is None
+
+    def test_periodic_boxes_keep_the_dense_factorization(self):
+        box = BoxSpec(d=2, length=2.0, center=(0.0, 0.0), n=8, bc="periodic")
+        P = add_potential(build_free_laplacian(box), np.random.default_rng(6).uniform(0.0, 3.0, box.ndof))
+        ev = np.linalg.eigvalsh(P.matrix.toarray())
+        for x in (5.0, 40.0, 90.0):
+            assert inertia_count(P, x) == int(np.count_nonzero(ev < x))
+        big = build_free_laplacian(BoxSpec(d=2, length=1.0, center=(0.0, 0.0), n=65, bc="periodic"))
+        assert big.box.ndof > INERTIA_DENSE_LIMIT and inertia_count(big, 30.0) is None
 
 
 class TestCountInInterval:
@@ -219,6 +338,13 @@ class TestEigsBelow:
         np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
         r = H.matrix @ res.eigenvectors - res.eigenvectors * res.eigenvalues
         assert float(np.abs(r).max()) <= max(res.residual_bound, 1e-12)
+
+    def test_residual_scale_comes_from_the_bands(self):
+        box, H = _random_operator(1, 40, 3.0, seed=12, amplitude=4.0)
+        res = eigs_below(H, 20.0)
+        assert "matrix" not in vars(H)
+        one_norm = float(abs(H.matrix).sum(axis=0).max())
+        assert res.residual_bound == pytest.approx(64 * np.finfo(float).eps * one_norm, rel=1e-14)
 
     def test_dense_and_tridiagonal_agree(self):
         box, H = _random_operator(1, 80, 5.0, seed=9, amplitude=3.0)
