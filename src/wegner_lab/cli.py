@@ -234,7 +234,7 @@ def _cmd_make_set(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.raster is not None:
         S = load_raster(args.raster)
-        cert = certify_thickness(S, WindowSpec(args.window))
+        cert = certify_thickness(S, WindowSpec(args.window or (1.0,) * S.d))
         sys.stdout.write(
             f"gamma_star = {cert.gamma_star!r}\nerror_bound = {cert.error_bound!r}\n"
             f"argmin_anchor = {cert.argmin!r}\n"
@@ -255,7 +255,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             )
             return 0 if cert.passed else 1
         if model.claimed_bound is not None:
-            cert2 = verify_NoPi(model, args.kappa or [0.5], [args.window])
+            cert2 = verify_NoPi(model, args.kappa or [0.5], [args.window or (1.0,) * model.d])
             sys.stdout.write(
                 f"sup potential = {cert2.sup_u!r} (claimed bound {cert2.bound_claimed!r})\n"
             )
@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     ct = sub.add_parser("certify", help="certify thickness or structural claims")
     ct.add_argument("--raster", help="raster file to certify")
     ct.add_argument("--model", help="model file whose claims to verify")
-    ct.add_argument("--window", type=_floats, default="1.0", help="window sides, comma separated")
+    ct.add_argument("--window", type=_floats, help="window sides, comma separated (default: the unit cube)")
     ct.add_argument("--gamma", type=float, help="claimed thickness to check (raster mode)")
     ct.add_argument("--kappa", type=_floats, help="level list for refutation, comma separated (model mode)")
     ct.set_defaults(fn=_cmd_certify)

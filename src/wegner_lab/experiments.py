@@ -353,6 +353,14 @@ def run_stubborn(
     return rep
 
 
+def _untouched_replica(args) -> tuple[bool, int]:
+    """Whether one draw leaves the box free of potential, and its count in [lo, hi]."""
+    model, box, seed_key, override, lo, hi = args
+    v = sample_potential(model, seed_key, box, couplings_override=override)
+    H = add_potential(build_free_laplacian(box), v)
+    return float(np.abs(v).max()) == 0.0, count_in_interval(H, lo, hi)
+
+
 @_timed
 def run_stubborn_exponential(
     model: AlloyModel,
@@ -405,13 +413,10 @@ def run_stubborn_exponential(
 
     draws: list[tuple[Any, float | None]] = [((seed, r), None) for r in range(replicas)]
     draws += [((seed, 0), model.m_plus)]
-    ok = True
-    silent = True
-    for key, override in draws:
-        v = sample_potential(model, key, box, couplings_override=override)
-        silent = silent and float(np.abs(v).max()) == 0.0
-        H = add_potential(build_free_laplacian(box), v)
-        ok = ok and count_in_interval(H, E - width, E + width) >= 1
+    args = [(model, box, key, override, E - width, E + width) for key, override in draws]
+    results = _map_replicas(_untouched_replica, args, workers)
+    ok = all(count >= 1 for _, count in results)
+    silent = all(untouched for untouched, _ in results)
     rep.verdicts["persistent_eigenvalue"] = PASS if ok else FAIL
     rep.verdicts["box_untouched_by_disorder"] = PASS if silent else FAIL
 
@@ -427,7 +432,8 @@ def run_stubborn_exponential(
         c_spec = discrete_dirichlet_spectrum(cbox)
         Ec = float(c_spec[eigen_index])
         window = ((Ec - width, Ec + width),)
-        in_win = sum(_count_replica((model, cbox, (seed, r), window, None))[0] >= 1 for r in range(replicas))
+        args = [(model, cbox, (seed, r), window, None) for r in range(replicas)]
+        in_win = sum(c >= 1 for (c,) in _map_replicas(_count_replica, args, workers))
         rep.records.append(record([L], "contrast_hit_fraction", in_win / replicas, None, replicas))
     except ModelError:
         pass
@@ -762,6 +768,25 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
     return -slope
 
 
+def _probe_replica(args) -> tuple[list[float], list[float]]:
+    """Participation ratios and shell decay rates of one draw's states in [E_lo, E_hi)."""
+    model, box, seed_key, E_lo, E_hi = args
+    v = sample_potential(model, seed_key, box)
+    H = add_potential(build_free_laplacian(box), v)
+    res = eigs_below(H, E_hi, want_vectors=True)
+    if res.eigenvectors is None:
+        return [], []
+    prs: list[float] = []
+    decays: list[float] = []
+    for psi in res.eigenvectors[:, res.eigenvalues >= E_lo].T:
+        psi = psi / np.linalg.norm(psi)
+        prs.append(float(1.0 / np.sum(psi**4)))
+        rate = _shell_decay_rate(psi, box)
+        if rate is not None:
+            decays.append(rate)
+    return prs, decays
+
+
 @_timed
 def localisation_probe(
     model: AlloyModel,
@@ -789,32 +814,19 @@ def localisation_probe(
         seed=seed,
     )
     box = _box(model.d, L, mesh_density)
+    args = [(model, box, (seed, r), E_lo, E_hi) for r in range(replicas)]
     prs: list[float] = []
     decays: list[float] = []
-    found = 0
-    for r in range(replicas):
-        v = sample_potential(model, (seed, r), box)
-        H = add_potential(build_free_laplacian(box), v)
-        res = eigs_below(H, E_hi, want_vectors=True)
-        sel = res.eigenvalues >= E_lo
-        vecs = res.eigenvectors[:, sel] if res.eigenvectors is not None else None
-        if vecs is None or vecs.shape[1] == 0:
-            continue
-        found += vecs.shape[1]
-        for k in range(vecs.shape[1]):
-            psi = vecs[:, k]
-            psi = psi / np.linalg.norm(psi)
-            prs.append(float(1.0 / np.sum(psi**4)))
-            rate = _shell_decay_rate(psi, box)
-            if rate is not None:
-                decays.append(rate)
+    for pr, rates in _map_replicas(_probe_replica, args, workers):
+        prs += pr
+        decays += rates
     if prs:
         rep.records.append(record([L], "participation_ratio_mean", float(np.mean(prs)), None, len(prs)))
         rep.records.append(record([L], "participation_fraction", float(np.mean(prs)) / box.ndof, None, len(prs)))
     if decays:
         rep.records.append(record([L], "shell_decay_rate_mean", float(np.mean(decays)), None, len(decays)))
         rep.fitted["decay_positive_fraction"] = float(np.mean([d > 0 for d in decays]))
-    rep.fitted["states_found"] = found
+    rep.fitted["states_found"] = len(prs)
     rep.verdicts["probe"] = INFORMATIONAL
     return rep
 

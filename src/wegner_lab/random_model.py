@@ -3,8 +3,12 @@
 Couplings pi_j are independent, bounded, and drawn from per-site
 distributions through a splittable counter-based generator keyed by
 (experiment seed, site index), so any subset of sites can be evaluated in
-any order and reproduce the same field.  Single-site profiles u_j are
-nonnegative bumps of finite radius around lattice sites.
+any order and reproduce the same field.  The uniform behind pi_j under key k
+is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
+site_uniforms computes for a grid of keys and sites at once, bit for bit;
+sample_potential draws 64 consecutive replicas per pass and keeps a few such
+blocks.  Single-site profiles u_j are nonnegative bumps of finite radius
+around lattice sites.
 
 The module also houses the two structural verifiers (the covering-type lower
 bound with a thickness certificate, and its refutation via empty-window
@@ -217,23 +221,190 @@ class TruncatedPowerHolder:
         return min(self.alpha, 1.0)
 
 
-# each law maps a uniform draw u, a float or an array of them, through _from_uniform
+# each law maps a uniform draw u through _from_uniform: a coupling is always the
+# scalar map of a Python float (numpy's array ** can differ from Python's in the
+# last bit); only sample_iid passes an array
 Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 
 
-def _site_rng(seed: int | tuple[int, ...], site_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(site_index,))
-    return np.random.Generator(np.random.Philox(ss))
+# ---------------------------------------------------------------------------
+# coupling streams
+#
+# The coupling of site j under key k is the first uniform of
+# Generator(Philox(SeedSequence(k, spawn_key=(j,)))).  Both stages are
+# counter-based, so site_uniforms computes them for a whole (keys x sites)
+# grid at once and returns the same bits as numpy's scalar path: the key's
+# words are mixed into SeedSequence's pool on Python ints, the site word (the
+# last entropy word) and generate_state(2, uint64) run on uint32 values held
+# in uint64 arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+# numpy's SeedSequence hash and mix constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pair generate_state applies to each pool word."""
+    xors, mults, h = [], [], _INIT_B
+    for _ in range(_POOL_SIZE):
+        xors.append(h)
+        h = h * _MULT_B & _MASK32
+        mults.append(h)
+    return np.array(xors, dtype=np.uint64), np.array(mults, dtype=np.uint64)
+
+
+_STATE_XOR, _STATE_MULT = _state_hash_constants()
+
+
+def _key_words(key: Any) -> list[int]:
+    """SeedSequence's uint32 entropy words of an int or a tuple of them."""
+    if isinstance(key, (int, np.integer)):
+        n = int(key)
+        if n < 0:
+            raise ModelError(f"stream keys must be nonnegative, got {n}")
+        words = []
+        while True:
+            words.append(n & _MASK32)
+            n >>= 32
+            if not n:
+                return words
+    if isinstance(key, tuple):
+        return [w for part in key for w in _key_words(part)]
+    raise ModelError(f"stream keys are ints or tuples of ints, got {key!r}")
+
+
+def _key_pool(key: Any) -> tuple[list[int], list[int]]:
+    """The key's SeedSequence pool before the site word, and the hash constants
+    the site word meets on its way into each pool word.
+
+    With a spawn key the run entropy is padded to the pool size, so the site
+    word is always the last entropy word and mixes into the finished pool.
+    """
+    words = _key_words(key)
+    words += [0] * (_POOL_SIZE - len(words))
+    h = _INIT_A
+    # hashmix(v): v ^= h; h *= MULT_A; v *= h; v ^= v >> 16, and
+    # mix(x, y) = L x - R y, then r ^= r >> 16, all mod 2**32, inlined for speed
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        w ^= h
+        h = h * _MULT_A & _MASK32
+        w = w * h & _MASK32
+        pool.append(w ^ w >> 16)
+    sources = [None] * _POOL_SIZE + words[_POOL_SIZE:]  # None: the pool word itself
+    for src, w in enumerate(sources):
+        for dst in range(_POOL_SIZE):
+            if src == dst:
+                continue
+            v = (pool[src] if w is None else w) ^ h
+            h = h * _MULT_A & _MASK32
+            v = v * h & _MASK32
+            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
+            pool[dst] = r ^ r >> 16
+    consts = []
+    for _ in range(_POOL_SIZE):
+        consts.append(h)
+        h = h * _MULT_A & _MASK32
+    return pool, consts
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    ll, lh, hl = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    mid = (ll >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
+
+
+def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
+    """First uniforms of every (key, site) stream, shape (len(keys), len(sites)).
+
+    Entry [k, j] equals, bit for bit,
+    Generator(Philox(SeedSequence(keys[k], spawn_key=(sites[j],)))).uniform(0.0, 1.0).
+    Sites are single SeedSequence words, 0 <= j < 2**32.
+    """
+    if any(not isinstance(j, (int, np.integer)) or not 0 <= j <= _MASK32 for j in sites):
+        raise ModelError("site indices must be ints in [0, 2**32)")
+    pools = [_key_pool(k) for k in keys]
+    if not keys or not sites:
+        return np.zeros((len(keys), len(sites)))
+    pool = np.array([p for p, _ in pools], dtype=np.uint64)[:, None, :]
+    xor = np.array([c for _, c in pools], dtype=np.uint64)[:, None, :]
+    # the site word's hashmix into each pool word, then mix
+    h = (np.array(sites, dtype=np.uint64)[None, :, None] ^ xor) * (xor * _MULT_A & _MASK32) & _MASK32
+    h ^= h >> 16
+    p = (_MIX_L * pool - _MIX_R * h) & _MASK32
+    p ^= p >> 16
+    # generate_state(2, uint64): four hashed words, paired little-endian
+    s = (p ^ _STATE_XOR) * _STATE_MULT & _MASK32
+    s ^= s >> 16
+    k0 = s[..., 0] | s[..., 1] << 32
+    k1 = s[..., 2] | s[..., 3] << 32
+    # round one on counter [1, 0, 0, 0] has mulhilo(M0, 1) = (0, M0), mulhilo(M1, 0) = (0, 0)
+    c0, c1, c2, c3 = k0, np.zeros_like(k0), k1, np.full_like(k0, _PHILOX_M0)
+    for _ in range(_PHILOX_ROUNDS - 1):
+        k0 = k0 + _PHILOX_W0
+        k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> 11).astype(np.float64) * 2.0**-53
+
+
+REPLICA_BLOCK = 64  # consecutive replica keys drawn together
+UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept
+
+
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
+def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.ndarray:
+    if block is None:
+        keys = [stem]
+    else:
+        keys = [stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)]
+    u = site_uniforms(keys, sites)
+    u.flags.writeable = False
+    return u
+
+
+def _uniforms(key: Any, sites: tuple[int, ...]) -> list[float]:
+    """First uniforms of key's stream at each site, as Python floats.
+
+    A key (*stem, r) is drawn with the 63 other replicas of its block of 64,
+    so consecutive replicas of one box cost one vectorised pass; any other
+    key draws a block of one.
+    """
+    if isinstance(key, tuple) and key and isinstance(key[-1], int) and key[-1] >= 0:
+        block, row = divmod(key[-1], REPLICA_BLOCK)
+        return _uniform_block(key[:-1], block, sites)[row].tolist()
+    return _uniform_block(key, None, sites)[0].tolist()
+
+
+def _couplings(
+    dists: Sequence[Distribution], seed: int | tuple[int, ...], sites: tuple[int, ...], cap: float | None = None
+) -> list[float]:
+    """The couplings of the listed sites: each law's scalar map of its site's uniform."""
+    u = _uniforms(seed, sites)
+    if cap is None:
+        return [float(dists[i]._from_uniform(x)) for i, x in zip(sites, u)]
+    return [dists[i]._from_uniform_below(x, cap) for i, x in zip(sites, u)]
 
 
 def sample_value(dist: Distribution, seed: int | tuple[int, ...], site_index: int) -> float:
-    return float(dist._from_uniform(float(_site_rng(seed, site_index).uniform(0.0, 1.0))))
+    return float(dist._from_uniform(_uniforms(seed, (site_index,))[0]))
 
 
 def sample_value_below(
     dist: Distribution, seed: int | tuple[int, ...], site_index: int, cap: float
 ) -> float:
-    return dist._from_uniform_below(float(_site_rng(seed, site_index).uniform(0.0, 1.0)), cap)
+    return dist._from_uniform_below(_uniforms(seed, (site_index,))[0], cap)
 
 
 def sample_iid(dist: Distribution, seed: int | tuple[int, ...], n: int) -> np.ndarray:
@@ -420,7 +591,7 @@ class AlloyModel:
         if any(len(s.center) != self.d for s in self.sites):
             raise ModelError("site centers must match the model dimension")
 
-    @property
+    @functools.cached_property
     def max_radius(self) -> float:
         return max(s.radius for s in self.sites)
 
@@ -458,7 +629,7 @@ PROFILE_CACHE_SIZE = 64  # (model, box) pairs whose profile matrix is kept
 
 
 def sample_couplings(model: AlloyModel, seed: int | tuple[int, ...]) -> np.ndarray:
-    return np.array([sample_value(d, seed, i) for i, d in enumerate(model.dists)])
+    return np.array(_couplings(model.dists, seed, tuple(range(len(model.dists)))))
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
@@ -502,10 +673,8 @@ def sample_potential(
     near, P = _box_profiles(model, box)
     if couplings_override is not None:
         c = [couplings_override] * len(near)
-    elif conditioning_cap is not None:
-        c = [sample_value_below(model.dists[i], seed, i, conditioning_cap) for i in near]
     else:
-        c = [sample_value(model.dists[i], seed, i) for i in near]
+        c = _couplings(model.dists, seed, near, conditioning_cap)
     return P @ np.array(c, dtype=float)
 
 
@@ -635,6 +804,9 @@ def verify_NoPi(
     """
     if model.claimed_bound is None:
         raise ModelError("model declares no sup-norm bound to verify")
+    for a in a_list:
+        if len(a) != model.d:
+            raise ModelError(f"window {tuple(a)} has {len(a)} sides; the model has dimension {model.d}")
     env = potential_envelope(model)
     sup_u = float(env.values.max())
     bound_ok = sup_u <= model.claimed_bound + 1e-12
@@ -687,8 +859,8 @@ class DilutedMinorant:
         """The minorant field for the same disorder draw sample_potential uses."""
         nodes = box.nodes()
         w = np.zeros(box.ndof)
-        for cell in self.cells:
-            pi = sample_value(model.dists[cell.site_index], seed, cell.site_index)
+        pis = _couplings(model.dists, seed, tuple(cell.site_index for cell in self.cells))
+        for cell, pi in zip(self.cells, pis):
             if pi >= self.threshold:
                 w += self.threshold * self.weight * cell.kept.contains(nodes).astype(float)
         return w

@@ -3,13 +3,22 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wegner_lab import experiments as X
 from wegner_lab.cli import ConfigError, main, parse_run_config, resolved_ini
 from wegner_lab.random_model import load_model_config
 from wegner_lab.spectral import ResonantSampleError
-from wegner_lab.thick_sets import build_fat_cantor, load_raster, smith_volterra_spec, stripes_raster
+from wegner_lab.thick_sets import (
+    RasterGeometry,
+    RasterSet,
+    build_fat_cantor,
+    load_raster,
+    save_raster,
+    smith_volterra_spec,
+    stripes_raster,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -418,6 +427,17 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "gamma_star" in out and "CERTIFIED" not in out
 
+    def test_raster_window_defaults_to_unit_cube_of_raster(self, tmp_path, capsys):
+        geo = RasterGeometry(origin=(0.0, 0.0), extent=(1.0, 1.0), resolution=(4, 4), periodic=True)
+        cells = np.zeros((4, 4), dtype=bool)
+        cells[:2] = True
+        path = tmp_path / "half.rast"
+        save_raster(RasterSet(geometry=geo, cells=cells), path)
+        assert main(["certify", "--raster", str(path)]) == 0
+        assert "gamma_star = 0.5\n" in capsys.readouterr().out
+        assert main(["certify", "--raster", str(path), "--window", "1.0"]) == 2
+        assert "window dimension" in capsys.readouterr().err
+
     def test_model_thickness_claim_passes(self, capsys):
         rc = main(["certify", "--model", str(CONFIG_DIR / "covering.model.ini")])
         assert rc == 0
@@ -431,6 +451,25 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "empty window at" in out and "verdict: PASS" in out
         assert "np.float64" not in out
+
+    def test_model_window_defaults_to_unit_cube_of_model(self, capsys):
+        rc = main(["certify", "--model", str(CONFIG_DIR / "slab.model.ini")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "a=(1.0, 1.0)" in out and "verdict: PASS" in out
+
+    def test_model_window_of_wrong_dimension_exits_two(self, capsys):
+        assert main(["certify", "--model", str(CONFIG_DIR / "slab.model.ini"), "--window", "1,1,1"]) == 2
+        err = capsys.readouterr().err
+        assert "has 3 sides" in err and "dimension 2" in err
+
+    @pytest.mark.parametrize("name", ["covering", "fat_cantor", "geometric"])
+    def test_one_dimensional_model_default_window_is_unit(self, name, capsys):
+        path = str(CONFIG_DIR / f"{name}.model.ini")
+        assert main(["certify", "--model", path]) == 0
+        default = capsys.readouterr().out
+        assert main(["certify", "--model", path, "--window", "1.0"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_model_without_claims_rejected(self, tmp_path, capsys):
         bare = tmp_path / "bare.model.ini"

@@ -506,3 +506,22 @@ class TestReportSurface:
         text = ids_report.human_summary()
         for name in ids_report.verdicts:
             assert name in text
+
+
+@pytest.mark.parametrize(
+    "driver, fixture, kw",
+    [
+        ("run_stubborn", "geometric", dict(E=4.0, L_list=(8.0,), min_boxes=2, seed=7, replicas=3)),
+        # 70 replicas cross a 64-replica draw block; capped draws share the blocks
+        ("run_spectral_minimum", "covering", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=70)),
+        ("localisation_probe", "covering", dict(E_lo=0.0, E_hi=2.0, L=8.0, seed=0, replicas=4)),
+        ("run_stubborn_exponential", "geometric", dict(L=4.0, eigen_index=3, seed=0, replicas=3)),
+    ],
+)
+def test_replica_drivers_are_worker_count_invariant(driver, fixture, kw, request):
+    # each worker process fills its own draw-block, operator and profile caches
+    model = request.getfixturevalue(fixture)
+    run = getattr(X, driver)
+    one = run(model, workers=1, **kw)
+    assert one.to_json() == run(model, workers=2, **kw).to_json()
+    assert one.records

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,7 @@ from wegner_lab.random_model import (
     sample_potential,
     sample_value,
     sample_value_below,
+    site_uniforms,
     slab_model,
     verify_NoPi,
     verify_Pi,
@@ -170,6 +172,88 @@ class TestSampling:
     def test_empirical_modulus_tracks_closed_form(self):
         p, se, _ = empirical_modulus(Uniform(0.0, 1.0), 0.5, 40_000, 3)
         assert abs(p - 0.5) <= 5 * se
+
+
+def _numpy_uniform(key, site):
+    """numpy's scalar path, the reference for every coupling stream."""
+    ss = np.random.SeedSequence(key, spawn_key=(site,))
+    return np.random.Generator(np.random.Philox(ss)).uniform(0.0, 1.0)
+
+
+_KEYS = st.one_of(
+    st.integers(0, 2**70),  # multi-word keys from 2**32 on
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(tuple),
+)
+_SITES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+class TestStreams:
+    @given(keys=st.lists(_KEYS, max_size=5), sites=st.lists(_SITES, max_size=6).map(tuple))
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_streams_match_numpy(self, keys, sites):
+        got = site_uniforms(keys, sites)
+        assert got.shape == (len(keys), len(sites)) and got.dtype == np.float64
+        for k, key in enumerate(keys):
+            for j, site in enumerate(sites):
+                assert got[k, j] == _numpy_uniform(key, site), (key, site)
+
+    def test_edge_keys_and_sites(self):
+        keys = [0, 2**32 - 1, 2**32, 2**64 + 5, (0,), (1, 2, 3, 4), (1, 2, 3, 4, 5), tuple(range(9)), (5, 2**33)]
+        sites = (0, 2**31, 2**32 - 1)
+        got = site_uniforms(keys, sites)
+        want = [[_numpy_uniform(key, site) for site in sites] for key in keys]
+        assert got.tolist() == want
+
+    def test_empty_keys_or_sites(self):
+        assert site_uniforms([], (0, 1)).shape == (0, 2)
+        assert site_uniforms([3, (3, 1)], ()).shape == (2, 0)
+        assert site_uniforms([], ()).shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "keys, sites",
+        [([-1], (0,)), ([(3, -2)], (0,)), ([3], (2**32,)), ([3], (-1,)), ([3.0], (0,)), ([3], (1.0,))],
+        ids=["negative-key", "negative-key-word", "site-2**32", "negative-site", "float-key", "float-site"],
+    )
+    def test_out_of_range_input_raises(self, keys, sites):
+        with pytest.raises(ModelError):
+            site_uniforms(keys, sites)
+        with pytest.raises(ModelError):
+            sample_value(Uniform(0.0, 1.0), keys[0], sites[0])
+
+    def test_numpy_seedsequence_golden_values(self):
+        # if this fails, numpy changed SeedSequence or Philox, not this package
+        assert float(_numpy_uniform((20260822, 0), 40)).hex() == "0x1.d12ee300adf1ep-2"
+        assert float(_numpy_uniform(7, 3)).hex() == "0x1.10976e51b6d00p-3"
+        assert float(_numpy_uniform((777, 199), 2**32 - 1)).hex() == "0x1.3ab605ea98c40p-1"
+        got = site_uniforms([(20260822, 0), 7, (777, 199)], (40, 3, 2**32 - 1))
+        assert [float(got[k, k]).hex() for k in range(3)] == [
+            "0x1.d12ee300adf1ep-2", "0x1.10976e51b6d00p-3", "0x1.3ab605ea98c40p-1",
+        ]
+
+    @pytest.mark.parametrize(
+        "dist, cap",
+        [
+            (Uniform(0.2, 1.7), 0.9),
+            (BernoulliAt(0.0, 1.0, 0.3), 0.5),
+            (TruncatedPowerHolder(2.0, 0.5), 0.7),
+            (TruncatedPowerHolder(1.0, 3.0), 0.4),
+            (TruncatedPowerHolder(1.5, 0.25), 1.2),
+        ],
+        ids=["uniform", "bernoulli", "power-0.5", "power-3", "power-0.25"],
+    )
+    def test_each_law_maps_the_scalar_uniform(self, dist, cap):
+        # the law's scalar code on numpy's own uniform, bit for bit, plain and capped
+        for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
+            for site in (0, 7, 2**31):
+                u = float(_numpy_uniform(key, site))
+                assert sample_value(dist, key, site) == float(dist._from_uniform(u))
+                assert sample_value_below(dist, key, site, cap) == dist._from_uniform_below(u, cap)
+
+    def test_sample_couplings_match_numpy(self):
+        model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
+        got = sample_couplings(model, (3, 70))
+        want = [float(d._from_uniform(float(_numpy_uniform((3, 70), i)))) for i, d in enumerate(model.dists)]
+        assert got.tolist() == want
 
 
 class TestProfiles:
@@ -535,16 +619,20 @@ def _draw_case(draw):
 def test_profile_matrix_matches_per_site_loop(case, covering, cantor, geometric, slab, raster_bump):
     name, box, seed, mode, knob = case
     model = {"covering": covering, "cantor": cantor, "geometric": geometric, "slab": slab, "raster_bump": raster_bump}[name]
-    if mode == "plain":
-        got = sample_potential(model, seed, box)
-        want = _loop_potential(model, box, lambda i: sample_value(model.dists[i], seed, i))
-    elif mode == "cap":
-        got = sample_potential(model, seed, box, conditioning_cap=knob)
-        want = _loop_potential(model, box, lambda i: sample_value_below(model.dists[i], seed, i, knob))
-    else:
-        got = sample_potential(model, seed, box, couplings_override=knob)
-        want = _loop_potential(model, box, lambda i: knob)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a tuple key sweeps replicas across the edges of the 64-replica draw blocks
+    keys = [seed] if isinstance(seed, int) else [seed] + [(seed[0], r) for r in (0, 63, 64, 65, 128)]
+    for key in keys:
+        u = functools.partial(_numpy_uniform, key)
+        if mode == "plain":
+            got = sample_potential(model, key, box)
+            want = _loop_potential(model, box, lambda i: float(model.dists[i]._from_uniform(float(u(i)))))
+        elif mode == "cap":
+            got = sample_potential(model, key, box, conditioning_cap=knob)
+            want = _loop_potential(model, box, lambda i: model.dists[i]._from_uniform_below(float(u(i)), knob))
+        else:
+            got = sample_potential(model, key, box, couplings_override=knob)
+            want = _loop_potential(model, box, lambda i: knob)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
     mean = _loop_potential(model, box, lambda i: model.dists[i].mean)
     assert mean_potential(model, box).tobytes() == mean.tobytes()
 

@@ -21,17 +21,28 @@ BATTERY_JOBS = (
 )
 
 
-def test_quick_battery_writes_every_report(tmp_path):
+def _battery(out, *extra):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_battery.py"), "--quick", "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_battery.py"), "--quick", "--out", str(out), *extra],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_quick_battery_writes_every_report(tmp_path):
+    proc = _battery(tmp_path / "serial")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BATTERY_JOBS)
+    assert sorted(p.name for p in (tmp_path / "serial").iterdir()) == sorted(BATTERY_JOBS)
     for job in BATTERY_JOBS:
         for name in ("report.json", "records.csv", "summary.txt"):
-            assert (tmp_path / job / name).is_file(), f"{job}/{name}"
+            assert (tmp_path / "serial" / job / name).is_file(), f"{job}/{name}"
+    # two workers, each filling its own draw-block cache, write the same bytes
+    proc = _battery(tmp_path / "two", "--workers", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for job in BATTERY_JOBS:
+        for name in ("report.json", "records.csv"):
+            serial, two = (tmp_path / run / job / name for run in ("serial", "two"))
+            assert two.read_bytes() == serial.read_bytes(), f"{job}/{name}"
