@@ -12,6 +12,7 @@ statistical allowance (usually 2 or 3 standard errors), never a tuned fudge.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import time
@@ -47,25 +48,58 @@ class PreconditionError(RuntimeError):
     """The run's standing assumptions fail before any statistics are drawn."""
 
 
+# the process pool of the running driver call, once its first parallel map opened it
+_POOL: contextvars.ContextVar[list[ProcessPoolExecutor]] = contextvars.ContextVar("replica_pool")
+
+
 def _timed(driver):
-    """Stamp the report a driver returns with the driver's wall-clock time."""
+    """Stamp the report a driver returns with the driver's wall-clock time, and
+    shut down the one process pool that its replica maps shared."""
 
     @functools.wraps(driver)
     def timed(*args, **kwargs) -> ExperimentReport:
         t0 = time.perf_counter()
-        rep = driver(*args, **kwargs)
+        token = _POOL.set([])
+        try:
+            rep = driver(*args, **kwargs)
+        finally:
+            for pool in _POOL.get():
+                pool.shutdown()
+            _POOL.reset(token)
         rep.wall_clock_s = time.perf_counter() - t0
         return rep
 
     return timed
 
 
-def _map_replicas(worker, arg_tuples: list, workers: int) -> list:
+def _replica(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draw: tuple) -> Any:
+    """query(H, v, *args) for one (key, couplings override) draw: v on the box, H = -Delta + v."""
+    key, override = draw
+    v = sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override)
+    return query(add_potential(build_free_laplacian(box), v), v, *args)
+
+
+def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: list, workers: int, cap=None) -> list:
+    """_replica over the draws, each conditioned below cap; results in draw order."""
+    task = functools.partial(_replica, query, args, model, box, cap)
     if workers <= 1:
-        return [worker(a) for a in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(arg_tuples) // (4 * workers))
-        return list(pool.map(worker, arg_tuples, chunksize=chunk))
+        return [task(draw) for draw in draws]
+    pools = _POOL.get()
+    if not pools:
+        pools.append(ProcessPoolExecutor(max_workers=workers))
+    return list(pools[0].map(task, draws, chunksize=max(1, len(draws) // (4 * workers))))
+
+
+def _draws(seed: int, replicas: int) -> list[tuple[Any, float | None]]:
+    """Replicas 0 .. replicas-1 of the root seed, as drawn."""
+    return [((seed, r), None) for r in range(replicas)]
+
+
+def _stderr(samples: np.ndarray) -> Any:
+    """Standard error of the mean over replicas (axis 0); 0.0 below two replicas."""
+    if samples.shape[0] < 2:
+        return np.zeros(samples.shape[1:])[()]
+    return samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
 
 
 def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None, bc: str = "dirichlet") -> BoxSpec:
@@ -83,11 +117,8 @@ def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None,
 # eigenvalue counting in random boxes (the volume-law estimate)
 
 
-def _count_replica(args) -> tuple[int, ...]:
-    """Eigenvalue counts of one disorder draw, one per (lo, hi) window."""
-    model, box, seed_key, windows, override = args
-    v = sample_potential(model, seed_key, box, couplings_override=override)
-    H = add_potential(build_free_laplacian(box), v)
+def _window_counts(H, v, windows) -> tuple[int, ...]:
+    """Eigenvalue counts of one draw, one per closed (lo, hi) window."""
     return tuple(count_in_interval(H, lo, hi) for lo, hi in windows)
 
 
@@ -146,13 +177,12 @@ def run_wegner(
         e_anchor = _anchor_energy(model, box, e_ref, eps_sorted[-1])
         rep.fitted[f"anchor_energy_L={L:g}"] = e_anchor
         windows = tuple((e_anchor - e, e_anchor + e) for e in eps_sorted)
-        args = [(model, box, (seed, r), windows, None) for r in range(replicas)]
-        counts = np.array(_map_replicas(_count_replica, args, workers), dtype=float)
+        counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
         if np.any(np.diff(counts, axis=1) < 0):
             nested_ok = False
         for k, e in enumerate(eps_sorted):
             mean = float(counts[:, k].mean())
-            se = float(counts[:, k].std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+            se = float(_stderr(counts[:, k]))
             denom = s_eps[e] * L**model.d
             rep.records.append(record([L, e], "count_mean", mean, se, replicas))
             rep.records.append(record([L, e], "volume_ratio", mean / denom, se / denom, replicas))
@@ -207,17 +237,17 @@ def estimate_ids(
     box = _box(model.d, L, mesh_density)
     vol = L**model.d
     windows = tuple((-math.inf, v) for E in E_sorted for v in (E - eps, E, E + eps))
-    args = [(model, box, (seed, r), windows, None) for r in range(replicas)]
-    counts = np.array(_map_replicas(_count_replica, args, workers), dtype=float)
+    counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
-    ses = at_e.std(axis=0, ddof=1) / math.sqrt(replicas) / vol
+    ses = _stderr(at_e) / vol
     for E, m, s in zip(E_sorted, means, ses):
         rep.records.append(record(E, "ids", float(m), float(s), replicas))
     rep.verdicts["monotone_in_energy"] = PASS if bool(np.all(np.diff(means) >= 0)) else FAIL
 
     # zero-coupling seam: one deterministic evaluation must hit the free count
-    free = _count_replica((model, box, (seed, 0), [(-math.inf, E) for E in E_sorted], 0.0))
+    below = [(-math.inf, E) for E in E_sorted]
+    (free,) = _map_replicas(_window_counts, (below,), model, box, [((seed, 0), 0.0)], workers)
     spec = discrete_dirichlet_spectrum(box)
     seam_ok = True
     for E, got in zip(E_sorted, free):
@@ -339,10 +369,8 @@ def run_stubborn(
         total = 0
         for x in centers:
             box = _box(model.d, L, rho, center=x)
-            draws: list[tuple[Any, float | None]] = [((seed, r), None) for r in range(replicas)]
-            draws += [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
-            args = [(model, box, key, ((lo, hi),), override) for key, override in draws]
-            counts = _map_replicas(_count_replica, args, workers)
+            draws = _draws(seed, replicas) + [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
+            counts = _map_replicas(_window_counts, (((lo, hi),),), model, box, draws, workers)
             hits += sum(1 for (c,) in counts if c >= 1)
             total += len(counts)
         rep.records.append(record([L], "window_hit_fraction", hits / total, None, total))
@@ -353,11 +381,8 @@ def run_stubborn(
     return rep
 
 
-def _untouched_replica(args) -> tuple[bool, int]:
+def _untouched_count(H, v, lo, hi) -> tuple[bool, int]:
     """Whether one draw leaves the box free of potential, and its count in [lo, hi]."""
-    model, box, seed_key, override, lo, hi = args
-    v = sample_potential(model, seed_key, box, couplings_override=override)
-    H = add_potential(build_free_laplacian(box), v)
     return float(np.abs(v).max()) == 0.0, count_in_interval(H, lo, hi)
 
 
@@ -411,10 +436,8 @@ def run_stubborn_exponential(
     if eigen_index < len(cont):
         rep.fitted["continuum_deviation"] = abs(E - cont[eigen_index])
 
-    draws: list[tuple[Any, float | None]] = [((seed, r), None) for r in range(replicas)]
-    draws += [((seed, 0), model.m_plus)]
-    args = [(model, box, key, override, E - width, E + width) for key, override in draws]
-    results = _map_replicas(_untouched_replica, args, workers)
+    draws = _draws(seed, replicas) + [((seed, 0), model.m_plus)]
+    results = _map_replicas(_untouched_count, (E - width, E + width), model, box, draws, workers)
     ok = all(count >= 1 for _, count in results)
     silent = all(untouched for untouched, _ in results)
     rep.verdicts["persistent_eigenvalue"] = PASS if ok else FAIL
@@ -432,8 +455,8 @@ def run_stubborn_exponential(
         c_spec = discrete_dirichlet_spectrum(cbox)
         Ec = float(c_spec[eigen_index])
         window = ((Ec - width, Ec + width),)
-        args = [(model, cbox, (seed, r), window, None) for r in range(replicas)]
-        in_win = sum(c >= 1 for (c,) in _map_replicas(_count_replica, args, workers))
+        counts = _map_replicas(_window_counts, (window,), model, cbox, _draws(seed, replicas), workers)
+        in_win = sum(c >= 1 for (c,) in counts)
         rep.records.append(record([L], "contrast_hit_fraction", in_win / replicas, None, replicas))
     except ModelError:
         pass
@@ -582,12 +605,8 @@ def run_uncertainty(
 # initial-scale resolvent decay
 
 
-def _ise_replica(args) -> float | None:
-    model, box, seed_key, z, a_lo, a_hi, b_lo, b_hi = args
-    v = sample_potential(model, seed_key, box)
-    H = add_potential(build_free_laplacian(box), v)
-    block_a = SubBox.from_coords(box, a_lo, a_hi)
-    block_b = SubBox.from_coords(box, b_lo, b_hi)
+def _end_to_end_norm(H, v, z, block_a, block_b) -> float | None:
+    """|1_A (H - z)^{-1} 1_B| of one draw, or None when z is resonant for it."""
     try:
         return resolvent_block_norm(H, z, block_a, block_b)
     except ResonantSampleError:
@@ -623,10 +642,9 @@ def run_ise(
     for L in L_sorted:
         box = _box(model.d, L, mesh_density)
         z = 1.0 / math.sqrt(L)
-        a_lo, a_hi = (-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1)
-        b_lo, b_hi = (L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d
-        args = [(model, box, (seed, r), z, a_lo, a_hi, b_lo, b_hi) for r in range(replicas)]
-        results = _map_replicas(_ise_replica, args, workers)
+        block_a = SubBox.from_coords(box, (-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
+        block_b = SubBox.from_coords(box, (L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
+        results = _map_replicas(_end_to_end_norm, (z, block_a, block_b), model, box, _draws(seed, replicas), workers)
         norms = np.array([r for r in results if r is not None], dtype=float)
         resonant[L] = sum(1 for r in results if r is None)
         if norms.size == 0:
@@ -672,10 +690,8 @@ def run_ise(
 # bottom of the spectrum
 
 
-def _minimum_replica(args) -> float:
-    model, box, seed_key, cap, e_cap = args
-    v = sample_potential(model, seed_key, box, conditioning_cap=cap)
-    H = add_potential(build_free_laplacian(box), v)
+def _ground_state(H, v, e_cap) -> float:
+    """The lowest eigenvalue of one draw, which must lie at or below e_cap."""
     ev = eigs_below(H, e_cap).eigenvalues
     if ev.size == 0:
         raise PreconditionError("eigenvalue cap missed the ground state")
@@ -711,18 +727,16 @@ def run_spectral_minimum(
     rep.fitted["free_ground"] = ground
     rep.fitted["potential_ceiling"] = sup_env
 
-    args = [(model, box, (seed, r), None, e_cap) for r in range(replicas)]
-    mins = np.array(_map_replicas(_minimum_replica, args, workers))
-    rep.records.append(record(["unconditioned"], "min_eig_mean", float(mins.mean()), float(mins.std(ddof=1) / math.sqrt(replicas)), replicas))
+    mins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, _draws(seed, replicas), workers))
+    rep.records.append(record(["unconditioned"], "min_eig_mean", float(mins.mean()), float(_stderr(mins)), replicas))
     rep.records.append(record(["unconditioned"], "min_eig_low", float(mins.min()), None, replicas))
     rep.verdicts["floor_respected"] = PASS if bool(np.all(mins >= ground - 1e-9 * max(1.0, ground))) else FAIL
 
     near = model.sites_near_box(box)
     for eps in sorted(eps_list, reverse=True):
-        args = [(model, box, (seed, r), eps, e_cap) for r in range(replicas)]
-        cmins = np.array(_map_replicas(_minimum_replica, args, workers))
+        cmins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, _draws(seed, replicas), workers, cap=eps))
         bound = ground + eps * sup_env
-        rep.records.append(record(["conditioned", eps], "min_eig_mean", float(cmins.mean()), float(cmins.std(ddof=1) / math.sqrt(replicas)), replicas))
+        rep.records.append(record(["conditioned", eps], "min_eig_mean", float(cmins.mean()), float(_stderr(cmins)), replicas))
         rep.records.append(record(["conditioned", eps], "min_eig_high", float(cmins.max()), None, replicas))
         ok = bool(np.all(cmins <= bound + 1e-9 * max(1.0, bound)))
         rep.verdicts[f"conditioned_proximity_eps={eps:g}"] = PASS if ok else FAIL
@@ -732,10 +746,8 @@ def run_spectral_minimum(
         )
         rep.fitted[f"event_log10_prob_eps={eps:g}"] = log10p
 
-    v0 = sample_potential(model, (seed, 0), box, couplings_override=0.0)
-    H0 = add_potential(build_free_laplacian(box), v0)
-    ev0 = eigs_below(H0, e_cap).eigenvalues
-    exact = abs(float(ev0[0]) - ground) <= 1e-9 * max(1.0, ground)
+    (floor,) = _map_replicas(_ground_state, (e_cap,), model, box, [((seed, 0), 0.0)], workers)
+    exact = abs(floor - ground) <= 1e-9 * max(1.0, ground)
     rep.verdicts["zero_coupling_exact"] = PASS if exact else FAIL
     return rep
 
@@ -768,20 +780,15 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
     return -slope
 
 
-def _probe_replica(args) -> tuple[list[float], list[float]]:
-    """Participation ratios and shell decay rates of one draw's states in [E_lo, E_hi)."""
-    model, box, seed_key, E_lo, E_hi = args
-    v = sample_potential(model, seed_key, box)
-    H = add_potential(build_free_laplacian(box), v)
+def _probe(H, v, E_lo, E_hi) -> tuple[list[float], list[float]]:
+    """Participation ratios and shell decay rates of one draw's states in [E_lo, E_hi]."""
     res = eigs_below(H, E_hi, want_vectors=True)
-    if res.eigenvectors is None:
-        return [], []
     prs: list[float] = []
     decays: list[float] = []
     for psi in res.eigenvectors[:, res.eigenvalues >= E_lo].T:
         psi = psi / np.linalg.norm(psi)
         prs.append(float(1.0 / np.sum(psi**4)))
-        rate = _shell_decay_rate(psi, box)
+        rate = _shell_decay_rate(psi, H.box)
         if rate is not None:
             decays.append(rate)
     return prs, decays
@@ -814,10 +821,9 @@ def localisation_probe(
         seed=seed,
     )
     box = _box(model.d, L, mesh_density)
-    args = [(model, box, (seed, r), E_lo, E_hi) for r in range(replicas)]
     prs: list[float] = []
     decays: list[float] = []
-    for pr, rates in _map_replicas(_probe_replica, args, workers):
+    for pr, rates in _map_replicas(_probe, (E_lo, E_hi), model, box, _draws(seed, replicas), workers):
         prs += pr
         decays += rates
     if prs:

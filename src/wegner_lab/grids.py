@@ -168,12 +168,8 @@ class DiscreteHamiltonian:
 
     @functools.cached_property
     def _bands(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.parent is not None:
-            # the sparse sum makes these same additions on the diagonal
-            diag, off = self.parent.tridiagonal()
-            return _read_only(diag + self.added), off
-        m = self.matrix
-        return _read_only(m.diagonal()), _read_only(np.asarray(m.diagonal(k=1)).ravel())
+        # d=1 slices hold one unknown each: their diagonal and couplings are the bands
+        return self._blocks.diag[:, 0], self._blocks.coupling
 
     @property
     def is_tridiagonal(self) -> bool:
@@ -189,7 +185,7 @@ class DiscreteHamiltonian:
     def _blocks(self) -> BlockTridiagonal:
         if self.parent is not None:
             # the sparse sum makes these same additions on the diagonal
-            b = self.parent.blocks()
+            b = self.parent._blocks
             return BlockTridiagonal(b.inner, _read_only(b.diag + self.added.reshape(b.diag.shape)), b.coupling)
         return _slice_blocks(self.matrix, self.box.n)
 

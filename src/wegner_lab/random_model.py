@@ -374,37 +374,24 @@ def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.n
     return u
 
 
-def _uniforms(key: Any, sites: tuple[int, ...]) -> list[float]:
-    """First uniforms of key's stream at each site, as Python floats.
+def _couplings(
+    dists: Sequence[Distribution], seed: int | tuple[int, ...], sites: tuple[int, ...], cap: float | None = None
+) -> list[float]:
+    """The couplings of the listed sites: each law's scalar map of its site's uniform.
 
+    The uniforms are the first of seed's stream at each site, as Python floats.
     A key (*stem, r) is drawn with the 63 other replicas of its block of 64,
     so consecutive replicas of one box cost one vectorised pass; any other
     key draws a block of one.
     """
-    if isinstance(key, tuple) and key and isinstance(key[-1], int) and key[-1] >= 0:
-        block, row = divmod(key[-1], REPLICA_BLOCK)
-        return _uniform_block(key[:-1], block, sites)[row].tolist()
-    return _uniform_block(key, None, sites)[0].tolist()
-
-
-def _couplings(
-    dists: Sequence[Distribution], seed: int | tuple[int, ...], sites: tuple[int, ...], cap: float | None = None
-) -> list[float]:
-    """The couplings of the listed sites: each law's scalar map of its site's uniform."""
-    u = _uniforms(seed, sites)
+    if isinstance(seed, tuple) and seed and isinstance(seed[-1], int) and seed[-1] >= 0:
+        block, row = divmod(seed[-1], REPLICA_BLOCK)
+        u = _uniform_block(seed[:-1], block, sites)[row].tolist()
+    else:
+        u = _uniform_block(seed, None, sites)[0].tolist()
     if cap is None:
         return [float(dists[i]._from_uniform(x)) for i, x in zip(sites, u)]
     return [dists[i]._from_uniform_below(x, cap) for i, x in zip(sites, u)]
-
-
-def sample_value(dist: Distribution, seed: int | tuple[int, ...], site_index: int) -> float:
-    return float(dist._from_uniform(_uniforms(seed, (site_index,))[0]))
-
-
-def sample_value_below(
-    dist: Distribution, seed: int | tuple[int, ...], site_index: int, cap: float
-) -> float:
-    return dist._from_uniform_below(_uniforms(seed, (site_index,))[0], cap)
 
 
 def sample_iid(dist: Distribution, seed: int | tuple[int, ...], n: int) -> np.ndarray:
@@ -599,14 +586,6 @@ class AlloyModel:
     def m_plus(self) -> float:
         return max(d.max_support for d in self.dists)
 
-    @property
-    def m_minus(self) -> float:
-        return min(d.min_support for d in self.dists)
-
-    @property
-    def coupling_range(self) -> float:
-        return self.m_plus - self.m_minus
-
     def sites_near_box(self, box: BoxSpec) -> list[int]:
         reach = box.length / 2 + self.max_radius
         out = []
@@ -626,10 +605,6 @@ class AlloyModel:
 
 
 PROFILE_CACHE_SIZE = 64  # (model, box) pairs whose profile matrix is kept
-
-
-def sample_couplings(model: AlloyModel, seed: int | tuple[int, ...]) -> np.ndarray:
-    return np.array(_couplings(model.dists, seed, tuple(range(len(model.dists)))))
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)

@@ -2,9 +2,9 @@
 
 Machine-readable outputs (JSON, records CSV) are deterministic functions of
 the experiment inputs: keys are sorted, floats are written with repr (which
-round-trips exactly), and wall-clock timing is excluded unless explicitly
-requested.  Rerunning an experiment with the same seed must reproduce these
-files byte for byte; timing belongs only in the human summary.
+round-trips exactly), and wall-clock timing is never written.  Rerunning an
+experiment with the same seed must reproduce these files byte for byte;
+timing belongs only in the human summary.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ExperimentReport:
             return PASS
         return INFORMATIONAL
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "experiment": self.experiment,
             "config": _plain(self.config),
@@ -89,8 +89,6 @@ class ExperimentReport:
             "seed": int(self.seed),
             "reduction_order": self.reduction_order,
         }
-        if include_timing and self.wall_clock_s is not None:
-            payload["wall_clock_s"] = float(self.wall_clock_s)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @staticmethod
@@ -104,7 +102,6 @@ class ExperimentReport:
             verdicts=raw.get("verdicts", {}),
             seed=raw.get("seed", 0),
             reduction_order=raw.get("reduction_order", "replica-index"),
-            wall_clock_s=raw.get("wall_clock_s"),
         )
 
     def to_records_csv(self) -> str:

@@ -56,17 +56,12 @@ class EigenResult:
 
 def _operator_scale(H: DiscreteHamiltonian) -> float:
     # 1-norm of a symmetric matrix (its largest absolute row sum) dominates its
-    # spectral radius; bands and blocks give it without summing the sparse matrix
-    if H.is_tridiagonal:
-        diag, off = H.tridiagonal()
-        rows = np.abs(diag)
-        side = np.abs(off)
-    elif H.is_block_tridiagonal:
-        b = H.blocks()
-        rows = np.abs(b.diag) + np.asarray(abs(b.inner).sum(axis=1)).ravel()
-        side = np.abs(b.coupling)[:, np.newaxis]
-    else:
+    # spectral radius; the first-axis slices give it without summing the sparse matrix
+    if H.box.bc == "periodic":
         return float(max(abs(H.matrix).sum(axis=0).max(), 1.0))
+    b = H._blocks
+    rows = np.abs(b.diag) + np.asarray(abs(b.inner).sum(axis=1)).ravel()
+    side = np.abs(b.coupling)[:, np.newaxis]
     rows[1:] += side
     rows[:-1] += side
     return float(max(rows.max(), 1.0))
@@ -319,29 +314,17 @@ def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> E
     return EigenResult(ev, vecs, rb, "lanczos")
 
 
-def eigs_below(
-    H: DiscreteHamiltonian,
-    e_max: float,
-    method: str = "auto",
-    want_vectors: bool = False,
-) -> EigenResult:
-    """All eigenvalues (with multiplicity) at or below e_max, ascending."""
-    if method == "auto":
-        if H.is_tridiagonal:
-            method = "tridiagonal"
-        elif H.box.ndof <= DENSE_LIMIT:
-            method = "dense"
-        else:
-            method = "lanczos"
-    if method == "tridiagonal":
-        if not H.is_tridiagonal:
-            raise EigensolverError("operator has no tridiagonal form")
+def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False) -> EigenResult:
+    """All eigenvalues (with multiplicity) at or below e_max, ascending.
+
+    The operator picks the solver: the bands for d=1 with open boundary, a
+    dense solve up to DENSE_LIMIT unknowns, Lanczos beyond.
+    """
+    if H.is_tridiagonal:
         return _eigs_tridiagonal(H, e_max, want_vectors)
-    if method == "dense":
+    if H.box.ndof <= DENSE_LIMIT:
         return _eigs_dense(H, e_max, want_vectors)
-    if method == "lanczos":
-        return _eigs_lanczos(H, e_max, want_vectors)
-    raise EigensolverError(f"unknown method {method!r}")
+    return _eigs_lanczos(H, e_max, want_vectors)
 
 
 # ---------------------------------------------------------------------------

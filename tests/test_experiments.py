@@ -7,7 +7,10 @@ sampling order, mesh layout, or reduction order shows up as an exact-value
 break.
 """
 
+import json
 import math
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -495,7 +498,6 @@ class TestReportSurface:
     def test_timing_is_opt_in(self, ids_report):
         assert ids_report.wall_clock_s is not None and ids_report.wall_clock_s > 0.0
         assert "wall_clock_s" not in ids_report.to_json()
-        assert "wall_clock_s" in ids_report.to_json(include_timing=True)
 
     def test_csv_carries_every_record(self, ids_report):
         lines = ids_report.to_records_csv().strip().splitlines()
@@ -525,3 +527,54 @@ def test_replica_drivers_are_worker_count_invariant(driver, fixture, kw, request
     one = run(model, workers=1, **kw)
     assert one.to_json() == run(model, workers=2, **kw).to_json()
     assert one.records
+
+
+@pytest.mark.parametrize(
+    "driver, fixture, kw, maps",
+    [
+        # two box sizes x three disjoint boxes: six replica maps
+        ("run_stubborn", "geometric", dict(), 6),
+        # three box sizes: three replica maps
+        ("run_wegner", "covering", dict(replicas=8), 3),
+    ],
+)
+def test_one_process_pool_per_driver_call(driver, fixture, kw, maps, request, monkeypatch):
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    mapped = []
+    map_replicas = X._map_replicas
+    monkeypatch.setattr(X, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(X, "_map_replicas", lambda *a, **k: mapped.append(1) or map_replicas(*a, **k))
+    model = request.getfixturevalue(fixture)
+    run = getattr(X, driver)
+    one = run(model, workers=1, **kw)
+    assert opened == []
+    assert run(model, workers=2, **kw).to_json() == one.to_json()
+    assert len(mapped) == 2 * maps
+    assert len(opened) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "driver, kw",
+    [
+        ("estimate_ids", dict(L=4.0, E_list=(5.0, 10.0))),
+        ("run_spectral_minimum", dict(eps_list=(0.5,), L=4.0)),
+    ],
+)
+def test_single_replica_report_is_valid_json(driver, kw, covering):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = getattr(X, driver)(covering, replicas=1, seed=0, **kw)
+    payload = json.loads(rep.to_json(), parse_constant=_refuse_constant)
+    stderrs = [r["stderr"] for r in payload["records"] if r["replicas"] == 1 and r["stderr"] is not None]
+    assert stderrs and all(s == 0.0 for s in stderrs)
+    assert "nan" not in rep.to_records_csv()

@@ -34,11 +34,9 @@ from wegner_lab.random_model import (
     mean_potential,
     modulus_s,
     potential_envelope,
-    sample_couplings,
+    _couplings,
     sample_iid,
     sample_potential,
-    sample_value,
-    sample_value_below,
     site_uniforms,
     slab_model,
     verify_NoPi,
@@ -126,14 +124,14 @@ class TestDistributions:
 
 class TestSampling:
     def test_site_streams_reproducible(self):
-        d = Uniform(0.0, 1.0)
-        assert sample_value(d, 7, 3) == sample_value(d, 7, 3)
-        assert sample_value(d, 7, 3) != sample_value(d, 7, 4)
-        assert sample_value(d, 7, 3) != sample_value(d, 8, 3)
+        u = site_uniforms([7, 8], (3, 4))
+        assert np.array_equal(site_uniforms([7, 8], (3, 4)), u)
+        assert u[0, 0] != u[0, 1]
+        assert u[0, 0] != u[1, 0]
 
     def test_replica_keys_are_distinct_streams(self):
-        d = Uniform(0.0, 1.0)
-        assert sample_value(d, (7, 0), 3) != sample_value(d, (7, 1), 3)
+        u = site_uniforms([(7, 0), (7, 1)], (3,))
+        assert u[0, 0] != u[1, 0]
 
     @given(
         cap=st.floats(0.05, 1.0),
@@ -143,20 +141,21 @@ class TestSampling:
     @settings(max_examples=60, deadline=None)
     def test_conditioned_draw_coupled_below(self, cap, seedling, site):
         d = Uniform(0.0, 1.0)
-        full = sample_value(d, seedling, site)
-        below = sample_value_below(d, seedling, site, cap)
+        u = float(site_uniforms([seedling], (site,))[0, 0])
+        full = d._from_uniform(u)
+        below = d._from_uniform_below(u, cap)
         assert below <= cap + 1e-15
         assert below <= full + 1e-15  # one shared uniform makes the coupling monotone
 
     def test_conditioning_below_support_refused(self):
         with pytest.raises(ModelError):
-            sample_value_below(Uniform(0.5, 1.0), 0, 0, 0.2)
+            Uniform(0.5, 1.0)._from_uniform_below(0.5, 0.2)
         with pytest.raises(ModelError):
-            sample_value_below(BernoulliAt(1.0, 2.0, 0.5), 0, 0, 0.5)
+            BernoulliAt(1.0, 2.0, 0.5)._from_uniform_below(0.5, 0.5)
 
     def test_bernoulli_conditioning_keeps_low_atom(self):
         b = BernoulliAt(0.0, 1.0, 0.3)
-        vals = {sample_value_below(b, s, 0, 0.5) for s in range(20)}
+        vals = {b._from_uniform_below(u, 0.5) for u in site_uniforms(list(range(20)), (0,))[:, 0].tolist()}
         assert vals == {0.0}
 
     def test_iid_moments(self):
@@ -218,7 +217,7 @@ class TestStreams:
         with pytest.raises(ModelError):
             site_uniforms(keys, sites)
         with pytest.raises(ModelError):
-            sample_value(Uniform(0.0, 1.0), keys[0], sites[0])
+            _couplings([Uniform(0.0, 1.0)], keys[0], sites)
 
     def test_numpy_seedsequence_golden_values(self):
         # if this fails, numpy changed SeedSequence or Philox, not this package
@@ -243,17 +242,17 @@ class TestStreams:
     )
     def test_each_law_maps_the_scalar_uniform(self, dist, cap):
         # the law's scalar code on numpy's own uniform, bit for bit, plain and capped
+        sites = (0, 7)  # _couplings takes each site's law from a list indexed by site
         for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
-            for site in (0, 7, 2**31):
-                u = float(_numpy_uniform(key, site))
-                assert sample_value(dist, key, site) == float(dist._from_uniform(u))
-                assert sample_value_below(dist, key, site, cap) == dist._from_uniform_below(u, cap)
+            u = [float(_numpy_uniform(key, site)) for site in sites]
+            assert _couplings([dist] * 8, key, sites) == [float(dist._from_uniform(x)) for x in u]
+            assert _couplings([dist] * 8, key, sites, cap) == [dist._from_uniform_below(x, cap) for x in u]
 
     def test_sample_couplings_match_numpy(self):
         model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
-        got = sample_couplings(model, (3, 70))
+        got = _couplings(model.dists, (3, 70), tuple(range(len(model.dists))))
         want = [float(d._from_uniform(float(_numpy_uniform((3, 70), i)))) for i, d in enumerate(model.dists)]
-        assert got.tolist() == want
+        assert got == want
 
 
 class TestProfiles:
@@ -348,8 +347,8 @@ class TestAlloyModel:
         assert calls == []
 
     def test_sample_couplings_matches_sitewise(self, covering):
-        cs = sample_couplings(covering, 9)
-        assert cs[3] == sample_value(covering.dists[3], 9, 3)
+        cs = _couplings(covering.dists, 9, tuple(range(len(covering.dists))))
+        assert cs[3] == float(covering.dists[3]._from_uniform(float(site_uniforms([9], (3,))[0, 0])))
 
     def test_same_draw_on_overlapping_boxes(self, covering):
         # the same site must contribute the same coupling whatever box asks
@@ -641,7 +640,7 @@ def test_slab_balls_overlap_two_deep(slab):
     # nodes between neighbouring sites carry two couplings, summed in site order
     box = BoxSpec(d=2, length=3.0, center=(0.0, 0.5), n=23)
     v = sample_potential(slab, 4, box)
-    want = _loop_potential(slab, box, lambda i: sample_value(slab.dists[i], 4, i))
+    want = _loop_potential(slab, box, lambda i: float(slab.dists[i]._from_uniform(float(site_uniforms([4], (i,))[0, 0]))))
     assert v.tobytes() == want.tobytes()
     near = slab.sites_near_box(box)
     depth = sum(slab.sites[i].evaluate(box.nodes()) for i in near)

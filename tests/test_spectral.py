@@ -27,6 +27,9 @@ from wegner_lab.spectral import (
     EigensolverError,
     ResonantSampleError,
     SubBox,
+    _eigs_dense,
+    _eigs_lanczos,
+    _eigs_tridiagonal,
     block_sturm_count,
     compressed_indicator_min_eig,
     count_in_interval,
@@ -348,8 +351,8 @@ class TestEigsBelow:
 
     def test_dense_and_tridiagonal_agree(self):
         box, H = _random_operator(1, 80, 5.0, seed=9, amplitude=3.0)
-        a = eigs_below(H, 25.0, method="tridiagonal").eigenvalues
-        b = eigs_below(H, 25.0, method="dense").eigenvalues
+        a = _eigs_tridiagonal(H, 25.0, False).eigenvalues
+        b = _eigs_dense(H, 25.0, False).eigenvalues
         assert a.size == b.size > 0
         np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -366,15 +369,15 @@ class TestEigsBelow:
         # forces the iteration to find both copies
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=31)
         H = build_free_laplacian(box)
-        res = eigs_below(H, 100.0, method="lanczos")
+        res = _eigs_lanczos(H, 100.0, False)
         assert res.method == "lanczos"
-        dense = eigs_below(H, 100.0, method="dense").eigenvalues
+        dense = _eigs_dense(H, 100.0, False).eigenvalues
         assert res.eigenvalues.size == dense.size == 6
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-8)
 
     def test_lanczos_vectors_diagonalize_the_operator(self):
         box, H = _random_operator(2, 18, 2.0, seed=14)
-        res = eigs_below(H, 40.0, method="lanczos", want_vectors=True)
+        res = _eigs_lanczos(H, 40.0, True)
         assert res.eigenvalues.size > 0
         r = H.matrix @ res.eigenvectors - res.eigenvectors * res.eigenvalues
         assert float(np.sqrt((r * r).sum(axis=0)).max()) < 1e-6
@@ -388,20 +391,8 @@ class TestEigsBelow:
     def test_lanczos_certifies_empty_window_without_inertia(self):
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=70)
         H = build_free_laplacian(box)
-        res = eigs_below(H, 10.0, method="lanczos")
+        res = _eigs_lanczos(H, 10.0, False)
         assert res.eigenvalues.size == 0
-
-    def test_tridiagonal_demanded_of_plane_refused(self):
-        box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=5)
-        H = build_free_laplacian(box)
-        with pytest.raises(EigensolverError, match="tridiagonal"):
-            eigs_below(H, 50.0, method="tridiagonal")
-
-    def test_unknown_method_refused(self):
-        box = BoxSpec(d=1, length=1.0, center=(0.5,), n=5)
-        H = build_free_laplacian(box)
-        with pytest.raises(EigensolverError, match="unknown"):
-            eigs_below(H, 50.0, method="shift-invert")
 
 
 class TestSubBox:
