@@ -22,11 +22,18 @@ from wegner_lab.random_model import (
 from wegner_lab.thick_sets import stripes_raster
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="output directory (default: results)")
     ap.add_argument("--quick", action="store_true", help="fewer replicas for a smoke pass")
-    ap.add_argument("--workers", type=int, default=1, help="parallel replica workers")
+    ap.add_argument("--workers", type=_workers, default=1, help="parallel replica workers (at least 1)")
     args = ap.parse_args(argv)
     out = Path(args.out)
     w = args.workers

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ import numpy as np
 
 from .grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum
 from .random_model import (
+    REPLICA_BLOCK,
     AlloyModel,
     ModelError,
     construct_diluted_minorant,
@@ -39,6 +41,7 @@ from .spectral import (
     compressed_indicator_min_eig,
     count_in_interval,
     eigs_below,
+    precount_windows,
     resolvent_block_norm,
 )
 from .thick_sets import RasterSet, WindowSpec, certify_thickness, stripes_raster, window_field_max
@@ -72,22 +75,50 @@ def _timed(driver):
     return timed
 
 
-def _replica(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draw: tuple) -> Any:
-    """query(H, v, *args) for one (key, couplings override) draw: v on the box, H = -Delta + v."""
-    key, override = draw
-    v = sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override)
-    return query(add_potential(build_free_laplacian(box), v), v, *args)
+def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draws: list) -> list:
+    """query(replicas, *args) for one block of (key, couplings override) draws.
+
+    replicas yields (H, v) per draw, each sampled only when reached: v on the
+    box, H = -Delta + v.
+    """
+    potentials = (
+        sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override) for key, override in draws
+    )
+    return query(((add_potential(build_free_laplacian(box), v), v) for v in potentials), *args)
+
+
+def _per_operator(query):
+    """The block query applying query(H, v, *args) to each replica in turn.
+
+    functools.wraps gives the block the query's module and name, which it
+    replaces, so worker processes unpickle the block by that name.
+    """
+
+    @functools.wraps(query)
+    def block(replicas, *args) -> list:
+        return [query(H, v, *args) for H, v in replicas]
+
+    return block
 
 
 def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: list, workers: int, cap=None) -> list:
-    """_replica over the draws, each conditioned below cap; results in draw order."""
-    task = functools.partial(_replica, query, args, model, box, cap)
+    """The block query over the draws, each conditioned below cap; one result per draw, in draw order.
+
+    Serial maps go in blocks of REPLICA_BLOCK draws, aligned with the uniform
+    blocks when the draws are replicas 0, 1, ...; parallel maps cut them to
+    about a quarter of each worker's share, so every worker gets blocks.
+    """
+    task = functools.partial(_replica_block, query, args, model, box, cap)
+    size = REPLICA_BLOCK if workers <= 1 else min(REPLICA_BLOCK, max(1, len(draws) // (4 * workers)))
+    blocks = [draws[i : i + size] for i in range(0, len(draws), size)]
     if workers <= 1:
-        return [task(draw) for draw in draws]
-    pools = _POOL.get()
-    if not pools:
-        pools.append(ProcessPoolExecutor(max_workers=workers))
-    return list(pools[0].map(task, draws, chunksize=max(1, len(draws) // (4 * workers))))
+        results = map(task, blocks)
+    else:
+        pools = _POOL.get()
+        if not pools:
+            pools.append(ProcessPoolExecutor(max_workers=workers))
+        results = pools[0].map(task, blocks)
+    return [result for block in results for result in block]
 
 
 def _draws(seed: int, replicas: int) -> list[tuple[Any, float | None]]:
@@ -117,9 +148,11 @@ def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None,
 # eigenvalue counting in random boxes (the volume-law estimate)
 
 
-def _window_counts(H, v, windows) -> tuple[int, ...]:
-    """Eigenvalue counts of one draw, one per closed (lo, hi) window."""
-    return tuple(count_in_interval(H, lo, hi) for lo, hi in windows)
+def _window_counts(replicas, windows) -> list[tuple[int, ...]]:
+    """Eigenvalue counts of a block of draws, one per closed (lo, hi) window."""
+    operators = [H for H, _ in replicas]
+    precount_windows(operators, windows)
+    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in operators]
 
 
 def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float) -> float:
@@ -131,8 +164,8 @@ def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float
     """
     shift = float(np.mean(mean_potential(model, box)))
     spec = discrete_dirichlet_spectrum(box)
-    usable = [lam for lam in spec if lam + shift + eps_max <= e_ref]
-    if not usable:
+    usable = spec[spec + shift + eps_max <= e_ref]
+    if not usable.size:
         raise PreconditionError(f"no free eigenvalue fits below {e_ref} with window {eps_max}")
     return float(usable[-1] + shift)
 
@@ -251,7 +284,7 @@ def estimate_ids(
     spec = discrete_dirichlet_spectrum(box)
     seam_ok = True
     for E, got in zip(E_sorted, free):
-        want = sum(1 for lam in spec if lam <= E + 1e-12 * max(1.0, E))
+        want = int(np.count_nonzero(spec <= E + 1e-12 * max(1.0, E)))
         rep.records.append(record(E, "ids_free_seam", got / vol, None, 1))
         seam_ok = seam_ok and got == want
     rep.verdicts["free_field_seam"] = PASS if seam_ok else FAIL
@@ -280,10 +313,8 @@ def _candidate_centers(model: AlloyModel, L: float, kappa: float) -> list[tuple[
     reach = int(math.floor(model.extent - L / 2 - model.max_radius))
     if reach < 0:
         return []
-    import itertools as _it
-
     out = []
-    for tup in _it.product(range(-reach, reach + 1), repeat=model.d):
+    for tup in itertools.product(range(-reach, reach + 1), repeat=model.d):
         x = tuple(float(v) for v in tup)
         lo = tuple(v - L / 2 for v in x)
         peak = window_field_max(env, lo, (L,) * model.d)
@@ -381,6 +412,7 @@ def run_stubborn(
     return rep
 
 
+@_per_operator
 def _untouched_count(H, v, lo, hi) -> tuple[bool, int]:
     """Whether one draw leaves the box free of potential, and its count in [lo, hi]."""
     return float(np.abs(v).max()) == 0.0, count_in_interval(H, lo, hi)
@@ -605,6 +637,7 @@ def run_uncertainty(
 # initial-scale resolvent decay
 
 
+@_per_operator
 def _end_to_end_norm(H, v, z, block_a, block_b) -> float | None:
     """|1_A (H - z)^{-1} 1_B| of one draw, or None when z is resonant for it."""
     try:
@@ -690,6 +723,7 @@ def run_ise(
 # bottom of the spectrum
 
 
+@_per_operator
 def _ground_state(H, v, e_cap) -> float:
     """The lowest eigenvalue of one draw, which must lie at or below e_cap."""
     ev = eigs_below(H, e_cap).eigenvalues
@@ -780,6 +814,7 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
     return -slope
 
 
+@_per_operator
 def _probe(H, v, E_lo, E_hi) -> tuple[list[float], list[float]]:
     """Participation ratios and shell decay rates of one draw's states in [E_lo, E_hi]."""
     res = eigs_below(H, E_hi, want_vectors=True)

@@ -171,6 +171,12 @@ class DiscreteHamiltonian:
         # d=1 slices hold one unknown each: their diagonal and couplings are the bands
         return self._blocks.diag[:, 0], self._blocks.coupling
 
+    @functools.cached_property
+    def below(self) -> dict[float, int]:
+        """Counts of eigenvalues strictly below a shift, found ahead of the
+        queries that read them (spectral.precount_windows)."""
+        return {}
+
     @property
     def is_tridiagonal(self) -> bool:
         return self.box.d == 1 and self.box.bc != "periodic"

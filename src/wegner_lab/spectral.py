@@ -4,7 +4,13 @@ Counting is exact integer arithmetic on matrix inertia, so interval counts
 never depend on eigensolver convergence.  Which count runs depends on the box:
 
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
-  tridiagonal bands (`sturm_count`).
+  tridiagonal bands (`sturm_count`).  A block of replicas shares the free
+  off-diagonal, so `precount_windows` counts all of its operators at
+  every window end at once: each (operator, shift) pair is a lane, and from
+  LANE_CROSSOVER lanes on one numpy recurrence runs over all of them, one
+  step per unknown, with the IEEE operations of the scalar loop in the same
+  order.  Each operator keeps those counts (`DiscreteHamiltonian.below`),
+  and count_in_interval reads them instead of running the loop again.
 - d>=2 with Dirichlet or Neumann boundary: the block Sturm count
   (`block_sturm_count`) on slices along the first axis, exact at every size
   whose slice (n^(d-1) unknowns) fits INERTIA_DENSE_LIMIT, so every d=2 box
@@ -12,6 +18,9 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   in both slice orders raises ResonantSampleError instead of a count.
 - periodic boxes: a dense symmetric-indefinite (LDL) factorization up to
   INERTIA_DENSE_LIMIT unknowns, and no exact count beyond.
+
+A closed window [lo, hi] is counted at its ends nudged outward by a relative
+1e-12 (`_closed_window`), by count_in_interval and precount_windows alike.
 
 The iterative eigensolver cross-checks its accepted Ritz count against the
 inertia count whenever one is available and refuses to return silently short.
@@ -23,6 +32,7 @@ counter-based key, never from global state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,14 @@ from .thick_sets import RasterSet
 INERTIA_DENSE_LIMIT = 4096  # largest matrix (a periodic operator or a Schur block) factored densely
 SCHUR_PIVOT_TOL = 1e-10  # relative to the operator scale: a Schur block this close to singular is refused
 _LANCZOS_KEY = 12345
+# (operator, shift) lanes from which counting a block's window ends at once,
+# in one numpy Sturm recurrence over all lanes, beats the Python-float loop
+# that count_in_interval runs per lane.  Both costs grow with the n unknowns,
+# so the crossover is a lane count: on covering-model operators with n = 95,
+# 255 and 511 (one core of a 2-vCPU x86-64 host, one BLAS thread) the two met
+# at 48 to 72 lanes; at n = 511, 48 lanes took 3.1 ms looped and 4.9 ms at
+# once, 96 lanes 6.0 and 4.0 ms, and 288 lanes 22.4 and 7.0 ms.
+LANE_CROSSOVER = 64
 
 
 class EigensolverError(RuntimeError):
@@ -67,16 +85,50 @@ def _operator_scale(H: DiscreteHamiltonian) -> float:
     return float(max(rows.max(), 1.0))
 
 
-def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Eigenvalues of the symmetric tridiagonal matrix strictly below x.
+def _sturm_lanes(diag: np.ndarray, o2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The recurrence of sturm_count's loop on every (column, shift) lane at once: (R, S) counts.
 
-    The recurrence runs on Python floats, which are much cheaper to index
-    and combine than numpy scalars; the IEEE operations and their order are
-    those of the plain recurrence q_i = (d_i - x) - o_i*o_i / q_{i-1}.
+    One step per unknown, each a few ufuncs over the R x S lanes; the IEEE
+    operations per lane are the loop's, in its order, so the counts are its
+    counts.
     """
-    x = float(x)
-    d = np.asarray(diag, dtype=float).tolist()
+    lanes = (diag.shape[1], shifts.shape[0])
+    q = np.empty(lanes)
+    ratio = np.empty(lanes)
+    negative = np.empty(lanes, dtype=bool)
+    count = np.zeros(lanes, dtype=np.int64)
+    with np.errstate(over="ignore"):  # a 1e-300 pivot can overflow the next quotient, as in the loop
+        for i, di in enumerate(diag):
+            if i:
+                np.divide(o2[i - 1], q, out=ratio)
+            np.subtract(di[:, np.newaxis], shifts, out=q)
+            if i:
+                q -= ratio
+            if not q.all():
+                np.copyto(q, 1e-300, where=q == 0.0)  # a zero pivot, as in the loop
+            np.less(q, 0.0, out=negative)
+            count += negative
+    return count
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, x: float | Sequence[float]) -> int | np.ndarray:
+    """Eigenvalues strictly below x of symmetric tridiagonal matrices.
+
+    The Sturm sequence of Barth, Martin and Wilkinson (1967): the count of
+    negative q_i in q_1 = d_1 - x, q_i = (d_i - x) - o_i*o_i / q_{i-1}, a zero
+    q_i taken as 1e-300.  With a 1-d diag and a scalar x the answer is an int,
+    from a loop on Python floats.  A 2-d diag holds one diagonal per column (all
+    sharing off) and x is then a sequence of shifts: the answer is the (R, S)
+    array of counts, diagonal by shift, from one numpy recurrence over all
+    (column, shift) lanes.
+    """
     off = np.asarray(off, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    if diag.ndim == 2:
+        return _sturm_lanes(diag, off * off, np.asarray(x, dtype=float).reshape(-1))
+    # Python floats are much cheaper to index and combine than numpy scalars
+    x = float(x)
+    d = diag.tolist()
     count = 0
     q = d[0] - x
     if q == 0.0:
@@ -163,6 +215,8 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
     nearly singular, and raises ResonantSampleError when both orders are.
     """
     if H.is_tridiagonal:
+        if x in H.below:
+            return H.below[x]
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
     if H.is_block_tridiagonal:
@@ -182,31 +236,47 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
     return None
 
 
-def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
-    """Exact count of eigenvalues in the closed interval [lo, hi].
-
-    Closed endpoints are honored by nudging the inertia evaluation points
+def _closed_window(lo: float, hi: float) -> tuple[float, float]:
+    """The inertia points of the closed window [lo, hi]: each end nudged
     outward by a relative 1e-12, far below eigenvalue spacing at the scales
-    used here.
-    """
+    used here."""
+    delta = 1e-12 * max(1.0, abs(hi), abs(lo) if math.isfinite(lo) else 0.0)
+    return lo - delta, hi + delta
+
+
+def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
+    """Exact count of eigenvalues in the closed interval [lo, hi]."""
     if hi < lo:
         return 0
-    delta = 1e-12 * max(1.0, abs(hi), abs(lo) if math.isfinite(lo) else 0.0)
-    n_hi = inertia_count(H, hi + delta)
-    n_lo = 0 if lo == -math.inf else inertia_count(H, lo - delta)
+    x_lo, x_hi = _closed_window(lo, hi)
+    n_hi = inertia_count(H, x_hi)
+    n_lo = 0 if lo == -math.inf else inertia_count(H, x_lo)
     if n_hi is not None and n_lo is not None:
         return n_hi - n_lo
-    ev = eigs_below(H, hi + delta).eigenvalues
-    return int(np.count_nonzero(ev >= lo - delta))
+    ev = eigs_below(H, x_hi).eigenvalues
+    return int(np.count_nonzero(ev >= x_lo))
+
+
+def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence[tuple[float, float]]) -> None:
+    """Count every operator below the ends of every window at once, for count_in_interval to read.
+
+    For d=1 operators with an open boundary, all on one box: each
+    (operator, window end) pair is a lane, and from LANE_CROSSOVER lanes on
+    one sturm_count runs them all and each operator keeps its counts in
+    `below`.  Fewer lanes, or other operators, are left to count_in_interval.
+    """
+    ends = [_closed_window(lo, hi) for lo, hi in windows if hi >= lo]
+    shifts = sorted({x for end in ends for x in end if x != -math.inf})
+    if not operators or not operators[0].is_tridiagonal or len(operators) * len(shifts) < LANE_CROSSOVER:
+        return
+    diag = np.column_stack([H.tridiagonal()[0] for H in operators])
+    below = sturm_count(diag, operators[0].tridiagonal()[1], shifts)
+    for H, counts in zip(operators, below.tolist()):
+        H.below.update(zip(shifts, counts))
 
 
 def _eigs_tridiagonal(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
     diag, off = H.tridiagonal()
-    n = diag.shape[0]
-    if n == 1:
-        ev = diag[diag <= e_max]
-        vec = np.ones((1, ev.shape[0])) if want_vectors else None
-        return EigenResult(ev.copy(), vec, 0.0, "tridiagonal")
     floor = float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
     if want_vectors:
         ev, vecs = sla.eigh_tridiagonal(diag, off, select="v", select_range=(floor, e_max))
@@ -252,7 +322,7 @@ def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> E
     alphas: list[float] = []
     betas: list[float] = []
     max_steps = min(n, 600)
-    want_count = inertia_count(H, e_max + 1e-12 * max(1.0, abs(e_max)))
+    want_count = inertia_count(H, _closed_window(-math.inf, e_max)[1])
     theta = S = None
     m = 0
     exhausted = False
@@ -406,7 +476,7 @@ def resolvent_block_norm(
         raise ResonantSampleError("factorization produced non-finite entries at this shift")
     if M.size == 0:
         return 0.0
-    return float(sla.svdvals(M)[0]) if min(M.shape) > 0 else 0.0
+    return float(sla.svdvals(M)[0])
 
 
 # ---------------------------------------------------------------------------

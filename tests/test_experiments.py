@@ -518,6 +518,12 @@ class TestReportSurface:
         ("run_spectral_minimum", "covering", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=70)),
         ("localisation_probe", "covering", dict(E_lo=0.0, E_hi=2.0, L=8.0, seed=0, replicas=4)),
         ("run_stubborn_exponential", "geometric", dict(L=4.0, eigen_index=3, seed=0, replicas=3)),
+        # one worker maps blocks of 64 and 1 (64, 64 and 1) replicas: the full
+        # blocks count in lanes, the one-replica tails in the scalar loop; two
+        # workers map blocks of 8 (16) replicas, which count in the loop (lanes)
+        ("run_wegner", "covering", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=65)),
+        ("estimate_ids", "covering", dict(L=4.0, E_list=(2.0, 5.0, 10.0), seed=5, replicas=129)),
+        ("run_ise", "covering", dict(L_list=(4.0,), seed=5, replicas=65)),
     ],
 )
 def test_replica_drivers_are_worker_count_invariant(driver, fixture, kw, request):

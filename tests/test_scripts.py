@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 BATTERY_JOBS = (
@@ -46,3 +48,11 @@ def test_quick_battery_writes_every_report(tmp_path):
         for name in ("report.json", "records.csv"):
             serial, two = (tmp_path / run / job / name for run in ("serial", "two"))
             assert two.read_bytes() == serial.read_bytes(), f"{job}/{name}"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_battery_refuses_fewer_than_one_worker(tmp_path, workers):
+    proc = _battery(tmp_path / "out", "--workers", workers)
+    assert proc.returncode == 2
+    assert "--workers: must be at least 1" in proc.stderr
+    assert not (tmp_path / "out").exists()

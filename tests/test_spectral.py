@@ -7,6 +7,7 @@ iterative path is forced explicitly so method dispatch cannot hide it.
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wegner_lab import spectral
 from wegner_lab.grids import (
     BoxSpec,
     add_potential,
@@ -24,6 +26,7 @@ from wegner_lab.grids import (
 from wegner_lab.random_model import load_model_config, sample_potential
 from wegner_lab.spectral import (
     INERTIA_DENSE_LIMIT,
+    LANE_CROSSOVER,
     EigensolverError,
     ResonantSampleError,
     SubBox,
@@ -35,6 +38,7 @@ from wegner_lab.spectral import (
     count_in_interval,
     eigs_below,
     inertia_count,
+    precount_windows,
     resolvent_block_norm,
     sturm_count,
 )
@@ -134,6 +138,82 @@ class TestSturmFloatLoop:
         assert H.tridiagonal()[0] is diag
         for x in (0.0, 10.0, 200.0, 3000.0):
             assert inertia_count(H, x) == _ndarray_sturm(diag, off, x)
+
+
+@st.composite
+def _lane_problem(draw):
+    """Diagonals (one per column) sharing an off-diagonal, and shifts on their
+    eigenvalues, on eigenvalues of their leading sub-matrices (zero pivots)
+    and at diag[0] (a zero first pivot)."""
+    n = draw(st.integers(2, 64))
+    R = draw(st.integers(1, 6))
+    S = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integers hit pivots of exactly zero, and decouple at zero couplings
+        off = rng.integers(-1, 2, size=n - 1).astype(float)
+        diag = rng.integers(-2, 4, size=(n, R)).astype(float)
+    else:
+        off = rng.normal(size=n - 1)
+        diag = rng.normal(scale=3.0, size=(n, R))
+    candidates = list(rng.uniform(-6.0, 6.0, size=4))
+    for r in range(R):
+        T = np.diag(diag[:, r]) + np.diag(off, 1) + np.diag(off, -1)
+        k = int(rng.integers(1, n + 1))
+        candidates += list(np.linalg.eigvalsh(T[:k, :k])) + list(np.linalg.eigvalsh(T)) + [diag[0, r]]
+    return diag, off, rng.choice(np.array(candidates), size=S)
+
+
+def _loop_counts(diag, off, shifts):
+    return np.array([[sturm_count(diag[:, r], off, x) for x in shifts] for r in range(diag.shape[1])])
+
+
+class TestSturmLanes:
+    @given(_lane_problem())
+    @settings(max_examples=200, deadline=None)
+    def test_lanes_match_the_loop_and_the_dense_count(self, problem):
+        diag, off, shifts = problem
+        lanes = spectral._sturm_lanes(diag, off * off, shifts)
+        assert lanes.shape == (diag.shape[1], shifts.shape[0])
+        assert np.array_equal(lanes, _loop_counts(diag, off, shifts))
+        for r in range(diag.shape[1]):
+            ev = np.linalg.eigvalsh(np.diag(diag[:, r]) + np.diag(off, 1) + np.diag(off, -1))
+            for s, x in enumerate(shifts):
+                if np.min(np.abs(ev - x)) > 1e-9 * max(1.0, abs(x)):
+                    assert lanes[r, s] == int(np.count_nonzero(ev < x))
+
+    @given(_lane_problem(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_ahead_match_count_in_interval(self, problem, data):
+        diag, _, shifts = problem
+        n, R = diag.shape
+        # unit spacing: couplings -1 and integer diagonals keep exact zero pivots
+        box = BoxSpec(d=1, length=float(n + 1), center=(0.0,), n=n)
+        free = build_free_laplacian(box)
+        ends = st.sampled_from(sorted(set(shifts.tolist())))
+        windows = data.draw(st.lists(st.tuples(st.one_of(st.just(-math.inf), ends), ends), min_size=1, max_size=6))
+        want = [[count_in_interval(add_potential(free, diag[:, r]), lo, hi) for lo, hi in windows] for r in range(R)]
+        # the lanes, and the loop below the crossover
+        for crossover in (1, LANE_CROSSOVER):
+            operators = [add_potential(free, diag[:, r]) for r in range(R)]
+            with mock.patch.object(spectral, "LANE_CROSSOVER", crossover):
+                precount_windows(operators, windows)
+            assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in operators] == want
+
+    @pytest.mark.parametrize("R, in_lanes", [(LANE_CROSSOVER - 1, False), (LANE_CROSSOVER, True)])
+    def test_both_sides_of_the_crossover(self, R, in_lanes, monkeypatch):
+        calls = []
+        real = spectral._sturm_lanes
+        monkeypatch.setattr(spectral, "_sturm_lanes", lambda *a: calls.append(1) or real(*a))
+        free = build_free_laplacian(BoxSpec(d=1, length=5.0, center=(0.0,), n=80))
+        V = np.random.default_rng(R).uniform(0.0, 20.0, size=(80, R))
+        operators = [add_potential(free, v) for v in V.T]
+        # one window end: R lanes
+        want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
+        precount_windows(operators, [(-math.inf, 40.0)])
+        assert len(calls) == in_lanes
+        assert all(bool(H.below) == in_lanes for H in operators)
+        assert [count_in_interval(H, -math.inf, 40.0) for H in operators] == want
 
 
 class TestInertiaCount:
