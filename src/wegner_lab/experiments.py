@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum
+from .grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
     REPLICA_BLOCK,
     AlloyModel,
@@ -459,14 +459,10 @@ def run_stubborn_exponential(
     rep.fitted["center"] = list(x0)
     rep.fitted["energy"] = E
     rep.fitted["window_halfwidth"] = width
-    cont = [
-        (math.pi / L) ** 2 * sum(k * k for k in tup)
-        for tup in np.ndindex(*((eigen_index + 3,) * model.d))
-        if all(k >= 1 for k in tup)
-    ]
-    cont.sort()
-    if eigen_index < len(cont):
-        rep.fitted["continuum_deviation"] = abs(E - cont[eigen_index])
+    # the levels (1, ..., 1, k), k <= eigen_index + 1, lie under the cap with a unit to spare for rounding
+    cap = (math.pi / L) ** 2 * (model.d + (eigen_index + 1) ** 2)
+    cont = [e for e, mult in free_dirichlet_spectrum(L, model.d, cap) for _ in range(mult)]
+    rep.fitted["continuum_deviation"] = abs(E - cont[eigen_index])
 
     draws = _draws(seed, replicas) + [((seed, 0), model.m_plus)]
     results = _map_replicas(_untouched_count, (E - width, E + width), model, box, draws, workers)

@@ -3,13 +3,12 @@
 Second-order central differences on a cube of side L centered at x.
 Dirichlet grids exclude the boundary (spacing L/(n+1)), Neumann grids put
 nodes at cell centers with mirror ghosts (spacing L/n), periodic grids wrap
-(spacing L/n).  The free stencil is a sparse symmetric matrix, assembled
-once per box and shared read-only; symmetry is exact by construction, not up
-to tolerance.  Adding a potential keeps the parent operator and the added
-diagonal instead of a new matrix: d=1 open-boundary operators expose their
-tridiagonal bands directly, d>=2 open-boundary operators their blocks along
-the first axis, and the sparse matrix is summed only when a solver asks for
-it, with the same floating-point additions an eager sum does.
+(spacing L/n).  An operator is two read-only parts: the box's stencil (the
+off-diagonal part of -Delta, exactly symmetric by construction, built once
+per box and shared by every operator on it) and its own full diagonal, to
+which add_potential adds.  Bands (d=1) and first-axis blocks (d>=2) of an
+open box are read off the two parts; the sparse matrix is summed only when a
+solver asks for it, with the same floating-point additions an eager sum does.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ Bc = Literal["dirichlet", "neumann", "periodic"]
 
 MAX_DIMENSION = 3
 DOF_BUDGET = 2_000_000
-DENSE_LIMIT = 2000  # dense eigensolves above this many dof are refused
 FREE_CACHE_SIZE = 32  # distinct boxes whose free stencil is kept
 
 
@@ -92,8 +90,10 @@ class BoxSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
+    """a, an array or a sparse matrix, with its arrays made read-only."""
+    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        arr.flags.writeable = False
     return a
 
 
@@ -114,62 +114,56 @@ class BlockTridiagonal:
         return BlockTridiagonal(self.inner, self.diag[::-1], self.coupling[::-1])
 
 
-def _slice_blocks(a: sp.csr_matrix, n: int) -> BlockTridiagonal:
-    """Slice a leaf matrix, refusing one the slices would not reproduce exactly."""
-    m = a.shape[0] // n
-    first = a[:m, :m]
-    inner = (sp.triu(first, 1) + sp.tril(first, -1)).tocsr()
-    blocks = BlockTridiagonal(inner, a.diagonal().reshape(n, m), a.diagonal(k=-m)[::m].copy())
-    rebuilt = (
-        sp.kron(sp.identity(n), inner)
-        + sp.diags(blocks.diag.ravel())
-        + sp.kron(sp.diags([blocks.coupling, blocks.coupling], [-1, 1]), sp.identity(m))
-    )
-    if (rebuilt != a).nnz:
-        raise GridError("operator is not block tridiagonal along its first axis")
-    for arr in (inner.data, inner.indices, inner.indptr, blocks.diag, blocks.coupling):
-        _read_only(arr)
-    return blocks
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """The off-diagonal part of every operator on a box, shared read-only.
+
+    `off` is symmetric with nothing on its diagonal.  On an open box it is
+    also cut into the first-axis slices of BlockTridiagonal, `inner` and
+    `coupling` (in d=1, the off-diagonal band); periodic boxes have none.
+    """
+
+    box: BoxSpec
+    off: sp.csr_matrix
+    inner: sp.csr_matrix | None
+    coupling: np.ndarray | None
+
+
+def _stencil(box: BoxSpec, off: sp.csr_matrix) -> Stencil:
+    """The box's stencil, refusing first-axis slices that would not rebuild off exactly."""
+    inner = coupling = None
+    if box.bc != "periodic":
+        m = box.ndof // box.n
+        inner = _read_only(off[:m, :m].tocsr())
+        coupling = _read_only(off.diagonal(k=-m)[::m].copy())
+        rebuilt = sp.kron(sp.identity(box.n), inner) + sp.kron(sp.diags([coupling, coupling], [-1, 1]), sp.identity(m))
+        if (rebuilt != off).nnz:
+            raise GridError("operator is not block tridiagonal along its first axis")
+    return Stencil(box, _read_only(off), inner, coupling)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
-    """-Laplacian + diag(potential) on a BoxSpec grid.
+    """-Laplacian + diag(potential) on a BoxSpec grid: the box's shared
+    stencil plus the operator's own full diagonal, both read-only."""
 
-    A leaf operator holds its sparse matrix in `leaf_matrix`.  One made by
-    add_potential holds its parent and the added diagonal instead, and
-    derives its bands, its blocks and its matrix from them on first use.
-    """
+    stencil: Stencil
+    diag: np.ndarray
 
-    box: BoxSpec
-    potential: np.ndarray
-    leaf_matrix: sp.csr_matrix | None = None
-    parent: DiscreteHamiltonian | None = None
-    added: np.ndarray | None = None
+    @property
+    def box(self) -> BoxSpec:
+        return self.stencil.box
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        if self.leaf_matrix is not None:
-            return self.leaf_matrix
-        assert self.parent is not None and self.added is not None
-        return (self.parent.matrix + sp.diags(self.added, format="csr")).tocsr()
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        """The sparse operator, summed on first use; its arrays are read-only."""
+        return _read_only((self.stencil.off + sp.diags(self.diag, format="csr")).tocsr())
 
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) bands; only meaningful for d=1 non-periodic."""
         if not self.is_tridiagonal:
             raise GridError("tridiagonal bands exist only for d=1 with open boundary")
-        return self._bands
-
-    @functools.cached_property
-    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
-        # d=1 slices hold one unknown each: their diagonal and couplings are the bands
-        return self._blocks.diag[:, 0], self._blocks.coupling
+        return self.diag, self.stencil.coupling
 
     @functools.cached_property
     def below(self) -> dict[float, int]:
@@ -189,11 +183,7 @@ class DiscreteHamiltonian:
 
     @functools.cached_property
     def _blocks(self) -> BlockTridiagonal:
-        if self.parent is not None:
-            # the sparse sum makes these same additions on the diagonal
-            b = self.parent._blocks
-            return BlockTridiagonal(b.inner, _read_only(b.diag + self.added.reshape(b.diag.shape)), b.coupling)
-        return _slice_blocks(self.matrix, self.box.n)
+        return BlockTridiagonal(self.stencil.inner, self.diag.reshape(self.box.n, -1), self.stencil.coupling)
 
     @property
     def is_block_tridiagonal(self) -> bool:
@@ -231,28 +221,27 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
             term = sp.kron(term, f, format="csr")
         total = term if total is None else total + term
     assert total is not None
-    total = total.tocsr()
-    for a in (total.data, total.indices, total.indptr):
-        _read_only(a)
-    return DiscreteHamiltonian(box=box, potential=_read_only(np.zeros(box.ndof)), leaf_matrix=total)
+    free = total.diagonal()
+    # the sparse difference drops the diagonal entries it zeroes
+    return DiscreteHamiltonian(_stencil(box, (total - sp.diags(free, format="csr")).tocsr()), _read_only(free))
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:
-    """Return a new operator with diag(v) added; the input is left untouched."""
-    v = np.array(v, dtype=float).ravel()  # a copy, so later writes by the caller cannot reach it
+    """Return the operator with diag(v) added, on the same stencil; the input is left untouched."""
+    v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != ham.box.ndof:
         raise GridError(f"potential length {v.shape[0]} does not match {ham.box.ndof} dof")
     if not np.all(np.isfinite(v)):
         raise GridError("potential contains non-finite entries")
-    return DiscreteHamiltonian(box=ham.box, potential=ham.potential + v, parent=ham, added=_read_only(v))
+    return DiscreteHamiltonian(ham.stencil, _read_only(ham.diag + v))
 
 
 def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
     """Test seam: a purely diagonal operator on the box grid (free part zeroed)."""
-    diag = np.asarray(diag, dtype=float).ravel()
+    diag = np.array(diag, dtype=float).ravel()
     if diag.shape[0] != box.ndof:
         raise GridError("diagonal length does not match the grid")
-    return DiscreteHamiltonian(box=box, potential=diag.copy(), leaf_matrix=sp.diags(diag, format="csr").tocsr())
+    return DiscreteHamiltonian(_stencil(box, sp.csr_matrix((box.ndof, box.ndof))), _read_only(diag))
 
 
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:
@@ -265,7 +254,7 @@ def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float,
         raise GridError(f"dimension {d} unsupported")
     if not (L > 0 and math.isfinite(L)):
         raise GridError("box length must be positive")
-    scale = math.pi * math.pi / (L * L)
+    scale = (math.pi / L) ** 2
     cap = E_max / scale
     if cap < d:  # smallest integer sum of d squares is d
         return []

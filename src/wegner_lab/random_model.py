@@ -43,6 +43,7 @@ from .thick_sets import (
     rasterize_intervals,
     smith_volterra_spec,
     stripes_raster,
+    window_counts,
 )
 
 
@@ -429,7 +430,7 @@ def empirical_modulus(
     return p, se, best_lo
 
 
-def modulus_s(dists: Sequence[Distribution], eps: float, grid_points: int = 4096) -> float:
+def modulus_s(dists: Sequence[Distribution], eps: float) -> float:
     """Worst-case mass any single coupling puts into a closed window of length eps.
 
     s(eps) = sup over sites and window centers E of mu_j([E - eps/2, E + eps/2]).
@@ -448,7 +449,7 @@ def modulus_s(dists: Sequence[Distribution], eps: float, grid_points: int = 4096
             continue
         lo, hi = dist.min_support, dist.max_support
         anchors = np.array([lo + eps / 2, hi - eps / 2])
-        grid = np.linspace(lo - eps / 2, hi + eps / 2, grid_points)
+        grid = np.linspace(lo - eps / 2, hi + eps / 2, 4096)
         best = 0.0
         for e in np.concatenate([anchors, grid]):
             best = max(best, dist.interval_mass(e - eps / 2, e + eps / 2))
@@ -680,9 +681,7 @@ def registration_geometry(model: AlloyModel, margin: float = 0.0) -> RasterGeome
 def potential_envelope(model: AlloyModel, margin: float = 0.0) -> GridField:
     """U = sum_j u_j sampled at raster cell centers over the registration hull."""
     geo = registration_geometry(model, margin)
-    axes = [geo.axis_centers(k) for k in range(model.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = geo.centers()
     vals = np.zeros(pts.shape[0])
     for s in model.sites:
         vals += s.evaluate(pts)
@@ -700,7 +699,7 @@ class PiCertificate:
     checked_cells: int
 
 
-def verify_Pi(model: AlloyModel, slack: float = 1e-12) -> PiCertificate:
+def verify_Pi(model: AlloyModel) -> PiCertificate:
     """Certify the covering claim: sum_j u_j >= 1 on S, and S is (gamma, a)-thick.
 
     The pointwise bound is checked at every raster cell center of S inside
@@ -710,13 +709,10 @@ def verify_Pi(model: AlloyModel, slack: float = 1e-12) -> PiCertificate:
     if model.claimed_set is None or model.claimed_gamma is None or model.claimed_window is None:
         raise ModelError("model declares no thick-set claim to verify")
     env = potential_envelope(model, margin=model.max_radius)
-    geo = env.geometry
-    axes = [geo.axis_centers(k) for k in range(model.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = env.geometry.centers()
     member = model.claimed_set.contains(pts)
     values = env.values.ravel()
-    bad = member & (values < 1.0 - slack)
+    bad = member & (values < 1.0 - 1e-12)
     first: tuple[float, ...] | None = None
     if np.any(bad):
         first = tuple(float(v) for v in pts[int(np.argmax(bad))])
@@ -741,28 +737,6 @@ class NoPiCertificate:
     bound_ok: bool
     witnesses: dict[tuple[float, tuple[float, ...]], tuple[float, ...]]
     missing: tuple[tuple[float, tuple[float, ...]], ...]
-
-
-def _find_empty_window(S: RasterSet, a: Sequence[float]) -> tuple[float, ...] | None:
-    """First cell-aligned anchor (C order) whose window misses S entirely."""
-    geo = S.geometry
-    counts = S.cells.astype(np.int64)
-    for axis in range(S.d):
-        lo, hi = geo._axis_window(axis, geo.origin[axis], a[axis])
-        q = hi - lo + 1
-        m = geo.shape[axis]
-        if q > m:
-            return None
-        work = np.moveaxis(counts, axis, 0)
-        c = np.cumsum(work, axis=0)
-        zero = np.zeros((1,) + c.shape[1:], dtype=c.dtype)
-        c = np.concatenate([zero, c], axis=0)
-        counts = np.moveaxis(c[q:] - c[:-q] if q < m else c[m:] - c[:1], 0, axis)
-    hits = np.argwhere(counts == 0)
-    if hits.size == 0:
-        return None
-    k = hits[0]
-    return tuple(geo.origin[axis] + k[axis] / geo.resolution[axis] for axis in range(S.d))
 
 
 def verify_NoPi(
@@ -791,11 +765,12 @@ def verify_NoPi(
         s_k = level_set(env, kappa)
         for a in a_list:
             key = (float(kappa), tuple(float(v) for v in a))
-            spot = _find_empty_window(s_k, a)
-            if spot is None:
+            empty = np.argwhere(window_counts(s_k, a) == 0)  # anchors in C order
+            if empty.size == 0:
                 missing.append(key)
             else:
-                witnesses[key] = spot
+                geo = s_k.geometry
+                witnesses[key] = tuple(o + int(k) / r for o, k, r in zip(geo.origin, empty[0], geo.resolution))
     return NoPiCertificate(
         passed=bool(bound_ok and not missing),
         sup_u=sup_u,
@@ -841,12 +816,13 @@ class DilutedMinorant:
         return w
 
 
-def _threshold_bisection(dists: Sequence[Distribution], tol: float = 1e-6) -> float:
+def _threshold_bisection(dists: Sequence[Distribution]) -> float:
     """Smallest coupling-window length with positive but non-unit modulus.
 
     Bisection on the boundary of {eps : s(eps) > 0}; the returned value sits
-    within tol above the infimum.
+    within tol = 1e-6 above the infimum.
     """
+    tol = 1e-6
     span = max(d.max_support for d in dists) - min(d.min_support for d in dists)
     if span <= 0:
         raise ConstructionError("degenerate couplings admit no dilution threshold")
@@ -914,9 +890,7 @@ def construct_diluted_minorant(
             resolution=(res,) * model.d,
             periodic=False,
         )
-        axes = [geo.axis_centers(k) for k in range(model.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = geo.centers()
         best: tuple[int, int] | None = None  # (cell count, site index), maximizing count
         best_mask: np.ndarray | None = None
         for offs in sorted(itertools.product(zs, repeat=model.d)):

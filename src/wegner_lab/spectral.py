@@ -40,9 +40,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import DENSE_LIMIT, BlockTridiagonal, BoxSpec, DiscreteHamiltonian
+from .grids import BlockTridiagonal, BoxSpec, DiscreteHamiltonian
 from .thick_sets import RasterSet
 
+DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs above it
 INERTIA_DENSE_LIMIT = 4096  # largest matrix (a periodic operator or a Schur block) factored densely
 SCHUR_PIVOT_TOL = 1e-10  # relative to the operator scale: a Schur block this close to singular is refused
 _LANCZOS_KEY = 12345
@@ -74,12 +75,12 @@ class EigenResult:
 
 def _operator_scale(H: DiscreteHamiltonian) -> float:
     # 1-norm of a symmetric matrix (its largest absolute row sum) dominates its
-    # spectral radius; the first-axis slices give it without summing the sparse matrix
+    # spectral radius; the stencil's first-axis slices give it without summing the sparse matrix
     if H.box.bc == "periodic":
         return float(max(abs(H.matrix).sum(axis=0).max(), 1.0))
-    b = H._blocks
-    rows = np.abs(b.diag) + np.asarray(abs(b.inner).sum(axis=1)).ravel()
-    side = np.abs(b.coupling)[:, np.newaxis]
+    inner = H.stencil.inner
+    rows = np.abs(H.diag.reshape(-1, inner.shape[0])) + np.asarray(abs(inner).sum(axis=1)).ravel()
+    side = np.abs(H.stencil.coupling)[:, np.newaxis]
     rows[1:] += side
     rows[:-1] += side
     return float(max(rows.max(), 1.0))
@@ -327,7 +328,7 @@ def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> E
     m = 0
     exhausted = False
     for step in range(max_steps):
-        w = H.matvec(V[:, step])
+        w = H.matrix @ V[:, step]
         if step > 0:
             w -= betas[step - 1] * V[:, step - 1]
         alpha = float(V[:, step] @ w)
@@ -431,13 +432,13 @@ class SubBox:
         return int(np.prod([h - l + 1 for l, h in zip(self.lo, self.hi)]))
 
 
-def _check_off_resonance(H: DiscreteHamiltonian, z: float, gap: float = 1e-10) -> None:
-    below = inertia_count(H, z - gap)
-    above = inertia_count(H, z + gap)
+def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
+    below = inertia_count(H, z - 1e-10)
+    above = inertia_count(H, z + 1e-10)
     if below is None or above is None:
         return  # no exact count at this size; the factorization itself will object
     if below != above:
-        raise ResonantSampleError(f"eigenvalue within {gap} of shift {z}")
+        raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
 
 
 def resolvent_block_norm(
@@ -483,12 +484,7 @@ def resolvent_block_norm(
 # compressed indicators over a spectral subspace
 
 
-def compressed_indicator_min_eig(
-    basis: np.ndarray,
-    box: BoxSpec,
-    S: RasterSet,
-    orthonormal_tol: float = 1e-8,
-) -> float:
+def compressed_indicator_min_eig(basis: np.ndarray, box: BoxSpec, S: RasterSet) -> float:
     """Smallest eigenvalue of the indicator of S compressed to span(basis).
 
     basis columns must be orthonormal in the mesh inner product (plain dot
@@ -502,7 +498,7 @@ def compressed_indicator_min_eig(
     if k == 0:
         raise ValueError("empty basis")
     gram_id = basis.T @ basis - np.eye(k)
-    if float(np.abs(gram_id).max()) > orthonormal_tol:
+    if float(np.abs(gram_id).max()) > 1e-8:
         raise EigensolverError("basis columns are not orthonormal to the required tolerance")
     mask = S.contains(box.nodes()).astype(float)
     G = basis.T @ (mask[:, np.newaxis] * basis)

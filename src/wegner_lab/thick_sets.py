@@ -97,6 +97,11 @@ class RasterGeometry:
         r = self.resolution[axis]
         return self.origin[axis] + (np.arange(m) + 0.5) / r
 
+    def centers(self) -> np.ndarray:
+        """Every cell center as a (cells, d) array in C order."""
+        mesh = np.meshgrid(*(self.axis_centers(k) for k in range(self.d)), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
     def _axis_window(self, axis: int, x: float, a: float) -> tuple[int, int]:
         """Index range [lo, hi] of cell centers inside the closed window [x, x+a]."""
         r = self.resolution[axis]
@@ -232,22 +237,39 @@ class ThicknessCertificate:
         return gamma <= self.gamma_star - self.error_bound
 
 
-def _cyclic_window_sums(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
-    """Sums over cyclic windows of q consecutive cells, for every anchor position."""
-    m = arr.shape[axis]
-    full, rem = divmod(q, m)
-    base = np.zeros_like(np.moveaxis(arr, axis, 0))
-    work = np.moveaxis(arr, axis, 0)
-    if full:
-        base = base + work.sum(axis=0, keepdims=True)
-        base = np.broadcast_to(base * full, work.shape).copy()
-    if rem:
-        pad = np.concatenate([work, work[: rem - 1]], axis=0)
-        c = np.cumsum(pad, axis=0)
-        zero = np.zeros((1,) + c.shape[1:], dtype=c.dtype)
-        c = np.concatenate([zero, c], axis=0)
-        base = base + (c[rem : rem + m] - c[:m])
-    return np.moveaxis(base, 0, axis)
+def _window_cells(geo: RasterGeometry, a: Sequence[float]) -> list[int]:
+    """Cells a window of sides a spans along each axis from a cell-aligned anchor."""
+    if len(a) != geo.d:
+        raise RasterError("window dimension does not match the raster")
+    qs = []
+    for axis, side in enumerate(a):
+        lo, hi = geo._axis_window(axis, geo.origin[axis], side)
+        if hi < lo:
+            raise RasterError(f"window side {side} spans no cell along axis {axis}")
+        qs.append(hi - lo + 1)
+    return qs
+
+
+def window_counts(S: RasterSet, a: Sequence[float]) -> np.ndarray:
+    """Exact cell counts of S in the window of sides a at every cell-aligned anchor.
+
+    Entry k counts the window whose first cell along each axis is cell k.  A
+    periodic raster wraps, one anchor per cell of a period; otherwise the
+    window stays in the region (no anchor along an axis shorter than it).
+    """
+    counts = S.cells.astype(np.int64)
+    for axis, q in enumerate(_window_cells(S.geometry, a)):
+        work = np.moveaxis(counts, axis, 0)
+        m = work.shape[0]
+        laps = 0
+        if S.periodic:
+            laps, q = divmod(q - 1, m)  # whole periods, then a window of 1 to m cells
+            q += 1
+            work = work[np.arange(m + q - 1) % m]
+        c = np.cumsum(work, axis=0)
+        c = np.concatenate([np.zeros((1,) + c.shape[1:], dtype=c.dtype), c], axis=0)
+        counts = np.moveaxis(c[q:] - c[:-q] + laps * c[m], 0, axis)
+    return counts
 
 
 def certify_thickness(S: RasterSet, a: Sequence[float] | WindowSpec) -> ThicknessCertificate:
@@ -258,20 +280,10 @@ def certify_thickness(S: RasterSet, a: Sequence[float] | WindowSpec) -> Thicknes
     (gamma, a)-thick for any gamma <= gamma* - error_bound.
     """
     win = a if isinstance(a, WindowSpec) else WindowSpec(tuple(float(v) for v in a))
-    if len(win.a) != S.d:
-        raise RasterError("window dimension does not match the raster")
     if not S.periodic:
         raise RasterError("thickness certification needs a periodic raster")
-    counts = S.cells.astype(np.int64)
-    qs = []
-    for axis in range(S.d):
-        lo, hi = S.geometry._axis_window(axis, S.geometry.origin[axis], win.a[axis])
-        q = hi - lo + 1
-        if q < 1:
-            raise RasterError(f"window side {win.a[axis]} spans no cell along axis {axis}")
-        qs.append(q)
-        counts = _cyclic_window_sums(counts, q, axis)
-    ratios = counts * (S.geometry.cell_volume / win.volume)
+    qs = _window_cells(S.geometry, win.a)
+    ratios = window_counts(S, win.a) * (S.geometry.cell_volume / win.volume)
     flat = int(np.argmin(ratios))
     anchor_idx = np.unravel_index(flat, ratios.shape)
     argmin = tuple(
@@ -357,15 +369,13 @@ def smith_volterra_spec(depth: int) -> CantorSpec:
     return CantorSpec(depth=depth, removal=tuple(Fraction(1, 2**k + 2) for k in range(1, depth + 1)))
 
 
-def build_fat_cantor(cspec: CantorSpec, resolution: int, periodic: bool = True) -> RasterSet:
-    """Rasterize the stage-depth pre-Cantor set on [0,1]."""
-    return rasterize_intervals(cspec.stage_intervals(), resolution, periodic)
+def build_fat_cantor(cspec: CantorSpec, resolution: int) -> RasterSet:
+    """Rasterize the stage-depth pre-Cantor set on [0,1], periodic."""
+    return rasterize_intervals(cspec.stage_intervals(), resolution)
 
 
-def rasterize_intervals(
-    intervals: Sequence[tuple[Fraction, Fraction]], resolution: int, periodic: bool = True
-) -> RasterSet:
-    """Rasterize a union of closed rational intervals in [0,1], exactly, by cell centers.
+def rasterize_intervals(intervals: Sequence[tuple[Fraction, Fraction]], resolution: int) -> RasterSet:
+    """Rasterize a union of closed rational intervals in [0,1], periodic, exactly, by cell centers.
 
     Requires every interval to span at least four cells so the raster
     resolves the set rather than aliasing it.
@@ -376,7 +386,7 @@ def rasterize_intervals(
             f"resolution {resolution} cannot resolve intervals of length {finest}; "
             f"need at least {math.ceil(4 / finest)} cells per unit"
         )
-    geo = RasterGeometry(origin=(0.0,), extent=(1.0,), resolution=(resolution,), periodic=periodic)
+    geo = RasterGeometry(origin=(0.0,), extent=(1.0,), resolution=(resolution,), periodic=True)
     centers = [Fraction(2 * k + 1, 2 * resolution) for k in range(resolution)]
     flat: list[Fraction] = []
     for lo, hi in intervals:

@@ -463,6 +463,11 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "has 3 sides" in err and "dimension 2" in err
 
+    def test_model_window_narrower_than_a_cell_exits_two(self, capsys):
+        # the geometric model rasterizes at 8 cells per unit: a 0.01 window holds no cell center
+        assert main(["certify", "--model", str(CONFIG_DIR / "geometric.model.ini"), "--window", "0.01"]) == 2
+        assert "spans no cell" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["covering", "fat_cantor", "geometric"])
     def test_one_dimensional_model_default_window_is_unit(self, name, capsys):
         path = str(CONFIG_DIR / f"{name}.model.ini")

@@ -28,6 +28,7 @@ from wegner_lab.thick_sets import (
     save_raster,
     smith_volterra_spec,
     stripes_raster,
+    window_counts,
     window_field_max,
     window_measure,
 )
@@ -192,17 +193,20 @@ class TestCertification:
 
 class TestCyclicWindows:
     @given(
-        bits=st.lists(st.integers(0, 3), min_size=2, max_size=12),
+        bits=st.lists(st.booleans(), min_size=2, max_size=12),
         q=st.integers(1, 20),
+        periodic=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_sums_match_direct_wraparound(self, bits, q):
-        from wegner_lab.thick_sets import _cyclic_window_sums
-
+    def test_sums_match_direct_wraparound(self, bits, q, periodic):
         arr = np.array(bits)
-        got = _cyclic_window_sums(arr, q, 0)
         m = arr.size
-        want = [sum(arr[(i + j) % m] for j in range(q)) for i in range(m)]
+        # one cell per unit length: a window of side q spans q cells
+        got = window_counts(_raster_1d(arr, resolution=1, periodic=periodic), (float(q),))
+        if periodic:
+            want = [sum(arr[(i + j) % m] for j in range(q)) for i in range(m)]
+        else:
+            want = [sum(arr[i : i + q]) for i in range(m - q + 1)]
         assert got.tolist() == want
 
 
