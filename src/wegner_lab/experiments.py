@@ -37,7 +37,6 @@ from .random_model import (
 from .reports import FAIL, INFORMATIONAL, PASS, ExperimentReport, record
 from .spectral import (
     ResonantSampleError,
-    SubBox,
     compressed_indicator_min_eig,
     count_in_interval,
     eigs_below,
@@ -190,6 +189,8 @@ def run_wegner(
     and the trend verdict demands no growth from smallest to largest box.
     """
     eps_sorted = tuple(sorted(eps_list))
+    if eps_sorted[0] <= 0:
+        raise PreconditionError(f"eps_list entries must be positive, got {eps_sorted[0]:g}")
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
         experiment="wegner",
@@ -438,6 +439,8 @@ def run_stubborn_exponential(
     """
     if L >= 28:
         raise PreconditionError("exp(-L) below achievable eigenvalue accuracy; use L < 28")
+    if eigen_index < 0:
+        raise PreconditionError(f"eigen_index must be at least 0, got {eigen_index}")
     rep = ExperimentReport(
         experiment="stubborn-exp",
         config={"L": L, "eigen_index": eigen_index, "replicas": replicas, "mesh_density": mesh_density},
@@ -634,10 +637,10 @@ def run_uncertainty(
 
 
 @_per_operator
-def _end_to_end_norm(H, v, z, block_a, block_b) -> float | None:
-    """|1_A (H - z)^{-1} 1_B| of one draw, or None when z is resonant for it."""
+def _end_to_end_norm(H, v, z, rows, cols) -> float | None:
+    """|1_A (H - z)^{-1} 1_B| of one draw (A = rows, B = cols), or None when z is resonant for it."""
     try:
-        return resolvent_block_norm(H, z, block_a, block_b)
+        return resolvent_block_norm(H, z, rows, cols)
     except ResonantSampleError:
         return None
 
@@ -671,9 +674,9 @@ def run_ise(
     for L in L_sorted:
         box = _box(model.d, L, mesh_density)
         z = 1.0 / math.sqrt(L)
-        block_a = SubBox.from_coords(box, (-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
-        block_b = SubBox.from_coords(box, (L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
-        results = _map_replicas(_end_to_end_norm, (z, block_a, block_b), model, box, _draws(seed, replicas), workers)
+        rows = box.node_block((-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
+        cols = box.node_block((L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
+        results = _map_replicas(_end_to_end_norm, (z, rows, cols), model, box, _draws(seed, replicas), workers)
         norms = np.array([r for r in results if r is not None], dtype=float)
         resonant[L] = sum(1 for r in results if r is None)
         if norms.size == 0:

@@ -6,7 +6,7 @@ nodes at cell centers with mirror ghosts (spacing L/n), periodic grids wrap
 (spacing L/n).  An operator is two read-only parts: the box's stencil (the
 off-diagonal part of -Delta, exactly symmetric by construction, built once
 per box and shared by every operator on it) and its own full diagonal, to
-which add_potential adds.  Bands (d=1) and first-axis blocks (d>=2) of an
+which add_potential adds.  Bands (d=1) and first-axis slices (d>=2) of an
 open box are read off the two parts; the sparse matrix is summed only when a
 solver asks for it, with the same floating-point additions an eager sum does.
 """
@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,6 +89,18 @@ class BoxSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def node_block(self, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
+        """Flat C-order indices of the nodes in the closed box [lo, hi], each end widened by 1e-12."""
+        axes = []
+        for axis in range(self.d):
+            xs = self.axis_nodes(axis)
+            inside = np.flatnonzero((xs >= lo[axis] - 1e-12) & (xs <= hi[axis] + 1e-12))
+            if inside.size == 0:
+                raise GridError(f"no grid node in [{lo[axis]:g}, {hi[axis]:g}] along axis {axis}")
+            axes.append(inside)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.ravel_multi_index([m.ravel() for m in mesh], self.shape)
+
 
 def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
     """a, an array or a sparse matrix, with its arrays made read-only."""
@@ -97,30 +109,15 @@ def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
     return a
 
 
-@dataclass(frozen=True)
-class BlockTridiagonal:
-    """An operator cut along its first axis into n slices of m unknowns.
-
-    Diagonal block k is inner + diag(diag[k]); slices k and k+1 meet through
-    coupling[k] times the identity.  Every slice shares `inner` (its own
-    couplings, zero on the diagonal), so the blocks read the same in reverse.
-    """
-
-    inner: sp.csr_matrix  # m x m
-    diag: np.ndarray  # (n, m): the operator's diagonal, one row per slice
-    coupling: np.ndarray  # (n - 1,)
-
-    def reversed(self) -> BlockTridiagonal:
-        return BlockTridiagonal(self.inner, self.diag[::-1], self.coupling[::-1])
-
-
 @dataclass(frozen=True, eq=False)
 class Stencil:
     """The off-diagonal part of every operator on a box, shared read-only.
 
     `off` is symmetric with nothing on its diagonal.  On an open box it is
-    also cut into the first-axis slices of BlockTridiagonal, `inner` and
-    `coupling` (in d=1, the off-diagonal band); periodic boxes have none.
+    also cut into n slices of m unknowns along the first axis: each slice's
+    own couplings `inner` (m x m, shared by every slice) and the couplings
+    between slices k and k+1, `coupling[k]` times the identity (in d=1, the
+    off-diagonal band).  Periodic boxes have no slices.
     """
 
     box: BoxSpec
@@ -174,20 +171,6 @@ class DiscreteHamiltonian:
     @property
     def is_tridiagonal(self) -> bool:
         return self.box.d == 1 and self.box.bc != "periodic"
-
-    def blocks(self) -> BlockTridiagonal:
-        """Slices along the first axis; only for d>=2 with open boundary."""
-        if not self.is_block_tridiagonal:
-            raise GridError("first-axis blocks exist only for d>=2 with open boundary")
-        return self._blocks
-
-    @functools.cached_property
-    def _blocks(self) -> BlockTridiagonal:
-        return BlockTridiagonal(self.stencil.inner, self.diag.reshape(self.box.n, -1), self.stencil.coupling)
-
-    @property
-    def is_block_tridiagonal(self) -> bool:
-        return self.box.d >= 2 and self.box.bc != "periodic"
 
 
 def _laplacian_1d(n: int, h: float, bc: Bc) -> sp.csr_matrix:

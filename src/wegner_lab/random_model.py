@@ -1,4 +1,4 @@
-"""Alloy-type random potentials: V_omega(x) = sum_j pi_j(omega) u_j(x - 0).
+"""Alloy-type random potentials: V_omega(x) = sum_j pi_j(omega) u(x - x_j).
 
 Couplings pi_j are independent, bounded, and drawn from per-site
 distributions through a splittable counter-based generator keyed by
@@ -7,8 +7,8 @@ any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
 site_uniforms computes for a grid of keys and sites at once, bit for bit;
 sample_potential draws 64 consecutive replicas per pass and keeps a few such
-blocks.  Single-site profiles u_j are nonnegative bumps of finite radius
-around lattice sites.
+blocks.  A model has one single-site profile u, a nonnegative bump of finite
+radius; u_j = u(x - x_j) is its translate to site center x_j.
 
 The module also houses the two structural verifiers (the covering-type lower
 bound with a thickness certificate, and its refutation via empty-window
@@ -536,33 +536,23 @@ class RasterProfile:
 Profile = BallIndicator | CantorTranslate | RasterProfile
 
 
-@dataclass(frozen=True)
-class SingleSite:
-    """One bump: nonnegative profile of finite radius around a lattice site."""
-
-    center: tuple[float, ...]
-    radius: float
-    profile: Profile
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self.profile.evaluate(points, self.center)
-
-
 # ---------------------------------------------------------------------------
 # the alloy model
 
 
 @dataclass(frozen=True, eq=False)
 class AlloyModel:
-    """Registered sites, per-site coupling laws, and optional structural claims.
+    """Registered site centers, the one single-site profile u translated to
+    each of them, per-site coupling laws, and optional structural claims.
 
     Sites are registered inside the hull [-extent, extent]^d; simulation
-    boxes must stay inside the hull shrunk by the site radius so no
+    boxes must stay inside the hull shrunk by the profile radius so no
     unregistered bump can reach them.
     """
 
     d: int
-    sites: tuple[SingleSite, ...]
+    centers: tuple[tuple[float, ...], ...]
+    profile: Profile
     dists: tuple[Distribution, ...]
     extent: float
     u_resolution: int = 16
@@ -572,16 +562,16 @@ class AlloyModel:
     claimed_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.sites:
+        if not self.centers:
             raise ModelError("a model needs at least one site")
-        if len(self.sites) != len(self.dists):
+        if len(self.centers) != len(self.dists):
             raise ModelError("need exactly one coupling distribution per site")
-        if any(len(s.center) != self.d for s in self.sites):
+        if any(len(c) != self.d for c in self.centers):
             raise ModelError("site centers must match the model dimension")
 
-    @functools.cached_property
+    @property
     def max_radius(self) -> float:
-        return max(s.radius for s in self.sites)
+        return self.profile.radius
 
     @property
     def m_plus(self) -> float:
@@ -590,8 +580,8 @@ class AlloyModel:
     def sites_near_box(self, box: BoxSpec) -> list[int]:
         reach = box.length / 2 + self.max_radius
         out = []
-        for i, s in enumerate(self.sites):
-            if all(abs(s.center[k] - box.center[k]) <= reach + 1e-12 for k in range(self.d)):
+        for i, c in enumerate(self.centers):
+            if all(abs(c[k] - box.center[k]) <= reach + 1e-12 for k in range(self.d)):
                 out.append(i)
         return out
 
@@ -621,7 +611,7 @@ def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.
     nodes = box.nodes()
     rows, data, indptr = [], [], [0]
     for i in near:
-        u = model.sites[i].evaluate(nodes)
+        u = model.profile.evaluate(nodes, model.centers[i])
         hit = np.flatnonzero(u)
         rows.append(hit)
         data.append(u[hit])
@@ -662,7 +652,7 @@ def mean_potential(model: AlloyModel, box: BoxSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the deterministic upper envelope U = sum_j u_j and its verifiers
+# the deterministic upper envelope U = sum_j u(x - x_j) and its verifiers
 
 
 def registration_geometry(model: AlloyModel, margin: float = 0.0) -> RasterGeometry:
@@ -683,8 +673,8 @@ def potential_envelope(model: AlloyModel, margin: float = 0.0) -> GridField:
     geo = registration_geometry(model, margin)
     pts = geo.centers()
     vals = np.zeros(pts.shape[0])
-    for s in model.sites:
-        vals += s.evaluate(pts)
+    for c in model.centers:
+        vals += model.profile.evaluate(pts, c)
     return GridField(geometry=geo, values=vals.reshape(geo.shape))
 
 
@@ -880,7 +870,7 @@ def construct_diluted_minorant(
     if reach < 0:
         raise ConstructionError("registration hull too small for a single sublattice cell")
     anchor_axis = [k * spacing for k in range(-reach, reach + 1)]
-    site_by_center = {s.center: i for i, s in enumerate(model.sites)}
+    site_by_center = {c: i for i, c in enumerate(model.centers)}
 
     cells: list[MinorantCell] = []
     for anchor in itertools.product(anchor_axis, repeat=model.d):
@@ -898,7 +888,7 @@ def construct_diluted_minorant(
             idx = site_by_center.get(center)
             if idx is None:
                 continue
-            mask = model.sites[idx].evaluate(pts) >= weight - 1e-12
+            mask = model.profile.evaluate(pts, model.centers[idx]) >= weight - 1e-12
             count = int(mask.sum())
             if best is None or count > best[0]:
                 best = (count, idx)
@@ -984,8 +974,7 @@ def build_model(
     """
     if isinstance(profile, CantorTranslate) and d != 1:
         raise ModelConfigError("cantor-translate profiles are one-dimensional")
-    centers = _place_sites(placement, d, extent)
-    sites = tuple(SingleSite(center=c, radius=profile.radius, profile=profile) for c in centers)
+    centers = tuple(_place_sites(placement, d, extent))
     S = None
     if claimed_set == "full":
         S = stripes_raster(1.0, 1.0, resolution)
@@ -999,8 +988,9 @@ def build_model(
         S = load_raster(claimed_set)
     return AlloyModel(
         d=d,
-        sites=sites,
-        dists=(dist,) * len(sites),
+        centers=centers,
+        profile=profile,
+        dists=(dist,) * len(centers),
         extent=float(extent),
         u_resolution=resolution,
         claimed_gamma=gamma,

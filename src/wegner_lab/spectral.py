@@ -12,7 +12,8 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   order.  Each operator keeps those counts (`DiscreteHamiltonian.below`),
   and count_in_interval reads them instead of running the loop again.
 - d>=2 with Dirichlet or Neumann boundary: the block Sturm count
-  (`block_sturm_count`) on slices along the first axis, exact at every size
+  (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
+  cut into one row per slice, in both slice orders, exact at every size
   whose slice (n^(d-1) unknowns) fits INERTIA_DENSE_LIMIT, so every d=2 box
   within the dof budget.  A shift at which a Schur block is nearly singular
   in both slice orders raises ResonantSampleError instead of a count.
@@ -40,7 +41,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import BlockTridiagonal, BoxSpec, DiscreteHamiltonian
+from .grids import BoxSpec, DiscreteHamiltonian
 from .thick_sets import RasterSet
 
 DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs above it
@@ -145,8 +146,10 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, x: float | Sequence[float]) -
     return count
 
 
-def block_sturm_count(blocks: BlockTridiagonal, x: float, tol: float) -> int | None:
-    """Eigenvalues strictly below x of a block tridiagonal operator.
+def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarray, x: float, tol: float) -> int | None:
+    """Eigenvalues strictly below x of the block tridiagonal operator with
+    diagonal blocks D_k = inner + diag(diag[k]) and off-diagonal blocks
+    coupling[k] I: a stencil's first-axis slices and an (n, m) diagonal.
 
     Block LDL^T: S_1 = D_1 - x and S_k = D_k - x - c_k^2 S_{k-1}^{-1}.  By
     Sylvester's law of inertia and Haynsworth's inertia additivity the count
@@ -156,17 +159,17 @@ def block_sturm_count(blocks: BlockTridiagonal, x: float, tol: float) -> int | N
     carry rounding large enough to flip later signs.
     """
     x = float(x)
-    base = blocks.inner.toarray()
+    base = inner.toarray()
     on_diag = np.diag_indices_from(base)
     below = np.tril_indices_from(base, -1)
-    last = blocks.diag.shape[0] - 1
+    last = diag.shape[0] - 1
     count = 0
     s_inv = None
-    for k, dk in enumerate(blocks.diag):
+    for k, dk in enumerate(diag):
         S = base.copy()
         S[on_diag] = dk - x
         if s_inv is not None:
-            c = blocks.coupling[k - 1]
+            c = coupling[k - 1]
             S -= (c * c) * s_inv
         w = np.linalg.eigvalsh(S)
         if k == last:
@@ -220,13 +223,13 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
             return H.below[x]
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
-    if H.is_block_tridiagonal:
+    if H.box.bc != "periodic":
         if H.box.n ** (H.box.d - 1) > INERTIA_DENSE_LIMIT:
             return None
-        blocks = H.blocks()
+        diag, coupling = H.diag.reshape(H.box.n, -1), H.stencil.coupling
         tol = SCHUR_PIVOT_TOL * _operator_scale(H)
-        for order in (blocks, blocks.reversed()):
-            count = block_sturm_count(order, x, tol)
+        for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
+            count = block_sturm_count(H.stencil.inner, *order, x, tol)
             if count is not None:
                 return count
         raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")
@@ -399,37 +402,7 @@ def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False)
 
 
 # ---------------------------------------------------------------------------
-# sub-box geometry and resolvent blocks
-
-
-@dataclass(frozen=True)
-class SubBox:
-    """A rectangular block of grid nodes, inclusive index ranges per axis."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    @staticmethod
-    def from_coords(box: BoxSpec, lo: tuple[float, ...], hi: tuple[float, ...]) -> "SubBox":
-        los, his = [], []
-        for axis in range(box.d):
-            xs = box.axis_nodes(axis)
-            inside = np.flatnonzero((xs >= lo[axis] - 1e-12) & (xs <= hi[axis] + 1e-12))
-            if inside.size == 0:
-                raise ValueError(f"sub-box is empty along axis {axis}")
-            los.append(int(inside[0]))
-            his.append(int(inside[-1]))
-        return SubBox(lo=tuple(los), hi=tuple(his))
-
-    def indices(self, box: BoxSpec) -> np.ndarray:
-        """Flat node indices, C order."""
-        grids = np.meshgrid(
-            *[np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)], indexing="ij"
-        )
-        return np.ravel_multi_index([g.ravel() for g in grids], box.shape)
-
-    def count(self) -> int:
-        return int(np.prod([h - l + 1 for l, h in zip(self.lo, self.hi)]))
+# resolvent blocks
 
 
 def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
@@ -444,24 +417,21 @@ def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
 def resolvent_block_norm(
     H: DiscreteHamiltonian,
     z: float,
-    block_a: SubBox,
-    block_b: SubBox,
+    rows: np.ndarray,
+    cols: np.ndarray,
 ) -> float:
-    """Operator norm of the A-rows-by-B-columns block of (H - z)^{-1}.
+    """Operator norm of the rows-by-cols block of (H - z)^{-1}, for flat node indices (BoxSpec.node_block).
 
     One factorization serves every column; the norm of the extracted dense
     block is then exact (up to the factorization's own accuracy).  A shift
     within 1e-10 of an eigenvalue is refused rather than silently amplified.
     """
-    box = H.box
-    ia = block_a.indices(box)
-    ib = block_b.indices(box)
-    if np.intersect1d(ia, ib).size:
+    if np.intersect1d(rows, cols).size:
         raise ValueError("blocks overlap; the off-diagonal norm is not defined")
     _check_off_resonance(H, z)
-    n = box.ndof
-    rhs = np.zeros((n, ib.size))
-    rhs[ib, np.arange(ib.size)] = 1.0
+    n = H.box.ndof
+    rhs = np.zeros((n, cols.size))
+    rhs[cols, np.arange(cols.size)] = 1.0
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
         ab = np.zeros((3, n))
@@ -472,7 +442,7 @@ def resolvent_block_norm(
     else:
         lu = spla.splu(sp.csc_matrix(H.matrix - z * sp.identity(n, format="csc")))
         sol = lu.solve(rhs)
-    M = sol[ia, :]
+    M = sol[rows, :]
     if not np.all(np.isfinite(M)):
         raise ResonantSampleError("factorization produced non-finite entries at this shift")
     if M.size == 0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -377,6 +376,8 @@ def build_fat_cantor(cspec: CantorSpec, resolution: int) -> RasterSet:
 def rasterize_intervals(intervals: Sequence[tuple[Fraction, Fraction]], resolution: int) -> RasterSet:
     """Rasterize a union of closed rational intervals in [0,1], periodic, exactly, by cell centers.
 
+    Cell k's center (k + 1/2) / R lies in [lo, hi] exactly when
+    ceil(R lo - 1/2) <= k <= floor(R hi - 1/2), computed on Fractions.
     Requires every interval to span at least four cells so the raster
     resolves the set rather than aliasing it.
     """
@@ -387,17 +388,10 @@ def rasterize_intervals(intervals: Sequence[tuple[Fraction, Fraction]], resoluti
             f"need at least {math.ceil(4 / finest)} cells per unit"
         )
     geo = RasterGeometry(origin=(0.0,), extent=(1.0,), resolution=(resolution,), periodic=True)
-    centers = [Fraction(2 * k + 1, 2 * resolution) for k in range(resolution)]
-    flat: list[Fraction] = []
-    for lo, hi in intervals:
-        flat.extend((lo, hi))
     bits = np.zeros(resolution, dtype=bool)
-    for k, c in enumerate(centers):
-        pos = bisect_right(flat, c)
-        inside = pos % 2 == 1
-        if not inside and pos >= 1 and flat[pos - 1] == c:
-            inside = True  # center exactly on a closed right endpoint
-        bits[k] = inside
+    half = Fraction(1, 2)
+    for lo, hi in intervals:
+        bits[math.ceil(resolution * lo - half) : math.floor(resolution * hi - half) + 1] = True
     return RasterSet(geometry=geo, cells=bits)
 
 

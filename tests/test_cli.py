@@ -239,11 +239,17 @@ class TestRunCommand:
             ("[run]\nexperiment = minorant\nworkers = 2\n", "minorant takes no 'workers'"),
             ("[run]\nexperiment = uncertainty\nreplicas = 3\n", "uncertainty takes no 'replicas'"),
             ("[run]\nexperiment = uncertainty\nworkers = 2\n", "uncertainty takes no 'workers'"),
+            (
+                "[run]\nexperiment = ise\nmesh_density = 3\n\n[parameters]\nl_list = 1\n",
+                "no grid node in [-0.5, -0.25] along axis 0",
+            ),
+            ("[run]\nexperiment = stubborn-exp\n\n[parameters]\neigen_index = -1\n", "eigen_index must be at least 0"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\neps_list = 0.0,0.1\n", "eps_list entries must be positive"),
         ],
         ids=[
             "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
             "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
-            "uncertainty-workers",
+            "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named):

@@ -242,17 +242,19 @@ def _block_box_and_potentials(draw):
     return box, vs
 
 
-def _assemble_blocks(blocks):
-    n, m = blocks.diag.shape
+def _assemble_blocks(H):
+    """The operator rebuilt from its stencil's first-axis slices and its diagonal."""
+    n, m = H.box.n, H.box.ndof // H.box.n
+    inner, coupling = H.stencil.inner, H.stencil.coupling
     return (
-        sp.kron(sp.identity(n), blocks.inner)
-        + sp.diags(blocks.diag.ravel())
-        + sp.kron(sp.diags([blocks.coupling, blocks.coupling], [-1, 1]), sp.identity(m))
+        sp.kron(sp.identity(n), inner)
+        + sp.diags(H.diag)
+        + sp.kron(sp.diags([coupling, coupling], [-1, 1]), sp.identity(m))
     ).toarray()
 
 
 class TestFirstAxisBlocks:
-    """Slices along the first axis, which the block Sturm count runs on."""
+    """The stencil's slices along the first axis, which the block Sturm count runs on."""
 
     @given(_block_box_and_potentials())
     @settings(max_examples=60, deadline=None)
@@ -263,37 +265,55 @@ class TestFirstAxisBlocks:
         for v in vs:
             H = add_potential(H, v)
             eager = _eager_sum(eager, v)
-        blocks = H.blocks()
-        assert _same_bits(blocks.diag, eager.diagonal().reshape(box.n, box.ndof // box.n))
-        assert np.array_equal(_assemble_blocks(blocks), eager.toarray())
-        assert np.all(blocks.coupling == -1.0 / box.h**2)
+        assert _same_bits(H.diag, eager.diagonal())
+        assert np.array_equal(_assemble_blocks(H), eager.toarray())
+        assert np.all(H.stencil.coupling == -1.0 / box.h**2)
         if vs:
-            assert "matrix" not in vars(H)  # a child's blocks never sum the sparse matrix
+            assert "matrix" not in vars(H)  # a child's slices never sum the sparse matrix
 
     def test_child_shares_the_cached_free_blocks(self):
         box = _box(d=2, n=5, L=2.0)
-        free = build_free_laplacian(box).blocks()
-        H = add_potential(add_potential(build_free_laplacian(box), np.ones(25)), np.arange(25.0))
-        blocks = H.blocks()
-        assert build_free_laplacian(box).blocks() is free
-        assert blocks.inner is free.inner and blocks.coupling is free.coupling
-        for a in (free.inner.data, free.diag, free.coupling, blocks.diag):
+        free = build_free_laplacian(box)
+        H = add_potential(add_potential(free, np.ones(25)), np.arange(25.0))
+        assert build_free_laplacian(box) is free
+        assert H.stencil.inner is free.stencil.inner and H.stencil.coupling is free.stencil.coupling
+        for a in (free.stencil.inner.data, free.diag, free.stencil.coupling, H.diag):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 99
 
     def test_diagonal_leaf_is_sliced_directly(self):
         box = _box(d=3, n=3)
-        blocks = diagonal_hamiltonian(box, np.arange(27.0)).blocks()
-        assert blocks.inner.nnz == 0 and np.all(blocks.coupling == 0.0)
-        assert np.array_equal(blocks.diag, np.arange(27.0).reshape(3, 9))
-        assert np.array_equal(blocks.reversed().diag, np.arange(27.0).reshape(3, 9)[::-1])
+        H = diagonal_hamiltonian(box, np.arange(27.0))
+        assert H.stencil.inner.shape == (9, 9) and H.stencil.inner.nnz == 0
+        assert H.stencil.coupling.shape == (2,) and np.all(H.stencil.coupling == 0.0)
+        assert np.array_equal(H.diag, np.arange(27.0))
 
-    @pytest.mark.parametrize("d, bc", [(1, "dirichlet"), (2, "periodic")])
-    def test_only_open_boxes_in_two_or_more_dimensions(self, d, bc):
-        H = build_free_laplacian(_box(d=d, n=4, bc=bc))
-        assert not H.is_block_tridiagonal
-        with pytest.raises(GridError, match="first-axis blocks"):
-            H.blocks()
+
+class TestNodeBlock:
+    """Flat node indices of a closed coordinate box, which the resolvent blocks take."""
+
+    def test_coordinate_window_snaps_to_nodes(self):
+        box = BoxSpec(d=2, length=4.0, center=(0.0, 0.0), n=7)
+        np.testing.assert_allclose(box.axis_nodes(0), np.arange(-1.5, 1.6, 0.5))
+        idx = box.node_block((-1.5, -1.5), (-0.5, 0.0))
+        assert idx.tolist() == [i0 * 7 + i1 for i0 in range(3) for i1 in range(4)]
+
+    def test_endpoint_jitter_keeps_boundary_nodes(self):
+        box = BoxSpec(d=1, length=4.0, center=(0.0,), n=7)
+        assert box.node_block((-1.5 + 1e-13,), (0.5 - 1e-13,)).tolist() == [0, 1, 2, 3, 4]
+
+    def test_window_missing_every_node_refused(self):
+        box = BoxSpec(d=2, length=4.0, center=(0.0, 0.0), n=7)
+        with pytest.raises(GridError, match=r"no grid node in \[0.1, 0.2\] along axis 1"):
+            box.node_block((-1.0, 0.1), (1.0, 0.2))
+
+    def test_c_order_without_repeats(self):
+        # nodes at -0.6, -0.2, 0.2, 0.6 on every axis; the window holds axis
+        # indices 1..3, 0..1 and 2..3
+        box = BoxSpec(d=3, length=2.0, center=(0.0, 0.0, 0.0), n=4)
+        idx = box.node_block((-0.2, -0.6, 0.2), (0.6, -0.2, 0.6))
+        assert idx.tolist() == [16 * i + 4 * j + k for i in (1, 2, 3) for j in (0, 1) for k in (2, 3)]
+        assert np.all(np.diff(idx) > 0)
 
 
 class TestContinuumSpectra:

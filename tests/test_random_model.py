@@ -22,7 +22,6 @@ from wegner_lab.random_model import (
     CoverageError,
     ModelConfigError,
     ModelError,
-    SingleSite,
     TruncatedPowerHolder,
     Uniform,
     construct_diluted_minorant,
@@ -293,13 +292,12 @@ class TestProfiles:
 class TestAlloyModel:
     def test_model_validation(self):
         prof = BallIndicator(radius=0.5)
-        site = SingleSite(center=(0.0,), radius=0.5, profile=prof)
         with pytest.raises(ModelError):
-            AlloyModel(d=1, sites=(), dists=(), extent=4.0)
+            AlloyModel(d=1, centers=(), profile=prof, dists=(), extent=4.0)
         with pytest.raises(ModelError):
-            AlloyModel(d=1, sites=(site,), dists=(), extent=4.0)
+            AlloyModel(d=1, centers=((0.0,),), profile=prof, dists=(), extent=4.0)
         with pytest.raises(ModelError):
-            AlloyModel(d=2, sites=(site,), dists=(Uniform(0, 1),), extent=4.0)
+            AlloyModel(d=2, centers=((0.0,),), profile=prof, dists=(Uniform(0, 1),), extent=4.0)
 
     def test_covering_envelope_exactly_one(self, covering):
         env = potential_envelope(covering)
@@ -310,7 +308,7 @@ class TestAlloyModel:
         box = _box(L=4.0)
         near = covering.sites_near_box(box)
         # centers within 2 + 0.5 of origin
-        assert [covering.sites[i].center[0] for i in near] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert [covering.centers[i][0] for i in near] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_box_outside_registration_refused(self, covering):
         with pytest.raises(CoverageError):
@@ -382,11 +380,12 @@ class TestVerifiers:
     def test_pi_detects_violation(self):
         # claim full thickness but leave every second integer site out
         base = covering_model(extent=8.0)
-        sites = base.sites[::2]
+        centers = base.centers[::2]
         broken = AlloyModel(
             d=1,
-            sites=sites,
-            dists=base.dists[: len(sites)],
+            centers=centers,
+            profile=base.profile,
+            dists=base.dists[: len(centers)],
             extent=8.0,
             claimed_gamma=1.0,
             claimed_window=base.claimed_window,
@@ -404,7 +403,7 @@ class TestVerifiers:
         (spot,) = cert.witnesses.values()
         # the witness window really is empty: no site center within reach
         lo = spot[0]
-        centers = [s.center[0] for s in geometric.sites]
+        centers = [c[0] for c in geometric.centers]
         assert all(c + 0.5 <= lo or c - 0.5 >= lo + 8.0 for c in centers)
 
     def test_nopi_requires_bound(self, covering):
@@ -415,7 +414,8 @@ class TestVerifiers:
         m = covering_model(extent=8.0)
         claimed = AlloyModel(
             d=1,
-            sites=m.sites,
+            centers=m.centers,
+            profile=m.profile,
             dists=m.dists,
             extent=m.extent,
             claimed_bound=1.0,
@@ -475,9 +475,9 @@ class TestDilutedMinorant:
 
 class TestFactoriesAndConfig:
     def test_factory_shapes(self, covering, cantor, geometric, slab):
-        assert len(covering.sites) == 81
+        assert len(covering.centers) == 81
         assert covering.m_plus == 1.0
-        assert len(geometric.sites) == 16  # +-1, 2, 4, ..., 128
+        assert len(geometric.centers) == 16  # +-1, 2, 4, ..., 128
         assert slab.d == 2
         assert slab.claimed_bound == 2.0
         assert cantor.claimed_gamma == pytest.approx(float(Fraction(17, 32)))
@@ -493,7 +493,7 @@ class TestFactoriesAndConfig:
     def test_shipped_configs_load(self, name):
         model = load_model_config(CONFIG_DIR / name)
         assert model.d in (1, 2)
-        assert model.sites
+        assert model.centers
 
     @pytest.mark.parametrize(
         "name, fixture",
@@ -507,7 +507,12 @@ class TestFactoriesAndConfig:
     def test_config_matches_factory(self, name, fixture, request):
         loaded = load_model_config(CONFIG_DIR / name)
         built = request.getfixturevalue(fixture)
-        assert (loaded.d, loaded.sites, loaded.dists) == (built.d, built.sites, built.dists)
+        assert (loaded.d, loaded.centers, loaded.profile, loaded.dists) == (
+            built.d,
+            built.centers,
+            built.profile,
+            built.dists,
+        )
         assert (loaded.extent, loaded.u_resolution) == (built.extent, built.u_resolution)
         assert (loaded.claimed_gamma, loaded.claimed_window, loaded.claimed_bound) == (
             built.claimed_gamma,
@@ -580,7 +585,7 @@ def _loop_potential(model, box, coupling):
     for i in model.sites_near_box(box):
         c = coupling(i)
         if c != 0.0:
-            v += c * model.sites[i].evaluate(nodes)
+            v += c * model.profile.evaluate(nodes, model.centers[i])
     return v
 
 
@@ -643,5 +648,5 @@ def test_slab_balls_overlap_two_deep(slab):
     want = _loop_potential(slab, box, lambda i: float(slab.dists[i]._from_uniform(float(site_uniforms([4], (i,))[0, 0]))))
     assert v.tobytes() == want.tobytes()
     near = slab.sites_near_box(box)
-    depth = sum(slab.sites[i].evaluate(box.nodes()) for i in near)
+    depth = sum(slab.profile.evaluate(box.nodes(), slab.centers[i]) for i in near)
     assert depth.max() == 2.0

@@ -1,11 +1,15 @@
 """The shipped scripts run end to end against the current drivers."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from wegner_lab.thick_sets import WindowSpec, certify_thickness, load_raster
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,15 +27,19 @@ BATTERY_JOBS = (
 )
 
 
-def _battery(out, *extra):
+def _script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_battery.py"), "--quick", "--out", str(out), *extra],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def _battery(out, *extra):
+    return _script("run_battery.py", "--quick", "--out", str(out), *extra)
 
 
 def test_quick_battery_writes_every_report(tmp_path):
@@ -56,3 +64,17 @@ def test_battery_refuses_fewer_than_one_worker(tmp_path, workers):
     assert proc.returncode == 2
     assert "--workers: must be at least 1" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_example_sets_load_back_and_print_their_gamma(tmp_path):
+    proc = _script("make_example_sets.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = ("stripes_third", "fat_cantor_depth4")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}{ext}" for n in names for ext in (".rast", ".txt"))
+    printed = dict(re.findall(r"^(\w+): measure \S+, unit-window gamma (\S+) ", proc.stdout, re.MULTILINE))
+    assert sorted(printed) == sorted(names)
+    for name in names:
+        binary, text = (load_raster(tmp_path / f"{name}{ext}") for ext in (".rast", ".txt"))
+        assert binary.geometry == text.geometry
+        assert np.array_equal(binary.cells, text.cells)
+        assert float(printed[name]) == certify_thickness(binary, WindowSpec((1.0,))).gamma_star

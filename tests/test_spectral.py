@@ -29,7 +29,6 @@ from wegner_lab.spectral import (
     LANE_CROSSOVER,
     EigensolverError,
     ResonantSampleError,
-    SubBox,
     _eigs_dense,
     _eigs_lanczos,
     _eigs_tridiagonal,
@@ -317,10 +316,10 @@ class TestBlockSturmCount:
         box = BoxSpec(d=d, length=3.0, center=(0.0,) * d, n=n, bc=bc)
         rng = np.random.default_rng(n)
         H = add_potential(build_free_laplacian(box), rng.uniform(-5.0, 5.0, box.ndof))
-        blocks = H.blocks()
+        diag, coupling = H.diag.reshape(n, -1), H.stencil.coupling
         tol = 1e-10 * float(abs(H.matrix).sum(axis=0).max())
         levels = _sub_box_levels(H, leading=True)
-        assert all(block_sturm_count(blocks, x, tol) is None for x in levels)
+        assert all(block_sturm_count(H.stencil.inner, diag, coupling, x, tol) is None for x in levels)
         assert _exact_or_refused(H, levels) == 0
 
     def test_mirror_symmetric_operator_refuses_a_shared_sub_box_level(self):
@@ -475,86 +474,53 @@ class TestEigsBelow:
         assert res.eigenvalues.size == 0
 
 
-class TestSubBox:
-    def test_coordinate_window_snaps_to_nodes(self):
-        box = BoxSpec(d=2, length=4.0, center=(0.0, 0.0), n=7)
-        np.testing.assert_allclose(box.axis_nodes(0), np.arange(-1.5, 1.6, 0.5))
-        sb = SubBox.from_coords(box, (-1.5, -1.5), (-0.5, 0.0))
-        assert sb == SubBox(lo=(0, 0), hi=(2, 3))
-        assert sb.count() == 12
-        want = [i0 * 7 + i1 for i0 in range(3) for i1 in range(4)]
-        assert sb.indices(box).tolist() == want
-
-    def test_endpoint_jitter_keeps_boundary_nodes(self):
-        box = BoxSpec(d=1, length=4.0, center=(0.0,), n=7)
-        sb = SubBox.from_coords(box, (-1.5 + 1e-13,), (0.5 - 1e-13,))
-        assert sb == SubBox(lo=(0,), hi=(4,))
-
-    def test_window_missing_every_node_refused(self):
-        box = BoxSpec(d=2, length=4.0, center=(0.0, 0.0), n=7)
-        with pytest.raises(ValueError, match="axis 1"):
-            SubBox.from_coords(box, (-1.0, 0.1), (1.0, 0.2))
-
-    def test_count_matches_index_list(self):
-        box = BoxSpec(d=3, length=2.0, center=(0.0, 0.0, 0.0), n=4)
-        sb = SubBox(lo=(1, 0, 2), hi=(3, 1, 3))
-        idx = sb.indices(box)
-        assert idx.size == sb.count() == 3 * 2 * 2
-        assert idx.size == np.unique(idx).size
-
-
 class TestResolventBlockNorm:
     def test_line_block_matches_dense_inverse(self):
         box, H = _random_operator(1, 30, 3.0, seed=2, amplitude=1.0)
-        ba = SubBox(lo=(0,), hi=(4,))
-        bb = SubBox(lo=(20,), hi=(29,))
+        ba, bb = np.arange(0, 5), np.arange(20, 30)
         z = -1.0
         M = np.linalg.inv(H.matrix.toarray() - z * np.eye(box.ndof))
-        want = sla.svdvals(M[np.ix_(ba.indices(box), bb.indices(box))])[0]
+        want = sla.svdvals(M[np.ix_(ba, bb)])[0]
         assert resolvent_block_norm(H, z, ba, bb) == pytest.approx(want, rel=1e-10)
 
     def test_plane_block_matches_dense_inverse(self):
         box, H = _random_operator(2, 12, 2.0, seed=3, amplitude=1.0)
-        ba = SubBox.from_coords(box, (-0.9, -0.9), (-0.4, -0.4))
-        bb = SubBox.from_coords(box, (0.4, 0.4), (0.9, 0.9))
+        ba = box.node_block((-0.9, -0.9), (-0.4, -0.4))
+        bb = box.node_block((0.4, 0.4), (0.9, 0.9))
         z = -1.0
         M = np.linalg.inv(H.matrix.toarray() - z * np.eye(box.ndof))
-        want = sla.svdvals(M[np.ix_(ba.indices(box), bb.indices(box))])[0]
+        want = sla.svdvals(M[np.ix_(ba, bb)])[0]
         assert resolvent_block_norm(H, z, ba, bb) == pytest.approx(want, rel=1e-9)
 
     def test_interior_shift_works_off_resonance(self):
         box, H = _random_operator(1, 40, 4.0, seed=11, amplitude=2.0)
         ev = sla.eigvalsh(H.matrix.toarray())
         z = 0.5 * (ev[4] + ev[5])
-        ba = SubBox(lo=(0,), hi=(7,))
-        bb = SubBox(lo=(30,), hi=(39,))
+        ba, bb = np.arange(0, 8), np.arange(30, 40)
         M = np.linalg.inv(H.matrix.toarray() - z * np.eye(box.ndof))
-        want = sla.svdvals(M[np.ix_(ba.indices(box), bb.indices(box))])[0]
+        want = sla.svdvals(M[np.ix_(ba, bb)])[0]
         assert resolvent_block_norm(H, z, ba, bb) == pytest.approx(want, rel=1e-8)
 
     def test_overlapping_blocks_refused(self):
         box = BoxSpec(d=1, length=1.0, center=(0.5,), n=20)
         H = build_free_laplacian(box)
         with pytest.raises(ValueError, match="overlap"):
-            resolvent_block_norm(H, -1.0, SubBox((0,), (10,)), SubBox((10,), (19,)))
+            resolvent_block_norm(H, -1.0, np.arange(0, 11), np.arange(10, 20))
 
     def test_shift_on_an_eigenvalue_refused(self):
         box = BoxSpec(d=1, length=1.0, center=(0.5,), n=40)
         H = build_free_laplacian(box)
         z = float(discrete_dirichlet_spectrum(box)[0])
         with pytest.raises(ResonantSampleError):
-            resolvent_block_norm(H, z, SubBox((0,), (4,)), SubBox((30,), (39,)))
+            resolvent_block_norm(H, z, np.arange(0, 5), np.arange(30, 40))
 
     def test_norm_decays_with_separation(self):
         # below the spectrum the off-diagonal resolvent falls off with the
         # distance between the blocks
         box = BoxSpec(d=1, length=8.0, center=(4.0,), n=159)
         H = build_free_laplacian(box)
-        ba = SubBox(lo=(0,), hi=(9,))
-        norms = [
-            resolvent_block_norm(H, -1.0, ba, SubBox(lo=(s,), hi=(s + 9,)))
-            for s in (40, 80, 120)
-        ]
+        ba = np.arange(0, 10)
+        norms = [resolvent_block_norm(H, -1.0, ba, np.arange(s, s + 10)) for s in (40, 80, 120)]
         assert norms[0] > norms[1] > norms[2] > 0.0
 
 
