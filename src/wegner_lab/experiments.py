@@ -255,6 +255,8 @@ def estimate_ids(
     window increments N(E+eps) - N(E-eps) by the volume-law constant when one
     is supplied (informational otherwise).
     """
+    if eps <= 0:
+        raise PreconditionError(f"eps must be positive, got {eps:g}")
     E_sorted = tuple(sorted(E_list))
     rep = ExperimentReport(
         experiment="ids",
@@ -356,6 +358,8 @@ def run_stubborn(
     half from E.  The verdict demands an eigenvalue in the window for every
     box, every draw, including both coupling extremes.
     """
+    if E <= -1:
+        raise PreconditionError(f"E must exceed -1, got {E:g}")
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
@@ -570,25 +574,21 @@ def run_uncertainty(
     lam: dict[tuple[float, float], float] = {}
     positive = True
     full_ok = True
+    full = RasterSet(geometry=S.geometry, cells=np.ones_like(S.cells))
     for L in L_sorted:
         box = _box(d, L, mesh_density, center=(L / 2,) * d, bc=bc)
         H = build_free_laplacian(box)
-        full = RasterSet(
-            geometry=S.geometry,
-            cells=np.ones_like(S.cells),
-        )
         for E in E_sorted:
             res = eigs_below(H, E, want_vectors=True)
             if res.eigenvalues.size == 0:
                 continue
+            if E == E_sorted[0]:
+                full_ok = full_ok and compressed_indicator_min_eig(res.eigenvectors, box, full) >= 1 - 1e-10
             val = compressed_indicator_min_eig(res.eigenvectors, box, S)
             lam[(L, E)] = val
             positive = positive and val > 0
             rep.records.append(record([L, E], "lambda_min", val, None, None))
             rep.records.append(record([L, E], "subspace_dim", float(res.eigenvalues.size), None, None))
-        ref = eigs_below(H, E_sorted[0], want_vectors=True)
-        if ref.eigenvalues.size:
-            full_ok = full_ok and compressed_indicator_min_eig(ref.eigenvectors, box, full) >= 1 - 1e-10
     rep.verdicts["positivity"] = PASS if positive and lam else FAIL
     rep.verdicts["full_set_identity"] = PASS if full_ok else FAIL
 

@@ -686,7 +686,6 @@ class PiCertificate:
     thickness_error: float
     lower_bound_ok: bool
     first_violation: tuple[float, ...] | None
-    checked_cells: int
 
 
 def verify_Pi(model: AlloyModel) -> PiCertificate:
@@ -715,7 +714,6 @@ def verify_Pi(model: AlloyModel) -> PiCertificate:
         thickness_error=cert.error_bound,
         lower_bound_ok=first is None,
         first_violation=first,
-        checked_cells=int(member.sum()),
     )
 
 
@@ -724,7 +722,6 @@ class NoPiCertificate:
     passed: bool
     sup_u: float
     bound_claimed: float
-    bound_ok: bool
     witnesses: dict[tuple[float, tuple[float, ...]], tuple[float, ...]]
     missing: tuple[tuple[float, tuple[float, ...]], ...]
 
@@ -765,7 +762,6 @@ def verify_NoPi(
         passed=bool(bound_ok and not missing),
         sup_u=sup_u,
         bound_claimed=model.claimed_bound,
-        bound_ok=bound_ok,
         witnesses=witnesses,
         missing=tuple(missing),
     )

@@ -18,13 +18,18 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   within the dof budget.  A shift at which a Schur block is nearly singular
   in both slice orders raises ResonantSampleError instead of a count.
 - periodic boxes: a dense symmetric-indefinite (LDL) factorization up to
-  INERTIA_DENSE_LIMIT unknowns, and no exact count beyond.
+  INERTIA_DENSE_LIMIT unknowns.  Its block diagonal factor D (1x1 and 2x2
+  pivots) is tridiagonal, so `sturm_count` reads its signs.
+
+A box whose dense part (the whole box when periodic, one slice otherwise) is
+over INERTIA_DENSE_LIMIT has no exact count and is refused with
+EigensolverError; no answer rests on an uncertified count.
 
 A closed window [lo, hi] is counted at its ends nudged outward by a relative
 1e-12 (`_closed_window`), by count_in_interval and precount_windows alike.
 
-The iterative eigensolver cross-checks its accepted Ritz count against the
-inertia count whenever one is available and refuses to return silently short.
+The iterative eigensolver accepts its Ritz values only when they number
+exactly the inertia count, and refuses to return silently short.
 
 Everything here is deterministic: iterative starts come from a fixed
 counter-based key, never from global state.
@@ -70,7 +75,6 @@ class ResonantSampleError(RuntimeError):
 class EigenResult:
     eigenvalues: np.ndarray  # ascending, all <= the requested cutoff
     eigenvectors: np.ndarray | None  # columns match eigenvalues when requested
-    residual_bound: float
     method: str
 
 
@@ -188,56 +192,42 @@ def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarr
 
 
 def _ldl_negative_count(A: np.ndarray) -> int:
-    # eigenvalue signs of the block-diagonal factor carry the inertia
+    # Sylvester: the block diagonal factor (1x1 and 2x2 pivots) carries A's
+    # inertia, and being tridiagonal its signs are a Sturm count at 0
     _, d, _ = sla.ldl(A, lower=True)
-    n = A.shape[0]
-    count = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            a, b, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
-            det = a * c - b * b
-            tr = a + c
-            if det < 0.0:
-                count += 1
-            elif det > 0.0 and tr < 0.0:
-                count += 2
-            elif det == 0.0 and tr < 0.0:
-                count += 1
-            i += 2
-        else:
-            if d[i, i] < 0.0:
-                count += 1
-            i += 1
-    return count
+    return sturm_count(np.diag(d), np.diag(d, -1), 0.0)
 
 
-def inertia_count(H: DiscreteHamiltonian, x: float) -> int | None:
-    """Number of eigenvalues strictly below x, or None when no exact path fits.
+def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
+    """Number of eigenvalues strictly below x.
 
     The block count runs in the other slice order when a Schur block is
-    nearly singular, and raises ResonantSampleError when both orders are.
+    nearly singular, and raises ResonantSampleError when both orders are.  A
+    dense part (the whole periodic box, or one slice) over
+    INERTIA_DENSE_LIMIT unknowns has no exact count: EigensolverError.
     """
     if H.is_tridiagonal:
         if x in H.below:
             return H.below[x]
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
-    if H.box.bc != "periodic":
-        if H.box.n ** (H.box.d - 1) > INERTIA_DENSE_LIMIT:
-            return None
-        diag, coupling = H.diag.reshape(H.box.n, -1), H.stencil.coupling
-        tol = SCHUR_PIVOT_TOL * _operator_scale(H)
-        for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
-            count = block_sturm_count(H.stencil.inner, *order, x, tol)
-            if count is not None:
-                return count
-        raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")
-    if H.box.ndof <= INERTIA_DENSE_LIMIT:
-        A = H.matrix.toarray().astype(float)
+    periodic = H.box.bc == "periodic"
+    dense = H.box.ndof if periodic else H.box.n ** (H.box.d - 1)
+    if dense > INERTIA_DENSE_LIMIT:
+        raise EigensolverError(
+            f"no exact eigenvalue count: {dense} unknowns to factor densely, limit {INERTIA_DENSE_LIMIT}"
+        )
+    if periodic:
+        A = H.matrix.toarray()
         A[np.diag_indices_from(A)] -= x
         return _ldl_negative_count(A)
-    return None
+    diag, coupling = H.diag.reshape(H.box.n, -1), H.stencil.coupling
+    tol = SCHUR_PIVOT_TOL * _operator_scale(H)
+    for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
+        count = block_sturm_count(H.stencil.inner, *order, x, tol)
+        if count is not None:
+            return count
+    raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")
 
 
 def _closed_window(lo: float, hi: float) -> tuple[float, float]:
@@ -253,12 +243,7 @@ def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
     if hi < lo:
         return 0
     x_lo, x_hi = _closed_window(lo, hi)
-    n_hi = inertia_count(H, x_hi)
-    n_lo = 0 if lo == -math.inf else inertia_count(H, x_lo)
-    if n_hi is not None and n_lo is not None:
-        return n_hi - n_lo
-    ev = eigs_below(H, x_hi).eigenvalues
-    return int(np.count_nonzero(ev >= x_lo))
+    return inertia_count(H, x_hi) - (0 if lo == -math.inf else inertia_count(H, x_lo))
 
 
 def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence[tuple[float, float]]) -> None:
@@ -282,54 +267,47 @@ def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence
 def _eigs_tridiagonal(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
     diag, off = H.tridiagonal()
     floor = float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
-    if want_vectors:
-        ev, vecs = sla.eigh_tridiagonal(diag, off, select="v", select_range=(floor, e_max))
-        resid = _max_residual(H, ev, vecs)
-        return EigenResult(ev, vecs, resid, "tridiagonal")
-    ev = sla.eigh_tridiagonal(diag, off, select="v", select_range=(floor, e_max), eigvals_only=True)
-    return EigenResult(ev, None, 64 * np.finfo(float).eps * _operator_scale(H), "tridiagonal")
+    out = sla.eigh_tridiagonal(diag, off, eigvals_only=not want_vectors, select="v", select_range=(floor, e_max))
+    return EigenResult(*(out if want_vectors else (out, None)), "tridiagonal")
 
 
 def _eigs_dense(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
-    A = H.matrix.toarray()
-    if want_vectors:
-        ev, vecs = sla.eigh(A, subset_by_value=(-np.inf, e_max))
-        resid = _max_residual(H, ev, vecs)
-        return EigenResult(ev, vecs, resid, "dense")
-    ev = sla.eigvalsh(A, subset_by_value=(-np.inf, e_max))
-    return EigenResult(ev, None, 64 * np.finfo(float).eps * _operator_scale(H), "dense")
-
-
-def _max_residual(H: DiscreteHamiltonian, ev: np.ndarray, vecs: np.ndarray) -> float:
-    if ev.size == 0:
-        return 0.0
-    r = H.matrix @ vecs - vecs * ev[np.newaxis, :]
-    return float(np.sqrt((r * r).sum(axis=0)).max())
+    out = sla.eigh(H.matrix.toarray(), eigvals_only=not want_vectors, subset_by_value=(-np.inf, e_max))
+    return EigenResult(*(out if want_vectors else (out, None)), "dense")
 
 
 def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
-    """Lanczos with full reorthogonalization and an inertia cross-check.
+    """Lanczos with full reorthogonalization, certified by the inertia count.
 
     The start vector comes from a fixed counter-based key so repeated runs
-    agree bit for bit.  Iteration proceeds in blocks until every Ritz value
-    at or below the cutoff has a small residual bound and, when an inertia
-    count is available, the accepted count matches it exactly.
+    agree bit for bit.  Iteration proceeds in blocks of 60 steps until the
+    Ritz values at or below the cutoff are accepted: they number exactly the
+    inertia count, and each has a residual bound within tol (100 tol once the
+    steps run out, else the run is refused).
     """
     n = H.box.ndof
     scale = _operator_scale(H)
     tol = 1e-9 * scale
+    want_count = inertia_count(H, _closed_window(-math.inf, e_max)[1])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=_LANCZOS_KEY)))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    V = np.empty((n, min(n, 600) + 1))
+    max_steps = min(n, 600)
+    V = np.empty((n, max_steps + 1))
     V[:, 0] = v
     alphas: list[float] = []
     betas: list[float] = []
-    max_steps = min(n, 600)
-    want_count = inertia_count(H, _closed_window(-math.inf, e_max)[1])
     theta = S = None
     m = 0
     exhausted = False
+
+    def accepted(bound: float) -> bool:
+        sel = theta <= e_max
+        if int(sel.sum()) != want_count:
+            return False
+        # an exact invariant subspace leaves no residual
+        return exhausted or bool(np.all(np.abs(betas[-1] * S[-1, sel]) <= bound))
+
     for step in range(max_steps):
         w = H.matrix @ V[:, step]
         if step > 0:
@@ -349,43 +327,15 @@ def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> E
             V[:, step + 1] = w / beta
         if exhausted or m == max_steps or (m % 60 == 0):
             theta, S = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]))
-            sel = theta <= e_max
-            resid_all = np.abs(betas[-1] * S[-1, :])
-            ok = bool(np.all(resid_all[sel] <= tol)) if sel.any() else True
-            count_ok = want_count is None or int(sel.sum()) == want_count
-            if want_count is None and not exhausted:
-                # no inertia cross-check at this size: the bottom Ritz pair
-                # must converge before any selection (even an empty one) is
-                # trusted, or a cutoff below the converged range would return
-                # silently short
-                if resid_all[0] > tol:
-                    ok = False
-                elif not sel.any() and theta[0] - resid_all[0] <= e_max:
-                    ok = False
-            if exhausted or (ok and count_ok):
+            if exhausted or accepted(tol):
                 break
-    assert theta is not None and S is not None
     sel = theta <= e_max
-    resid = np.abs(betas[-1] * S[-1, sel]) if not exhausted else np.zeros(int(sel.sum()))
-    if want_count is not None and int(sel.sum()) != want_count:
+    if not accepted(100 * tol):
         raise EigensolverError(
             f"iteration stalled: {int(sel.sum())} Ritz values at cutoff, inertia says {want_count}"
+            f" (residuals within {100 * tol:.3g} required)"
         )
-    if sel.any() and not exhausted and float(resid.max()) > tol * 100:
-        raise EigensolverError("Ritz residuals failed to converge below the cutoff")
-    if want_count is None and not exhausted:
-        resid_all = np.abs(betas[-1] * S[-1, :])
-        if resid_all[0] > tol * 100 or (not sel.any() and theta[0] - resid_all[0] <= e_max):
-            raise EigensolverError("bottom of the spectrum did not converge; count uncertified")
-    ev = theta[sel].copy()
-    vecs = None
-    if want_vectors:
-        vecs = V[:, :m] @ S[:, sel]
-        # refresh residual with the true vectors
-        rb = _max_residual(H, ev, vecs)
-    else:
-        rb = float(resid.max()) if resid.size else 0.0
-    return EigenResult(ev, vecs, rb, "lanczos")
+    return EigenResult(theta[sel], V[:, :m] @ S[:, sel] if want_vectors else None, "lanczos")
 
 
 def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False) -> EigenResult:
@@ -406,11 +356,7 @@ def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False)
 
 
 def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
-    below = inertia_count(H, z - 1e-10)
-    above = inertia_count(H, z + 1e-10)
-    if below is None or above is None:
-        return  # no exact count at this size; the factorization itself will object
-    if below != above:
+    if inertia_count(H, z - 1e-10) != inertia_count(H, z + 1e-10):
         raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
 
 

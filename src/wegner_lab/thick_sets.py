@@ -86,11 +86,6 @@ class RasterGeometry:
     def cell_volume(self) -> float:
         return float(np.prod([1.0 / r for r in self.resolution]))
 
-    @property
-    def period(self) -> tuple[float, ...]:
-        """Periodic rasters tile with their extent as the period."""
-        return self.extent
-
     def axis_centers(self, axis: int) -> np.ndarray:
         m = self.shape[axis]
         r = self.resolution[axis]
@@ -228,7 +223,6 @@ class ThicknessCertificate:
     """Result of scanning all cell-aligned window positions over one period."""
 
     gamma_star: float
-    window: tuple[float, ...]
     error_bound: float  # boundary-cell volume as a fraction of the window volume
     argmin: tuple[float, ...]  # a window anchor achieving gamma_star
 
@@ -305,7 +299,6 @@ def certify_thickness(S: RasterSet, a: Sequence[float] | WindowSpec) -> Thicknes
         err = boundary_cells * S.geometry.cell_volume / win.volume
     return ThicknessCertificate(
         gamma_star=float(ratios[anchor_idx]),
-        window=win.a,
         error_bound=float(err),
         argmin=argmin,
     )

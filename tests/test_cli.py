@@ -245,11 +245,16 @@ class TestRunCommand:
             ),
             ("[run]\nexperiment = stubborn-exp\n\n[parameters]\neigen_index = -1\n", "eigen_index must be at least 0"),
             ("[run]\nexperiment = wegner\n\n[parameters]\neps_list = 0.0,0.1\n", "eps_list entries must be positive"),
+            ("[run]\nexperiment = stubborn\n\n[parameters]\ne = -2\n", "E must exceed -1"),
+            ("[run]\nexperiment = stubborn\n\n[parameters]\ne = -1\n", "E must exceed -1"),
+            ("[run]\nexperiment = ids\n\n[parameters]\neps = -0.25\n", "eps must be positive"),
+            ("[run]\nexperiment = ids\n\n[parameters]\neps = 0\n", "eps must be positive"),
         ],
         ids=[
             "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
             "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
+            "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
@@ -278,6 +283,20 @@ class TestRunCommand:
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "slab.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "iteration stalled: 38 Ritz values at cutoff, inertia says 41" in capsys.readouterr().err
+
+    def test_box_with_no_exact_count_exits_two(self, tmp_path, capsys):
+        # a 65 x 65 periodic box would be one dense factorization over the
+        # limit, so it has no exact count; single-vector Lanczos cannot see
+        # the multiplicities of this checkerboard's spectrum without one
+        geo = RasterGeometry(origin=(0.0, 0.0), extent=(1.0, 1.0), resolution=(2, 2), periodic=True)
+        save_raster(RasterSet(geometry=geo, cells=np.array([[True, False], [False, True]])), tmp_path / "checker.rast")
+        text = (
+            "[run]\nexperiment = uncertainty\nmesh_density = 65\n\n[parameters]\nset_kind = file\n"
+            "set_path = checker.rast\na = 1.0,1.0\nbc = periodic\nl_list = 1\ne_list = 45,100\n"
+        )
+        cfg = _write(tmp_path / "u.ini", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "no exact eigenvalue count: 4225 unknowns to factor densely, limit 4096" in capsys.readouterr().err
 
     def test_resonant_shift_exits_two(self, tmp_path, capsys, monkeypatch):
         def refuse(H, lo, hi):

@@ -230,13 +230,14 @@ class TestInertiaCount:
             assert inertia_count(H, x) == int(np.count_nonzero(ev < x))
 
     def test_indefinite_shift_exercises_block_pivots(self):
-        # a shift deep inside the spectrum forces LDL into 2x2 pivots
+        # a shift deep inside the spectrum leaves the Schur blocks of this
+        # Dirichlet box indefinite, so the block Sturm count sums signs of both kinds
         box, H = _random_operator(2, 9, 2.0, seed=8)
         ev = sla.eigvalsh(H.matrix.toarray())
         mid = float(np.median(ev)) + 1e-7
         assert inertia_count(H, mid) == int(np.count_nonzero(ev < mid))
 
-    def test_too_large_for_exact_count_returns_none(self):
+    def test_free_plane_past_the_old_dense_limit_counts_exactly(self):
         # past the old dense LDL limit the block Sturm count is still exact
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=70)
         H = build_free_laplacian(box)
@@ -292,6 +293,40 @@ def _exact_or_refused(H, shifts):
     return refused
 
 
+@st.composite
+def _periodic_operator(draw):
+    """d=1 or d=2 periodic boxes with a random potential, and shifts from below the spectrum to deep inside it."""
+    d = draw(st.integers(1, 2))
+    box = BoxSpec(
+        d=d,
+        length=draw(st.sampled_from([1.0, 2.0])),
+        center=(0.0,) * d,
+        n=draw(st.integers(3, 30 if d == 1 else 7)),
+        bc="periodic",
+    )
+    values = st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=box.ndof, max_size=box.ndof)
+    H = add_potential(build_free_laplacian(box), np.array(draw(values)))
+    fractions = draw(st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6))
+    return H, fractions
+
+
+class TestPeriodicLDLCount:
+    """The LDL signs of periodic boxes, read through sturm_count, against numpy.linalg.eigvalsh."""
+
+    @given(_periodic_operator())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eigvalsh(self, case):
+        H, fractions = case
+        ev = np.linalg.eigvalsh(H.matrix.toarray())
+        # interior shifts leave the shifted matrix indefinite, which forces 2x2 pivots
+        shifts = [ev[0] + f * (ev[-1] - ev[0]) for f in fractions]
+        shifts += [0.5 * (a + b) for a, b in zip(ev, ev[1:])][::2]
+        for x in shifts:
+            if np.min(np.abs(ev - x)) < 1e-8:
+                continue  # on the spectrum the strict count is a rounding call
+            assert inertia_count(H, x) == int(np.count_nonzero(ev < x)), x
+
+
 class TestBlockSturmCount:
     """The block Schur count of d>=2 open boxes against numpy.linalg.eigvalsh."""
 
@@ -344,7 +379,8 @@ class TestBlockSturmCount:
         # a d=3 slice of 65^2 unknowns would be factored densely at every step
         box = BoxSpec(d=3, length=1.0, center=(0.0, 0.0, 0.0), n=65)
         assert box.n**2 > INERTIA_DENSE_LIMIT
-        assert inertia_count(diagonal_hamiltonian(box, np.zeros(box.ndof)), 1.0) is None
+        with pytest.raises(EigensolverError, match="4225 unknowns to factor densely, limit 4096"):
+            inertia_count(diagonal_hamiltonian(box, np.zeros(box.ndof)), 1.0)
 
     def test_periodic_boxes_keep_the_dense_factorization(self):
         box = BoxSpec(d=2, length=2.0, center=(0.0, 0.0), n=8, bc="periodic")
@@ -353,7 +389,9 @@ class TestBlockSturmCount:
         for x in (5.0, 40.0, 90.0):
             assert inertia_count(P, x) == int(np.count_nonzero(ev < x))
         big = build_free_laplacian(BoxSpec(d=2, length=1.0, center=(0.0, 0.0), n=65, bc="periodic"))
-        assert big.box.ndof > INERTIA_DENSE_LIMIT and inertia_count(big, 30.0) is None
+        assert big.box.ndof > INERTIA_DENSE_LIMIT
+        with pytest.raises(EigensolverError, match="no exact eigenvalue count: 4225 unknowns"):
+            inertia_count(big, 30.0)
 
 
 class TestCountInInterval:
@@ -388,9 +426,9 @@ class TestCountInInterval:
         H = build_free_laplacian(box)
         assert count_in_interval(H, -5.0, 0.0) == 0
 
-    def test_fallback_beyond_factorization_limit(self):
-        # 4900 dof and not tridiagonal, so no exact inertia is available and
-        # the count must come from the certified iterative solve
+    def test_exact_count_past_the_old_factorization_limit(self):
+        # 4900 dof and not tridiagonal: the block Sturm count over 70 slices
+        # of 70 unknowns counts exactly where dense LDL would not fit
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=70)
         H = build_free_laplacian(box)
         levels = discrete_dirichlet_spectrum(box)
@@ -409,7 +447,10 @@ class TestEigsBelow:
         want = want[want <= 60.0]
         np.testing.assert_allclose(res.eigenvalues, want, rtol=1e-12, atol=1e-9)
         assert res.eigenvectors is None
-        assert res.residual_bound < 1e-7
+        pairs = eigs_below(H, 60.0, want_vectors=True)
+        np.testing.assert_allclose(pairs.eigenvalues, res.eigenvalues, rtol=1e-12)
+        r = H.matrix @ pairs.eigenvectors - pairs.eigenvectors * pairs.eigenvalues
+        assert float(np.sqrt((r * r).sum(axis=0)).max()) < 1e-7
 
     def test_requested_vectors_are_orthonormal_with_small_residual(self):
         box, H = _random_operator(1, 120, 8.0, seed=5, amplitude=2.0)
@@ -419,14 +460,15 @@ class TestEigsBelow:
         gram = res.eigenvectors.T @ res.eigenvectors
         np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
         r = H.matrix @ res.eigenvectors - res.eigenvectors * res.eigenvalues
-        assert float(np.abs(r).max()) <= max(res.residual_bound, 1e-12)
-
-    def test_residual_scale_comes_from_the_bands(self):
-        box, H = _random_operator(1, 40, 3.0, seed=12, amplitude=4.0)
-        res = eigs_below(H, 20.0)
-        assert "matrix" not in vars(H)
         one_norm = float(abs(H.matrix).sum(axis=0).max())
-        assert res.residual_bound == pytest.approx(64 * np.finfo(float).eps * one_norm, rel=1e-14)
+        assert float(np.sqrt((r * r).sum(axis=0)).max()) <= 64 * np.finfo(float).eps * one_norm
+
+    def test_band_solves_never_build_the_matrix(self):
+        box, H = _random_operator(1, 40, 3.0, seed=12, amplitude=4.0)
+        for want_vectors in (False, True):
+            res = eigs_below(H, 20.0, want_vectors=want_vectors)
+            assert res.method == "tridiagonal" and res.eigenvalues.size > 0
+            assert "matrix" not in vars(H)
 
     def test_dense_and_tridiagonal_agree(self):
         box, H = _random_operator(1, 80, 5.0, seed=9, amplitude=3.0)
@@ -467,7 +509,7 @@ class TestEigsBelow:
         res = eigs_below(H, 0.0)
         assert res.eigenvalues.size == 0
 
-    def test_lanczos_certifies_empty_window_without_inertia(self):
+    def test_lanczos_certifies_empty_window_by_inertia(self):
         box = BoxSpec(d=2, length=1.0, center=(0.5, 0.5), n=70)
         H = build_free_laplacian(box)
         res = _eigs_lanczos(H, 10.0, False)
