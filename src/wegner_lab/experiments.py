@@ -30,7 +30,6 @@ from .random_model import (
     construct_diluted_minorant,
     mean_potential,
     modulus_s,
-    potential_envelope,
     sample_potential,
     verify_NoPi,
 )
@@ -40,8 +39,10 @@ from .spectral import (
     compressed_indicator_min_eig,
     count_in_interval,
     eigs_below,
+    precount_below,
     precount_windows,
     resolvent_block_norm,
+    resonance_shifts,
 )
 from .thick_sets import RasterSet, WindowSpec, certify_thickness, stripes_raster, window_field_max
 
@@ -312,7 +313,7 @@ def estimate_ids(
 
 def _candidate_centers(model: AlloyModel, L: float, kappa: float) -> list[tuple[tuple[float, ...], float]]:
     """Integer box centers whose box-wide potential ceiling stays at or below kappa."""
-    env = potential_envelope(model)
+    env = model.envelope
     reach = int(math.floor(model.extent - L / 2 - model.max_radius))
     if reach < 0:
         return []
@@ -636,13 +637,20 @@ def run_uncertainty(
 # initial-scale resolvent decay
 
 
-@_per_operator
-def _end_to_end_norm(H, v, z, rows, cols) -> float | None:
-    """|1_A (H - z)^{-1} 1_B| of one draw (A = rows, B = cols), or None when z is resonant for it."""
-    try:
-        return resolvent_block_norm(H, z, rows, cols)
-    except ResonantSampleError:
-        return None
+def _end_to_end_norms(replicas, z, rows, cols) -> list[float | None]:
+    """|1_A (H - z)^{-1} 1_B| of a block of draws (A = rows, B = cols), None where z is resonant for a draw.
+
+    The block's resonance checks are counted ahead, at once (precount_below).
+    """
+    operators = [H for H, _ in replicas]
+    precount_below(operators, resonance_shifts(z))
+    norms: list[float | None] = []
+    for H in operators:
+        try:
+            norms.append(resolvent_block_norm(H, z, rows, cols))
+        except ResonantSampleError:
+            norms.append(None)
+    return norms
 
 
 @_timed
@@ -676,7 +684,7 @@ def run_ise(
         z = 1.0 / math.sqrt(L)
         rows = box.node_block((-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
         cols = box.node_block((L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
-        results = _map_replicas(_end_to_end_norm, (z, rows, cols), model, box, _draws(seed, replicas), workers)
+        results = _map_replicas(_end_to_end_norms, (z, rows, cols), model, box, _draws(seed, replicas), workers)
         norms = np.array([r for r in results if r is not None], dtype=float)
         resonant[L] = sum(1 for r in results if r is None)
         if norms.size == 0:
@@ -755,7 +763,7 @@ def run_spectral_minimum(
     )
     box = _box(model.d, L, mesh_density)
     ground = float(discrete_dirichlet_spectrum(box)[0])
-    sup_env = float(potential_envelope(model).values.max())
+    sup_env = float(model.envelope.values.max())
     e_cap = ground + model.m_plus * sup_env + 1.0
     rep.fitted["free_ground"] = ground
     rep.fitted["potential_ceiling"] = sup_env

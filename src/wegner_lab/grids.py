@@ -165,7 +165,7 @@ class DiscreteHamiltonian:
     @functools.cached_property
     def below(self) -> dict[float, int]:
         """Counts of eigenvalues strictly below a shift, found ahead of the
-        queries that read them (spectral.precount_windows)."""
+        queries that read them (spectral.precount_below)."""
         return {}
 
     @property

@@ -573,6 +573,18 @@ class AlloyModel:
     def max_radius(self) -> float:
         return self.profile.radius
 
+    @functools.cached_property
+    def envelope(self) -> GridField:
+        """potential_envelope(self), computed on first use; its values are read-only."""
+        env = potential_envelope(self)
+        env.values.flags.writeable = False
+        return env
+
+    def __getstate__(self) -> dict:
+        # a worker process recomputes the envelope if it needs one, rather
+        # than receive it with every task
+        return {k: v for k, v in self.__dict__.items() if k != "envelope"}
+
     @property
     def m_plus(self) -> float:
         return max(d.max_support for d in self.dists)
@@ -743,7 +755,7 @@ def verify_NoPi(
     for a in a_list:
         if len(a) != model.d:
             raise ModelError(f"window {tuple(a)} has {len(a)} sides; the model has dimension {model.d}")
-    env = potential_envelope(model)
+    env = model.envelope
     sup_u = float(env.values.max())
     bound_ok = sup_u <= model.claimed_bound + 1e-12
     witnesses: dict[tuple[float, tuple[float, ...]], tuple[float, ...]] = {}

@@ -5,12 +5,15 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
 
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
   tridiagonal bands (`sturm_count`).  A block of replicas shares the free
-  off-diagonal, so `precount_windows` counts all of its operators at
-  every window end at once: each (operator, shift) pair is a lane, and from
-  LANE_CROSSOVER lanes on one numpy recurrence runs over all of them, one
-  step per unknown, with the IEEE operations of the scalar loop in the same
-  order.  Each operator keeps those counts (`DiscreteHamiltonian.below`),
-  and count_in_interval reads them instead of running the loop again.
+  off-diagonal, so `precount_below` counts all of its operators at every
+  shift a query will ask for at once: each (operator, shift) pair is a
+  lane, and from LANE_CROSSOVER lanes on one numpy recurrence runs over all
+  of them, one step per unknown, with the IEEE operations of the scalar
+  loop in the same order.  Each operator keeps those counts
+  (`DiscreteHamiltonian.below`), and inertia_count reads them instead of
+  running the loop again.  The shifts are a block's window ends
+  (`precount_windows`) or the two resonance shifts of a resolvent query
+  (`resonance_shifts`).
 - d>=2 with Dirichlet or Neumann boundary: the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice, in both slice orders, exact at every size
@@ -30,6 +33,13 @@ A closed window [lo, hi] is counted at its ends nudged outward by a relative
 
 The iterative eigensolver accepts its Ritz values only when they number
 exactly the inertia count, and refuses to return silently short.
+
+A resolvent block is refused when the shift lies within 1e-10 of an
+eigenvalue (the two resonance counts differ).  Otherwise one factorization
+serves every column: LAPACK's gtsv on the d=1 bands, sparse LU in d>=2; the
+block's norm is its largest singular value from LAPACK's gesdd.  Both
+routines are called directly, fetched as scipy's solve_banded and svdvals
+fetch them, so the bits are theirs.
 
 Everything here is deterministic: iterative starts come from a fixed
 counter-based key, never from global state.
@@ -246,22 +256,26 @@ def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
     return inertia_count(H, x_hi) - (0 if lo == -math.inf else inertia_count(H, x_lo))
 
 
-def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence[tuple[float, float]]) -> None:
-    """Count every operator below the ends of every window at once, for count_in_interval to read.
+def precount_below(operators: Sequence[DiscreteHamiltonian], shifts: Sequence[float]) -> None:
+    """Count every operator below every shift at once, for inertia_count to read.
 
     For d=1 operators with an open boundary, all on one box: each
-    (operator, window end) pair is a lane, and from LANE_CROSSOVER lanes on
-    one sturm_count runs them all and each operator keeps its counts in
-    `below`.  Fewer lanes, or other operators, are left to count_in_interval.
+    (operator, shift) pair is a lane, and from LANE_CROSSOVER lanes on one
+    sturm_count runs them all and each operator keeps its counts in `below`.
+    Fewer lanes, or other operators, are left to inertia_count.
     """
-    ends = [_closed_window(lo, hi) for lo, hi in windows if hi >= lo]
-    shifts = sorted({x for end in ends for x in end if x != -math.inf})
+    shifts = sorted({x for x in shifts if x != -math.inf})
     if not operators or not operators[0].is_tridiagonal or len(operators) * len(shifts) < LANE_CROSSOVER:
         return
     diag = np.column_stack([H.tridiagonal()[0] for H in operators])
     below = sturm_count(diag, operators[0].tridiagonal()[1], shifts)
     for H, counts in zip(operators, below.tolist()):
         H.below.update(zip(shifts, counts))
+
+
+def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence[tuple[float, float]]) -> None:
+    """precount_below at the ends of every closed window, for count_in_interval to read."""
+    precount_below(operators, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
 
 
 def _eigs_tridiagonal(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
@@ -355,8 +369,20 @@ def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False)
 # resolvent blocks
 
 
+# the LAPACK routines behind scipy.linalg.solve_banded (one band each side)
+# and svdvals, fetched the way those wrappers fetch them
+(_GTSV,) = sla.get_lapack_funcs(("gtsv",), dtype=np.float64)
+_GESDD, _GESDD_LWORK = sla.get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64, ilp64="preferred")
+
+
+def resonance_shifts(z: float) -> tuple[float, float]:
+    """The two shifts whose eigenvalue counts differ when z is within 1e-10 of an eigenvalue."""
+    return z - 1e-10, z + 1e-10
+
+
 def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
-    if inertia_count(H, z - 1e-10) != inertia_count(H, z + 1e-10):
+    lo, hi = resonance_shifts(z)
+    if inertia_count(H, lo) != inertia_count(H, hi):
         raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
 
 
@@ -372,28 +398,33 @@ def resolvent_block_norm(
     block is then exact (up to the factorization's own accuracy).  A shift
     within 1e-10 of an eigenvalue is refused rather than silently amplified.
     """
-    if np.intersect1d(rows, cols).size:
+    if not set(rows.tolist()).isdisjoint(cols.tolist()):
         raise ValueError("blocks overlap; the off-diagonal norm is not defined")
     _check_off_resonance(H, z)
+    if rows.size == 0 or cols.size == 0:
+        return 0.0
     n = H.box.ndof
-    rhs = np.zeros((n, cols.size))
+    rhs = np.zeros((n, cols.size), order="F")
     rhs[cols, np.arange(cols.size)] = 1.0
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
-        ab = np.zeros((3, n))
-        ab[0, 1:] = off
-        ab[1, :] = diag - z
-        ab[2, :-1] = off
-        sol = sla.solve_banded((1, 1), ab, rhs)
+        *_, sol, info = _GTSV(off, diag - z, off, rhs, overwrite_d=1, overwrite_b=1)
+        if info > 0:
+            raise ResonantSampleError(f"zero pivot in row {info} of the tridiagonal solve at shift {z}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gtsv")
     else:
         lu = spla.splu(sp.csc_matrix(H.matrix - z * sp.identity(n, format="csc")))
         sol = lu.solve(rhs)
     M = sol[rows, :]
     if not np.all(np.isfinite(M)):
         raise ResonantSampleError("factorization produced non-finite entries at this shift")
-    if M.size == 0:
-        return 0.0
-    return float(sla.svdvals(M)[0])
+    work, info = _GESDD_LWORK(*M.shape, compute_uv=0, full_matrices=1)
+    if info == 0:
+        _, s, _, info = _GESDD(M, compute_uv=0, full_matrices=1, lwork=int(work), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesdd failed with info {info}")
+    return float(s[0])
 
 
 # ---------------------------------------------------------------------------

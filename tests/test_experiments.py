@@ -12,11 +12,16 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from wegner_lab import experiments as X
+from wegner_lab import spectral
+from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian
 from wegner_lab.random_model import BernoulliAt, covering_model
 from wegner_lab.reports import ExperimentReport
+from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
 
 EXACT = dict(rel=1e-12, abs=1e-300)
 
@@ -387,6 +392,40 @@ class TestIse:
         kw = dict(L_list=(4.0, 8.0), replicas=8, seed=5)
         assert X.run_ise(covering, **kw).to_json() == X.run_ise(covering, workers=2, **kw).to_json()
 
+    # two resonance shifts per operator: 31 operators are 62 lanes, below the
+    # crossover, and 32 are 64, at it
+    @pytest.mark.parametrize("R", [1, 31, 32, 64, 65])
+    def test_block_query_matches_per_operator_calls(self, R, monkeypatch):
+        box = BoxSpec(d=1, length=8.0, center=(0.0,), n=127)
+        z = 1.0 / math.sqrt(8.0)
+        rows, cols = box.node_block((-4.0,), (-2.0,)), box.node_block((2.0,), (4.0,))
+        free = build_free_laplacian(box)
+        V = np.random.default_rng(R).uniform(0.0, 3.0, size=(R, box.ndof))
+        hit = R // 2
+        # shift one draw so that its third eigenvalue sits at z, up to rounding
+        V[hit] += z - sla.eigh_tridiagonal(*add_potential(free, V[hit]).tridiagonal(), eigvals_only=True)[2]
+
+        def one(H):
+            try:
+                return resolvent_block_norm(H, z, rows, cols)
+            except ResonantSampleError:
+                return None
+
+        want = [one(add_potential(free, v)) for v in V]
+        scalar = []
+        sturm_count = spectral.sturm_count
+
+        def counting(diag, off, x):
+            if np.ndim(diag) == 1:
+                scalar.append(x)
+            return sturm_count(diag, off, x)
+
+        monkeypatch.setattr(spectral, "sturm_count", counting)
+        got = X._end_to_end_norms(((add_potential(free, v), v) for v in V), z, rows, cols)
+        assert got == want
+        assert [i for i, norm in enumerate(got) if norm is None] == [hit]
+        assert len(scalar) == (0 if 2 * R >= LANE_CROSSOVER else 2 * R)
+
 
 class TestUncertainty:
     WANT = {
@@ -523,6 +562,8 @@ class TestReportSurface:
         # workers map blocks of 8 (16) replicas, which count in the loop (lanes)
         ("run_wegner", "covering", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=65)),
         ("estimate_ids", "covering", dict(L=4.0, E_list=(2.0, 5.0, 10.0), seed=5, replicas=129)),
+        # one worker checks resonance for 64 operators in lanes and for the
+        # last one in the loop; two workers map blocks of 8, all in the loop
         ("run_ise", "covering", dict(L_list=(4.0,), seed=5, replicas=65)),
     ],
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wegner_lab import random_model
 from wegner_lab.grids import BoxSpec
 from wegner_lab.random_model import (
     AlloyModel,
@@ -303,6 +305,20 @@ class TestAlloyModel:
         env = potential_envelope(covering)
         assert float(env.values.min()) == 1.0
         assert float(env.values.max()) == 1.0
+
+    def test_envelope_is_computed_once_per_model(self, monkeypatch):
+        calls = []
+        envelope = random_model.potential_envelope
+        monkeypatch.setattr(random_model, "potential_envelope", lambda *a, **k: calls.append(a) or envelope(*a, **k))
+        model = geometric_dilution_model()
+        for _ in range(2):
+            verify_NoPi(model, kappa_list=[0.5], a_list=[(4.0,)])
+        assert model.envelope is model.envelope
+        assert len(calls) == 1
+        assert np.array_equal(model.envelope.values, envelope(model).values)
+        assert not model.envelope.values.flags.writeable
+        # tasks sent to worker processes leave it behind
+        assert "envelope" not in vars(pickle.loads(pickle.dumps(model)))
 
     def test_sites_near_box(self, covering):
         box = _box(L=4.0)

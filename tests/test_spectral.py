@@ -12,12 +12,15 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wegner_lab import spectral
+from wegner_lab import grids, spectral
 from wegner_lab.grids import (
     BoxSpec,
+    DiscreteHamiltonian,
     add_potential,
     build_free_laplacian,
     diagonal_hamiltonian,
@@ -564,6 +567,80 @@ class TestResolventBlockNorm:
         ba = np.arange(0, 10)
         norms = [resolvent_block_norm(H, -1.0, ba, np.arange(s, s + 10)) for s in (40, 80, 120)]
         assert norms[0] > norms[1] > norms[2] > 0.0
+
+
+def _jacobi(diag, off):
+    """The d=1 operator with these bands; its box fixes only the size."""
+    box = BoxSpec(d=1, length=float(diag.size + 1), center=(0.0,), n=diag.size)
+    return DiscreteHamiltonian(grids._stencil(box, sp.diags([off, off], [-1, 1], format="csr")), diag)
+
+
+def _wrapper_norm(H, z, rows, cols):
+    """The block norm through scipy's wrappers: solve_banded (d=1) or splu, then svdvals."""
+    n = H.box.ndof
+    rhs = np.zeros((n, cols.size))
+    rhs[cols, np.arange(cols.size)] = 1.0
+    if H.is_tridiagonal:
+        diag, off = H.tridiagonal()
+        ab = np.zeros((3, n))
+        ab[0, 1:] = off
+        ab[1, :] = diag - z
+        ab[2, :-1] = off
+        sol = sla.solve_banded((1, 1), ab, rhs)
+    else:
+        sol = spla.splu(sp.csc_matrix(H.matrix - z * sp.identity(n, format="csc"))).solve(rhs)
+    return float(sla.svdvals(sol[rows, :])[0])
+
+
+@st.composite
+def _separated_blocks(draw, n):
+    """Two disjoint runs of 1 to 64 consecutive nodes out of n, in either order."""
+    p = draw(st.integers(1, min(64, n - 1)))
+    q = draw(st.integers(1, min(64, n - p)))
+    a = draw(st.integers(0, n - p - q))
+    b = draw(st.integers(a + p, n - q))
+    first, second = np.arange(a, a + p), np.arange(b, b + q)
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
+class TestResolventMatchesTheWrappers:
+    """The direct LAPACK calls give the wrappers' bits, at any shift off resonance."""
+
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_jacobi_blocks(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        H = _jacobi(rng.uniform(-5.0, 5.0, n), rng.uniform(-2.0, 2.0, n - 1))
+        z = float(rng.uniform(-7.0, 7.0))
+        rows, cols = data.draw(_separated_blocks(n))
+        try:
+            got = resolvent_block_norm(H, z, rows, cols)
+        except ResonantSampleError:
+            assume(False)
+        assert got == _wrapper_norm(H, z, rows, cols)
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_plane_blocks(self, n, seed, data):
+        box, H = _random_operator(2, n, 2.0, seed, amplitude=3.0)
+        rng = np.random.default_rng(seed)
+        z = float(rng.uniform(-5.0, 60.0))
+        picks = rng.permutation(box.ndof)
+        p = data.draw(st.integers(1, min(64, box.ndof - 1)))
+        q = data.draw(st.integers(1, min(64, box.ndof - p)))
+        rows, cols = np.sort(picks[:p]), np.sort(picks[p : p + q])
+        try:
+            got = resolvent_block_norm(H, z, rows, cols)
+        except ResonantSampleError:
+            assume(False)
+        assert got == _wrapper_norm(H, z, rows, cols)
+
+    def test_zero_pivot_is_refused_as_resonant(self, monkeypatch):
+        # with the resonance check switched off, a singular solve still returns no number
+        monkeypatch.setattr(spectral, "_check_off_resonance", lambda H, z: None)
+        H = _jacobi(np.array([1.0, 1.0, 5.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ResonantSampleError, match="zero pivot"):
+            resolvent_block_norm(H, 1.0, np.array([0]), np.array([2]))
 
 
 class TestCompressedIndicator:
