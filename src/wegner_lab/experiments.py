@@ -361,6 +361,8 @@ def run_stubborn(
     """
     if E <= -1:
         raise PreconditionError(f"E must exceed -1, got {E:g}")
+    if min_boxes < 1:
+        raise PreconditionError(f"min_boxes must be at least 1, got {min_boxes}")
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
@@ -854,6 +856,8 @@ def localisation_probe(
     is broken).  Reports participation ratios and per-shell decay rates;
     every verdict is informational by design.
     """
+    if E_lo >= E_hi:
+        raise PreconditionError(f"E_lo must be below E_hi, got E_lo = {E_lo:g}, E_hi = {E_hi:g}")
     for dist in model.dists:
         if dist.holder_exponent is None:
             raise PreconditionError("localization probe needs Holder-continuous couplings")

@@ -10,6 +10,10 @@ sample_potential draws 64 consecutive replicas per pass and keeps a few such
 blocks.  A model has one single-site profile u, a nonnegative bump of finite
 radius; u_j = u(x - x_j) is its translate to site center x_j.
 
+Each coupling law is a frozen dataclass that states its own facts: its
+fields and their defaults are the keys of a model file's [distribution]
+section, and law.modulus(eps) is its modulus of continuity in closed form.
+
 The module also houses the two structural verifiers (the covering-type lower
 bound with a thickness certificate, and its refutation via empty-window
 witnesses) plus the diluted single-scale minorant construction that extracts
@@ -22,7 +26,7 @@ import configparser
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -69,8 +73,8 @@ class ModelConfigError(ModelError):
 
 @dataclass(frozen=True)
 class Uniform:
-    lo: float
-    hi: float
+    lo: float = 0.0
+    hi: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
@@ -103,7 +107,7 @@ class Uniform:
         lo, hi = max(a, self.lo), min(b, self.hi)
         return max(hi - lo, 0.0) / (self.hi - self.lo)
 
-    def modulus_closed(self, eps: float) -> float:
+    def modulus(self, eps: float) -> float:
         return min(eps / (self.hi - self.lo), 1.0)
 
     @property
@@ -115,9 +119,9 @@ class Uniform:
 class BernoulliAt:
     """Two atoms: value v0 with probability p0, else v1."""
 
-    v0: float
-    v1: float
-    p0: float
+    v0: float = 0.0
+    v1: float = 1.0
+    p0: float = 0.5
 
     def __post_init__(self) -> None:
         if not (0 < self.p0 < 1):
@@ -160,7 +164,7 @@ class BernoulliAt:
             mass += 1 - self.p0
         return mass
 
-    def modulus_closed(self, eps: float) -> float:
+    def modulus(self, eps: float) -> float:
         if eps >= abs(self.v1 - self.v0):
             return 1.0
         return max(self.p0, 1 - self.p0)
@@ -174,8 +178,8 @@ class BernoulliAt:
 class TruncatedPowerHolder:
     """CDF (x/m_plus)^alpha on [0, m_plus]; Holder modulus of order min(alpha, 1)."""
 
-    m_plus: float
-    alpha: float
+    m_plus: float = 1.0
+    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.m_plus > 0 and self.alpha > 0):
@@ -214,8 +218,9 @@ class TruncatedPowerHolder:
             return 0.0
         return max(self._cdf(b) - self._cdf(a), 0.0)
 
-    def modulus_closed(self, eps: float) -> float | None:
-        return None  # exercised through the generic grid path
+    def modulus(self, eps: float) -> float:
+        # the density is monotone, so the heaviest window sits at an end of the support
+        return max(self._cdf(eps), 1.0 - self._cdf(self.m_plus - eps))
 
     @property
     def holder_exponent(self) -> float | None:
@@ -433,28 +438,13 @@ def empirical_modulus(
 def modulus_s(dists: Sequence[Distribution], eps: float) -> float:
     """Worst-case mass any single coupling puts into a closed window of length eps.
 
-    s(eps) = sup over sites and window centers E of mu_j([E - eps/2, E + eps/2]).
-    Uniform and two-atom kinds use closed forms.  Other kinds are scanned over
-    an E-grid augmented with windows anchored at both support endpoints, which
-    attains the supremum exactly for monotone densities; the grid contributes
-    at most one mass increment of error otherwise.
+    s(eps) = sup over sites j and window centers E of mu_j([E - eps/2, E + eps/2]).
+    Each law states its own supremum over E in closed form (law.modulus), so
+    the supremum over sites is a maximum over the distinct laws.
     """
     if eps <= 0:
         return 0.0
-    worst = 0.0
-    for dist in dists:
-        closed = dist.modulus_closed(eps)
-        if closed is not None:
-            worst = max(worst, closed)
-            continue
-        lo, hi = dist.min_support, dist.max_support
-        anchors = np.array([lo + eps / 2, hi - eps / 2])
-        grid = np.linspace(lo - eps / 2, hi + eps / 2, 4096)
-        best = 0.0
-        for e in np.concatenate([anchors, grid]):
-            best = max(best, dist.interval_mass(e - eps / 2, e + eps / 2))
-        worst = max(worst, best)
-    return min(worst, 1.0)
+    return max(law.modulus(eps) for law in set(dists))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +775,6 @@ def verify_NoPi(
 
 @dataclass(frozen=True, eq=False)
 class MinorantCell:
-    anchor: tuple[float, ...]  # sublattice cell center k
     site_index: int
     kept: RasterSet  # T_k, trimmed to measure gamma_hat within one cell
 
@@ -814,61 +803,34 @@ class DilutedMinorant:
         return w
 
 
-def _threshold_bisection(dists: Sequence[Distribution]) -> float:
-    """Smallest coupling-window length with positive but non-unit modulus.
-
-    Bisection on the boundary of {eps : s(eps) > 0}; the returned value sits
-    within tol = 1e-6 above the infimum.
-    """
-    tol = 1e-6
-    span = max(d.max_support for d in dists) - min(d.min_support for d in dists)
-    if span <= 0:
-        raise ConstructionError("degenerate couplings admit no dilution threshold")
-    hi = min(tol, span / 4)
-    while modulus_s(dists, hi) == 0.0 and hi < span:
-        hi *= 2
-    if modulus_s(dists, hi) == 0.0:
-        raise ConstructionError("modulus stays zero up to the coupling range")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if modulus_s(dists, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    if modulus_s(dists, hi) >= 1.0:
-        raise ConstructionError("modulus jumps straight to one; couplings are a single atom")
-    return hi
-
-
-def construct_diluted_minorant(
-    model: AlloyModel,
-    L: float,
-    raster_resolution: int | None = None,
-) -> DilutedMinorant:
+def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
     """Select one site per sublattice cell and trim its strong set to measure gamma_hat.
 
-    Sublattice spacing is L + 2R.  In each cell the site whose profile
-    reaches 1/N on the largest part of the inner box wins (lexicographic
-    tie-break); its strong set is trimmed to gamma_hat = gamma * prod(a) / N
-    by dropping the highest raster cells in C order.
+    Sublattice spacing is L + 2R, a whole number so that every sublattice
+    anchor is a lattice point.  In each cell the site whose profile reaches
+    1/N on the largest part of the inner box wins (lexicographic tie-break);
+    its strong set is trimmed to gamma_hat = gamma * prod(a) / N by dropping
+    the highest raster cells in C order.  The threshold eps1 is min(1e-6,
+    m_plus / 4): s(eps) > 0 for every eps > 0, so any positive length will do.
     """
     if model.claimed_gamma is None or model.claimed_window is None:
         raise ConstructionError("minorant construction needs the thickness claim (gamma, a)")
     if any(d.min_support != 0.0 for d in model.dists):
         raise ConstructionError("couplings must have minimal support 0")
-    res = raster_resolution or model.u_resolution
-    r_max = model.max_radius
-    spacing = L + 2 * r_max
-    eps1 = _threshold_bisection(model.dists)
+    spacing = L + 2 * model.max_radius
+    if L <= 0 or not float(spacing).is_integer():
+        raise ConstructionError(
+            f"minorant needs L > 0 and a whole sublattice spacing L + 2R; got L = {L:g}, spacing {spacing:g}"
+        )
+    eps1 = min(1e-6, model.m_plus / 4)
     s1 = modulus_s(model.dists, eps1)
+    if s1 >= 1.0:
+        raise ConstructionError(f"modulus s({eps1:g}) is one: a coupling law has all its mass in one such window")
 
     # integer points inside the open sublattice cell, per axis
     half = spacing / 2
     zs = [z for z in range(-math.ceil(half), math.ceil(half) + 1) if abs(z) < half]
     n_points = len(zs) ** model.d
-    if n_points == 0:
-        raise ConstructionError("sublattice cell contains no lattice points")
 
     gamma_hat = model.claimed_gamma * float(np.prod(model.claimed_window.a)) / n_points
     weight = 1.0 / n_points
@@ -885,7 +847,7 @@ def construct_diluted_minorant(
         geo = RasterGeometry(
             origin=tuple(a - L / 2 for a in anchor),
             extent=(float(L),) * model.d,
-            resolution=(res,) * model.d,
+            resolution=(model.u_resolution,) * model.d,
             periodic=False,
         )
         pts = geo.centers()
@@ -909,7 +871,7 @@ def construct_diluted_minorant(
         target = int(round(gamma_hat / cell_vol))
         if target < 1:
             raise ConstructionError(
-                f"raster resolution {res} too coarse to hold measure {gamma_hat} in one cell"
+                f"raster resolution {model.u_resolution} too coarse to hold measure {gamma_hat} in one cell"
             )
         if count < target:
             raise ConstructionError(
@@ -919,7 +881,7 @@ def construct_diluted_minorant(
         keep_idx = np.flatnonzero(best_mask)[:target]  # lexicographic trim in C order
         flat[keep_idx] = True
         kept = RasterSet(geometry=geo, cells=flat.reshape(geo.shape))
-        cells.append(MinorantCell(anchor=tuple(float(a) for a in anchor), site_index=site_idx, kept=kept))
+        cells.append(MinorantCell(site_index=site_idx, kept=kept))
 
     if not cells:
         raise ConstructionError("no sublattice cell found a registered site")
@@ -1010,7 +972,7 @@ def build_model(
 
 def covering_model(
     extent: float = 40.0,
-    dist: Distribution = Uniform(0.0, 1.0),
+    dist: Distribution = Uniform(),
     u_resolution: int = 16,
 ) -> AlloyModel:
     """d=1 unit-cell indicators at every integer: sum_j u_j = 1 everywhere."""
@@ -1020,7 +982,7 @@ def covering_model(
 def fat_cantor_model(
     extent: float = 40.0,
     depth: int = 4,
-    dist: Distribution = Uniform(0.0, 1.0),
+    dist: Distribution = Uniform(),
     u_resolution: int = 16,
     set_resolution: int = 1024,
 ) -> AlloyModel:
@@ -1032,30 +994,24 @@ def fat_cantor_model(
 
 def geometric_dilution_model(
     extent: float = 200.0,
-    dist: Distribution = Uniform(0.0, 1.0),
+    dist: Distribution = Uniform(),
     u_resolution: int = 8,
 ) -> AlloyModel:
     """d=1 sites only at +-2^m: gaps double forever, so no level set is thick."""
     return build_model(1, extent, u_resolution, dist, BallIndicator(radius=0.5), "powers-of-two", bound=1.0)
 
 
-def slab_model(
-    extent: float = 20.0,
-    dist: Distribution = Uniform(0.0, 1.0),
-    u_resolution: int = 8,
-) -> AlloyModel:
-    """d=2 balls along one axis: support confined to a slab, thick nowhere."""
-    # adjacent balls overlap pairwise, never three deep
-    return build_model(2, extent, u_resolution, dist, BallIndicator(radius=1.0), "hyperplane", bound=2.0)
-
-
 # ---------------------------------------------------------------------------
 # model description files
+
+# a [distribution] section names its law by kind; its other keys are the
+# law's fields, which default to the field defaults
+_LAWS = {"uniform": Uniform, "bernoulli": BernoulliAt, "truncated-power": TruncatedPowerHolder}
 
 _MODEL_SECTIONS = {
     "model": {"dimension", "extent", "resolution"},
     "sites": {"profile", "radius", "placement", "cantor_depth", "set_resolution", "raster"},
-    "distribution": {"kind", "lo", "hi", "v0", "v1", "p0", "m_plus", "alpha"},
+    "distribution": {"kind"} | {f.name for law in _LAWS.values() for f in fields(law)},
     "thickness": {"gamma", "a", "set"},
     "bound": {"c_u"},
 }
@@ -1076,19 +1032,10 @@ def _value(
 
 def _parse_distribution(path: Path, sec: configparser.SectionProxy) -> Distribution:
     kind = sec.get("kind", "").strip()
-    if kind == "uniform":
-        return Uniform(lo=_value(path, sec, "lo", float, 0.0), hi=_value(path, sec, "hi", float, 1.0))
-    if kind == "bernoulli":
-        return BernoulliAt(
-            v0=_value(path, sec, "v0", float, 0.0),
-            v1=_value(path, sec, "v1", float, 1.0),
-            p0=_value(path, sec, "p0", float, 0.5),
-        )
-    if kind == "truncated-power":
-        return TruncatedPowerHolder(
-            m_plus=_value(path, sec, "m_plus", float, 1.0), alpha=_value(path, sec, "alpha", float, 0.5)
-        )
-    raise ModelConfigError(f"unknown distribution kind {kind!r}")
+    if kind not in _LAWS:
+        raise ModelConfigError(f"unknown distribution kind {kind!r}")
+    law = _LAWS[kind]
+    return law(**{f.name: _value(path, sec, f.name, float, f.default) for f in fields(law)})
 
 
 def load_model_config(path: str | Path) -> AlloyModel:

@@ -7,6 +7,8 @@ value-pinning tests share one execution each.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from wegner_lab import experiments
@@ -14,9 +16,11 @@ from wegner_lab.random_model import (
     covering_model,
     fat_cantor_model,
     geometric_dilution_model,
-    slab_model,
+    load_model_config,
 )
 from wegner_lab.thick_sets import stripes_raster
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class GateRecorder:
@@ -65,7 +69,7 @@ def geometric():
 
 @pytest.fixture(scope="session")
 def slab():
-    return slab_model(extent=12.0)
+    return load_model_config(CONFIG_DIR / "slab.model.ini")
 
 
 @pytest.fixture(scope="session")

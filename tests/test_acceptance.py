@@ -18,6 +18,7 @@ from wegner_lab import experiments
 from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum, max_spectral_gap_below
 from wegner_lab.random_model import (
     BernoulliAt,
+    TruncatedPowerHolder,
     Uniform,
     construct_diluted_minorant,
     empirical_modulus,
@@ -310,7 +311,8 @@ def test_gate_09_spectral_minimum(gate, covering):
 def test_gate_10_modulus_closed_vs_sampled(gate):
     t0 = time.perf_counter()
     worst = 0.0
-    for dist in (Uniform(0.0, 1.0), BernoulliAt(0.0, 1.0, 0.3)):
+    laws = (Uniform(0.0, 1.0), BernoulliAt(0.0, 1.0, 0.3), TruncatedPowerHolder(1.0, 0.5), TruncatedPowerHolder(1.0, 2.0))
+    for dist in laws:
         for eps in (0.05, 0.1, 0.5):
             closed = modulus_s([dist], eps)
             p, se, _ = empirical_modulus(dist, eps, n_samples=10**6, seed=424242)

@@ -249,12 +249,19 @@ class TestRunCommand:
             ("[run]\nexperiment = stubborn\n\n[parameters]\ne = -1\n", "E must exceed -1"),
             ("[run]\nexperiment = ids\n\n[parameters]\neps = -0.25\n", "eps must be positive"),
             ("[run]\nexperiment = ids\n\n[parameters]\neps = 0\n", "eps must be positive"),
+            ("[run]\nexperiment = minorant\n\n[parameters]\nl = 4.5\n", "got L = 4.5, spacing 5.5"),
+            (
+                "[run]\nexperiment = localisation-probe\n\n[parameters]\ne_lo = 3\ne_hi = 1\n",
+                "E_lo must be below E_hi, got E_lo = 3, E_hi = 1",
+            ),
+            ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be at least 1"),
         ],
         ids=[
             "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
             "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
             "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
+            "minorant-fractional-spacing", "probe-empty-window", "stubborn-zero-min-boxes",
         ],
     )
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named):

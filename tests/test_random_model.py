@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import pickle
@@ -39,7 +40,6 @@ from wegner_lab.random_model import (
     sample_iid,
     sample_potential,
     site_uniforms,
-    slab_model,
     verify_NoPi,
     verify_Pi,
 )
@@ -58,8 +58,8 @@ class TestDistributions:
         assert (u.min_support, u.max_support, u.mean) == (1.0, 3.0, 2.0)
         assert u.interval_mass(0.0, 2.0) == pytest.approx(0.5)
         assert u.interval_mass(5.0, 6.0) == 0.0
-        assert u.modulus_closed(1.0) == pytest.approx(0.5)
-        assert u.modulus_closed(9.0) == 1.0
+        assert u.modulus(1.0) == pytest.approx(0.5)
+        assert u.modulus(9.0) == 1.0
 
     def test_uniform_validation(self):
         with pytest.raises(ModelError):
@@ -72,8 +72,8 @@ class TestDistributions:
         assert b.mean == pytest.approx(0.7)
         assert b.interval_mass(-0.5, 0.5) == pytest.approx(0.3)
         assert b.interval_mass(-0.5, 1.5) == 1.0
-        assert b.modulus_closed(0.5) == pytest.approx(0.7)
-        assert b.modulus_closed(1.0) == 1.0
+        assert b.modulus(0.5) == pytest.approx(0.7)
+        assert b.modulus(1.0) == 1.0
         assert b.holder_exponent is None
 
     def test_bernoulli_validation(self):
@@ -108,8 +108,7 @@ class TestDistributions:
         assert modulus_s(dists, 0.4) == pytest.approx(0.4)
 
     def test_modulus_power_law_left_endpoint(self):
-        # density falls on (0, m]: the heaviest window hugs the left endpoint,
-        # where the endpoint anchor makes the grid scan exact
+        # density falls on (0, m]: the heaviest window hugs the left endpoint
         t = TruncatedPowerHolder(1.0, 0.5)
         assert modulus_s([t], 0.04) == pytest.approx(0.2, abs=1e-12)
 
@@ -121,6 +120,21 @@ class TestDistributions:
     def test_modulus_nonpositive_window(self):
         assert modulus_s([Uniform(0.0, 1.0)], 0.0) == 0.0
         assert modulus_s([Uniform(0.0, 1.0)], -1.0) == 0.0
+
+    @given(m_plus=st.floats(0.1, 10.0), alpha=st.floats(0.1, 5.0), frac=st.floats(1e-4, 1.5))
+    @settings(max_examples=40, deadline=None)
+    def test_power_law_closed_form_matches_the_grid_scan(self, m_plus, alpha, frac):
+        law, eps = TruncatedPowerHolder(m_plus, alpha), frac * m_plus
+        assert modulus_s([law], eps) == pytest.approx(_scanned_modulus(law, eps), rel=1e-9)
+
+
+def _scanned_modulus(law, eps):
+    """The sup of window masses over a grid of 4096 window centers across the
+    support plus the two windows flush with its ends: the oracle the closed
+    forms replaced, exact up to rounding for monotone densities."""
+    lo, hi = law.min_support, law.max_support
+    centers = np.concatenate([[lo + eps / 2, hi - eps / 2], np.linspace(lo - eps / 2, hi + eps / 2, 4096)])
+    return min(max(law.interval_mass(e - eps / 2, e + eps / 2) for e in centers), 1.0)
 
 
 class TestSampling:
@@ -477,9 +491,23 @@ class TestDilutedMinorant:
         with pytest.raises(ConstructionError):
             construct_diluted_minorant(shifted, 4.0)  # support detached from zero
 
-    def test_resolution_too_coarse(self, covering):
-        with pytest.raises(ConstructionError):
-            construct_diluted_minorant(covering, 4.0, raster_resolution=2)
+    def test_resolution_too_coarse(self):
+        with pytest.raises(ConstructionError, match="too coarse"):
+            construct_diluted_minorant(covering_model(u_resolution=2), 4.0)
+
+    @pytest.mark.parametrize("L", [4.5, 0.0, -1.0])
+    def test_spacing_must_be_whole_and_L_positive(self, covering, L):
+        # at spacing 5.5 the odd sublattice anchors are no lattice points, and
+        # their cells would silently drop out
+        with pytest.raises(ConstructionError, match=rf"got L = {L:g}, spacing {L + 1:g}$"):
+            construct_diluted_minorant(covering, L)
+
+    def test_law_with_all_mass_in_the_threshold_window_refused(self, covering):
+        # the threshold min(1e-6, m_plus / 4) follows the widest law; atoms
+        # closer together than that sit in one window of that length
+        dists = (Uniform(),) + (BernoulliAt(0.0, 1e-7),) * (len(covering.centers) - 1)
+        with pytest.raises(ConstructionError, match=r"modulus s\(1e-06\) is one"):
+            construct_diluted_minorant(dataclasses.replace(covering, dists=dists), 4.0)
 
     def test_atom_at_single_point_refused(self):
         m = covering_model(dist=BernoulliAt(0.0, 1.0, 0.3))
@@ -517,7 +545,6 @@ class TestFactoriesAndConfig:
             ("covering.model.ini", "covering"),
             ("fat_cantor.model.ini", "cantor"),
             ("geometric.model.ini", "geometric"),
-            ("slab.model.ini", "slab"),
         ],
     )
     def test_config_matches_factory(self, name, fixture, request):
@@ -562,6 +589,25 @@ class TestFactoriesAndConfig:
         bad.write_text("[model]\ndimension = 1\n")
         with pytest.raises(ModelConfigError):
             load_model_config(bad)
+
+    @pytest.mark.parametrize(
+        "kind, keys, given_law, default_law",
+        [
+            ("uniform", "lo = 0.25\nhi = 2.0\n", Uniform(0.25, 2.0), Uniform(0.0, 1.0)),
+            ("bernoulli", "v0 = 0.25\nv1 = 2.0\np0 = 0.75\n", BernoulliAt(0.25, 2.0, 0.75), BernoulliAt(0.0, 1.0, 0.5)),
+            ("truncated-power", "m_plus = 2.0\nalpha = 1.5\n", TruncatedPowerHolder(2.0, 1.5), TruncatedPowerHolder(1.0, 0.5)),
+        ],
+    )
+    def test_every_law_kind_loads_with_all_keys_and_with_none(self, tmp_path, kind, keys, given_law, default_law):
+        path = tmp_path / "law.model.ini"
+        head = f"[model]\ndimension = 1\nextent = 4\n[sites]\nplacement = all-integers\n[distribution]\nkind = {kind}\n"
+        path.write_text(head + keys)
+        assert set(load_model_config(path).dists) == {given_law}
+        path.write_text(head)
+        assert set(load_model_config(path).dists) == {default_law}
+        path.write_text(head + keys + "stray = 1\n")
+        with pytest.raises(ModelConfigError, match=r"unknown key 'stray' in section \[distribution\]"):
+            load_model_config(path)
 
     def test_unknown_distribution_rejected(self, tmp_path):
         bad = tmp_path / "bad4.model.ini"
