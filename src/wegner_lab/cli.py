@@ -6,7 +6,8 @@ Subcommands:
   certify   certify thickness of a raster, or a model's structural claims
   report    re-render a stored report as a human summary
 
-An experiment's driver in the experiments module is its one declaration: a
+An experiment's driver in the experiments module is its one declaration:
+the experiment's name is the one its decorator registers (EXPERIMENTS), a
 run file's [parameters] keys are the driver's keyword arguments lowercased,
 with the driver's defaults and the kinds its annotations give (plus those
 of build_set when the driver takes a set, not a model).  [run] holds the
@@ -57,19 +58,6 @@ class ConfigError(ValueError):
     pass
 
 
-# experiment name -> its driver in the experiments module
-EXPERIMENTS = {
-    "wegner": "run_wegner",
-    "ids": "estimate_ids",
-    "stubborn": "run_stubborn",
-    "stubborn-exp": "run_stubborn_exponential",
-    "uncertainty": "run_uncertainty",
-    "ise": "run_ise",
-    "spectral-minimum": "run_spectral_minimum",
-    "localisation-probe": "localisation_probe",
-    "minorant": "run_minorant_check",
-}
-
 # [run] keys besides the experiment, with the least value each accepts
 _RUN_KEYS = {"seed": 0, "replicas": 1, "workers": 1, "mesh_density": 1}
 
@@ -116,7 +104,7 @@ def _keys(fn) -> dict[str, inspect.Parameter]:
 def _schema(experiment: str) -> tuple[Any, dict[str, inspect.Parameter], dict[str, inspect.Parameter] | None]:
     """The experiment's driver, the keys the driver reads after its first argument,
     and the keys of build_set when that first argument is a set, not a model."""
-    driver = getattr(experiments, EXPERIMENTS[experiment])
+    driver = getattr(experiments, experiments.EXPERIMENTS[experiment])
     (first, _), *rest = _keys(driver).items()
     return driver, dict(rest), None if first == "model" else _keys(build_set)
 
@@ -157,8 +145,8 @@ def parse_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: missing [run] section")
     run = parser["run"]
     experiment = run.pop("experiment", "").strip()
-    if experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
+    if experiment not in experiments.EXPERIMENTS:
+        known = ", ".join(sorted(experiments.EXPERIMENTS))
         raise ConfigError(f"{path}: experiment must be one of {known}, got {experiment!r}")
     _, keys, set_keys = _schema(experiment)
     cfg = RunConfig(experiment=experiment)

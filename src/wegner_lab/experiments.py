@@ -55,24 +55,35 @@ class PreconditionError(RuntimeError):
 _POOL: contextvars.ContextVar[list[ProcessPoolExecutor]] = contextvars.ContextVar("replica_pool")
 
 
-def _timed(driver):
-    """Stamp the report a driver returns with the driver's wall-clock time, and
-    shut down the one process pool that its replica maps shared."""
+# experiment name -> the name of its driver in this module, one entry per @_experiment
+EXPERIMENTS: dict[str, str] = {}
 
-    @functools.wraps(driver)
-    def timed(*args, **kwargs) -> ExperimentReport:
-        t0 = time.perf_counter()
-        token = _POOL.set([])
-        try:
-            rep = driver(*args, **kwargs)
-        finally:
-            for pool in _POOL.get():
-                pool.shutdown()
-            _POOL.reset(token)
-        rep.wall_clock_s = time.perf_counter() - t0
-        return rep
 
-    return timed
+def _experiment(name: str):
+    """Register the driver as the experiment `name`.  The report it returns is
+    stamped with that name and the driver's wall-clock time, and the one
+    process pool its replica maps shared is shut down."""
+
+    def register(driver):
+        EXPERIMENTS[name] = driver.__name__
+
+        @functools.wraps(driver)
+        def timed(*args, **kwargs) -> ExperimentReport:
+            t0 = time.perf_counter()
+            token = _POOL.set([])
+            try:
+                rep = driver(*args, **kwargs)
+            finally:
+                for pool in _POOL.get():
+                    pool.shutdown()
+                _POOL.reset(token)
+            rep.experiment = name
+            rep.wall_clock_s = time.perf_counter() - t0
+            return rep
+
+        return timed
+
+    return register
 
 
 def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draws: list) -> list:
@@ -133,6 +144,13 @@ def _stderr(samples: np.ndarray) -> Any:
     return samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
 
 
+def _require_nonnegative_couplings(model: AlloyModel) -> None:
+    """Refuse coupling laws that reach below 0; the caller's bounds rest on a nonnegative potential."""
+    low = min(dist.min_support for dist in model.dists)
+    if low < 0:
+        raise PreconditionError(f"couplings must be nonnegative, got min_support = {low:g}")
+
+
 def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None, bc: str = "dirichlet") -> BoxSpec:
     n = int(round(L * mesh_density)) - (1 if bc == "dirichlet" else 0)
     return BoxSpec(
@@ -170,7 +188,7 @@ def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float
     return float(usable[-1] + shift)
 
 
-@_timed
+@_experiment("wegner")
 def run_wegner(
     model: AlloyModel,
     L_list: Sequence[float] = (8.0, 16.0, 32.0),
@@ -194,7 +212,6 @@ def run_wegner(
         raise PreconditionError(f"eps_list entries must be positive, got {eps_sorted[0]:g}")
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
-        experiment="wegner",
         config={
             "L_list": list(L_sorted),
             "eps_list": list(eps_sorted),
@@ -237,7 +254,7 @@ def run_wegner(
 # integrated density of states
 
 
-@_timed
+@_experiment("ids")
 def estimate_ids(
     model: AlloyModel,
     L: float = 12.0,
@@ -260,7 +277,6 @@ def estimate_ids(
         raise PreconditionError(f"eps must be positive, got {eps:g}")
     E_sorted = tuple(sorted(E_list))
     rep = ExperimentReport(
-        experiment="ids",
         config={
             "L": L,
             "E_list": list(E_sorted),
@@ -338,7 +354,7 @@ def _greedy_disjoint(centers: list[tuple[tuple[float, ...], float]], L: float, w
     return chosen
 
 
-@_timed
+@_experiment("stubborn")
 def run_stubborn(
     model: AlloyModel,
     E: float = 4.0,
@@ -363,10 +379,10 @@ def run_stubborn(
         raise PreconditionError(f"E must exceed -1, got {E:g}")
     if min_boxes < 1:
         raise PreconditionError(f"min_boxes must be at least 1, got {min_boxes}")
+    _require_nonnegative_couplings(model)
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
-        experiment="stubborn",
         config={
             "E": E,
             "L_list": list(L_sorted),
@@ -426,7 +442,7 @@ def _untouched_count(H, v, lo, hi) -> tuple[bool, int]:
     return float(np.abs(v).max()) == 0.0, count_in_interval(H, lo, hi)
 
 
-@_timed
+@_experiment("stubborn-exp")
 def run_stubborn_exponential(
     model: AlloyModel,
     L: float = 6.0,
@@ -449,7 +465,6 @@ def run_stubborn_exponential(
     if eigen_index < 0:
         raise PreconditionError(f"eigen_index must be at least 0, got {eigen_index}")
     rep = ExperimentReport(
-        experiment="stubborn-exp",
         config={"L": L, "eigen_index": eigen_index, "replicas": replicas, "mesh_density": mesh_density},
         seed=seed,
     )
@@ -527,7 +542,7 @@ def _solve_rate_constant(log_inv_lambda: float, E: float, a_sum: float, d: int, 
     return hi
 
 
-@_timed
+@_experiment("uncertainty")
 def run_uncertainty(
     S: RasterSet,
     a: Sequence[float] = (1.0,),
@@ -557,7 +572,6 @@ def run_uncertainty(
     E_sorted = tuple(sorted(E_list))
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
-        experiment="uncertainty",
         config={
             "a": list(a),
             "E_list": list(E_sorted),
@@ -655,7 +669,7 @@ def _end_to_end_norms(replicas, z, rows, cols) -> list[float | None]:
     return norms
 
 
-@_timed
+@_experiment("ise")
 def run_ise(
     model: AlloyModel,
     L_list: Sequence[float] = (8.0, 16.0),
@@ -675,7 +689,6 @@ def run_ise(
     """
     L_sorted = tuple(sorted(L_list))
     rep = ExperimentReport(
-        experiment="ise",
         config={"L_list": list(L_sorted), "replicas": replicas, "mesh_density": mesh_density},
         seed=seed,
     )
@@ -741,7 +754,7 @@ def _ground_state(H, v, e_cap) -> float:
     return float(ev[0])
 
 
-@_timed
+@_experiment("spectral-minimum")
 def run_spectral_minimum(
     model: AlloyModel,
     eps_list: Sequence[float] = (0.5, 0.25),
@@ -758,8 +771,8 @@ def run_spectral_minimum(
     staying at or below eps must land within eps times the potential ceiling
     of that floor.  The zero-coupling seam must reproduce the floor exactly.
     """
+    _require_nonnegative_couplings(model)
     rep = ExperimentReport(
-        experiment="spectral-minimum",
         config={"eps_list": list(eps_list), "replicas": replicas, "L": L, "mesh_density": mesh_density},
         seed=seed,
     )
@@ -838,7 +851,7 @@ def _probe(H, v, E_lo, E_hi) -> tuple[list[float], list[float]]:
     return prs, decays
 
 
-@_timed
+@_experiment("localisation-probe")
 def localisation_probe(
     model: AlloyModel,
     E_lo: float = 0.0,
@@ -862,7 +875,6 @@ def localisation_probe(
         if dist.holder_exponent is None:
             raise PreconditionError("localization probe needs Holder-continuous couplings")
     rep = ExperimentReport(
-        experiment="localisation-probe",
         config={"E_lo": E_lo, "E_hi": E_hi, "L": L, "replicas": replicas, "mesh_density": mesh_density},
         seed=seed,
     )
@@ -887,7 +899,7 @@ def localisation_probe(
 # minorant demonstration wrapper (ties the construction to sampled fields)
 
 
-@_timed
+@_experiment("minorant")
 def run_minorant_check(
     model: AlloyModel,
     L: float = 4.0,
@@ -898,7 +910,6 @@ def run_minorant_check(
 ) -> ExperimentReport:
     """Build the diluted minorant and confirm W <= V pathwise on sampled draws."""
     rep = ExperimentReport(
-        experiment="minorant",
         config={"L": L, "replicas": replicas, "box_length": box_length, "mesh_density": mesh_density},
         seed=seed,
     )

@@ -4,17 +4,18 @@ Second-order central differences on a cube of side L centered at x.
 Dirichlet grids exclude the boundary (spacing L/(n+1)), Neumann grids put
 nodes at cell centers with mirror ghosts (spacing L/n), periodic grids wrap
 (spacing L/n).  An operator is two read-only parts: the box's stencil (the
-off-diagonal part of -Delta, exactly symmetric by construction, built once
-per box and shared by every operator on it) and its own full diagonal, to
-which add_potential adds.  Bands (d=1) and first-axis slices (d>=2) of an
-open box are read off the two parts; the sparse matrix is summed only when a
-solver asks for it, with the same floating-point additions an eager sum does.
+off-diagonal part of -Delta, built once per box from the 1-d second
+difference and shared by every operator on it) and its own full diagonal,
+to which add_potential adds.  -Delta is the Kronecker sum of the 1-d second
+difference, so its diagonal is the Kronecker sum of the 1-d diagonal and its
+stencil recurses over the axes; an open box's first-axis slices are the
+factors of that recursion.  The sparse matrix is summed only when a solver
+asks for it, with the same floating-point additions an eager sum does.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -31,6 +32,12 @@ FREE_CACHE_SIZE = 32  # distinct boxes whose free stencil is kept
 
 class GridError(ValueError):
     pass
+
+
+def axes_product(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of the axes as an (N, d) array in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,7 @@ class BoxSpec:
 
     def nodes(self) -> np.ndarray:
         """All grid points as an (ndof, d) array in C order."""
-        axes = [self.axis_nodes(k) for k in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return axes_product([self.axis_nodes(k) for k in range(self.d)])
 
     def node_block(self, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
         """Flat C-order indices of the nodes in the closed box [lo, hi], each end widened by 1e-12."""
@@ -98,8 +103,7 @@ class BoxSpec:
             if inside.size == 0:
                 raise GridError(f"no grid node in [{lo[axis]:g}, {hi[axis]:g}] along axis {axis}")
             axes.append(inside)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.ravel_multi_index([m.ravel() for m in mesh], self.shape)
+        return np.ravel_multi_index(axes_product(axes).T, self.shape)
 
 
 def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
@@ -113,8 +117,8 @@ def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
 class Stencil:
     """The off-diagonal part of every operator on a box, shared read-only.
 
-    `off` is symmetric with nothing on its diagonal.  On an open box it is
-    also cut into n slices of m unknowns along the first axis: each slice's
+    `off` is symmetric with nothing on its diagonal.  On an open box it also
+    comes as n slices of m unknowns along the first axis: each slice's
     own couplings `inner` (m x m, shared by every slice) and the couplings
     between slices k and k+1, `coupling[k]` times the identity (in d=1, the
     off-diagonal band).  Periodic boxes have no slices.
@@ -124,19 +128,6 @@ class Stencil:
     off: sp.csr_matrix
     inner: sp.csr_matrix | None
     coupling: np.ndarray | None
-
-
-def _stencil(box: BoxSpec, off: sp.csr_matrix) -> Stencil:
-    """The box's stencil, refusing first-axis slices that would not rebuild off exactly."""
-    inner = coupling = None
-    if box.bc != "periodic":
-        m = box.ndof // box.n
-        inner = _read_only(off[:m, :m].tocsr())
-        coupling = _read_only(off.diagonal(k=-m)[::m].copy())
-        rebuilt = sp.kron(sp.identity(box.n), inner) + sp.kron(sp.diags([coupling, coupling], [-1, 1]), sp.identity(m))
-        if (rebuilt != off).nnz:
-            raise GridError("operator is not block tridiagonal along its first axis")
-    return Stencil(box, _read_only(off), inner, coupling)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,40 +164,42 @@ class DiscreteHamiltonian:
         return self.box.d == 1 and self.box.bc != "periodic"
 
 
-def _laplacian_1d(n: int, h: float, bc: Bc) -> sp.csr_matrix:
-    main = np.full(n, 2.0)
-    side = np.full(n - 1, -1.0)
-    mat = sp.diags([side, main, side], [-1, 0, 1], format="lil")
-    if bc == "neumann":
-        # mirror ghost node folds the outward difference back in
-        mat[0, 0] = 1.0
-        mat[n - 1, n - 1] = 1.0
-    elif bc == "periodic":
-        mat[0, n - 1] += -1.0
-        mat[n - 1, 0] += -1.0
-    return (mat.tocsr() * (1.0 / (h * h))).tocsr()
+def _kron_sum(values: np.ndarray, d: int) -> np.ndarray:
+    """values[i_0] + ... + values[i_{d-1}] over every index tuple in C order, summed axis 0 first."""
+    total = values
+    for _ in range(d - 1):
+        total = (total[:, None] + values[None, :]).ravel()
+    return total
 
 
 @functools.lru_cache(maxsize=FREE_CACHE_SIZE)
 def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
-    """Assemble -Delta on the box as a Kronecker sum of 1-d stencils.
+    """-Delta on the box, built from the 1-d second difference.
 
     Memoised per box: equal boxes share one operator, whose arrays are
     read-only.
     """
-    one = _laplacian_1d(box.n, box.h, box.bc)
-    eye = sp.identity(box.n, format="csr")
-    total: sp.spmatrix | None = None
-    for axis in range(box.d):
-        factors = [one if k == axis else eye for k in range(box.d)]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sp.kron(term, f, format="csr")
-        total = term if total is None else total + term
-    assert total is not None
-    free = total.diagonal()
-    # the sparse difference drops the diagonal entries it zeroes
-    return DiscreteHamiltonian(_stencil(box, (total - sp.diags(free, format="csr")).tocsr()), _read_only(free))
+    n, inv = box.n, 1.0 / (box.h * box.h)
+    main = np.full(n, 2.0 * inv)
+    if box.bc == "neumann":
+        main[[0, -1]] = inv  # the mirror ghost folds the outward difference back in
+    band = np.full(n - 1, -inv)
+    off_1 = sp.diags([band, band], [-1, 1], format="csr")
+    if box.bc == "periodic":
+        off_1 = off_1 + sp.csr_matrix(([-inv, -inv], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+    # off_d = kron(off_1, I) + kron(I, off_{d-1}); off_{d-1} is one first-axis slice
+    inner, off = sp.csr_matrix((1, 1)), off_1
+    for _ in range(box.d - 1):
+        inner, off = off, sp.kron(off_1, sp.identity(off.shape[0]), "csr") + sp.kron(sp.identity(n), off, "csr")
+    stencil = Stencil(box, _read_only(off), *_slices(box, inner, band))
+    return DiscreteHamiltonian(stencil, _read_only(_kron_sum(main, box.d)))
+
+
+def _slices(box: BoxSpec, inner: sp.csr_matrix, coupling: np.ndarray) -> tuple:
+    """(inner, coupling) read-only on an open box; periodic boxes have no slices."""
+    if box.bc == "periodic":
+        return None, None
+    return _read_only(inner), _read_only(coupling)
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:
@@ -224,7 +217,9 @@ def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
     diag = np.array(diag, dtype=float).ravel()
     if diag.shape[0] != box.ndof:
         raise GridError("diagonal length does not match the grid")
-    return DiscreteHamiltonian(_stencil(box, sp.csr_matrix((box.ndof, box.ndof))), _read_only(diag))
+    m = box.ndof // box.n
+    zero = _slices(box, sp.csr_matrix((m, m)), np.zeros(box.n - 1))
+    return DiscreteHamiltonian(Stencil(box, _read_only(sp.csr_matrix((box.ndof, box.ndof))), *zero), _read_only(diag))
 
 
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:
@@ -242,12 +237,9 @@ def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float,
     if cap < d:  # smallest integer sum of d squares is d
         return []
     n_max = int(math.isqrt(int(cap)) + 1)
-    counts: dict[int, int] = {}
-    for tup in itertools.product(range(1, n_max + 1), repeat=d):
-        s = sum(t * t for t in tup)
-        if s <= cap * (1 + 1e-15):
-            counts[s] = counts.get(s, 0) + 1
-    return [(scale * s, counts[s]) for s in sorted(counts)]
+    sums, counts = np.unique(_kron_sum(np.arange(1, n_max + 1) ** 2, d), return_counts=True)
+    keep = sums <= cap * (1 + 1e-15)
+    return [(scale * int(s), int(c)) for s, c in zip(sums[keep], counts[keep])]
 
 
 def max_spectral_gap_below(L: float, d: int, E: float) -> float:
@@ -285,7 +277,4 @@ def discrete_dirichlet_spectrum(box: BoxSpec) -> np.ndarray:
         raise GridError("closed-form spectrum implemented for Dirichlet boxes only")
     k = np.arange(1, box.n + 1, dtype=float)
     lam_axis = (4.0 / box.h**2) * np.sin(k * math.pi * box.h / (2.0 * box.length)) ** 2
-    total = lam_axis
-    for _ in range(box.d - 1):
-        total = (total[:, None] + lam_axis[None, :]).ravel()
-    return np.sort(total)
+    return np.sort(_kron_sum(lam_axis, box.d))

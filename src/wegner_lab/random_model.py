@@ -239,10 +239,10 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # The coupling of site j under key k is the first uniform of
 # Generator(Philox(SeedSequence(k, spawn_key=(j,)))).  Both stages are
 # counter-based, so site_uniforms computes them for a whole (keys x sites)
-# grid at once and returns the same bits as numpy's scalar path: the key's
-# words are mixed into SeedSequence's pool on Python ints, the site word (the
-# last entropy word) and generate_state(2, uint64) run on uint32 values held
-# in uint64 arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].
+# grid at once and returns the same bits as numpy's scalar path: each key's
+# pool is numpy's own SeedSequence(k).pool, the site word (the last entropy
+# word) and generate_state(2, uint64) run on uint32 values held in uint64
+# arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -256,17 +256,14 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 
-def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) pair generate_state applies to each pool word."""
-    xors, mults, h = [], [], _INIT_B
-    for _ in range(_POOL_SIZE):
-        xors.append(h)
-        h = h * _MULT_B & _MASK32
-        mults.append(h)
-    return np.array(xors, dtype=np.uint64), np.array(mults, dtype=np.uint64)
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[int, ...]:
+    """SeedSequence's hash constant after steps, ..., steps + 3 hash steps: init * mult**k mod 2**32."""
+    return tuple(init * pow(mult, steps + i, _MASK32 + 1) & _MASK32 for i in range(_POOL_SIZE))
 
 
-_STATE_XOR, _STATE_MULT = _state_hash_constants()
+# the (xor, multiplier) pair generate_state applies to each pool word
+_STATE_XOR, _STATE_MULT = (np.array(_hash_constants(_INIT_B, _MULT_B, k), dtype=np.uint64) for k in (0, 1))
 
 
 def _key_words(key: Any) -> list[int]:
@@ -275,50 +272,23 @@ def _key_words(key: Any) -> list[int]:
         n = int(key)
         if n < 0:
             raise ModelError(f"stream keys must be nonnegative, got {n}")
-        words = []
-        while True:
-            words.append(n & _MASK32)
-            n >>= 32
-            if not n:
-                return words
+        return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
     if isinstance(key, tuple):
         return [w for part in key for w in _key_words(part)]
     raise ModelError(f"stream keys are ints or tuples of ints, got {key!r}")
 
 
-def _key_pool(key: Any) -> tuple[list[int], list[int]]:
+def _key_pool(key: Any) -> tuple[np.ndarray, tuple[int, ...]]:
     """The key's SeedSequence pool before the site word, and the hash constants
     the site word meets on its way into each pool word.
 
     With a spawn key the run entropy is padded to the pool size, so the site
-    word is always the last entropy word and mixes into the finished pool.
+    word is always the last entropy word and mixes into the finished pool,
+    SeedSequence(key).pool.  Mixing the key took four hash steps per pool word
+    and per word beyond the pool, each multiplying the hash constant by MULT_A.
     """
-    words = _key_words(key)
-    words += [0] * (_POOL_SIZE - len(words))
-    h = _INIT_A
-    # hashmix(v): v ^= h; h *= MULT_A; v *= h; v ^= v >> 16, and
-    # mix(x, y) = L x - R y, then r ^= r >> 16, all mod 2**32, inlined for speed
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        w ^= h
-        h = h * _MULT_A & _MASK32
-        w = w * h & _MASK32
-        pool.append(w ^ w >> 16)
-    sources = [None] * _POOL_SIZE + words[_POOL_SIZE:]  # None: the pool word itself
-    for src, w in enumerate(sources):
-        for dst in range(_POOL_SIZE):
-            if src == dst:
-                continue
-            v = (pool[src] if w is None else w) ^ h
-            h = h * _MULT_A & _MASK32
-            v = v * h & _MASK32
-            r = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = r ^ r >> 16
-    consts = []
-    for _ in range(_POOL_SIZE):
-        consts.append(h)
-        h = h * _MULT_A & _MASK32
-    return pool, consts
+    steps = _POOL_SIZE * (_POOL_SIZE + max(0, len(_key_words(key)) - _POOL_SIZE))
+    return np.random.SeedSequence(key).pool, _hash_constants(_INIT_A, _MULT_A, steps)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -61,8 +61,8 @@ def record(
 class ExperimentReport:
     """Everything one experiment run produced, verdicts included."""
 
-    experiment: str
-    config: dict[str, Any]
+    experiment: str = ""  # stamped by the driver's registration (experiments._experiment)
+    config: dict[str, Any] = field(default_factory=dict)
     records: list[dict[str, Any]] = field(default_factory=list)
     fitted: dict[str, Any] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .grids import axes_product
+
 _ALIGN_TOL = 1e-9  # cells; forgives float noise at aligned window faces
 
 
@@ -93,8 +95,7 @@ class RasterGeometry:
 
     def centers(self) -> np.ndarray:
         """Every cell center as a (cells, d) array in C order."""
-        mesh = np.meshgrid(*(self.axis_centers(k) for k in range(self.d)), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return axes_product([self.axis_centers(k) for k in range(self.d)])
 
     def _axis_window(self, axis: int, x: float, a: float) -> tuple[int, int]:
         """Index range [lo, hi] of cell centers inside the closed window [x, x+a]."""

@@ -226,8 +226,8 @@ class TestRunCommand:
         assert "needs a model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text, named",
-        [
+        "text, named, model",
+        [(text, named, None) for text, named in [
             ("[run]\nexperiment = uncertainty\nbogus = 1\n", "bogus"),
             ("[run]\nexperiment = wegner\nreplicas = 0\n", "replicas must be at least 1"),
             ("[run]\nexperiment = ise\nreplicas = 0\n", "replicas must be at least 1"),
@@ -255,6 +255,11 @@ class TestRunCommand:
                 "E_lo must be below E_hi, got E_lo = 3, E_hi = 1",
             ),
             ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be at least 1"),
+        ]]
+        + [
+            # couplings on [-1, 1]: both drivers' bounds need a nonnegative potential
+            ("[run]\nexperiment = spectral-minimum\n", "got min_support = -1", "covering"),
+            ("[run]\nexperiment = stubborn\n", "got min_support = -1", "geometric"),
         ],
         ids=[
             "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
@@ -262,12 +267,17 @@ class TestRunCommand:
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
             "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
             "minorant-fractional-spacing", "probe-empty-window", "stubborn-zero-min-boxes",
+            "spectral-minimum-negative-couplings", "stubborn-negative-couplings",
         ],
     )
-    def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, named, model):
         cfg = _write(tmp_path / "u.ini", text)
         argv = ["run", "--config", str(cfg), "--out", str(tmp_path)]
-        if "uncertainty" not in text:
+        if model is not None:
+            shipped = (CONFIG_DIR / f"{model}.model.ini").read_text()
+            assert "lo = 0.0\n" in shipped
+            argv += ["--model", str(_write(tmp_path / "m.ini", shipped.replace("lo = 0.0\n", "lo = -1\n")))]
+        elif "uncertainty" not in text:
             argv += ["--model", str(CONFIG_DIR / "covering.model.ini")]
         assert main(argv) == 2
         assert named in capsys.readouterr().err

@@ -19,7 +19,7 @@ import scipy.linalg as sla
 from wegner_lab import experiments as X
 from wegner_lab import spectral
 from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian
-from wegner_lab.random_model import BernoulliAt, covering_model
+from wegner_lab.random_model import BernoulliAt, Uniform, covering_model, geometric_dilution_model
 from wegner_lab.reports import ExperimentReport
 from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
 
@@ -625,3 +625,40 @@ def test_single_replica_report_is_valid_json(driver, kw, covering):
     stderrs = [r["stderr"] for r in payload["records"] if r["replicas"] == 1 and r["stderr"] is not None]
     assert stderrs and all(s == 0.0 for s in stderrs)
     assert "nan" not in rep.to_records_csv()
+
+
+@pytest.mark.parametrize(
+    "driver, factory, lo",
+    [("run_spectral_minimum", covering_model, -1.0), ("run_stubborn", geometric_dilution_model, -3.0)],
+)
+def test_negative_couplings_refused_before_sampling(driver, factory, lo, monkeypatch):
+    # both drivers' bounds rest on a nonnegative potential
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    with pytest.raises(X.PreconditionError, match=f"got min_support = {lo:g}$"):
+        getattr(X, driver)(factory(dist=Uniform(lo, 1.0)), replicas=8)
+    assert sampled == []
+
+
+# the report each driver returns in this suite, by the driver's name
+_REPORT_FIXTURES = {
+    "run_wegner": "wegner_covering_report",
+    "estimate_ids": "ids_report",
+    "run_stubborn": "stubborn_report",
+    "run_stubborn_exponential": "stubexp_report",
+    "run_uncertainty": "uncertainty_report",
+    "run_ise": "ise_report",
+    "run_spectral_minimum": "specmin_report",
+    "localisation_probe": "probe_report",
+    "run_minorant_check": "minorant_report",
+}
+
+
+def test_every_driver_is_registered_once():
+    assert sorted(X.EXPERIMENTS.values()) == sorted(_REPORT_FIXTURES)
+
+
+@pytest.mark.parametrize("name, driver", sorted(X.EXPERIMENTS.items()))
+def test_registered_driver_stamps_its_name(name, driver, request):
+    assert callable(getattr(X, driver))
+    assert request.getfixturevalue(_REPORT_FIXTURES[driver]).experiment == name

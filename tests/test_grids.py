@@ -289,6 +289,57 @@ class TestFirstAxisBlocks:
         assert np.array_equal(H.diag, np.arange(27.0))
 
 
+def _assembled_then_sliced(box):
+    """The free operator assembled whole and cut back into its parts: the 1-d
+    second difference through a lil matrix, the full Kronecker sum over the
+    axes, the diagonal subtracted, and the first-axis slices read off.
+    Returns (diagonal, off, inner, coupling)."""
+    n = box.n
+    side = np.full(n - 1, -1.0)
+    one = sp.diags([side, np.full(n, 2.0), side], [-1, 0, 1], format="lil")
+    if box.bc == "neumann":
+        one[0, 0] = one[n - 1, n - 1] = 1.0
+    elif box.bc == "periodic":
+        one[0, n - 1] += -1.0
+        one[n - 1, 0] += -1.0
+    one = (one.tocsr() * (1.0 / (box.h * box.h))).tocsr()
+    eye = sp.identity(n, format="csr")
+    total = None
+    for axis in range(box.d):
+        term = one if axis == 0 else eye
+        for k in range(1, box.d):
+            term = sp.kron(term, one if k == axis else eye, format="csr")
+        total = term if total is None else total + term
+    free = total.diagonal()
+    off = (total - sp.diags(free, format="csr")).tocsr()
+    m = box.ndof // n
+    return free, off, off[:m, :m].tocsr(), off.diagonal(k=-m)[::m].copy()
+
+
+class TestFreeOperatorFromFactors:
+    """build_free_laplacian, built from the 1-d factors, against the assembled-then-sliced construction."""
+
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(2, 11),
+        bc=st.sampled_from(["dirichlet", "neumann", "periodic"]),
+        L=st.sampled_from([0.3, 1.0, 3.7, 8.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_bits_as_the_assembled_operator(self, d, n, bc, L):
+        box = _box(d=d, L=L, n=min(n, 6) if d == 3 else n, bc=bc)
+        free, off, inner, coupling = _assembled_then_sliced(box)
+        H = build_free_laplacian(box)
+        assert _same_bits(H.diag, free)
+        assert _same_matrix(H.stencil.off, off)
+        assert _same_matrix(H.matrix, (off + sp.diags(free, format="csr")).tocsr())
+        if bc == "periodic":
+            assert H.stencil.inner is None and H.stencil.coupling is None
+        else:
+            assert _same_matrix(H.stencil.inner, inner) and H.stencil.inner.shape == inner.shape
+            assert _same_bits(H.stencil.coupling, coupling)
+
+
 class TestNodeBlock:
     """Flat node indices of a closed coordinate box, which the resolvent blocks take."""
 

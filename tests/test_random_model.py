@@ -37,6 +37,7 @@ from wegner_lab.random_model import (
     modulus_s,
     potential_envelope,
     _couplings,
+    _key_pool,
     sample_iid,
     sample_potential,
     site_uniforms,
@@ -201,6 +202,42 @@ _KEYS = st.one_of(
 _SITES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
+def _mixed_pool(key):
+    """SeedSequence's key mixing by hand, mod 2**32 on Python ints: the pool
+    before the site word, and the hash constants the site word meets.  The
+    oracle for _key_pool."""
+    mask, init_a, mult_a, mix_l, mix_r = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+
+    def words_of(k):
+        if isinstance(k, tuple):
+            return [w for part in k for w in words_of(part)]
+        return [(k >> s) & mask for s in range(0, max(32, k.bit_length()), 32)]
+
+    words = words_of(key)
+    words += [0] * (4 - len(words))
+    h = init_a
+    pool = []
+    for w in words[:4]:  # hashmix(v): v ^= h; h *= MULT_A; v *= h; v ^= v >> 16
+        w ^= h
+        h = h * mult_a & mask
+        w = w * h & mask
+        pool.append(w ^ w >> 16)
+    for src, w in enumerate([None] * 4 + words[4:]):  # None: the pool word itself
+        for dst in range(4):
+            if src == dst:
+                continue
+            v = (pool[src] if w is None else w) ^ h
+            h = h * mult_a & mask
+            v = v * h & mask
+            r = (mix_l * pool[dst] - mix_r * (v ^ v >> 16)) & mask  # mix(x, y) = L x - R y
+            pool[dst] = r ^ r >> 16
+    consts = []
+    for _ in range(4):
+        consts.append(h)
+        h = h * mult_a & mask
+    return pool, consts
+
+
 class TestStreams:
     @given(keys=st.lists(_KEYS, max_size=5), sites=st.lists(_SITES, max_size=6).map(tuple))
     @settings(max_examples=150, deadline=None)
@@ -233,6 +270,18 @@ class TestStreams:
             site_uniforms(keys, sites)
         with pytest.raises(ModelError):
             _couplings([Uniform(0.0, 1.0)], keys[0], sites)
+
+    @given(
+        key=st.one_of(
+            st.integers(0, 2**200),  # one to seven words
+            st.lists(st.integers(0, 2**70), max_size=6).map(tuple),  # () included
+            st.tuples(st.integers(0, 2**40), st.lists(st.integers(0, 2**40), max_size=3).map(tuple)),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_key_pool_matches_hand_mixing(self, key):
+        pool, consts = _key_pool(key)
+        assert (pool.tolist(), list(consts)) == _mixed_pool(key)
 
     def test_numpy_seedsequence_golden_values(self):
         # if this fails, numpy changed SeedSequence or Philox, not this package

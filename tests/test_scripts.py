@@ -1,5 +1,7 @@
 """The shipped scripts run end to end against the current drivers."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wegner_lab import experiments, random_model, spectral
 from wegner_lab.thick_sets import WindowSpec, certify_thickness, load_raster
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +81,18 @@ def test_example_sets_load_back_and_print_their_gamma(tmp_path):
         assert binary.geometry == text.geometry
         assert np.array_equal(binary.cells, text.cells)
         assert float(printed[name]) == certify_thickness(binary, WindowSpec((1.0,))).gamma_star
+
+
+def test_benchmark_tracer_targets_are_package_functions(monkeypatch):
+    # perfbench's tracer wraps these functions by module attribute, and its
+    # worker and self-tests read two of them through experiments; a deleted or
+    # renamed one would otherwise fail only in traced benchmark runs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) == len(set(tracer.TARGETS)) > 0
+    for module, name in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"wegner_lab.{module}"), name, None)), (module, name)
+    assert experiments.sample_potential is random_model.sample_potential
+    assert experiments.count_in_interval is spectral.count_in_interval

@@ -17,10 +17,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wegner_lab import grids, spectral
+from wegner_lab import spectral
 from wegner_lab.grids import (
     BoxSpec,
     DiscreteHamiltonian,
+    Stencil,
     add_potential,
     build_free_laplacian,
     diagonal_hamiltonian,
@@ -572,7 +573,8 @@ class TestResolventBlockNorm:
 def _jacobi(diag, off):
     """The d=1 operator with these bands; its box fixes only the size."""
     box = BoxSpec(d=1, length=float(diag.size + 1), center=(0.0,), n=diag.size)
-    return DiscreteHamiltonian(grids._stencil(box, sp.diags([off, off], [-1, 1], format="csr")), diag)
+    stencil = Stencil(box, sp.diags([off, off], [-1, 1], format="csr"), sp.csr_matrix((1, 1)), off)
+    return DiscreteHamiltonian(stencil, diag)
 
 
 def _wrapper_norm(H, z, rows, cols):
