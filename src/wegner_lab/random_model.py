@@ -12,7 +12,8 @@ radius; u_j = u(x - x_j) is its translate to site center x_j.
 
 Each coupling law is a frozen dataclass that states its own facts: its
 fields and their defaults are the keys of a model file's [distribution]
-section, and law.modulus(eps) is its modulus of continuity in closed form.
+section, law.cdf(x) is P(pi <= x), and law.modulus(eps) is its modulus of
+continuity in closed form.
 
 The module also houses the two structural verifiers (the covering-type lower
 bound with a thickness certificate, and its refutation via empty-window
@@ -96,16 +97,10 @@ class Uniform:
         return self.lo + u * (self.hi - self.lo)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
-        top = min(cap, self.hi)
-        if top < self.lo:
-            raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-        return self.lo + u * (top - self.lo)
+        return self.lo + u * (min(cap, self.hi) - self.lo)
 
-    def interval_mass(self, a: float, b: float) -> float:
-        if b < a:
-            return 0.0
-        lo, hi = max(a, self.lo), min(b, self.hi)
-        return max(hi - lo, 0.0) / (self.hi - self.lo)
+    def cdf(self, x: float) -> float:
+        return max(min(x, self.hi) - self.lo, 0.0) / (self.hi - self.lo)
 
     def modulus(self, eps: float) -> float:
         return min(eps / (self.hi - self.lo), 1.0)
@@ -145,24 +140,12 @@ class BernoulliAt:
         return np.where(u < self.p0, self.v0, self.v1)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
-        atoms = [(v, p) for v, p in ((self.v0, self.p0), (self.v1, 1 - self.p0)) if v <= cap]
-        total = sum(p for _, p in atoms)
-        if total == 0:
-            raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-        acc = 0.0
-        for v, p in atoms:
-            acc += p / total
-            if u < acc:
-                return v
-        return atoms[-1][0]
+        # both atoms under the cap: u < p0 picks v0, as the unconditioned map does (the
+        # accumulated masses are p0, then p0 + (1 - p0), which is 1.0 in binary64)
+        return self.v0 if self.v0 <= cap and (u < self.p0 or self.v1 > cap) else self.v1
 
-    def interval_mass(self, a: float, b: float) -> float:
-        mass = 0.0
-        if a <= self.v0 <= b:
-            mass += self.p0
-        if a <= self.v1 <= b:
-            mass += 1 - self.p0
-        return mass
+    def cdf(self, x: float) -> float:
+        return (self.p0 if self.v0 <= x else 0.0) + (1 - self.p0 if self.v1 <= x else 0.0)
 
     def modulus(self, eps: float) -> float:
         if eps >= abs(self.v1 - self.v0):
@@ -197,7 +180,7 @@ class TruncatedPowerHolder:
     def mean(self) -> float:
         return self.m_plus * self.alpha / (self.alpha + 1)
 
-    def _cdf(self, x: float) -> float:
+    def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
         if x >= self.m_plus:
@@ -208,19 +191,11 @@ class TruncatedPowerHolder:
         return self.m_plus * u ** (1.0 / self.alpha)
 
     def _from_uniform_below(self, u: float, cap: float) -> float:
-        top = self._cdf(cap)
-        if top == 0:
-            raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-        return self.m_plus * (u * top) ** (1.0 / self.alpha)
-
-    def interval_mass(self, a: float, b: float) -> float:
-        if b < a:
-            return 0.0
-        return max(self._cdf(b) - self._cdf(a), 0.0)
+        return self.m_plus * (u * self.cdf(cap)) ** (1.0 / self.alpha)
 
     def modulus(self, eps: float) -> float:
         # the density is monotone, so the heaviest window sits at an end of the support
-        return max(self._cdf(eps), 1.0 - self._cdf(self.m_plus - eps))
+        return max(self.cdf(eps), 1.0 - self.cdf(self.m_plus - eps))
 
     @property
     def holder_exponent(self) -> float | None:
@@ -355,11 +330,15 @@ def _couplings(
 ) -> list[float]:
     """The couplings of the listed sites: each law's scalar map of its site's uniform.
 
+    A cap conditions every coupling on staying at or below it; a cap under
+    which some listed site's law has no mass (cdf(cap) = 0) is refused.
     The uniforms are the first of seed's stream at each site, as Python floats.
     A key (*stem, r) is drawn with the 63 other replicas of its block of 64,
     so consecutive replicas of one box cost one vectorised pass; any other
     key draws a block of one.
     """
+    if cap is not None and any(dists[i].cdf(cap) == 0.0 for i in sites):
+        raise ModelError(f"conditioning cap {cap} leaves no mass below it")
     if isinstance(seed, tuple) and seed and isinstance(seed[-1], int) and seed[-1] >= 0:
         block, row = divmod(seed[-1], REPLICA_BLOCK)
         u = _uniform_block(seed[:-1], block, sites)[row].tolist()
@@ -449,17 +428,11 @@ class BallIndicator:
 class CantorTranslate:
     """Indicator of a fat Cantor stage carried to the unit cell around the site."""
 
-    endpoints: tuple[Fraction, ...]  # flattened closed intervals within [0, 1]
+    intervals: tuple[tuple[Fraction, Fraction], ...]  # closed intervals within [0, 1]
 
     @staticmethod
     def from_depth(depth: int) -> "CantorTranslate":
-        intervals = smith_volterra_spec(depth).stage_intervals()
-        return CantorTranslate(endpoints=tuple(v for ab in intervals for v in ab))
-
-    @property
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        it = iter(self.endpoints)
-        return list(zip(it, it))
+        return CantorTranslate(intervals=tuple(smith_volterra_spec(depth).stage_intervals()))
 
     @property
     def radius(self) -> float:
@@ -756,11 +729,17 @@ class DilutedMinorant:
     spacing: float
     lattice_count: int  # N, integer points reachable inside one sublattice cell
     threshold: float  # eps1
-    weight: float  # 1/N
     gamma_hat: float
     s_at_threshold: float
-    margin: float  # min(eps1/N, gamma_hat, 1 - s(eps1))
     cells: tuple[MinorantCell, ...]
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.lattice_count
+
+    @property
+    def margin(self) -> float:
+        return min(self.threshold / self.lattice_count, self.gamma_hat, 1.0 - self.s_at_threshold)
 
     def sample_on(self, model: AlloyModel, box: BoxSpec, seed: int | tuple[int, ...]) -> np.ndarray:
         """The minorant field for the same disorder draw sample_potential uses."""
@@ -803,7 +782,6 @@ def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
     n_points = len(zs) ** model.d
 
     gamma_hat = model.claimed_gamma * float(np.prod(model.claimed_window.a)) / n_points
-    weight = 1.0 / n_points
 
     # sublattice anchors whose padded cell stays inside the registration hull
     reach = math.floor((model.extent - half) / spacing)
@@ -811,6 +789,7 @@ def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
         raise ConstructionError("registration hull too small for a single sublattice cell")
     anchor_axis = [k * spacing for k in range(-reach, reach + 1)]
     site_by_center = {c: i for i, c in enumerate(model.centers)}
+    offsets = list(itertools.product(zs, repeat=model.d))  # sorted, as zs is
 
     cells: list[MinorantCell] = []
     for anchor in itertools.product(anchor_axis, repeat=model.d):
@@ -821,22 +800,15 @@ def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
             periodic=False,
         )
         pts = geo.centers()
-        best: tuple[int, int] | None = None  # (cell count, site index), maximizing count
-        best_mask: np.ndarray | None = None
-        for offs in sorted(itertools.product(zs, repeat=model.d)):
-            center = tuple(a + o for a, o in zip(anchor, offs))
-            idx = site_by_center.get(center)
-            if idx is None:
-                continue
-            mask = model.profile.evaluate(pts, model.centers[idx]) >= weight - 1e-12
-            count = int(mask.sum())
-            if best is None or count > best[0]:
-                best = (count, idx)
-                best_mask = mask
-        if best is None:
+        centers = (tuple(a + o for a, o in zip(anchor, offs)) for offs in offsets)
+        sites = [site_by_center[c] for c in centers if c in site_by_center]
+        if not sites:
             continue  # no registered site in this cell; skip it
-        count, site_idx = best
-        assert best_mask is not None
+        # column k: where site k's profile reaches 1/N on the inner box
+        masks = np.column_stack([model.profile.evaluate(pts, model.centers[i]) >= 1.0 / n_points - 1e-12 for i in sites])
+        counts = masks.sum(axis=0)
+        best = int(np.argmax(counts))  # the first largest count, in offset order
+        count, site_idx = int(counts[best]), sites[best]
         cell_vol = geo.cell_volume
         target = int(round(gamma_hat / cell_vol))
         if target < 1:
@@ -848,22 +820,18 @@ def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
                 f"strongest site in cell {anchor} covers {count * cell_vol}, need {gamma_hat}"
             )
         flat = np.zeros(pts.shape[0], dtype=bool)
-        keep_idx = np.flatnonzero(best_mask)[:target]  # lexicographic trim in C order
-        flat[keep_idx] = True
+        flat[np.flatnonzero(masks[:, best])[:target]] = True  # lexicographic trim in C order
         kept = RasterSet(geometry=geo, cells=flat.reshape(geo.shape))
         cells.append(MinorantCell(site_index=site_idx, kept=kept))
 
     if not cells:
         raise ConstructionError("no sublattice cell found a registered site")
-    margin = min(eps1 / n_points, gamma_hat, 1.0 - s1)
     return DilutedMinorant(
         spacing=spacing,
         lattice_count=n_points,
         threshold=eps1,
-        weight=weight,
         gamma_hat=gamma_hat,
         s_at_threshold=s1,
-        margin=margin,
         cells=tuple(cells),
     )
 
@@ -978,6 +946,9 @@ def geometric_dilution_model(
 # law's fields, which default to the field defaults
 _LAWS = {"uniform": Uniform, "bernoulli": BernoulliAt, "truncated-power": TruncatedPowerHolder}
 
+# the one [sites] key each profile kind reads; set_resolution goes with [thickness] set = cantor
+_PROFILE_KEYS = {"indicator-ball": "radius", "cantor-translate": "cantor_depth", "raster-file": "raster"}
+
 _MODEL_SECTIONS = {
     "model": {"dimension", "extent", "resolution"},
     "sites": {"profile", "radius", "placement", "cantor_depth", "set_resolution", "raster"},
@@ -1029,23 +1000,28 @@ def load_model_config(path: str | Path) -> AlloyModel:
     m = parser["model"]
     s = parser["sites"]
     profile_kind = s.get("profile", "indicator-ball").strip()
+    if profile_kind not in _PROFILE_KEYS:
+        raise ModelConfigError(f"unknown profile kind {profile_kind!r}")
+    for key in _PROFILE_KEYS.values():
+        if key in s and key != _PROFILE_KEYS[profile_kind]:
+            raise ModelConfigError(f"{path}: [sites] key {key!r} does not apply to profile {profile_kind}")
+    which = parser["thickness"].get("set", "full").strip() if "thickness" in parser else None
+    if "set_resolution" in s and which != "cantor":
+        raise ModelConfigError(f"{path}: [sites] key 'set_resolution' applies only to [thickness] set = cantor")
     profile: Profile
     if profile_kind == "indicator-ball":
         profile = BallIndicator(radius=_value(path, s, "radius", float, 0.5))
     elif profile_kind == "cantor-translate":
         profile = CantorTranslate.from_depth(_value(path, s, "cantor_depth", int, 4))
-    elif profile_kind == "raster-file":
+    else:
         rel = s.get("raster", "")
         if not rel:
             raise ModelConfigError(f"{path}: raster-file profile needs a raster key")
         profile = RasterProfile(raster=load_raster(path.parent / rel))
-    else:
-        raise ModelConfigError(f"unknown profile kind {profile_kind!r}")
 
     claims: dict = {}
-    if "thickness" in parser:
+    if which is not None:
         t = parser["thickness"]
-        which = t.get("set", "full").strip()
         claims = {
             "claimed_set": which if which in ("full", "cantor") else path.parent / which,
             "gamma": _value(path, t, "gamma", float),

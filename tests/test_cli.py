@@ -20,7 +20,8 @@ from wegner_lab.thick_sets import (
     stripes_raster,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def _write(path: Path, text: str) -> Path:
@@ -134,9 +135,11 @@ class TestParseRunConfig:
         assert cfg2 == cfg
 
     def test_shipped_run_configs_parse(self):
-        for name in ("wegner", "uncertainty", "ise", "stubborn"):
-            cfg = parse_run_config(CONFIG_DIR / f"{name}.run.ini")
-            assert cfg.experiment in name or cfg.experiment == name
+        # the benchmark's run files too: a stricter parser fails here, not in a benchmark run
+        paths = sorted(CONFIG_DIR.glob("*.run.ini")) + sorted((ROOT / "perfbench" / "slab2d").glob("*.run.ini"))
+        assert len(paths) == 9
+        for path in paths:
+            assert path.name == f"{parse_run_config(path).experiment}.run.ini"
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RESOLVED))
     def test_shipped_run_configs_resolve_to_golden_text(self, name, tmp_path):
@@ -255,6 +258,8 @@ class TestRunCommand:
                 "E_lo must be below E_hi, got E_lo = 3, E_hi = 1",
             ),
             ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be at least 1"),
+            ("[run]\nexperiment = spectral-minimum\n\n[parameters]\neps_list = 0\n", "eps_list entries must be positive"),
+            ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = neumann\ne_list = 0,25\n", "E_list entries must be positive, got 0"),
         ]]
         + [
             # couplings on [-1, 1]: both drivers' bounds need a nonnegative potential
@@ -266,7 +271,8 @@ class TestRunCommand:
             "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
             "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
-            "minorant-fractional-spacing", "probe-empty-window", "stubborn-zero-min-boxes",
+            "minorant-fractional-spacing", "probe-empty-window", "stubborn-zero-min-boxes", "spectral-minimum-zero-eps",
+            "uncertainty-zero-energy",
             "spectral-minimum-negative-couplings", "stubborn-negative-couplings",
         ],
     )

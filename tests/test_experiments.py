@@ -7,6 +7,7 @@ sampling order, mesh layout, or reduction order shows up as an exact-value
 break.
 """
 
+import inspect
 import json
 import math
 import warnings
@@ -15,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wegner_lab import experiments as X
 from wegner_lab import spectral
@@ -662,3 +665,133 @@ def test_every_driver_is_registered_once():
 def test_registered_driver_stamps_its_name(name, driver, request):
     assert callable(getattr(X, driver))
     assert request.getfixturevalue(_REPORT_FIXTURES[driver]).experiment == name
+
+
+_REPLICA_DRIVERS = {
+    "run_wegner": "covering",
+    "estimate_ids": "covering",
+    "run_stubborn": "geometric",
+    "run_stubborn_exponential": "geometric",
+    "run_ise": "covering",
+    "run_spectral_minimum": "covering",
+    "localisation_probe": "covering",
+    "run_minorant_check": "covering",
+}
+
+
+def test_every_replica_driver_is_listed():
+    takes = {d for d in X.EXPERIMENTS.values() if "replicas" in inspect.signature(getattr(X, d)).parameters}
+    assert takes == set(_REPLICA_DRIVERS)
+
+
+@pytest.mark.parametrize("driver, fixture", sorted(_REPLICA_DRIVERS.items()))
+def test_fewer_than_one_replica_refused_before_sampling(driver, fixture, request, monkeypatch):
+    model = request.getfixturevalue(fixture)
+    run = getattr(X, driver)
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    for replicas in (0, -3):
+        with pytest.raises(X.PreconditionError, match=f"replicas must be at least 1, got {replicas}$"):
+            run(model, replicas=replicas)
+    # the count is read from the bound arguments, so a positional 0 is refused alike
+    params = list(inspect.signature(run).parameters.values())
+    before = [p.default for p in params[1 : [p.name for p in params].index("replicas")]]
+    with pytest.raises(X.PreconditionError, match="got 0$"):
+        run(model, *before, 0)
+    assert sampled == []
+
+
+@pytest.mark.parametrize("eps_list", [(0.0,), (0.5, -0.25)])
+def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps_list, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    with pytest.raises(X.PreconditionError, match=f"eps_list entries must be positive, got {min(eps_list):g}$"):
+        X.run_spectral_minimum(covering, eps_list=eps_list, replicas=4)
+    assert sampled == []
+
+
+@pytest.mark.parametrize("L_list", [(4.0,), (4.0, 4.0)])
+def test_one_box_size_has_no_volume_trend(covering, L_list):
+    rep = X.run_wegner(covering, L_list=L_list, eps_list=(0.4, 0.2), replicas=4)
+    assert rep.verdicts == {
+        "nested_window_monotonicity": "PASS",
+        "volume_trend_eps=0.2": "INFORMATIONAL",
+        "volume_trend_eps=0.4": "INFORMATIONAL",
+    }
+
+
+class TestUncertaintyWithLittleData:
+    def test_two_energies_fit_no_rate(self, stripes_third):
+        rep = X.run_uncertainty(stripes_third, E_list=(25.0, 100.0), L_list=(2.0, 3.0), mesh_density=16)
+        assert not [r for r in rep.records if r["statistic"] == "sqrt_energy_corr"]
+        assert rep.verdicts["sqrt_energy_rate"] == "INFORMATIONAL"
+        assert rep.verdicts["positivity"] == "PASS"
+
+    def test_no_subspace_at_the_lowest_energy_checks_no_identity(self, stripes_third):
+        # the first Dirichlet level of a 2-box is (pi/2)^2 > 1
+        rep = X.run_uncertainty(stripes_third, E_list=(1.0, 25.0), L_list=(2.0,), mesh_density=16)
+        assert not [r for r in rep.records if r["point"] == [2.0, 1.0]]
+        assert rep.verdicts["full_set_identity"] == "INFORMATIONAL"
+
+    def test_no_subspace_anywhere_refused(self, stripes_third):
+        with pytest.raises(X.PreconditionError, match="no box has an eigenvalue at or below any E"):
+            X.run_uncertainty(stripes_third, E_list=(1.0, 2.0), L_list=(2.0,), mesh_density=16)
+
+
+def _bisected_rate_constant(log_inv_lambda, E, a_sum, d, gamma):
+    """Smallest K >= 1 with K sqrt(E) (a_sum + d) log(K^d / gamma) >= log(1/lambda),
+    by doubling and 200 bisection steps: the search the closed form replaced."""
+
+    def g(K):
+        return K * math.sqrt(E) * (a_sum + d) * math.log(K**d / gamma) - log_inv_lambda
+
+    if g(1.0) >= 0:
+        return 1.0
+    lo, hi = 1.0, 2.0
+    while g(hi) < 0:
+        hi *= 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestRateConstant:
+    @given(
+        E=st.floats(1e-3, 1e4),
+        a_sum=st.floats(0.1, 8.0),
+        d=st.integers(1, 3),
+        gamma=st.floats(1e-4, 1.0),
+        excess=st.floats(1e-6, 60.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_bisection(self, E, a_sum, d, gamma, excess):
+        # log(1/lambda) past the K = 1 level by `excess` in units of sqrt(E) (a_sum + d)
+        log_inv_lambda = math.sqrt(E) * (a_sum + d) * (math.log(1.0 / gamma) + excess)
+        want = _bisected_rate_constant(log_inv_lambda, E, a_sum, d, gamma)
+        assert want > 1.0
+        assert X._solve_rate_constant(log_inv_lambda, E, a_sum, d, gamma) == pytest.approx(want, rel=1e-12)
+
+    @given(E=st.floats(1e-3, 1e4), a_sum=st.floats(0.1, 8.0), d=st.integers(1, 3), gamma=st.floats(1e-4, 1.0),
+           frac=st.floats(0.0, 0.999))
+    @settings(max_examples=100, deadline=None)
+    def test_one_at_or_below_the_unit_level(self, E, a_sum, d, gamma, frac):
+        log_inv_lambda = frac * math.sqrt(E) * (a_sum + d) * math.log(1.0 / gamma)
+        assert X._solve_rate_constant(log_inv_lambda, E, a_sum, d, gamma) == 1.0
+
+    def test_a_driver_run_past_one(self, stripes_third):
+        # E = 0.01 on a Neumann box keeps only the constant mode: lambda is the
+        # stripes' share of the nodes, and sqrt(E) is too small for K = 1
+        rep = X.run_uncertainty(stripes_third, E_list=(0.01, 25.0), L_list=(2.0,), mesh_density=16, bc="neumann")
+        lams = {r["point"][1]: r["value"] for r in rep.records if r["statistic"] == "lambda_min"}
+        gamma = rep.fitted["gamma_certified"]
+        k_hat = rep.fitted["K_hat"]
+        assert k_hat > 1.0
+        want = max(_bisected_rate_constant(math.log(1.0 / lam), E, 1.0, 1, gamma) for E, lam in lams.items())
+        assert k_hat == pytest.approx(want, rel=1e-12)
+        # the binding energy meets the relation with equality
+        lhs = k_hat * math.sqrt(0.01) * 2.0 * math.log(k_hat / gamma)
+        assert lhs == pytest.approx(math.log(1.0 / lams[0.01]), rel=1e-12)

@@ -57,8 +57,8 @@ class TestDistributions:
     def test_uniform_basics(self):
         u = Uniform(1.0, 3.0)
         assert (u.min_support, u.max_support, u.mean) == (1.0, 3.0, 2.0)
-        assert u.interval_mass(0.0, 2.0) == pytest.approx(0.5)
-        assert u.interval_mass(5.0, 6.0) == 0.0
+        assert u.cdf(2.0) == pytest.approx(0.5)
+        assert (u.cdf(0.5), u.cdf(1.0), u.cdf(6.0)) == (0.0, 0.0, 1.0)
         assert u.modulus(1.0) == pytest.approx(0.5)
         assert u.modulus(9.0) == 1.0
 
@@ -71,8 +71,8 @@ class TestDistributions:
     def test_bernoulli_basics(self):
         b = BernoulliAt(0.0, 1.0, 0.3)
         assert b.mean == pytest.approx(0.7)
-        assert b.interval_mass(-0.5, 0.5) == pytest.approx(0.3)
-        assert b.interval_mass(-0.5, 1.5) == 1.0
+        assert b.cdf(0.5) == pytest.approx(0.3)
+        assert (b.cdf(-0.5), b.cdf(0.0), b.cdf(1.5)) == (0.0, 0.3, 1.0)
         assert b.modulus(0.5) == pytest.approx(0.7)
         assert b.modulus(1.0) == 1.0
         assert b.holder_exponent is None
@@ -87,8 +87,8 @@ class TestDistributions:
         t = TruncatedPowerHolder(2.0, 0.5)
         assert t.max_support == 2.0
         assert t.mean == pytest.approx(2.0 / 3.0)
-        assert t.interval_mass(0.0, 2.0) == 1.0
-        assert t.interval_mass(0.0, 0.5) == pytest.approx(0.5)  # (1/4)^(1/2)
+        assert (t.cdf(0.0), t.cdf(2.0)) == (0.0, 1.0)
+        assert t.cdf(0.5) == pytest.approx(0.5)  # (1/4)^(1/2)
         assert t.holder_exponent == 0.5
 
     def test_power_law_validation(self):
@@ -135,7 +135,7 @@ def _scanned_modulus(law, eps):
     forms replaced, exact up to rounding for monotone densities."""
     lo, hi = law.min_support, law.max_support
     centers = np.concatenate([[lo + eps / 2, hi - eps / 2], np.linspace(lo - eps / 2, hi + eps / 2, 4096)])
-    return min(max(law.interval_mass(e - eps / 2, e + eps / 2) for e in centers), 1.0)
+    return min(max(law.cdf(e + eps / 2) - law.cdf(e - eps / 2) for e in centers), 1.0)
 
 
 class TestSampling:
@@ -164,10 +164,33 @@ class TestSampling:
         assert below <= full + 1e-15  # one shared uniform makes the coupling monotone
 
     def test_conditioning_below_support_refused(self):
-        with pytest.raises(ModelError):
-            Uniform(0.5, 1.0)._from_uniform_below(0.5, 0.2)
-        with pytest.raises(ModelError):
-            BernoulliAt(1.0, 2.0, 0.5)._from_uniform_below(0.5, 0.5)
+        for law, cap in [
+            (Uniform(0.5, 1.0), 0.2),
+            (Uniform(0.5, 1.0), 0.5),  # a cap at lo is a null event too
+            (BernoulliAt(1.0, 2.0, 0.5), 0.5),
+            (TruncatedPowerHolder(1.0, 0.5), 0.0),
+        ]:
+            model = covering_model(extent=8.0, dist=law)
+            with pytest.raises(ModelError, match=f"conditioning cap {cap} leaves no mass below it"):
+                sample_potential(model, (1, 0), _box(), conditioning_cap=cap)
+
+    @given(
+        p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        atoms=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2, unique=True),
+        cap=st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0, 1])),  # an int: the cap on that atom
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        step=st.sampled_from([None, -1.0, 0.0, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bernoulli_conditioning_matches_the_atom_accumulator(self, p0, atoms, cap, u, step):
+        law = BernoulliAt(atoms[0], atoms[1], p0)
+        if isinstance(cap, int):
+            cap = atoms[cap]
+        if law.cdf(cap) == 0.0:
+            return  # refused by the caller
+        if step is not None:
+            u = float(np.nextafter(p0, p0 + step))  # the draw just below, at or just above p0
+        assert law._from_uniform_below(u, cap) == _accumulated_atom(law, u, cap)
 
     def test_bernoulli_conditioning_keeps_low_atom(self):
         b = BernoulliAt(0.0, 1.0, 0.3)
@@ -187,6 +210,19 @@ class TestSampling:
     def test_empirical_modulus_tracks_closed_form(self):
         p, se, _ = empirical_modulus(Uniform(0.0, 1.0), 0.5, 40_000, 3)
         assert abs(p - 0.5) <= 5 * se
+
+
+def _accumulated_atom(law, u, cap):
+    """The conditioned Bernoulli draw as it was computed before: renormalised
+    masses of the atoms under the cap, accumulated until they pass u."""
+    atoms = [(v, p) for v, p in ((law.v0, law.p0), (law.v1, 1 - law.p0)) if v <= cap]
+    total = sum(p for _, p in atoms)
+    acc = 0.0
+    for v, p in atoms:
+        acc += p / total
+        if u < acc:
+            return v
+    return atoms[-1][0]
 
 
 def _numpy_uniform(key, site):
@@ -579,10 +615,8 @@ class TestFactoriesAndConfig:
         env = potential_envelope(slab)
         assert float(env.values.max()) == 2.0
 
-    @pytest.mark.parametrize(
-        "name",
-        ["covering.model.ini", "fat_cantor.model.ini", "geometric.model.ini", "slab.model.ini"],
-    )
+    # every shipped model file, so a stricter loader fails here, not in a benchmark run
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.model.ini")))
     def test_shipped_configs_load(self, name):
         model = load_model_config(CONFIG_DIR / name)
         assert model.d in (1, 2)
@@ -657,6 +691,26 @@ class TestFactoriesAndConfig:
         path.write_text(head + keys + "stray = 1\n")
         with pytest.raises(ModelConfigError, match=r"unknown key 'stray' in section \[distribution\]"):
             load_model_config(path)
+
+    @pytest.mark.parametrize(
+        "sites, thickness, named",
+        [
+            ("profile = cantor-translate\nradius = 3.0\n", "", "key 'radius' does not apply to profile cantor-translate"),
+            ("profile = cantor-translate\nraster = nothing.rast\n", "", "key 'raster' does not apply to profile cantor-translate"),
+            ("profile = indicator-ball\ncantor_depth = 3\n", "", "key 'cantor_depth' does not apply to profile indicator-ball"),
+            ("profile = raster-file\nraster = b.rast\nradius = 1\n", "", "key 'radius' does not apply to profile raster-file"),
+            ("set_resolution = 512\n", "", r"'set_resolution' applies only to \[thickness\] set = cantor"),
+            ("set_resolution = 512\n", "[thickness]\ngamma = 1.0\nset = full\n", "'set_resolution' applies only"),
+        ],
+        ids=["cantor-radius", "cantor-raster", "ball-depth", "raster-radius", "resolution-no-claim", "resolution-full-set"],
+    )
+    def test_another_profiles_key_refused(self, tmp_path, sites, thickness, named):
+        bad = tmp_path / "keys.model.ini"
+        bad.write_text(
+            "[model]\ndimension = 1\nextent = 4\n[sites]\n" + sites + "[distribution]\nkind = uniform\n" + thickness
+        )
+        with pytest.raises(ModelConfigError, match=named):
+            load_model_config(bad)
 
     def test_unknown_distribution_rejected(self, tmp_path):
         bad = tmp_path / "bad4.model.ini"
