@@ -70,7 +70,7 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 # annotation (less any "| None") -> parser of a config value
-_KINDS = {"float": float, "int": int, "str": str.strip, "Sequence[float]": _floats}
+_KINDS = {"float": float, "int": int, "str": str.strip, "Sequence[float]": _floats, "Grid": _floats}
 
 
 def build_set(

@@ -1,5 +1,8 @@
 """Experiment drivers: each takes a model plus run parameters, returns a report.
 
+A driver's signature is its experiment's specification: the report's config
+is the bound call, and a parameter annotated Grid arrives sorted and merged.
+
 Replica r of an experiment with root seed s draws its couplings through the
 key (s, r), so any replica can be recomputed in isolation and worker count
 never changes results.  All reductions iterate in replica order; records and
@@ -10,8 +13,8 @@ INFORMATIONAL where the run only measures or its data cannot judge the claim
 (a trend over one box size, a rate fitted to fewer than three energies).
 Every threshold encodes a statistical allowance (usually 2 or 3 standard
 errors), never a tuned fudge.  A run with nothing to judge (fewer than one
-replica, a nonpositive window or energy, no spectral subspace) is refused with
-PreconditionError before it reports.
+replica, an empty grid, a nonpositive window or energy, no spectral subspace)
+is refused with PreconditionError before it reports.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .spectral import (
     resolvent_block_norm,
     resonance_shifts,
 )
-from .thick_sets import RasterSet, WindowSpec, certify_thickness, stripes_raster, window_field_max
+from .thick_sets import RasterSet, WindowSpec, certify_thickness, window_field_max
 
 
 class PreconditionError(RuntimeError):
@@ -62,31 +65,49 @@ _POOL: contextvars.ContextVar[list[ProcessPoolExecutor]] = contextvars.ContextVa
 # experiment name -> the name of its driver in this module, one entry per @_experiment
 EXPERIMENTS: dict[str, str] = {}
 
+# points the driver scans in ascending order; repeats are merged
+Grid = Sequence[float]
+
 
 def _experiment(name: str):
-    """Register the driver as the experiment `name`.  A call with fewer than
-    one replica is refused; the report it returns is stamped with that name
-    and the driver's wall-clock time, and the one process pool its replica
-    maps shared is shut down."""
+    """Register the driver as the experiment `name`.
+
+    A call binds with the driver's defaults, each Grid argument as the sorted
+    tuple of its distinct values; an empty grid or fewer than one replica is
+    refused.  The report is stamped with the name, the seed, the wall-clock
+    time and the config: every bound argument but the first (the model or
+    set), seed and workers, under any entries the driver set itself.  The one
+    process pool its replica maps shared is shut down."""
 
     def register(driver):
         EXPERIMENTS[name] = driver.__name__
         signature = inspect.signature(driver)
+        grids = [p.name for p in signature.parameters.values() if p.annotation == "Grid"]
 
         @functools.wraps(driver)
         def timed(*args, **kwargs) -> ExperimentReport:
-            replicas = signature.bind(*args, **kwargs).arguments.get("replicas", 1)  # every default is >= 1
-            if replicas < 1:
-                raise PreconditionError(f"replicas must be at least 1, got {replicas}")
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            call = bound.arguments
+            for key in grids:
+                call[key] = tuple(sorted(set(call[key])))
+                if not call[key]:
+                    raise PreconditionError(f"{key} must not be empty")
+            if call.get("replicas", 1) < 1:  # every default is >= 1
+                raise PreconditionError(f"replicas must be at least 1, got {call['replicas']}")
             t0 = time.perf_counter()
             token = _POOL.set([])
             try:
-                rep = driver(*args, **kwargs)
+                rep = driver(**call)
             finally:
                 for pool in _POOL.get():
                     pool.shutdown()
                 _POOL.reset(token)
+            subject, *_ = call
+            kept = {k: v for k, v in call.items() if k not in (subject, "seed", "workers")}
+            rep.config = {k: list(v) if isinstance(v, tuple) else v for k, v in kept.items()} | rep.config
             rep.experiment = name
+            rep.seed = call["seed"]
             rep.wall_clock_s = time.perf_counter() - t0
             return rep
 
@@ -200,8 +221,8 @@ def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float
 @_experiment("wegner")
 def run_wegner(
     model: AlloyModel,
-    L_list: Sequence[float] = (8.0, 16.0, 32.0),
-    eps_list: Sequence[float] = (0.4, 0.2, 0.1),
+    L_list: Grid = (8.0, 16.0, 32.0),
+    eps_list: Grid = (0.4, 0.2, 0.1),
     replicas: int = 200,
     seed: int = 20260822,
     mesh_density: int = 16,
@@ -216,32 +237,21 @@ def run_wegner(
     so the fitted constant is the maximum of mean + 3 stderr over the grid
     and the trend verdict demands no growth from smallest to largest box.
     """
-    eps_sorted = tuple(sorted(eps_list))
-    if eps_sorted[0] <= 0:
-        raise PreconditionError(f"eps_list entries must be positive, got {eps_sorted[0]:g}")
-    L_sorted = tuple(sorted(L_list))
-    rep = ExperimentReport(
-        config={
-            "L_list": list(L_sorted),
-            "eps_list": list(eps_sorted),
-            "replicas": replicas,
-            "mesh_density": mesh_density,
-            "e_ref": e_ref,
-        },
-        seed=seed,
-    )
-    s_eps = {e: modulus_s(model.dists, e) for e in eps_sorted}
+    if eps_list[0] <= 0:
+        raise PreconditionError(f"eps_list entries must be positive, got {eps_list[0]:g}")
+    rep = ExperimentReport()
+    s_eps = {e: modulus_s(model.dists, e) for e in eps_list}
     ratios: dict[tuple[float, float], tuple[float, float]] = {}
     nested_ok = True
-    for L in L_sorted:
+    for L in L_list:
         box = _box(model.d, L, mesh_density)
-        e_anchor = _anchor_energy(model, box, e_ref, eps_sorted[-1])
+        e_anchor = _anchor_energy(model, box, e_ref, eps_list[-1])
         rep.fitted[f"anchor_energy_L={L:g}"] = e_anchor
-        windows = tuple((e_anchor - e, e_anchor + e) for e in eps_sorted)
+        windows = tuple((e_anchor - e, e_anchor + e) for e in eps_list)
         counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
         if np.any(np.diff(counts, axis=1) < 0):
             nested_ok = False
-        for k, e in enumerate(eps_sorted):
+        for k, e in enumerate(eps_list):
             mean = float(counts[:, k].mean())
             se = float(_stderr(counts[:, k]))
             denom = s_eps[e] * L**model.d
@@ -249,12 +259,12 @@ def run_wegner(
             rep.records.append(record([L, e], "volume_ratio", mean / denom, se / denom, replicas))
             ratios[(L, e)] = (mean / denom, se / denom)
     rep.verdicts["nested_window_monotonicity"] = PASS if nested_ok else FAIL
-    for e in eps_sorted:  # one box size has no trend to judge
-        first, last = ratios[(L_sorted[0], e)], ratios[(L_sorted[-1], e)]
+    for e in eps_list:  # one box size has no trend to judge
+        first, last = ratios[(L_list[0], e)], ratios[(L_list[-1], e)]
         ok = last[0] <= first[0] + 3.0 * math.hypot(first[1], last[1])
-        rep.verdicts[f"volume_trend_eps={e:g}"] = INFORMATIONAL if L_sorted[0] == L_sorted[-1] else PASS if ok else FAIL
+        rep.verdicts[f"volume_trend_eps={e:g}"] = INFORMATIONAL if L_list[0] == L_list[-1] else PASS if ok else FAIL
     rep.fitted["c_w_hat"] = max(m + 3 * s for (m, s) in ratios.values())
-    rep.fitted["modulus"] = {f"{e:g}": s_eps[e] for e in eps_sorted}
+    rep.fitted["modulus"] = {f"{e:g}": s_eps[e] for e in eps_list}
     return rep
 
 
@@ -266,7 +276,7 @@ def run_wegner(
 def estimate_ids(
     model: AlloyModel,
     L: float = 12.0,
-    E_list: Sequence[float] = (2.0, 5.0, 10.0, 15.0, 20.0),
+    E_list: Grid = (2.0, 5.0, 10.0, 15.0, 20.0),
     eps: float = 0.25,
     replicas: int = 100,
     seed: int = 101,
@@ -283,35 +293,24 @@ def estimate_ids(
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps:g}")
-    E_sorted = tuple(sorted(E_list))
-    rep = ExperimentReport(
-        config={
-            "L": L,
-            "E_list": list(E_sorted),
-            "eps": eps,
-            "replicas": replicas,
-            "mesh_density": mesh_density,
-            "c_w": c_w,
-        },
-        seed=seed,
-    )
+    rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     vol = L**model.d
-    windows = tuple((-math.inf, v) for E in E_sorted for v in (E - eps, E, E + eps))
+    windows = tuple((-math.inf, v) for E in E_list for v in (E - eps, E, E + eps))
     counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
     ses = _stderr(at_e) / vol
-    for E, m, s in zip(E_sorted, means, ses):
+    for E, m, s in zip(E_list, means, ses):
         rep.records.append(record(E, "ids", float(m), float(s), replicas))
     rep.verdicts["monotone_in_energy"] = PASS if bool(np.all(np.diff(means) >= 0)) else FAIL
 
     # zero-coupling seam: one deterministic evaluation must hit the free count
-    below = [(-math.inf, E) for E in E_sorted]
+    below = [(-math.inf, E) for E in E_list]
     (free,) = _map_replicas(_window_counts, (below,), model, box, [((seed, 0), 0.0)], workers)
     spec = discrete_dirichlet_spectrum(box)
     seam_ok = True
-    for E, got in zip(E_sorted, free):
+    for E, got in zip(E_list, free):
         want = int(np.count_nonzero(spec <= E + 1e-12 * max(1.0, E)))
         rep.records.append(record(E, "ids_free_seam", got / vol, None, 1))
         seam_ok = seam_ok and got == want
@@ -366,7 +365,7 @@ def _greedy_disjoint(centers: list[tuple[tuple[float, ...], float]], L: float, w
 def run_stubborn(
     model: AlloyModel,
     E: float = 4.0,
-    L_list: Sequence[float] = (8.0, 16.0),
+    L_list: Grid = (8.0, 16.0),
     replicas: int = 6,
     seed: int = 7,
     mesh_density: int | None = None,
@@ -389,27 +388,17 @@ def run_stubborn(
         raise PreconditionError(f"min_boxes must be at least 1, got {min_boxes}")
     _require_nonnegative_couplings(model)
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
-    L_sorted = tuple(sorted(L_list))
-    rep = ExperimentReport(
-        config={
-            "E": E,
-            "L_list": list(L_sorted),
-            "replicas": replicas,
-            "mesh_density": rho,
-            "min_boxes": min_boxes,
-        },
-        seed=seed,
-    )
+    rep = ExperimentReport(config={"mesh_density": rho})
     if model.claimed_bound is None:
         raise PreconditionError("stubborn runs need a model with a declared sup-norm bound")
-    kappa0 = 6 * math.pi * math.sqrt(E + 1) / (max(L_sorted) * max(model.m_plus, 1e-300))
-    nopi = verify_NoPi(model, kappa_list=[min(kappa0, model.claimed_bound / 2)], a_list=[(L_sorted[0],) * model.d])
+    kappa0 = 6 * math.pi * math.sqrt(E + 1) / (max(L_list) * max(model.m_plus, 1e-300))
+    nopi = verify_NoPi(model, kappa_list=[min(kappa0, model.claimed_bound / 2)], a_list=[(L_list[0],) * model.d])
     if not nopi.passed:
         raise PreconditionError("support looks covering-like; no thin region for stubborn boxes")
     rep.fitted["nopi_witness_count"] = len(nopi.witnesses)
 
     all_ok = True
-    for L in L_sorted:
+    for L in L_list:
         eps = 12 * math.pi * math.sqrt(E + 1) / L
         kappa = 6 * math.pi * math.sqrt(E + 1) / (L * max(model.m_plus, 1e-300))
         centers = _greedy_disjoint(_candidate_centers(model, L, kappa), L, min_boxes)
@@ -472,10 +461,7 @@ def run_stubborn_exponential(
         raise PreconditionError("exp(-L) below achievable eigenvalue accuracy; use L < 28")
     if eigen_index < 0:
         raise PreconditionError(f"eigen_index must be at least 0, got {eigen_index}")
-    rep = ExperimentReport(
-        config={"L": L, "eigen_index": eigen_index, "replicas": replicas, "mesh_density": mesh_density},
-        seed=seed,
-    )
+    rep = ExperimentReport()
     centers = _candidate_centers(model, L, math.inf)
     zero_centers = [x for x, peak in centers if peak == 0.0]
     if not zero_centers:
@@ -523,6 +509,9 @@ def run_stubborn_exponential(
 # ---------------------------------------------------------------------------
 # spectral mass on thick sets (uncertainty relation)
 
+# the smallest lambda whose stability in L run_uncertainty judges
+LAMBDA_FLOOR = 1e-6
+
 
 def _solve_rate_constant(log_inv_lambda: float, E: float, a_sum: float, d: int, gamma: float) -> float:
     """Smallest K >= 1 with K sqrt(E) (a_sum + d) log(K^d / gamma) >= log(1/lambda).
@@ -545,12 +534,11 @@ def _solve_rate_constant(log_inv_lambda: float, E: float, a_sum: float, d: int, 
 def run_uncertainty(
     S: RasterSet,
     a: Sequence[float] = (1.0,),
-    E_list: Sequence[float] = (25.0, 100.0, 225.0, 400.0),
-    L_list: Sequence[float] = (2.0, 3.0, 4.0),
+    E_list: Grid = (25.0, 100.0, 225.0, 400.0),
+    L_list: Grid = (2.0, 3.0, 4.0),
     mesh_density: int = 64,
     bc: str = "dirichlet",
     seed: int = 0,
-    lambda_floor: float = 1e-6,
 ) -> ExperimentReport:
     """How much spectral-subspace mass a thick set is guaranteed to keep.
 
@@ -561,27 +549,16 @@ def run_uncertainty(
     faster than sqrt(E) (correlation at least 0.9); the fitted constant
     K_hat makes K sqrt(E)(|a|_1 + d) log(K^d / gamma) dominate every point.
 
-    The factor-2 stability verdict only judges energies whose lambda exceeds
-    lambda_floor on every box: below that, mesh-level eigenvector error moves
+    The factor-2 stability verdict only judges energies whose lambda reaches
+    LAMBDA_FLOOR on every box: below that, mesh-level eigenvector error moves
     log(lambda) by more than the factor under test, so a ratio verdict there
     would measure discretization, not the claim.  Excluded energies are
     listed in the fitted summary.
     """
     d = S.d
-    E_sorted = tuple(sorted(E_list))
-    if E_sorted[0] <= 0:  # the rate sqrt(E) says nothing at E <= 0
-        raise PreconditionError(f"E_list entries must be positive, got {E_sorted[0]:g}")
-    L_sorted = tuple(sorted(L_list))
-    rep = ExperimentReport(
-        config={
-            "a": list(a),
-            "E_list": list(E_sorted),
-            "L_list": list(L_sorted),
-            "mesh_density": mesh_density,
-            "bc": bc,
-        },
-        seed=seed,
-    )
+    if E_list[0] <= 0:  # the rate sqrt(E) says nothing at E <= 0
+        raise PreconditionError(f"E_list entries must be positive, got {E_list[0]:g}")
+    rep = ExperimentReport()
     cert = certify_thickness(S, WindowSpec(tuple(float(v) for v in a)))
     gamma = cert.gamma_star - cert.error_bound
     if gamma <= 0:
@@ -593,14 +570,14 @@ def run_uncertainty(
     positive = True
     full_checks: list[bool] = []  # one per box with a subspace at the lowest E
     full = RasterSet(geometry=S.geometry, cells=np.ones_like(S.cells))
-    for L in L_sorted:
+    for L in L_list:
         box = _box(d, L, mesh_density, center=(L / 2,) * d, bc=bc)
         H = build_free_laplacian(box)
-        for E in E_sorted:
+        for E in E_list:
             res = eigs_below(H, E, want_vectors=True)
             if res.eigenvalues.size == 0:
                 continue
-            if E == E_sorted[0]:
+            if E == E_list[0]:
                 full_checks.append(compressed_indicator_min_eig(res.eigenvectors, box, full) >= 1 - 1e-10)
             val = compressed_indicator_min_eig(res.eigenvectors, box, S)
             lam[(L, E)] = val
@@ -615,11 +592,11 @@ def run_uncertainty(
     stable = True
     judged = 0
     excluded: list[float] = []
-    for E in E_sorted:
-        vals = [lam[(L, E)] for L in L_sorted if (L, E) in lam]
+    for E in E_list:
+        vals = [lam[(L, E)] for L in L_list if (L, E) in lam]
         if len(vals) < 2:
             continue
-        if min(vals) < lambda_floor:
+        if min(vals) < LAMBDA_FLOOR:
             excluded.append(E)
             continue
         judged += 1
@@ -633,8 +610,8 @@ def run_uncertainty(
         rep.verdicts["scale_stability"] = PASS if stable else FAIL
 
     corrs: list[float] = []
-    for L in L_sorted:
-        pts = [(math.sqrt(E), math.log(1.0 / lam[(L, E)])) for E in E_sorted if (L, E) in lam and lam[(L, E)] > 0]
+    for L in L_list:
+        pts = [(math.sqrt(E), math.log(1.0 / lam[(L, E)])) for E in E_list if (L, E) in lam and lam[(L, E)] > 0]
         if len(pts) >= 3:
             xs = np.array([p[0] for p in pts])
             ys = np.array([p[1] for p in pts])
@@ -676,7 +653,7 @@ def _end_to_end_norms(replicas, z, rows, cols) -> list[float | None]:
 @_experiment("ise")
 def run_ise(
     model: AlloyModel,
-    L_list: Sequence[float] = (8.0, 16.0),
+    L_list: Grid = (8.0, 16.0),
     replicas: int = 200,
     seed: int = 777,
     mesh_density: int = 16,
@@ -691,14 +668,10 @@ def run_ise(
     within binomial noise.  Samples whose shift lands on an eigenvalue are
     counted separately, never silently dropped into the statistics.
     """
-    L_sorted = tuple(sorted(L_list))
-    rep = ExperimentReport(
-        config={"L_list": list(L_sorted), "replicas": replicas, "mesh_density": mesh_density},
-        seed=seed,
-    )
+    rep = ExperimentReport()
     rates: dict[float, np.ndarray] = {}
     resonant: dict[float, int] = {}
-    for L in L_sorted:
+    for L in L_list:
         box = _box(model.d, L, mesh_density)
         z = 1.0 / math.sqrt(L)
         rows = box.node_block((-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
@@ -713,12 +686,12 @@ def run_ise(
         rep.records.append(record([L], "resonant_samples", float(resonant[L]), None, replicas))
 
     # the largest rate whose probability target holds at every tested box
-    cand = np.sort(np.unique(np.concatenate([rates[L][rates[L] > 0] for L in L_sorted])))[::-1]
+    cand = np.sort(np.unique(np.concatenate([rates[L][rates[L] > 0] for L in L_list])))[::-1]
     c0 = 0.0
     for c in cand:
         ok = all(
             float((rates[L] >= c).mean()) >= 1.0 - math.exp(-c * L ** (model.d / 4.0))
-            for L in L_sorted
+            for L in L_list
         )
         if ok:
             c0 = float(c)
@@ -728,7 +701,7 @@ def run_ise(
 
     qs: dict[float, tuple[float, float]] = {}
     scaling_ok = c0 > 0
-    for L in L_sorted:
+    for L in L_list:
         n = rates[L].size
         q = float((rates[L] >= c0).mean())
         req = 1.0 - math.exp(-c0 * L ** (model.d / 4.0))
@@ -739,7 +712,7 @@ def run_ise(
         if q < req - 2 * sigma:
             scaling_ok = False
     rep.verdicts["probability_scaling"] = PASS if scaling_ok else FAIL
-    q_lo, q_hi = qs[L_sorted[0]], qs[L_sorted[-1]]
+    q_lo, q_hi = qs[L_list[0]], qs[L_list[-1]]
     improves = q_hi[0] >= q_lo[0] - 2 * math.hypot(q_lo[1], q_hi[1])
     rep.verdicts["probability_improves_with_box"] = PASS if improves else FAIL
     return rep
@@ -778,10 +751,7 @@ def run_spectral_minimum(
     _require_nonnegative_couplings(model)
     if any(e <= 0 for e in eps_list):
         raise PreconditionError(f"eps_list entries must be positive, got {min(eps_list):g}")
-    rep = ExperimentReport(
-        config={"eps_list": list(eps_list), "replicas": replicas, "L": L, "mesh_density": mesh_density},
-        seed=seed,
-    )
+    rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     ground = float(discrete_dirichlet_spectrum(box)[0])
     sup_env = float(model.envelope.values.max())
@@ -795,7 +765,7 @@ def run_spectral_minimum(
     rep.verdicts["floor_respected"] = PASS if bool(np.all(mins >= ground - 1e-9 * max(1.0, ground))) else FAIL
 
     near = model.sites_near_box(box)
-    for eps in sorted(eps_list, reverse=True):
+    for eps in sorted(set(eps_list), reverse=True):
         cmins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, _draws(seed, replicas), workers, cap=eps))
         bound = ground + eps * sup_env
         rep.records.append(record(["conditioned", eps], "min_eig_mean", float(cmins.mean()), float(_stderr(cmins)), replicas))
@@ -877,10 +847,7 @@ def localisation_probe(
     for dist in model.dists:
         if dist.holder_exponent is None:
             raise PreconditionError("localization probe needs Holder-continuous couplings")
-    rep = ExperimentReport(
-        config={"E_lo": E_lo, "E_hi": E_hi, "L": L, "replicas": replicas, "mesh_density": mesh_density},
-        seed=seed,
-    )
+    rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     prs: list[float] = []
     decays: list[float] = []
@@ -912,10 +879,7 @@ def run_minorant_check(
     mesh_density: int = 16,
 ) -> ExperimentReport:
     """Build the diluted minorant and confirm W <= V pathwise on sampled draws."""
-    rep = ExperimentReport(
-        config={"L": L, "replicas": replicas, "box_length": box_length, "mesh_density": mesh_density},
-        seed=seed,
-    )
+    rep = ExperimentReport()
     dm = construct_diluted_minorant(model, L)
     rep.fitted["spacing"] = dm.spacing
     rep.fitted["lattice_count"] = dm.lattice_count

@@ -344,17 +344,8 @@ class CantorSpec:
         return intervals
 
     def stage_measure(self) -> Fraction:
-        """Total surviving length, 1 - sum over stages of 2^(k-1) w_k."""
-        total = Fraction(1)
-        length = Fraction(1)
-        for k in range(self.depth):
-            r = Fraction(self.removal[k])
-            w = length * r
-            total -= 2**k * w
-            length = (length - w) / 2
-        if total <= 0:
-            raise RasterError("removal schedule exhausts the interval")
-        return total
+        """Total surviving length, exact."""
+        return sum(hi - lo for lo, hi in self.stage_intervals())
 
 
 def smith_volterra_spec(depth: int) -> CantorSpec:

@@ -49,7 +49,7 @@ GOLDEN_RESOLVED = {
     "uncertainty": (
         "[run]\nexperiment = uncertainty\nseed = 0\nworkers = 1\nmesh_density = 64\n\n"
         "[parameters]\na = 1.0\nbc = dirichlet\ne_list = 25.0,100.0,225.0,400.0\nl_list = 2.0,3.0,4.0\n"
-        "lambda_floor = 1e-06\nset_depth = 4\nset_kind = stripes\nset_period = 1.0\nset_resolution = 48\n"
+        "set_depth = 4\nset_kind = stripes\nset_period = 1.0\nset_resolution = 48\n"
         "set_width = 0.3333333333333333\n"
     ),
     "ise": (
@@ -201,6 +201,15 @@ class TestRunCommand:
         assert payload["experiment"] == "wegner"
         assert payload["seed"] == 99
 
+    def test_grid_is_recorded_sorted_and_merged(self, tmp_path):
+        text = "[run]\nexperiment = wegner\nreplicas = 2\n\n[parameters]\nl_list = 16,8,8\neps_list = 0.4\n"
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(_write(tmp_path / "w.ini", text)), "--out", str(out)]
+        assert main(argv + ["--model", str(CONFIG_DIR / "covering.model.ini")]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["config"]["L_list"] == [8.0, 16.0]
+        assert [r["point"][0] for r in payload["records"]] == [8.0, 8.0, 16.0, 16.0]
+
     def test_failing_verdict_exits_one(self, tmp_path, capsys):
         # exponential trapping cannot work on covering support; the report
         # says FAIL and the process says 1
@@ -232,6 +241,7 @@ class TestRunCommand:
         "text, named, model",
         [(text, named, None) for text, named in [
             ("[run]\nexperiment = uncertainty\nbogus = 1\n", "bogus"),
+            ("[run]\nexperiment = uncertainty\n\n[parameters]\nlambda_floor = 1e-3\n", "unknown key 'lambda_floor'"),
             ("[run]\nexperiment = wegner\nreplicas = 0\n", "replicas must be at least 1"),
             ("[run]\nexperiment = ise\nreplicas = 0\n", "replicas must be at least 1"),
             ("[run]\nexperiment = ise\nworkers = 0\n", "workers must be at least 1"),
@@ -267,7 +277,7 @@ class TestRunCommand:
             ("[run]\nexperiment = stubborn\n", "got min_support = -1", "geometric"),
         ],
         ids=[
-            "unknown-key", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
+            "unknown-key", "lambda-floor", "wegner-replicas-0", "ise-replicas-0", "workers-0", "mesh-density-0",
             "negative-seed", "seed-abc", "empty-list", "minorant-workers", "uncertainty-replicas",
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
             "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
@@ -381,8 +391,8 @@ TINY_RUNS = {
         "mesh_density = 32\n\n[parameters]\ne_list = 25.0\nl_list = 2.0\n",
         None,
         lambda _: X.run_uncertainty(
-            stripes_raster(1.0 / 3.0, 1.0, 48), a=(1.0,), E_list=(25.0,), L_list=(2.0,), bc="dirichlet",
-            lambda_floor=1e-6, seed=0, mesh_density=32,
+            stripes_raster(1.0 / 3.0, 1.0, 48), a=(1.0,), E_list=(25.0,), L_list=(2.0,), bc="dirichlet", seed=0,
+            mesh_density=32,
         ),
     ),
     "ise": (

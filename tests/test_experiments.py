@@ -720,6 +720,98 @@ def test_one_box_size_has_no_volume_trend(covering, L_list):
     }
 
 
+def test_repeated_box_size_is_worked_once(covering):
+    rep = X.run_wegner(covering, L_list=(4.0, 4.0), eps_list=(0.4,), replicas=4)
+    assert [(r["point"], r["statistic"]) for r in rep.records] == [
+        ([4.0, 0.4], "count_mean"),
+        ([4.0, 0.4], "volume_ratio"),
+    ]
+    assert rep.config["L_list"] == [4.0]
+
+
+def test_repeated_cap_is_worked_once(covering):
+    rep = X.run_spectral_minimum(covering, eps_list=(0.5, 0.5), L=4.0, replicas=3)
+    conditioned = [r["statistic"] for r in rep.records if r["point"][0] == "conditioned"]
+    assert conditioned == ["min_eig_mean", "min_eig_high"]
+    assert rep.config["eps_list"] == [0.5, 0.5]  # the caps as given: they are not a Grid
+
+
+# per driver: its subject, a call with non-default, unsorted arguments, and the
+# Grid arguments of that call as the report's config must list them
+_CONFIG_CALLS = {
+    "run_wegner": (
+        "covering",
+        dict(L_list=(8.0, 4.0), eps_list=(0.2, 0.4, 0.2), replicas=3, seed=41, mesh_density=8, e_ref=25.0),
+        dict(L_list=[4.0, 8.0], eps_list=[0.2, 0.4]),
+    ),
+    "estimate_ids": (
+        "covering",
+        dict(L=4.0, E_list=(5.0, 2.0, 5.0), eps=0.5, replicas=2, seed=42, mesh_density=8, c_w=2.0),
+        dict(E_list=[2.0, 5.0]),
+    ),
+    "run_stubborn": (
+        "geometric",
+        dict(E=3.0, L_list=(16.0, 8.0), replicas=2, seed=43, min_boxes=2),
+        dict(L_list=[8.0, 16.0]),
+    ),
+    "run_stubborn_exponential": ("geometric", dict(L=4.0, eigen_index=2, replicas=2, seed=44, mesh_density=8), {}),
+    "run_uncertainty": (
+        "stripes_third",
+        dict(a=(2.0,), E_list=(100.0, 25.0), L_list=(3.0, 2.0, 3.0), mesh_density=16, bc="neumann", seed=45),
+        dict(E_list=[25.0, 100.0], L_list=[2.0, 3.0]),
+    ),
+    "run_ise": ("covering", dict(L_list=(8.0, 4.0), replicas=3, seed=46, mesh_density=8), dict(L_list=[4.0, 8.0])),
+    "run_spectral_minimum": ("covering", dict(eps_list=(0.25, 0.5), replicas=2, seed=47, L=4.0, mesh_density=8), {}),
+    "localisation_probe": (
+        "covering",
+        dict(E_lo=0.5, E_hi=3.0, L=8.0, replicas=2, seed=48, mesh_density=8),
+        {},
+    ),
+    "run_minorant_check": ("covering", dict(L=4.0, replicas=2, seed=49, box_length=6.0, mesh_density=8), {}),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(X.EXPERIMENTS.values()))
+def test_config_is_the_bound_arguments(driver, request):
+    fixture, kw, grids = _CONFIG_CALLS[driver]
+    run = getattr(X, driver)
+    signature = inspect.signature(run)
+    assert {p.name for p in signature.parameters.values() if p.annotation == "Grid"} == set(grids)
+    rep = run(request.getfixturevalue(fixture), **kw)
+    bound = signature.bind(None, **kw)
+    bound.apply_defaults()
+    subject, *_ = bound.arguments
+    want = {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in bound.arguments.items()
+        if k not in (subject, "seed", "workers")
+    }
+    want |= grids
+    if driver == "run_stubborn":
+        assert want["mesh_density"] is None
+        want["mesh_density"] = 16  # resolved for d = 1
+    assert rep.config == want
+    assert rep.seed == kw["seed"]
+
+
+_GRIDS = [
+    (driver, p.name)
+    for driver in sorted(X.EXPERIMENTS.values())
+    for p in inspect.signature(getattr(X, driver)).parameters.values()
+    if p.annotation == "Grid"
+]
+
+
+@pytest.mark.parametrize("driver, key", _GRIDS)
+def test_empty_grid_refused_before_sampling(driver, key, request, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    subject = request.getfixturevalue(_CONFIG_CALLS[driver][0])
+    with pytest.raises(X.PreconditionError, match=f"^{key} must not be empty$"):
+        getattr(X, driver)(subject, **{key: ()})
+    assert sampled == []
+
+
 class TestUncertaintyWithLittleData:
     def test_two_energies_fit_no_rate(self, stripes_third):
         rep = X.run_uncertainty(stripes_third, E_list=(25.0, 100.0), L_list=(2.0, 3.0), mesh_density=16)

@@ -224,6 +224,9 @@ class TestFatCantor:
         spec = smith_volterra_spec(4)
         assert spec.stage_measure() == Fraction(17, 32)
 
+    def test_middle_thirds_measure_exact(self):
+        assert CantorSpec(depth=3, removal=(Fraction(1, 3),) * 3).stage_measure() == Fraction(8, 27)
+
     def test_intervals_disjoint_and_sorted(self):
         iv = smith_volterra_spec(4).stage_intervals()
         assert len(iv) == 16
