@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Build the example raster sets and print their thickness certificates.
 
-Writes stripes (1/3 of each unit cell) and the stage-4 fat Cantor set in
-both the binary and the text format, then certifies each against the unit
-window so the printed gamma matches what the experiments assume.
+Writes stripes (1/3 of each unit cell) and the stage-4 fat Cantor set, one
+.npz raster archive each, then certifies each against the unit window so the
+printed gamma matches what the experiments assume.
 """
 
 import argparse
@@ -31,8 +31,7 @@ def main(argv=None) -> int:
     cantor = build_fat_cantor(smith_volterra_spec(4), 1024)
 
     for name, S in (("stripes_third", stripes), ("fat_cantor_depth4", cantor)):
-        save_raster(S, out / f"{name}.rast")
-        save_raster(S, out / f"{name}.txt")
+        save_raster(S, out / f"{name}.npz")
         cert = certify_thickness(S, WindowSpec((1.0,)))
         print(
             f"{name}: measure {S.measure!r}, unit-window gamma {cert.gamma_star!r}"

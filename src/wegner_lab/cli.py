@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     mk.add_argument("--period", type=float, default=1.0, help="period (stripes)")
     mk.add_argument("--depth", type=int, default=4, help="construction depth (cantor)")
     mk.add_argument("--resolution", type=int, default=1024, help="cells per unit length")
-    mk.add_argument("--out", required=True, help="output path (.rast binary, else text)")
+    mk.add_argument("--out", required=True, help="output path of the .npz archive, written under exactly this name")
     mk.set_defaults(fn=_cmd_make_set)
 
     ct = sub.add_parser("certify", help="certify thickness or structural claims")

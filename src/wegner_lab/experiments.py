@@ -749,6 +749,8 @@ def run_spectral_minimum(
     of that floor.  The zero-coupling seam must reproduce the floor exactly.
     """
     _require_nonnegative_couplings(model)
+    if not eps_list:
+        raise PreconditionError("eps_list must not be empty")
     if any(e <= 0 for e in eps_list):
         raise PreconditionError(f"eps_list entries must be positive, got {min(eps_list):g}")
     rep = ExperimentReport()

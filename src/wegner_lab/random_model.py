@@ -1017,7 +1017,10 @@ def load_model_config(path: str | Path) -> AlloyModel:
         rel = s.get("raster", "")
         if not rel:
             raise ModelConfigError(f"{path}: raster-file profile needs a raster key")
-        profile = RasterProfile(raster=load_raster(path.parent / rel))
+        raster = load_raster(path.parent / rel)
+        if raster.periodic:  # a periodic bump never ends, so no radius bounds the sites it reaches from
+            raise ModelConfigError(f"{path}: raster-file profile {rel} is periodic, so it has no finite support")
+        profile = RasterProfile(raster=raster)
 
     claims: dict = {}
     if which is not None:

@@ -16,7 +16,6 @@ suitably aligned raster reproduces exactly.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -65,10 +64,10 @@ class RasterGeometry:
 
     def __post_init__(self) -> None:
         d = len(self.origin)
-        if not (len(self.extent) == len(self.resolution) == d):
-            raise RasterError("origin, extent, resolution must agree on dimension")
-        if any(e <= 0 for e in self.extent):
-            raise RasterError("extents must be positive")
+        if not (0 < d == len(self.extent) == len(self.resolution)):
+            raise RasterError("origin, extent, resolution must agree on a dimension of at least one")
+        if not all(math.isfinite(v) for v in self.origin + self.extent) or any(e <= 0 for e in self.extent):
+            raise RasterError("origin and extent must be finite, and extents positive")
         if any(r < 1 for r in self.resolution):
             raise RasterError("resolution must be at least one cell per unit")
         for e, r in zip(self.extent, self.resolution):
@@ -432,122 +431,37 @@ def level_set(field: GridField, kappa: float) -> RasterSet:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one numpy .npz archive per raster
 
-_MAGIC = b"WLRS"
-_VERSION = 1
-_TEXT_HEADER = "wegner-lab-raster v1"
-
-
-def save_raster_binary(S: RasterSet, path: str | Path) -> None:
-    geo = S.geometry
-    blob = bytearray()
-    blob += struct.pack("<4sBBBB", _MAGIC, _VERSION, geo.d, 1 if geo.periodic else 0, 0)
-    for axis in range(geo.d):
-        blob += struct.pack("<ddI", geo.origin[axis], geo.extent[axis], geo.resolution[axis])
-    bits = np.packbits(S.cells.ravel())
-    blob += struct.pack("<Q", S.cells.size)
-    blob += bits.tobytes()
-    Path(path).write_bytes(bytes(blob))
-
-
-def load_raster_binary(path: str | Path) -> RasterSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _MAGIC:
-        raise RasterFormatError(f"{path}: not a raster file (bad magic)")
-    magic, version, d, periodic, _ = struct.unpack_from("<4sBBBB", raw, 0)
-    if version != _VERSION:
-        raise RasterFormatError(f"{path}: unsupported raster version {version}")
-    off = 8
-    origin, extent, resolution = [], [], []
-    for _ in range(d):
-        o, e, r = struct.unpack_from("<ddI", raw, off)
-        origin.append(o)
-        extent.append(e)
-        resolution.append(int(r))
-        off += 20
-    (ncells,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    geo = RasterGeometry(tuple(origin), tuple(extent), tuple(resolution), bool(periodic))
-    expect = int(np.prod(geo.shape))
-    if ncells != expect:
-        raise RasterFormatError(f"{path}: cell count {ncells} does not match geometry {expect}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=off), count=ncells)
-    return RasterSet(geometry=geo, cells=bits.astype(bool).reshape(geo.shape))
-
-
-def raster_to_rle_text(S: RasterSet) -> str:
-    geo = S.geometry
-    lines = [_TEXT_HEADER, f"d {geo.d}"]
-    for axis in range(geo.d):
-        lines.append(f"axis {geo.origin[axis]!r} {geo.extent[axis]!r} {geo.resolution[axis]}")
-    lines.append(f"periodic {1 if geo.periodic else 0}")
-    flat = S.cells.ravel()
-    runs: list[str] = []
-    pos = 0
-    while pos < flat.size:
-        bit = flat[pos]
-        end = pos
-        while end < flat.size and flat[end] == bit:
-            end += 1
-        runs.append(f"{1 if bit else 0}x{end - pos}")
-        pos = end
-    lines.append("runs " + ",".join(runs))
-    return "\n".join(lines) + "\n"
-
-
-def raster_from_rle_text(text: str) -> RasterSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _TEXT_HEADER:
-        raise RasterFormatError("missing raster text header")
-    try:
-        d = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise RasterFormatError("unreadable dimension line") from exc
-    origin, extent, resolution = [], [], []
-    for axis in range(d):
-        parts = lines[2 + axis].split()
-        if len(parts) != 4 or parts[0] != "axis":
-            raise RasterFormatError(f"axis line {axis} malformed: {lines[2 + axis]!r}")
-        origin.append(float(parts[1]))
-        extent.append(float(parts[2]))
-        resolution.append(int(parts[3]))
-    per_line = lines[2 + d].split()
-    if per_line[0] != "periodic":
-        raise RasterFormatError("missing periodic line")
-    periodic = bool(int(per_line[1]))
-    runs_line = lines[3 + d]
-    if not runs_line.startswith("runs "):
-        raise RasterFormatError("missing runs line")
-    geo = RasterGeometry(tuple(origin), tuple(extent), tuple(resolution), periodic)
-    bits: list[np.ndarray] = []
-    for token in runs_line[5:].split(","):
-        try:
-            bit, count = token.split("x")
-            if bit not in ("0", "1") or int(count) < 1:
-                raise ValueError(token)
-            bits.append(np.full(int(count), bit == "1", dtype=bool))
-        except ValueError as exc:
-            raise RasterFormatError(f"bad run token {token!r}") from exc
-    flat = np.concatenate(bits) if bits else np.zeros(0, dtype=bool)
-    expect = int(np.prod(geo.shape))
-    if flat.size != expect:
-        raise RasterFormatError(f"runs cover {flat.size} cells, geometry needs {expect}")
-    return RasterSet(geometry=geo, cells=flat.reshape(geo.shape))
+# archive key -> (dtype kind, array rank); the cells keep the raster's own shape
+_FIELDS = {"origin": ("f", 1), "extent": ("f", 1), "resolution": ("i", 1), "periodic": ("b", 0), "cells": ("b", None)}
 
 
 def save_raster(S: RasterSet, path: str | Path) -> None:
-    """Binary for .rast, run-length text for anything else."""
-    p = Path(path)
-    if p.suffix == ".rast":
-        save_raster_binary(S, p)
-    else:
-        p.write_text(raster_to_rle_text(S))
+    """Write S as a compressed .npz archive under exactly the given name."""
+    geo = S.geometry
+    with open(path, "wb") as fh:  # np.savez would append ".npz" to a name
+        np.savez_compressed(fh, origin=np.array(geo.origin, dtype=np.float64), extent=np.array(geo.extent, dtype=np.float64),
+                            resolution=np.array(geo.resolution, dtype=np.int64), periodic=geo.periodic, cells=S.cells)
 
 
 def load_raster(path: str | Path) -> RasterSet:
-    p = Path(path)
-    head = p.open("rb").read(4)
-    if head == _MAGIC:
-        return load_raster_binary(p)
-    return raster_from_rle_text(p.read_text())
+    """Read what save_raster wrote; any other file raises RasterFormatError."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {key: npz[key] for key in npz.files}
+        # a damaged archive fails inside numpy, zipfile or zlib, each with its own type
+        except Exception as exc:
+            raise RasterFormatError(f"{path}: not an .npz raster archive") from exc
+    if arrays.keys() != _FIELDS.keys():
+        raise RasterFormatError(f"{path}: archive keys {sorted(arrays)}, expected {sorted(_FIELDS)}")
+    for key, (kind, rank) in _FIELDS.items():
+        if arrays[key].dtype.kind != kind or rank not in (None, arrays[key].ndim):
+            raise RasterFormatError(f"{path}: {key} has dtype {arrays[key].dtype} and rank {arrays[key].ndim}")
+    try:
+        origin, extent, resolution = (tuple(arrays[key].tolist()) for key in ("origin", "extent", "resolution"))
+        geo = RasterGeometry(origin, extent, resolution, bool(arrays["periodic"]))
+        return RasterSet(geometry=geo, cells=arrays["cells"])
+    except RasterError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc

@@ -322,10 +322,10 @@ class TestRunCommand:
         # limit, so it has no exact count; single-vector Lanczos cannot see
         # the multiplicities of this checkerboard's spectrum without one
         geo = RasterGeometry(origin=(0.0, 0.0), extent=(1.0, 1.0), resolution=(2, 2), periodic=True)
-        save_raster(RasterSet(geometry=geo, cells=np.array([[True, False], [False, True]])), tmp_path / "checker.rast")
+        save_raster(RasterSet(geometry=geo, cells=np.array([[True, False], [False, True]])), tmp_path / "checker.npz")
         text = (
             "[run]\nexperiment = uncertainty\nmesh_density = 65\n\n[parameters]\nset_kind = file\n"
-            "set_path = checker.rast\na = 1.0,1.0\nbc = periodic\nl_list = 1\ne_list = 45,100\n"
+            "set_path = checker.npz\na = 1.0,1.0\nbc = periodic\nl_list = 1\ne_list = 45,100\n"
         )
         cfg = _write(tmp_path / "u.ini", text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -349,14 +349,14 @@ class TestRunCommand:
         assert "bad.model.ini" in err and "[model] extent = 'ten'" in err
 
     def test_set_from_file_feeds_uncertainty(self, tmp_path):
-        raster = tmp_path / "set.rast"
+        raster = tmp_path / "set.npz"
         assert main(
             ["make-set", "--kind", "stripes", "--width", "0.3333333333333333",
              "--period", "1.0", "--resolution", "48", "--out", str(raster)]
         ) == 0
         text = (
             "[run]\nexperiment = uncertainty\nmesh_density = 32\n\n"
-            "[parameters]\ne_list = 25.0\nl_list = 2.0\nset_kind = file\nset_path = set.rast\n"
+            "[parameters]\ne_list = 25.0\nl_list = 2.0\nset_kind = file\nset_path = set.npz\n"
         )
         cfg = _write(tmp_path / "u.ini", text)
         out = tmp_path / "out"
@@ -436,7 +436,7 @@ def test_run_matches_direct_driver_call(experiment, tmp_path):
 
 class TestMakeSet:
     def test_stripes_binary_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "stripes.rast"
+        path = tmp_path / "stripes.npz"
         rc = main(
             ["make-set", "--kind", "stripes", "--width", "0.25", "--period", "1.0",
              "--resolution", "32", "--out", str(path)]
@@ -447,11 +447,12 @@ class TestMakeSet:
         assert S.measure == pytest.approx(0.25, rel=1e-15)
         assert S.geometry.extent == (1.0,)
 
-    def test_cantor_text_round_trip(self, tmp_path):
+    def test_cantor_round_trip_under_the_given_name(self, tmp_path):
         path = tmp_path / "cantor.txt"
         rc = main(["make-set", "--kind", "cantor", "--depth", "2", "--resolution", "128",
                    "--out", str(path)])
         assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["cantor.txt"]  # no ".npz" appended
         S = load_raster(path)
         want = build_fat_cantor(smith_volterra_spec(2), 128)
         assert S.measure == want.measure
@@ -460,7 +461,7 @@ class TestMakeSet:
 
 class TestCertify:
     def _stripes_file(self, tmp_path):
-        path = tmp_path / "s.rast"
+        path = tmp_path / "s.npz"
         main(["make-set", "--kind", "stripes", "--width", "0.3333333333333333",
               "--period", "1.0", "--resolution", "48", "--out", str(path)])
         return path
@@ -489,12 +490,36 @@ class TestCertify:
         geo = RasterGeometry(origin=(0.0, 0.0), extent=(1.0, 1.0), resolution=(4, 4), periodic=True)
         cells = np.zeros((4, 4), dtype=bool)
         cells[:2] = True
-        path = tmp_path / "half.rast"
+        path = tmp_path / "half.npz"
         save_raster(RasterSet(geometry=geo, cells=cells), path)
         assert main(["certify", "--raster", str(path)]) == 0
         assert "gamma_star = 0.5\n" in capsys.readouterr().out
         assert main(["certify", "--raster", str(path), "--window", "1.0"]) == 2
         assert "window dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("old.rast", b"WLRS\x01\x01\x01\x00" + bytes(20) + b"\x03\x00\x00\x00\x00\x00\x00\x00\xa0"),
+            ("old.txt", b"wegner-lab-raster v1\nd 1\naxis 0.0 1.0 3\nperiodic 1\nruns 1x1,0x1,1x1\n"),
+        ],
+        ids=["binary", "run-length"],
+    )
+    def test_raster_in_an_old_format_exits_two(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["certify", "--raster", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not an .npz raster archive\n"
+
+    def test_model_with_a_periodic_raster_profile_exits_two(self, tmp_path, capsys):
+        save_raster(stripes_raster(0.25, 1.0, 8), tmp_path / "stripes.npz")
+        model = _write(
+            tmp_path / "p.model.ini",
+            "[model]\ndimension = 1\nextent = 8\n[sites]\nprofile = raster-file\nraster = stripes.npz\n"
+            "[distribution]\nkind = uniform\n[thickness]\ngamma = 0.25\nset = full\n",
+        )
+        assert main(["certify", "--model", str(model)]) == 2
+        assert "raster-file profile stripes.npz is periodic" in capsys.readouterr().err
 
     def test_model_thickness_claim_passes(self, capsys):
         rc = main(["certify", "--model", str(CONFIG_DIR / "covering.model.ini")])

@@ -710,6 +710,15 @@ def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps
     assert sampled == []
 
 
+def test_spectral_minimum_refuses_no_caps_before_sampling(covering, monkeypatch):
+    # with no cap there is no conditioned draw, so the run would pass on the floor alone
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    with pytest.raises(X.PreconditionError, match="^eps_list must not be empty$"):
+        X.run_spectral_minimum(covering, eps_list=(), replicas=3, L=4.0)
+    assert sampled == []
+
+
 @pytest.mark.parametrize("L_list", [(4.0,), (4.0, 4.0)])
 def test_one_box_size_has_no_volume_trend(covering, L_list):
     rep = X.run_wegner(covering, L_list=L_list, eps_list=(0.4, 0.2), replicas=4)

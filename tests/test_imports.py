@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a script imports is used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wegner_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wegner_lab"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -28,6 +29,10 @@ def test_unused_import_is_found():
     ]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}",
+)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []

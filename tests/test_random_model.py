@@ -44,7 +44,7 @@ from wegner_lab.random_model import (
     verify_NoPi,
     verify_Pi,
 )
-from wegner_lab.thick_sets import RasterGeometry, RasterSet, interval_member, save_raster
+from wegner_lab.thick_sets import RasterGeometry, RasterSet, interval_member, save_raster, stripes_raster
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -712,6 +712,17 @@ class TestFactoriesAndConfig:
         with pytest.raises(ModelConfigError, match=named):
             load_model_config(bad)
 
+    def test_periodic_raster_profile_refused(self, tmp_path):
+        # a periodic bump has no finite support, so no radius bounds the sites that reach a box
+        save_raster(stripes_raster(0.25, 1.0, 8), tmp_path / "stripes.npz")
+        bad = tmp_path / "periodic.model.ini"
+        bad.write_text(
+            "[model]\ndimension = 1\nextent = 4\n[sites]\nprofile = raster-file\nraster = stripes.npz\n"
+            "[distribution]\nkind = uniform\n"
+        )
+        with pytest.raises(ModelConfigError, match=r"periodic\.model\.ini: raster-file profile stripes\.npz is periodic"):
+            load_model_config(bad)
+
     def test_unknown_distribution_rejected(self, tmp_path):
         bad = tmp_path / "bad4.model.ini"
         bad.write_text(
@@ -760,10 +771,10 @@ def raster_bump(tmp_path_factory):
     geo = RasterGeometry(origin=(-0.75,), extent=(1.5,), resolution=(8,), periodic=False)
     cells = np.array([1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0], dtype=bool)
     folder = tmp_path_factory.mktemp("raster_model")
-    save_raster(RasterSet(geometry=geo, cells=cells), folder / "bump.rast")
+    save_raster(RasterSet(geometry=geo, cells=cells), folder / "bump.npz")
     (folder / "bump.model.ini").write_text(
         "[model]\ndimension = 1\nextent = 20\nresolution = 16\n"
-        "[sites]\nprofile = raster-file\nraster = bump.rast\nplacement = all-integers\n"
+        "[sites]\nprofile = raster-file\nraster = bump.npz\nplacement = all-integers\n"
         "[distribution]\nkind = truncated-power\nm_plus = 2.0\nalpha = 0.5\n"
     )
     return load_model_config(folder / "bump.model.ini")

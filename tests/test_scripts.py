@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from wegner_lab import experiments, random_model, spectral
-from wegner_lab.thick_sets import WindowSpec, certify_thickness, load_raster
+from wegner_lab.thick_sets import (
+    WindowSpec,
+    build_fat_cantor,
+    certify_thickness,
+    load_raster,
+    smith_volterra_spec,
+    stripes_raster,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,14 +80,15 @@ def test_example_sets_load_back_and_print_their_gamma(tmp_path):
     proc = _script("make_example_sets.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     names = ("stripes_third", "fat_cantor_depth4")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}{ext}" for n in names for ext in (".rast", ".txt"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.npz" for n in names)
     printed = dict(re.findall(r"^(\w+): measure \S+, unit-window gamma (\S+) ", proc.stdout, re.MULTILINE))
     assert sorted(printed) == sorted(names)
+    built = {"stripes_third": stripes_raster(1.0 / 3.0, 1.0, 48), "fat_cantor_depth4": build_fat_cantor(smith_volterra_spec(4), 1024)}
     for name in names:
-        binary, text = (load_raster(tmp_path / f"{name}{ext}") for ext in (".rast", ".txt"))
-        assert binary.geometry == text.geometry
-        assert np.array_equal(binary.cells, text.cells)
-        assert float(printed[name]) == certify_thickness(binary, WindowSpec((1.0,))).gamma_star
+        S = load_raster(tmp_path / f"{name}.npz")
+        assert S.geometry == built[name].geometry
+        assert np.array_equal(S.cells, built[name].cells)
+        assert float(printed[name]) == certify_thickness(S, WindowSpec((1.0,))).gamma_star
 
 
 def test_benchmark_tracer_targets_are_package_functions(monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +26,6 @@ from wegner_lab.thick_sets import (
     level_set,
     load_raster,
     product_and_periodize,
-    raster_from_rle_text,
-    raster_to_rle_text,
     save_raster,
     smith_volterra_spec,
     stripes_raster,
@@ -281,58 +282,107 @@ class TestProduct:
             stripes_raster(2.0, 1.0, 4)
 
 
+@st.composite
+def _rasters_2d(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    resolution = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    origin = draw(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+    bits = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    geo = RasterGeometry(origin, tuple(m / r for m, r in zip(shape, resolution)), resolution, draw(st.booleans()))
+    return RasterSet(geometry=geo, cells=np.array(bits, dtype=bool).reshape(shape))
+
+
+def _archive(**change):
+    """The fields of a good 3-cell raster archive, with some replaced (or dropped, for None)."""
+    fields = dict(
+        origin=np.zeros(1), extent=np.ones(1), resolution=np.array([3]), periodic=np.array(True),
+        cells=np.array([True, False, True]),
+    )
+    fields.update(change)
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# one file per refusal: raw bytes are written as they are, a dict as an .npz archive
+MALFORMED = {
+    "empty": b"",
+    "not-an-archive": b"origin 0.0\nextent 1.0\n",
+    "old-binary": b"WLRS\x01\x01\x01\x00" + bytes(20) + b"\x03\x00\x00\x00\x00\x00\x00\x00\xa0",
+    "old-text": b"wegner-lab-raster v1\nd 1\naxis 0.0 1.0 3\nperiodic 1\nruns 1x1,0x1,1x1\n",
+    "npy": _npy_bytes(np.array([True, False, True])),
+    "missing-key": _archive(periodic=None),
+    "extra-key": _archive(note=np.zeros(1)),
+    "integer-cells": _archive(cells=np.array([1, 0, 1], dtype=np.uint8)),
+    "float-resolution": _archive(resolution=np.array([3.0])),
+    "scalar-origin": _archive(origin=np.float64(0.0)),
+    "object-cells": _archive(cells=np.array([True, None, True], dtype=object)),
+    "shape-mismatch": _archive(cells=np.ones(4, dtype=bool)),
+    "nan-extent": _archive(extent=np.array([np.nan])),
+    "no-axis": _archive(origin=np.zeros(0), extent=np.zeros(0), resolution=np.zeros(0, dtype=np.int64), cells=np.array(True)),
+}
+
+
 class TestSerialization:
-    @given(bits=bit_arrays, periodic=st.booleans())
+    @given(bits=bit_arrays, periodic=st.booleans(), origin=st.floats(-8.0, 8.0))
     @settings(max_examples=40, deadline=None)
-    def test_binary_round_trip(self, tmp_path_factory, bits, periodic):
-        S = _raster_1d(bits, periodic=periodic)
-        p = tmp_path_factory.mktemp("rast") / "s.rast"
+    def test_binary_round_trip(self, tmp_path_factory, bits, periodic, origin):
+        S = _raster_1d(bits, periodic=periodic, origin=origin)
+        p = tmp_path_factory.mktemp("rast") / "s.rast"  # the name's suffix plays no part
         save_raster(S, p)
         back = load_raster(p)
         assert back.geometry == S.geometry
         assert np.array_equal(back.cells, S.cells)
 
-    @given(bits=bit_arrays)
+    @given(S=_rasters_2d())
     @settings(max_examples=40, deadline=None)
-    def test_rle_round_trip(self, bits):
-        S = _raster_1d(bits)
-        back = raster_from_rle_text(raster_to_rle_text(S))
+    def test_two_dimensional_round_trip(self, tmp_path_factory, S):
+        p = tmp_path_factory.mktemp("rast") / "s.npz"
+        save_raster(S, p)
+        back = load_raster(p)
         assert back.geometry == S.geometry
         assert np.array_equal(back.cells, S.cells)
 
-    def test_two_dimensional_round_trip(self, tmp_path):
-        S = product_and_periodize([stripes_raster(0.5, 1.0, 8), stripes_raster(0.25, 1.0, 8)])
-        p = tmp_path / "s.rast"
-        save_raster(S, p)
-        assert np.array_equal(load_raster(p).cells, S.cells)
-        t = tmp_path / "s.txt"
-        save_raster(S, t)
-        assert np.array_equal(load_raster(t).cells, S.cells)
+    def test_double_save_is_byte_identical(self, tmp_path, monkeypatch):
+        S = build_fat_cantor(smith_volterra_spec(4), 1024)
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_raster(S, first)
+        later = time.time() + 3600.0
+        monkeypatch.setattr(time, "time", lambda: later)  # no clock reading reaches the bytes
+        save_raster(S, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.npz", "second.npz"]
 
-    def test_text_dispatch_by_content_not_suffix(self, tmp_path):
-        S = _raster_1d([1, 0, 1])
-        p = tmp_path / "oddly_named.rast"
-        p.write_text(raster_to_rle_text(S))
-        assert np.array_equal(load_raster(p).cells, S.cells)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda t: "bogus\n" + t,
-            lambda t: t.replace("runs 1x1", "runs 9x1"),
-            lambda t: t.replace("runs ", "rns "),
-        ],
-    )
-    def test_malformed_text_raises(self, mutate):
-        good = raster_to_rle_text(_raster_1d([1, 0, 1]))
-        with pytest.raises(RasterFormatError):
-            raster_from_rle_text(mutate(good))
-
-    def test_malformed_binary_raises(self, tmp_path):
-        p = tmp_path / "bad.rast"
-        p.write_bytes(b"WLRS" + b"\x07" * 30)
-        with pytest.raises(RasterFormatError):
+    @pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_file_raises(self, tmp_path, content):
+        p = tmp_path / "bad.npz"
+        if isinstance(content, bytes):
+            p.write_bytes(content)
+        else:
+            with open(p, "wb") as fh:
+                np.savez(fh, **content)
+        with pytest.raises(RasterFormatError, match=re.escape(str(p))):
             load_raster(p)
-        p.write_bytes(b"????1234")
-        with pytest.raises(RasterFormatError):
-            load_raster(p)
+
+    @given(at=st.integers(0, 10**6), byte=st.integers(0, 255), cut=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_archive_loads_or_raises_format_error(self, tmp_path_factory, at, byte, cut):
+        p = tmp_path_factory.mktemp("rast") / "s.npz"
+        save_raster(_raster_1d([1, 0, 1, 1, 0, 0, 1, 0]), p)
+        raw = bytearray(p.read_bytes())
+        at %= len(raw)
+        raw[at] = byte
+        p.write_bytes(raw[:at] if cut else raw)
+        try:
+            back = load_raster(p)
+        except RasterFormatError:
+            return
+        assert isinstance(back, RasterSet)
+
+    def test_missing_file_stays_a_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_raster(tmp_path / "absent.npz")
