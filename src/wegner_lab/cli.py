@@ -38,7 +38,7 @@ from typing import Any
 from . import experiments
 from .experiments import PreconditionError
 from .grids import GridError
-from .random_model import ModelError, load_model_config, verify_NoPi, verify_Pi
+from .random_model import ModelError, finite_float, load_model_config, verify_NoPi, verify_Pi
 from .reports import ExperimentReport
 from .spectral import EigensolverError, ResonantSampleError
 from .thick_sets import (
@@ -63,14 +63,14 @@ _RUN_KEYS = {"seed": 0, "replicas": 1, "workers": 1, "mesh_density": 1}
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+    values = tuple(finite_float(v) for v in raw.split(",") if v.strip())
     if not values:
         raise ValueError("empty list")
     return values
 
 
 # annotation (less any "| None") -> parser of a config value
-_KINDS = {"float": float, "int": int, "str": str.strip, "Sequence[float]": _floats, "Grid": _floats}
+_KINDS = {"float": finite_float, "int": int, "str": str.strip, "Sequence[float]": _floats, "Grid": _floats}
 
 
 def build_set(
@@ -257,7 +257,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rep = ExperimentReport.from_json(Path(args.json).read_text())
+    try:
+        rep = ExperimentReport.from_json(Path(args.json).read_text())
+    except ValueError as exc:  # malformed JSON, undecodable bytes, or JSON that is no report
+        raise ConfigError(f"{args.json}: {exc}") from exc
     if args.csv:
         sys.stdout.write(rep.to_records_csv())
     else:
@@ -288,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     ct.add_argument("--raster", help="raster file to certify")
     ct.add_argument("--model", help="model file whose claims to verify")
     ct.add_argument("--window", type=_floats, help="window sides, comma separated (default: the unit cube)")
-    ct.add_argument("--gamma", type=float, help="claimed thickness to check (raster mode)")
+    ct.add_argument("--gamma", type=finite_float, help="claimed thickness to check (raster mode)")
     ct.add_argument("--kappa", type=_floats, help="level list for refutation, comma separated (model mode)")
     ct.set_defaults(fn=_cmd_certify)
 

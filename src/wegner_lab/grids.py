@@ -9,8 +9,9 @@ difference and shared by every operator on it) and its own full diagonal,
 to which add_potential adds.  -Delta is the Kronecker sum of the 1-d second
 difference, so its diagonal is the Kronecker sum of the 1-d diagonal and its
 stencil recurses over the axes; an open box's first-axis slices are the
-factors of that recursion.  The sparse matrix is summed only when a solver
-asks for it, with the same floating-point additions an eager sum does.
+factors of that recursion, and a periodic box is one slice.  The sparse
+matrix is summed only when a solver asks for it, with the same
+floating-point additions an eager sum does.
 """
 
 from __future__ import annotations
@@ -117,17 +118,22 @@ def _read_only(a: np.ndarray | sp.csr_matrix) -> np.ndarray | sp.csr_matrix:
 class Stencil:
     """The off-diagonal part of every operator on a box, shared read-only.
 
-    `off` is symmetric with nothing on its diagonal.  On an open box it also
-    comes as n slices of m unknowns along the first axis: each slice's
-    own couplings `inner` (m x m, shared by every slice) and the couplings
-    between slices k and k+1, `coupling[k]` times the identity (in d=1, the
-    off-diagonal band).  Periodic boxes have no slices.
+    `off` is symmetric with nothing on its diagonal.  It also comes as
+    slices of m unknowns along the first axis: each slice's own couplings
+    `inner` (m x m, shared by every slice) and the couplings between slices
+    k and k+1, `coupling[k]` times the identity (in d=1, the off-diagonal
+    band).  An open box has n slices; a periodic box is one slice, `inner`
+    is `off` and `coupling` is empty.  All three are made read-only.
     """
 
     box: BoxSpec
     off: sp.csr_matrix
-    inner: sp.csr_matrix | None
-    coupling: np.ndarray | None
+    inner: sp.csr_matrix
+    coupling: np.ndarray
+
+    def __post_init__(self) -> None:
+        for part in (self.off, self.inner, self.coupling):
+            _read_only(part)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +197,9 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
     inner, off = sp.csr_matrix((1, 1)), off_1
     for _ in range(box.d - 1):
         inner, off = off, sp.kron(off_1, sp.identity(off.shape[0]), "csr") + sp.kron(sp.identity(n), off, "csr")
-    stencil = Stencil(box, _read_only(off), *_slices(box, inner, band))
-    return DiscreteHamiltonian(stencil, _read_only(_kron_sum(main, box.d)))
-
-
-def _slices(box: BoxSpec, inner: sp.csr_matrix, coupling: np.ndarray) -> tuple:
-    """(inner, coupling) read-only on an open box; periodic boxes have no slices."""
-    if box.bc == "periodic":
-        return None, None
-    return _read_only(inner), _read_only(coupling)
+    if box.bc == "periodic":  # the wrap couples the last slice to the first, so the box is one slice
+        inner, band = off, np.empty(0)
+    return DiscreteHamiltonian(Stencil(box, off, inner, band), _read_only(_kron_sum(main, box.d)))
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:
@@ -217,9 +217,9 @@ def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
     diag = np.array(diag, dtype=float).ravel()
     if diag.shape[0] != box.ndof:
         raise GridError("diagonal length does not match the grid")
-    m = box.ndof // box.n
-    zero = _slices(box, sp.csr_matrix((m, m)), np.zeros(box.n - 1))
-    return DiscreteHamiltonian(Stencil(box, _read_only(sp.csr_matrix((box.ndof, box.ndof))), *zero), _read_only(diag))
+    m = box.ndof if box.bc == "periodic" else box.ndof // box.n  # a periodic box is one slice
+    zero = Stencil(box, sp.csr_matrix((box.ndof, box.ndof)), sp.csr_matrix((m, m)), np.zeros(box.ndof // m - 1))
+    return DiscreteHamiltonian(zero, _read_only(diag))
 
 
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:

@@ -958,6 +958,14 @@ _MODEL_SECTIONS = {
 }
 
 
+def finite_float(raw: str) -> float:
+    """A config value read as a float; nan and inf are refused like any other non-number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _value(
     path: Path, sec: configparser.SectionProxy, key: str, parse: Callable[[str], Any], default: Any = None
 ) -> Any:
@@ -976,7 +984,7 @@ def _parse_distribution(path: Path, sec: configparser.SectionProxy) -> Distribut
     if kind not in _LAWS:
         raise ModelConfigError(f"unknown distribution kind {kind!r}")
     law = _LAWS[kind]
-    return law(**{f.name: _value(path, sec, f.name, float, f.default) for f in fields(law)})
+    return law(**{f.name: _value(path, sec, f.name, finite_float, f.default) for f in fields(law)})
 
 
 def load_model_config(path: str | Path) -> AlloyModel:
@@ -1010,7 +1018,7 @@ def load_model_config(path: str | Path) -> AlloyModel:
         raise ModelConfigError(f"{path}: [sites] key 'set_resolution' applies only to [thickness] set = cantor")
     profile: Profile
     if profile_kind == "indicator-ball":
-        profile = BallIndicator(radius=_value(path, s, "radius", float, 0.5))
+        profile = BallIndicator(radius=_value(path, s, "radius", finite_float, 0.5))
     elif profile_kind == "cantor-translate":
         profile = CantorTranslate.from_depth(_value(path, s, "cantor_depth", int, 4))
     else:
@@ -1027,17 +1035,17 @@ def load_model_config(path: str | Path) -> AlloyModel:
         t = parser["thickness"]
         claims = {
             "claimed_set": which if which in ("full", "cantor") else path.parent / which,
-            "gamma": _value(path, t, "gamma", float),
-            "a": _value(path, t, "a", lambda raw: tuple(float(v) for v in raw.split(",")), (1.0,)),
+            "gamma": _value(path, t, "gamma", finite_float),
+            "a": _value(path, t, "a", lambda raw: tuple(finite_float(v) for v in raw.split(",")), (1.0,)),
             "set_resolution": _value(path, s, "set_resolution", int, 1024),
         }
     return build_model(
         _value(path, m, "dimension", int, 1),
-        _value(path, m, "extent", float, 40.0),
+        _value(path, m, "extent", finite_float, 40.0),
         _value(path, m, "resolution", int, 16),
         _parse_distribution(path, parser["distribution"]),
         profile,
         s.get("placement", "all-integers").strip(),
-        bound=_value(path, parser["bound"], "c_u", float) if "bound" in parser else None,
+        bound=_value(path, parser["bound"], "c_u", finite_float) if "bound" in parser else None,
         **claims,
     )

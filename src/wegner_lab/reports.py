@@ -93,16 +93,16 @@ class ExperimentReport:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentReport":
+        """The report to_json wrote; ValueError for text that is not one."""
         raw = json.loads(text)
-        return ExperimentReport(
-            experiment=raw["experiment"],
-            config=raw.get("config", {}),
-            records=raw.get("records", []),
-            fitted=raw.get("fitted", {}),
-            verdicts=raw.get("verdicts", {}),
-            seed=raw.get("seed", 0),
-            reduction_order=raw.get("reduction_order", "replica-index"),
-        )
+        if not isinstance(raw, dict) or not isinstance(raw.get("experiment"), str):
+            raise ValueError("not a report: no experiment name")
+        stored = ("experiment", "config", "records", "fitted", "verdicts", "seed", "reduction_order")
+        rep = ExperimentReport(**{key: raw[key] for key in stored if key in raw})  # absent keys take the defaults
+        tables = (rep.config, rep.fitted, rep.verdicts)
+        if not isinstance(rep.records, list) or not all(isinstance(t, dict) for t in (*tables, *rep.records)):
+            raise ValueError("not a report: config, fitted, verdicts and each record must be JSON objects")
+        return rep
 
     def to_records_csv(self) -> str:
         out = io.StringIO()

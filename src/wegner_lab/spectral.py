@@ -14,19 +14,19 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   running the loop again.  The shifts are a block's window ends
   (`precount_windows`) or the two resonance shifts of a resolvent query
   (`resonance_shifts`).
-- d>=2 with Dirichlet or Neumann boundary: the block Sturm count
+- everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
-  cut into one row per slice, in both slice orders, exact at every size
-  whose slice (n^(d-1) unknowns) fits INERTIA_DENSE_LIMIT, so every d=2 box
-  within the dof budget.  A shift at which a Schur block is nearly singular
-  in both slice orders raises ResonantSampleError instead of a count.
-- periodic boxes: a dense symmetric-indefinite (LDL) factorization up to
-  INERTIA_DENSE_LIMIT unknowns.  Its block diagonal factor D (1x1 and 2x2
-  pivots) is tridiagonal, so `sturm_count` reads its signs.
+  cut into one row per slice, in both slice orders.  An open box has n
+  slices of n^(d-1) unknowns; a periodic box is one slice.  Each Schur
+  block's count comes from the Bunch-Kaufman factor that its inverse is
+  built from.  The count is exact at every size whose slice fits
+  INERTIA_DENSE_LIMIT, so every open d=2 box within the dof budget.  A
+  shift at which a Schur block is nearly singular in both slice orders
+  raises ResonantSampleError instead of a count.
 
-A box whose dense part (the whole box when periodic, one slice otherwise) is
-over INERTIA_DENSE_LIMIT has no exact count and is refused with
-EigensolverError; no answer rests on an uncertified count.
+A box whose one slice is over INERTIA_DENSE_LIMIT unknowns has no exact
+count and is refused with EigensolverError; no answer rests on an
+uncertified count.
 
 A closed window [lo, hi] is counted at its ends nudged outward by a relative
 1e-12 (`_closed_window`), by count_in_interval and precount_windows alike.
@@ -60,7 +60,7 @@ from .grids import BoxSpec, DiscreteHamiltonian
 from .thick_sets import RasterSet
 
 DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs above it
-INERTIA_DENSE_LIMIT = 4096  # largest matrix (a periodic operator or a Schur block) factored densely
+INERTIA_DENSE_LIMIT = 4096  # largest slice (a Schur block; a whole periodic box) factored densely
 SCHUR_PIVOT_TOL = 1e-10  # relative to the operator scale: a Schur block this close to singular is refused
 _LANCZOS_KEY = 12345
 # (operator, shift) lanes from which counting a block's window ends at once,
@@ -91,8 +91,6 @@ class EigenResult:
 def _operator_scale(H: DiscreteHamiltonian) -> float:
     # 1-norm of a symmetric matrix (its largest absolute row sum) dominates its
     # spectral radius; the stencil's first-axis slices give it without summing the sparse matrix
-    if H.box.bc == "periodic":
-        return float(max(abs(H.matrix).sum(axis=0).max(), 1.0))
     inner = H.stencil.inner
     rows = np.abs(H.diag.reshape(-1, inner.shape[0])) + np.asarray(abs(inner).sum(axis=1)).ravel()
     side = np.abs(H.stencil.coupling)[:, np.newaxis]
@@ -168,9 +166,13 @@ def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarr
     Block LDL^T: S_1 = D_1 - x and S_k = D_k - x - c_k^2 S_{k-1}^{-1}.  By
     Sylvester's law of inertia and Haynsworth's inertia additivity the count
     is the sum of the negative eigenvalue counts of the S_k; this is
-    `sturm_count` with m x m blocks for scalars.  Returns None when a
-    non-final S_k has an eigenvalue within tol of zero: its inverse would
-    carry rounding large enough to flip later signs.
+    `sturm_count` with m x m blocks for scalars.  S_k's count comes from the
+    Bunch-Kaufman factor (dsytrf) its inverse is built from: its negative
+    1x1 pivots, and each 2x2 pivot once (Bunch-Kaufman picks one only with a
+    negative determinant).  Returns None when a non-final S_k is nearly
+    singular, ||S_k^{-1}||_1 >= 1/tol or not a number (so at every
+    eigenvalue within tol of zero): its inverse would carry rounding large
+    enough to flip later signs.
     """
     x = float(x)
     base = inner.toarray()
@@ -178,63 +180,48 @@ def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarr
     below = np.tril_indices_from(base, -1)
     last = diag.shape[0] - 1
     count = 0
-    s_inv = None
     for k, dk in enumerate(diag):
         S = base.copy()
         S[on_diag] = dk - x
-        if s_inv is not None:
+        if k:
             c = coupling[k - 1]
             S -= (c * c) * s_inv
-        w = np.linalg.eigvalsh(S)
-        if k == last:
-            break
-        if np.abs(w).min() <= tol:
-            return None
-        count += int(np.count_nonzero(w < 0.0))
-        # a Bunch-Kaufman inverse costs a fraction of one built from eigenvectors
         factor, pivots, info = sla.lapack.dsytrf(S, lower=1)
+        one = pivots > 0  # a 2x2 pivot fills two entries of pivots, both negative
+        count += int(np.count_nonzero(np.diagonal(factor)[one] < 0.0)) + int(np.count_nonzero(~one)) // 2
+        if k == last:
+            return count
         if info == 0:
             s_inv, info = sla.lapack.dsytri(factor, pivots, lower=1)
         if info != 0:
             return None
         s_inv.T[below] = s_inv[below]  # dsytri fills the lower triangle only
-    return count + int(np.count_nonzero(w < 0.0))
-
-
-def _ldl_negative_count(A: np.ndarray) -> int:
-    # Sylvester: the block diagonal factor (1x1 and 2x2 pivots) carries A's
-    # inertia, and being tridiagonal its signs are a Sturm count at 0
-    _, d, _ = sla.ldl(A, lower=True)
-    return sturm_count(np.diag(d), np.diag(d, -1), 0.0)
+        if not np.abs(s_inv).sum(axis=0).max() * tol < 1.0:  # an overflowed inverse gives a NaN norm
+            return None
 
 
 def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     """Number of eigenvalues strictly below x.
 
-    The block count runs in the other slice order when a Schur block is
-    nearly singular, and raises ResonantSampleError when both orders are.  A
-    dense part (the whole periodic box, or one slice) over
-    INERTIA_DENSE_LIMIT unknowns has no exact count: EigensolverError.
+    Off the d=1 bands this is the block Sturm count on the stencil's slices
+    (a periodic box is one slice).  It runs in the other slice order when a
+    Schur block is nearly singular, and raises ResonantSampleError when both
+    orders are.  A slice over INERTIA_DENSE_LIMIT unknowns has no exact
+    count: EigensolverError.
     """
     if H.is_tridiagonal:
         if x in H.below:
             return H.below[x]
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
-    periodic = H.box.bc == "periodic"
-    dense = H.box.ndof if periodic else H.box.n ** (H.box.d - 1)
-    if dense > INERTIA_DENSE_LIMIT:
-        raise EigensolverError(
-            f"no exact eigenvalue count: {dense} unknowns to factor densely, limit {INERTIA_DENSE_LIMIT}"
-        )
-    if periodic:
-        A = H.matrix.toarray()
-        A[np.diag_indices_from(A)] -= x
-        return _ldl_negative_count(A)
-    diag, coupling = H.diag.reshape(H.box.n, -1), H.stencil.coupling
+    inner, coupling = H.stencil.inner, H.stencil.coupling
+    m = inner.shape[0]
+    if m > INERTIA_DENSE_LIMIT:
+        raise EigensolverError(f"no exact eigenvalue count: {m} unknowns to factor densely, limit {INERTIA_DENSE_LIMIT}")
+    diag = H.diag.reshape(-1, m)
     tol = SCHUR_PIVOT_TOL * _operator_scale(H)
     for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
-        count = block_sturm_count(H.stencil.inner, *order, x, tol)
+        count = block_sturm_count(inner, *order, x, tol)
         if count is not None:
             return count
     raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")

@@ -114,6 +114,28 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match=f"cannot parse {key} ="):
             parse_run_config(p)
 
+    @pytest.mark.parametrize(
+        "experiment, key, raw",
+        [
+            ("ids", "eps", "nan"),
+            ("ids", "eps", "inf"),
+            ("ids", "c_w", "-inf"),
+            ("wegner", "l_list", "8,nan"),
+            ("wegner", "eps_list", "0.4, inf"),
+            ("uncertainty", "a", "1.0,-inf"),
+            ("spectral-minimum", "eps_list", "NaN"),
+        ],
+    )
+    def test_non_finite_value_exits_two_naming_file_and_key(self, tmp_path, capsys, experiment, key, raw):
+        # float, Grid and Sequence[float] values share one parser, which refuses nan and inf
+        p = _write(tmp_path / "r.ini", f"[run]\nexperiment = {experiment}\n\n[parameters]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"cannot parse {key} ="):
+            parse_run_config(p)
+        assert main(["run", "--config", str(p), "--model", str(CONFIG_DIR / "covering.model.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: cannot parse {key} = {raw!r}")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_unknown_experiment_lists_known_ones(self, tmp_path):
         p = _write(tmp_path / "r.ini", "[run]\nexperiment = percolation\n")
         with pytest.raises(ConfigError, match="wegner"):
@@ -521,6 +543,23 @@ class TestCertify:
         assert main(["certify", "--model", str(model)]) == 2
         assert "raster-file profile stripes.npz is periodic" in capsys.readouterr().err
 
+    def test_non_finite_claimed_gamma_exits_two(self, tmp_path, capsys):
+        # a nan claim is no claim to refuse (exit 1): it is a bad argument
+        with pytest.raises(SystemExit) as exit_:
+            main(["certify", "--raster", str(self._stripes_file(tmp_path)), "--gamma", "nan"])
+        assert exit_.value.code == 2
+        assert "argument --gamma: invalid finite_float value: 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extent", ["nan", "inf"])
+    def test_model_with_a_non_finite_extent_exits_two(self, tmp_path, capsys, extent):
+        model = _write(
+            tmp_path / "x.model.ini",
+            f"[model]\ndimension = 1\nextent = {extent}\n[sites]\nradius = 0.5\n"
+            "[distribution]\nkind = uniform\n[thickness]\ngamma = 1.0\n",
+        )
+        assert main(["certify", "--model", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: cannot parse [model] extent = {extent!r}\n"
+
     def test_model_thickness_claim_passes(self, capsys):
         rc = main(["certify", "--model", str(CONFIG_DIR / "covering.model.ini")])
         assert rc == 0
@@ -595,3 +634,18 @@ class TestReportCommand:
     def test_missing_report_exits_two(self, tmp_path, capsys):
         assert main(["report", "--json", str(tmp_path / "gone.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"\xff\xfe\x00", b"[1, 2]", b'{"seed": 0}', b'{"experiment": 3}',
+         b'{"experiment": "ids", "verdicts": ["PASS"]}', b'{"experiment": "ids", "records": 7}',
+         b'{"experiment": "ids", "records": [1]}'],
+        ids=["malformed", "not-text", "list", "no-experiment", "bad-experiment", "bad-verdicts", "bad-records",
+             "bad-record"],
+    )
+    def test_file_that_is_no_report_exits_two_naming_it(self, tmp_path, capsys, content):
+        bad = tmp_path / "report.json"
+        bad.write_bytes(content)
+        for extra in ([], ["--csv"]):
+            assert main(["report", "--json", str(bad), *extra]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")

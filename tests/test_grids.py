@@ -333,8 +333,8 @@ class TestFreeOperatorFromFactors:
         assert _same_bits(H.diag, free)
         assert _same_matrix(H.stencil.off, off)
         assert _same_matrix(H.matrix, (off + sp.diags(free, format="csr")).tocsr())
-        if bc == "periodic":
-            assert H.stencil.inner is None and H.stencil.coupling is None
+        if bc == "periodic":  # one slice: the whole stencil, coupled to no other slice
+            assert _same_matrix(H.stencil.inner, off) and H.stencil.coupling.shape == (0,)
         else:
             assert _same_matrix(H.stencil.inner, inner) and H.stencil.inner.shape == inner.shape
             assert _same_bits(H.stencil.coupling, coupling)

@@ -749,6 +749,23 @@ class TestFactoriesAndConfig:
         with pytest.raises(ModelConfigError, match=rf"bad5\.model\.ini: cannot parse \[{section}\] {key} = '{value}'"):
             load_model_config(bad)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "extent", "nan"), ("model", "extent", "inf"), ("sites", "radius", "-inf"),
+         ("distribution", "hi", "NaN"), ("thickness", "gamma", "inf"), ("thickness", "a", "1.0, nan")],
+    )
+    def test_non_finite_value_names_file_section_and_key(self, tmp_path, section, key, value):
+        # every float of a model file goes through the run files' finite parser
+        bad = tmp_path / "bad6.model.ini"
+        bad.write_text(
+            "[model]\ndimension = 1\nextent = 4\n"
+            "[sites]\nplacement = all-integers\nradius = 0.5\n"
+            "[distribution]\nkind = uniform\nhi = 1.0\n"
+            "[thickness]\ngamma = 1.0\na = 1.0\n".replace(f"\n{key} = ", f"\n{key} = {value}  # ", 1)
+        )
+        with pytest.raises(ModelConfigError, match=rf"bad6\.model\.ini: cannot parse \[{section}\] {key} = '{value}'"):
+            load_model_config(bad)
+
 
 # ---------------------------------------------------------------------------
 # the cached profile matrix against the per-site loop it replaced

@@ -315,7 +315,7 @@ def _periodic_operator(draw):
 
 
 class TestPeriodicLDLCount:
-    """The LDL signs of periodic boxes, read through sturm_count, against numpy.linalg.eigvalsh."""
+    """The LDL signs of periodic boxes against numpy.linalg.eigvalsh."""
 
     @given(_periodic_operator())
     @settings(max_examples=60, deadline=None)
@@ -396,6 +396,77 @@ class TestBlockSturmCount:
         assert big.box.ndof > INERTIA_DENSE_LIMIT
         with pytest.raises(EigensolverError, match="no exact eigenvalue count: 4225 unknowns"):
             inertia_count(big, 30.0)
+
+
+def _eigvalsh_block_count(inner, diag, coupling, x, tol):
+    """The block Sturm count with each Schur block's count from numpy.linalg.eigvalsh,
+    refused when a non-final block has an eigenvalue within tol of zero; its
+    inverses are block_sturm_count's, so both see the same blocks."""
+    base = inner.toarray()
+    below = np.tril_indices_from(base, -1)
+    count = 0
+    for k, dk in enumerate(diag):
+        S = base.copy()
+        S[np.diag_indices_from(S)] = dk - x
+        if k:
+            S -= coupling[k - 1] ** 2 * s_inv
+        w = np.linalg.eigvalsh(S)
+        count += int(np.count_nonzero(w < 0.0))
+        if k == diag.shape[0] - 1:
+            return count
+        if np.abs(w).min() <= tol:
+            return None
+        factor, pivots, info = sla.lapack.dsytrf(S, lower=1)
+        if info == 0:
+            s_inv, info = sla.lapack.dsytri(factor, pivots, lower=1)
+        if info != 0:
+            return None
+        s_inv.T[below] = s_inv[below]
+
+
+class TestCountsFromTheFactor:
+    """Each Schur block's count read from its Bunch-Kaufman factor, and its
+    refusal from the norm of its inverse, against eigvalsh of the same block."""
+
+    @given(_block_operator(), st.booleans(), st.lists(st.floats(-2.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_refuses_where_eigvalsh_refused_and_agrees_where_both_answer(self, H, leading, fractions):
+        ev = np.linalg.eigvalsh(H.matrix.toarray())
+        span = ev[-1] - ev[0] + 1.0
+        levels = _sub_box_levels(H, leading)
+        shifts = [ev[0] + f * span for f in fractions] + list(levels[:: max(1, levels.size // 20)])
+        inner, coupling = H.stencil.inner, H.stencil.coupling
+        diag = H.diag.reshape(H.box.n, -1)
+        scale = spectral._operator_scale(H)
+        tol = spectral.SCHUR_PIVOT_TOL * scale
+        for x in shifts:
+            # on the spectrum the last block is singular, and either strict count is a rounding call
+            on_spectrum = np.min(np.abs(ev - x)) < 1e-8 * scale
+            for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
+                old = _eigvalsh_block_count(inner, *order, x, tol)
+                new = block_sturm_count(inner, *order, x, tol)
+                assert old is not None or new is None, x
+                if old is not None and new is not None and not on_spectrum:
+                    assert new == old, x
+
+    def test_an_overflowing_inverse_is_refused(self):
+        # 1 / 2.2e-311 overflows to inf and 0 * inf is NaN, so the norm is NaN, not >= 1/tol
+        x = 2.225073858507e-311
+        diag = np.array([[0.0, 0.0], [0.0, x]])
+        assert _eigvalsh_block_count(sp.csr_matrix((2, 2)), diag, np.zeros(1), x, 1e-10) is None
+        assert block_sturm_count(sp.csr_matrix((2, 2)), diag, np.zeros(1), x, 1e-10) is None
+
+    @pytest.mark.parametrize("b, c, x", [(1.0, 0.1, 0.0), (-2.0, 0.0, 0.3), (3.0, -1.0, -0.5)])
+    def test_two_by_two_pivots_count_once(self, b, c, x):
+        # a zero corner and |c| < 0.64 |b| leave Bunch-Kaufman no 1x1 pivot: S_1 = [[0, b], [b, c]]
+        assert np.all(sla.lapack.dsytrf(np.array([[0.0, b], [b, c]]), lower=1)[1] < 0)
+        inner = sp.csr_matrix(np.array([[0.0, b], [b, 0.0]]))
+        for n in (1, 4):
+            diag, coupling = np.tile([x, x + c], (n, 1)), np.full(n - 1, 0.3)
+            A = sp.kron(sp.identity(n), inner) + sp.diags(diag.ravel())
+            A += sp.kron(sp.diags([coupling, coupling], [-1, 1]), sp.identity(2))
+            want = int(np.count_nonzero(np.linalg.eigvalsh(A.toarray()) < x))
+            assert block_sturm_count(inner, diag, coupling, x, 1e-10) == want
 
 
 class TestCountInInterval:
