@@ -4,6 +4,7 @@ Subcommands:
   run       execute one experiment from a run config (and usually a model file)
   make-set  build and save a raster set (stripes or a fat Cantor stage)
   certify   certify thickness of a raster, or a model's structural claims
+            (an option the chosen mode would not read is an error)
   report    re-render a stored report as a human summary
 
 An experiment's driver in the experiments module is its one declaration:
@@ -13,6 +14,8 @@ with the driver's defaults and the kinds its annotations give (plus those
 of build_set when the driver takes a set, not a model).  [run] holds the
 experiment, a seed >= 0, and those of replicas, workers and mesh_density
 (each >= 1) the driver takes; workers = 1 is the serial run of any driver.
+A model file's keys are random_model.build_model's keywords, and one table,
+random_model.KINDS, parses the values of both kinds of file.
 
 Exit codes: 0 when every verdict is PASS or INFORMATIONAL, 1 when any
 verdict is FAIL, 2 on execution errors (bad config, failed preconditions,
@@ -27,7 +30,6 @@ environment-dependent.
 from __future__ import annotations
 
 import argparse
-import configparser
 import inspect
 import os
 import sys
@@ -38,7 +40,9 @@ from typing import Any
 from . import experiments
 from .experiments import PreconditionError
 from .grids import GridError
-from .random_model import ModelError, finite_float, load_model_config, verify_NoPi, verify_Pi
+from .random_model import (
+    ModelError, finite_float, finite_floats, load_model_config, parse_as, read_ini, verify_NoPi, verify_Pi,
+)
 from .reports import ExperimentReport
 from .spectral import EigensolverError, ResonantSampleError
 from .thick_sets import (
@@ -60,17 +64,6 @@ class ConfigError(ValueError):
 
 # [run] keys besides the experiment, with the least value each accepts
 _RUN_KEYS = {"seed": 0, "replicas": 1, "workers": 1, "mesh_density": 1}
-
-
-def _floats(raw: str) -> tuple[float, ...]:
-    values = tuple(finite_float(v) for v in raw.split(",") if v.strip())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-# annotation (less any "| None") -> parser of a config value
-_KINDS = {"float": finite_float, "int": int, "str": str.strip, "Sequence[float]": _floats, "Grid": _floats}
 
 
 def build_set(
@@ -120,27 +113,16 @@ class RunConfig:
 
 
 def _parse_value(kind: str, raw: str, key: str, where: str) -> Any:
-    kind = kind.removesuffix(" | None")
     try:
-        return _KINDS[kind](raw)
+        return parse_as(kind, raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {kind}") from exc
+        raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {kind.removesuffix(' | None')}") from exc
 
 
 def parse_run_config(path: str | Path) -> RunConfig:
     """Strict run-file parser: every key must be one the experiment's driver reads."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with path.open() as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    for section in parser.sections():
-        if section not in ("run", "parameters"):
-            raise ConfigError(f"{path}: unknown section [{section}]")
+    parser = read_ini(path, ("run", "parameters"), ConfigError)
     if "run" not in parser:
         raise ConfigError(f"{path}: missing [run] section")
     run = parser["run"]
@@ -220,40 +202,45 @@ def _cmd_make_set(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.raster is not None:
+    if (args.raster is None) == (args.model is None):
+        raise ConfigError("certify needs --raster or --model, not both")
+    model = None if args.model is None else load_model_config(args.model)
+    claim = None if model is None else model.claimed_window  # set exactly when the model claims a thick set
+    if args.gamma is not None and model is not None:
+        raise ConfigError("--gamma is the claimed thickness of a --raster; a model file states its own gamma")
+    if args.kappa is not None and (model is None or claim is not None):
+        raise ConfigError("--kappa is read only for a model with a sup-norm bound and no thickness claim")
+    if args.window is not None and claim is not None and args.window != claim.a:
+        raise ConfigError(f"--window {args.window} differs from the window {claim.a} of the model's thickness claim")
+    if model is None:
         S = load_raster(args.raster)
         cert = certify_thickness(S, WindowSpec(args.window or (1.0,) * S.d))
         sys.stdout.write(
             f"gamma_star = {cert.gamma_star!r}\nerror_bound = {cert.error_bound!r}\n"
             f"argmin_anchor = {cert.argmin!r}\n"
         )
-        if args.gamma is not None:
-            ok = cert.certifies(args.gamma)
-            sys.stdout.write(f"claimed gamma {args.gamma!r}: {'CERTIFIED' if ok else 'REFUSED'}\n")
-            return 0 if ok else 1
-        return 0
-    if args.model is not None:
-        model = load_model_config(args.model)
-        if model.claimed_set is not None:
-            cert = verify_Pi(model)
-            sys.stdout.write(
-                f"covering lower bound: {'ok' if cert.lower_bound_ok else f'violated at {cert.first_violation}'}\n"
-                f"gamma_star = {cert.gamma_star!r} (claimed {cert.gamma_claimed!r}, "
-                f"error {cert.thickness_error!r})\nverdict: {'PASS' if cert.passed else 'FAIL'}\n"
-            )
-            return 0 if cert.passed else 1
-        if model.claimed_bound is not None:
-            cert2 = verify_NoPi(model, args.kappa or [0.5], [args.window or (1.0,) * model.d])
-            sys.stdout.write(
-                f"sup potential = {cert2.sup_u!r} (claimed bound {cert2.bound_claimed!r})\n"
-            )
-            for key, spot in sorted(cert2.witnesses.items()):
-                anchor = tuple(float(v) for v in spot)
-                sys.stdout.write(f"empty window at {anchor!r} for kappa={key[0]!r} a={key[1]!r}\n")
-            sys.stdout.write(f"verdict: {'PASS' if cert2.passed else 'FAIL'}\n")
-            return 0 if cert2.passed else 1
-        raise ConfigError("model declares neither a thickness claim nor a sup-norm bound")
-    raise ConfigError("certify needs --raster or --model")
+        if args.gamma is None:
+            return 0
+        ok = cert.certifies(args.gamma)
+        sys.stdout.write(f"claimed gamma {args.gamma!r}: {'CERTIFIED' if ok else 'REFUSED'}\n")
+        return 0 if ok else 1
+    if claim is not None:
+        cert = verify_Pi(model)
+        sys.stdout.write(
+            f"covering lower bound: {'ok' if cert.lower_bound_ok else f'violated at {cert.first_violation}'}\n"
+            f"gamma_star = {cert.gamma_star!r} (claimed {cert.gamma_claimed!r}, "
+            f"error {cert.thickness_error!r})\nverdict: {'PASS' if cert.passed else 'FAIL'}\n"
+        )
+        return 0 if cert.passed else 1
+    if model.claimed_bound is not None:
+        cert2 = verify_NoPi(model, args.kappa or [0.5], [args.window or (1.0,) * model.d])
+        sys.stdout.write(f"sup potential = {cert2.sup_u!r} (claimed bound {cert2.bound_claimed!r})\n")
+        for key, spot in sorted(cert2.witnesses.items()):
+            anchor = tuple(float(v) for v in spot)
+            sys.stdout.write(f"empty window at {anchor!r} for kappa={key[0]!r} a={key[1]!r}\n")
+        sys.stdout.write(f"verdict: {'PASS' if cert2.passed else 'FAIL'}\n")
+        return 0 if cert2.passed else 1
+    raise ConfigError("model declares neither a thickness claim nor a sup-norm bound")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -290,9 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     ct = sub.add_parser("certify", help="certify thickness or structural claims")
     ct.add_argument("--raster", help="raster file to certify")
     ct.add_argument("--model", help="model file whose claims to verify")
-    ct.add_argument("--window", type=_floats, help="window sides, comma separated (default: the unit cube)")
+    ct.add_argument("--window", type=finite_floats, help="window sides, comma separated (default: the unit cube)")
     ct.add_argument("--gamma", type=finite_float, help="claimed thickness to check (raster mode)")
-    ct.add_argument("--kappa", type=_floats, help="level list for refutation, comma separated (model mode)")
+    ct.add_argument("--kappa", type=finite_floats, help="level list for refutation, comma separated (bound-only model)")
     ct.set_defaults(fn=_cmd_certify)
 
     rp = sub.add_parser("report", help="re-render a stored report")

@@ -13,7 +13,8 @@ radius; u_j = u(x - x_j) is its translate to site center x_j.
 Each coupling law is a frozen dataclass that states its own facts: its
 fields and their defaults are the keys of a model file's [distribution]
 section, law.cdf(x) is P(pi <= x), and law.modulus(eps) is its modulus of
-continuity in closed form.
+continuity in closed form.  The file's other keys, with their kinds and
+defaults, are build_model's keywords; the named models call it too.
 
 The module also houses the two structural verifiers (the covering-type lower
 bound with a thickness certificate, and its refutation via empty-window
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import configparser
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +40,7 @@ import scipy.sparse as sp
 from .grids import BoxSpec
 from .thick_sets import (
     GridField,
+    RasterError,
     RasterGeometry,
     RasterSet,
     WindowSpec,
@@ -861,101 +864,88 @@ def _place_sites(placement: str, d: int, extent: float) -> list[tuple[float, ...
 
 
 def build_model(
-    d: int,
-    extent: float,
-    resolution: int,
-    dist: Distribution,
-    profile: Profile,
+    dimension: int = 1,
+    extent: float = 40.0,
+    resolution: int = 16,
+    profile: str = "indicator-ball",
+    radius: float = 0.5,
+    cantor_depth: int = 4,
+    raster: str | None = None,
     placement: str = "all-integers",
-    claimed_set: str | Path | None = None,
+    set: str | None = None,
     gamma: float | None = None,
     a: Sequence[float] = (1.0,),
     set_resolution: int = 1024,
-    bound: float | None = None,
+    c_u: float | None = None,
+    law: Distribution = Uniform(),
+    *,
+    base: Path = Path("."),
 ) -> AlloyModel:
-    """The alloy model that the named factories and the model files describe.
-
-    Sites sit at the integer points of [-extent, extent]^d, at +-2^m
-    ("powers-of-two", d=1) or on the plane x_0 = 0 ("hyperplane").  A
-    thickness claim (gamma, a) names its set: "full", "cantor" (the
-    translates of a cantor-translate profile) or a raster file.
-    """
-    if isinstance(profile, CantorTranslate) and d != 1:
-        raise ModelConfigError("cantor-translate profiles are one-dimensional")
-    centers = tuple(_place_sites(placement, d, extent))
+    """The alloy model a model file describes: its keys are these keywords,
+    with these defaults, and law is its [distribution] section.  Sites sit at
+    the integer points of [-extent, extent]^d, at +-2^m ("powers-of-two", d=1)
+    or on the plane x_0 = 0 ("hyperplane"); raster paths are under base."""
+    u: Profile
+    if profile == "indicator-ball":
+        u = BallIndicator(radius)
+    elif profile == "cantor-translate":
+        if dimension != 1:
+            raise ModelConfigError("cantor-translate profiles are one-dimensional")
+        u = CantorTranslate.from_depth(cantor_depth)
+    elif profile == "raster-file":
+        if not raster:
+            raise ModelConfigError("raster-file profile needs a raster key")
+        bump = load_raster(base / raster)
+        if bump.periodic:  # a periodic bump never ends, so no radius bounds the sites it reaches from
+            raise ModelConfigError(f"raster-file profile {raster} is periodic, so it has no finite support")
+        u = RasterProfile(raster=bump)
+    else:
+        raise ModelConfigError(f"unknown profile kind {profile!r}")
+    centers = tuple(_place_sites(placement, dimension, extent))
+    if set is not None and gamma is None:
+        raise ModelConfigError(f"the thickness claim on set {set!r} needs [thickness] gamma")
     S = None
-    if claimed_set == "full":
+    if set == "full":
         S = stripes_raster(1.0, 1.0, resolution)
-    elif claimed_set == "cantor":
-        if not isinstance(profile, CantorTranslate):
+    elif set == "cantor":
+        if not isinstance(u, CantorTranslate):
             raise ModelConfigError("thickness set 'cantor' needs a cantor-translate profile")
         # S = union of the profile's translates, in cells [j-1/2, j+1/2): roll by half a period
-        stage = rasterize_intervals(profile.intervals, set_resolution)
+        stage = rasterize_intervals(u.intervals, set_resolution)
         S = RasterSet(geometry=stage.geometry, cells=np.roll(stage.cells, set_resolution // 2))
-    elif claimed_set is not None:
-        S = load_raster(claimed_set)
+    elif set is not None:
+        S = load_raster(base / set)
     return AlloyModel(
-        d=d,
-        centers=centers,
-        profile=profile,
-        dists=(dist,) * len(centers),
-        extent=float(extent),
-        u_resolution=resolution,
-        claimed_gamma=gamma,
+        d=dimension, centers=centers, profile=u, dists=(law,) * len(centers), extent=float(extent),
+        u_resolution=resolution, claimed_gamma=gamma, claimed_set=S, claimed_bound=c_u,
         claimed_window=None if S is None else WindowSpec(tuple(a)),
-        claimed_set=S,
-        claimed_bound=bound,
     )
 
 
-def covering_model(
-    extent: float = 40.0,
-    dist: Distribution = Uniform(),
-    u_resolution: int = 16,
-) -> AlloyModel:
+def covering_model(extent: float = 40.0, dist: Distribution = Uniform(), u_resolution: int = 16) -> AlloyModel:
     """d=1 unit-cell indicators at every integer: sum_j u_j = 1 everywhere."""
-    return build_model(1, extent, u_resolution, dist, BallIndicator(radius=0.5), claimed_set="full", gamma=1.0)
+    return build_model(extent=extent, resolution=u_resolution, set="full", gamma=1.0, law=dist)
 
 
 def fat_cantor_model(
-    extent: float = 40.0,
-    depth: int = 4,
-    dist: Distribution = Uniform(),
-    u_resolution: int = 16,
+    extent: float = 40.0, depth: int = 4, dist: Distribution = Uniform(), u_resolution: int = 16,
     set_resolution: int = 1024,
 ) -> AlloyModel:
     """d=1 fat-Cantor stage indicators: the support is nowhere dense yet thick."""
-    profile = CantorTranslate.from_depth(depth)
     gamma = float(smith_volterra_spec(depth).stage_measure())
-    return build_model(1, extent, u_resolution, dist, profile, claimed_set="cantor", gamma=gamma, set_resolution=set_resolution)
+    return build_model(extent=extent, resolution=u_resolution, profile="cantor-translate", cantor_depth=depth,
+                       set="cantor", gamma=gamma, set_resolution=set_resolution, law=dist)
 
 
 def geometric_dilution_model(
-    extent: float = 200.0,
-    dist: Distribution = Uniform(),
-    u_resolution: int = 8,
+    extent: float = 200.0, dist: Distribution = Uniform(), u_resolution: int = 8
 ) -> AlloyModel:
     """d=1 sites only at +-2^m: gaps double forever, so no level set is thick."""
-    return build_model(1, extent, u_resolution, dist, BallIndicator(radius=0.5), "powers-of-two", bound=1.0)
+    return build_model(extent=extent, resolution=u_resolution, placement="powers-of-two", c_u=1.0, law=dist)
 
 
 # ---------------------------------------------------------------------------
-# model description files
-
-# a [distribution] section names its law by kind; its other keys are the
-# law's fields, which default to the field defaults
-_LAWS = {"uniform": Uniform, "bernoulli": BernoulliAt, "truncated-power": TruncatedPowerHolder}
-
-# the one [sites] key each profile kind reads; set_resolution goes with [thickness] set = cantor
-_PROFILE_KEYS = {"indicator-ball": "radius", "cantor-translate": "cantor_depth", "raster-file": "raster"}
-
-_MODEL_SECTIONS = {
-    "model": {"dimension", "extent", "resolution"},
-    "sites": {"profile", "radius", "placement", "cantor_depth", "set_resolution", "raster"},
-    "distribution": {"kind"} | {f.name for law in _LAWS.values() for f in fields(law)},
-    "thickness": {"gamma", "a", "set"},
-    "bound": {"c_u"},
-}
+# config values and model description files
 
 
 def finite_float(raw: str) -> float:
@@ -966,86 +956,91 @@ def finite_float(raw: str) -> float:
     return value
 
 
-def _value(
-    path: Path, sec: configparser.SectionProxy, key: str, parse: Callable[[str], Any], default: Any = None
-) -> Any:
-    """One model-file value parsed by `parse`, or `default` when the key is absent."""
-    raw = sec.get(key)
-    if raw is None:
-        return default
+def finite_floats(raw: str) -> tuple[float, ...]:
+    """A comma-separated list of finite floats; blank entries are skipped, but the list may not be empty."""
+    values = tuple(finite_float(v) for v in raw.split(",") if v.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# annotation (less any "| None") -> parser of a run-file or model-file value
+KINDS = {"float": finite_float, "int": int, "str": str.strip, "Sequence[float]": finite_floats, "Grid": finite_floats}
+
+
+def parse_as(annotation: str, raw: str) -> Any:
+    """raw read as the kind its annotation names; ValueError when it is not one."""
+    return KINDS[annotation.removesuffix(" | None")](raw)
+
+
+def read_ini(path: Path, sections: Collection[str], error: type[ValueError]) -> configparser.ConfigParser:
+    """The UTF-8 INI file at path; error names it if it cannot be read or parsed, or has a section not listed."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        return parse(raw)
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise error(f"{path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in sections:
+            raise error(f"{path}: unknown section [{section}]")
+    return parser
+
+
+# a [distribution] section names its law by kind; its other keys are the
+# law's fields, which default to the field defaults
+_LAWS = {"uniform": Uniform, "bernoulli": BernoulliAt, "truncated-power": TruncatedPowerHolder}
+
+# the section of each model-file key, the one fact build_model's signature cannot hold
+_MODEL_SECTIONS = {
+    **dict.fromkeys(("dimension", "extent", "resolution"), "model"),
+    **dict.fromkeys(("profile", "radius", "cantor_depth", "raster", "placement", "set_resolution"), "sites"),
+    **dict.fromkeys(("set", "gamma", "a"), "thickness"),
+    "c_u": "bound",
+    **dict.fromkeys(["kind"] + [f.name for law in _LAWS.values() for f in fields(law)], "distribution"),
+}
+
+# the one [sites] key each profile kind reads; set_resolution goes with [thickness] set = cantor
+_PROFILE_KEYS = {"indicator-ball": "radius", "cantor-translate": "cantor_depth", "raster-file": "raster"}
+
+
+def _parse(path: Path, sec: configparser.SectionProxy, key: str, annotation: str) -> Any:
+    try:
+        return parse_as(annotation, sec[key])
     except ValueError as exc:
-        raise ModelConfigError(f"{path}: cannot parse [{sec.name}] {key} = {raw!r}") from exc
-
-
-def _parse_distribution(path: Path, sec: configparser.SectionProxy) -> Distribution:
-    kind = sec.get("kind", "").strip()
-    if kind not in _LAWS:
-        raise ModelConfigError(f"unknown distribution kind {kind!r}")
-    law = _LAWS[kind]
-    return law(**{f.name: _value(path, sec, f.name, finite_float, f.default) for f in fields(law)})
+        raise ModelConfigError(f"{path}: cannot parse [{sec.name}] {key} = {sec[key]!r}") from exc
 
 
 def load_model_config(path: str | Path) -> AlloyModel:
-    """Build an AlloyModel from a sectioned key-value description file."""
+    """The AlloyModel a model file describes: each key outside [distribution]
+    is a keyword of build_model, read as its annotation says, and a
+    [thickness] section claims set = full unless it names another set."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with path.open() as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ModelConfigError(f"{path}: {exc}") from exc
+    parser = read_ini(path, _MODEL_SECTIONS.values(), ModelConfigError)
+    params, keys = inspect.signature(build_model).parameters, {}
     for section in parser.sections():
-        if section not in _MODEL_SECTIONS:
-            raise ModelConfigError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in _MODEL_SECTIONS[section]:
+            if _MODEL_SECTIONS.get(key) != section:
                 raise ModelConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+            if section != "distribution":
+                keys[key] = _parse(path, parser[section], key, params[key].annotation)
     if "model" not in parser or "sites" not in parser or "distribution" not in parser:
         raise ModelConfigError(f"{path}: need [model], [sites], and [distribution] sections")
-
-    m = parser["model"]
-    s = parser["sites"]
-    profile_kind = s.get("profile", "indicator-ball").strip()
-    if profile_kind not in _PROFILE_KEYS:
-        raise ModelConfigError(f"unknown profile kind {profile_kind!r}")
+    if "thickness" in parser:
+        keys.setdefault("set", "full")
+    profile = keys.get("profile", params["profile"].default)
     for key in _PROFILE_KEYS.values():
-        if key in s and key != _PROFILE_KEYS[profile_kind]:
-            raise ModelConfigError(f"{path}: [sites] key {key!r} does not apply to profile {profile_kind}")
-    which = parser["thickness"].get("set", "full").strip() if "thickness" in parser else None
-    if "set_resolution" in s and which != "cantor":
+        if key in keys and profile in _PROFILE_KEYS and key != _PROFILE_KEYS[profile]:
+            raise ModelConfigError(f"{path}: [sites] key {key!r} does not apply to profile {profile}")
+    if "set_resolution" in keys and keys.get("set") != "cantor":
         raise ModelConfigError(f"{path}: [sites] key 'set_resolution' applies only to [thickness] set = cantor")
-    profile: Profile
-    if profile_kind == "indicator-ball":
-        profile = BallIndicator(radius=_value(path, s, "radius", finite_float, 0.5))
-    elif profile_kind == "cantor-translate":
-        profile = CantorTranslate.from_depth(_value(path, s, "cantor_depth", int, 4))
-    else:
-        rel = s.get("raster", "")
-        if not rel:
-            raise ModelConfigError(f"{path}: raster-file profile needs a raster key")
-        raster = load_raster(path.parent / rel)
-        if raster.periodic:  # a periodic bump never ends, so no radius bounds the sites it reaches from
-            raise ModelConfigError(f"{path}: raster-file profile {rel} is periodic, so it has no finite support")
-        profile = RasterProfile(raster=raster)
-
-    claims: dict = {}
-    if which is not None:
-        t = parser["thickness"]
-        claims = {
-            "claimed_set": which if which in ("full", "cantor") else path.parent / which,
-            "gamma": _value(path, t, "gamma", finite_float),
-            "a": _value(path, t, "a", lambda raw: tuple(finite_float(v) for v in raw.split(",")), (1.0,)),
-            "set_resolution": _value(path, s, "set_resolution", int, 1024),
-        }
-    return build_model(
-        _value(path, m, "dimension", int, 1),
-        _value(path, m, "extent", finite_float, 40.0),
-        _value(path, m, "resolution", int, 16),
-        _parse_distribution(path, parser["distribution"]),
-        profile,
-        s.get("placement", "all-integers").strip(),
-        bound=_value(path, parser["bound"], "c_u", finite_float) if "bound" in parser else None,
-        **claims,
-    )
+    dist = parser["distribution"]
+    kind = dist.get("kind", "").strip()
+    if kind not in _LAWS:
+        raise ModelConfigError(f"{path}: unknown distribution kind {kind!r}")
+    law = {f.name: _parse(path, dist, f.name, f.type) for f in fields(_LAWS[kind]) if f.name in dist}
+    try:
+        return build_model(**keys, law=_LAWS[kind](**law), base=path.parent)
+    except (ModelError, RasterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

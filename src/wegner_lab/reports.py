@@ -67,7 +67,6 @@ class ExperimentReport:
     fitted: dict[str, Any] = field(default_factory=dict)
     verdicts: dict[str, str] = field(default_factory=dict)
     seed: int = 0
-    reduction_order: str = "replica-index"
     wall_clock_s: float | None = None
 
     @property
@@ -87,7 +86,7 @@ class ExperimentReport:
             "verdicts": _plain(self.verdicts),
             "overall": self.overall,
             "seed": int(self.seed),
-            "reduction_order": self.reduction_order,
+            "reduction_order": "replica-index",  # replicas reduce in index order, whatever the workers
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -97,7 +96,7 @@ class ExperimentReport:
         raw = json.loads(text)
         if not isinstance(raw, dict) or not isinstance(raw.get("experiment"), str):
             raise ValueError("not a report: no experiment name")
-        stored = ("experiment", "config", "records", "fitted", "verdicts", "seed", "reduction_order")
+        stored = ("experiment", "config", "records", "fitted", "verdicts", "seed")
         rep = ExperimentReport(**{key: raw[key] for key in stored if key in raw})  # absent keys take the defaults
         tables = (rep.config, rep.fitted, rep.verdicts)
         if not isinstance(rep.records, list) or not all(isinstance(t, dict) for t in (*tables, *rep.records)):

@@ -150,6 +150,14 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_run_config(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("command", [["run", "--config"], ["certify", "--model"]], ids=["run-file", "model-file"])
+    def test_undecodable_file_exits_two_naming_it(self, tmp_path, capsys, command):
+        # run and model files share one reader: bytes that are not text are a bad file, not a traceback
+        path = tmp_path / "bytes.ini"
+        path.write_bytes(b"[run]\nexperiment = \xff\xfe\n")
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     def test_resolved_ini_round_trips(self, tmp_path):
         src = "[run]\nexperiment = wegner\nseed = 3\nreplicas = 5\n\n[parameters]\nl_list = 4,8\n"
         cfg = parse_run_config(_write(tmp_path / "a.ini", src))
@@ -589,6 +597,36 @@ class TestCertify:
         # the geometric model rasterizes at 8 cells per unit: a 0.01 window holds no cell center
         assert main(["certify", "--model", str(CONFIG_DIR / "geometric.model.ini"), "--window", "0.01"]) == 2
         assert "spans no cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--model", "covering", "--kappa", "0.3"], "--kappa"),
+            (["--model", "fat_cantor", "--kappa", "0.3"], "--kappa"),
+            (["--raster", "STRIPES", "--kappa", "0.5"], "--kappa"),
+            (["--model", "covering", "--gamma", "5"], "--gamma"),
+            (["--model", "geometric", "--gamma", "0.5"], "--gamma"),
+            (["--model", "covering", "--window", "7"], "--window"),
+            (["--model", "fat_cantor", "--window", "2.0"], "--window"),
+            (["--raster", "STRIPES", "--model", "geometric"], "--raster"),
+            (["--model", "covering", "--window", "7", "--kappa", "0.3", "--gamma", "5"], "--gamma"),
+        ],
+        ids=["kappa-claim", "kappa-cantor-claim", "kappa-raster", "gamma-claim", "gamma-bound", "window-claim",
+             "window-cantor-claim", "raster-and-model", "all-three"],
+    )
+    def test_option_the_mode_would_ignore_exits_two(self, tmp_path, capsys, args, option):
+        # an option the chosen mode does not read is refused, not ignored with a PASS
+        files = {name: str(CONFIG_DIR / f"{name}.model.ini") for name in ("covering", "fat_cantor", "geometric")}
+        files["STRIPES"] = str(self._stripes_file(tmp_path))
+        capsys.readouterr()
+        assert main(["certify", *(files.get(a, a) for a in args)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and option in err
+
+    def test_model_claim_without_gamma_exits_two(self, tmp_path, capsys):
+        model = _write(tmp_path / "g.model.ini", "[model]\n[sites]\n[distribution]\nkind = uniform\n[thickness]\nset = full\n")
+        assert main(["certify", "--model", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: the thickness claim on set 'full' needs [thickness] gamma\n"
 
     @pytest.mark.parametrize("name", ["covering", "fat_cantor", "geometric"])
     def test_one_dimensional_model_default_window_is_unit(self, name, capsys):

@@ -1,4 +1,4 @@
-"""Every name a package module or a script imports is used in that file."""
+"""Every name a package module, a script or a test file imports is used in that file."""
 
 import ast
 from pathlib import Path
@@ -31,8 +31,8 @@ def test_unused_import_is_found():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
-    ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}",
+    sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
 )
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []

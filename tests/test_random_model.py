@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import math
 import pickle
 from fractions import Fraction
@@ -30,7 +31,6 @@ from wegner_lab.random_model import (
     construct_diluted_minorant,
     covering_model,
     empirical_modulus,
-    fat_cantor_model,
     geometric_dilution_model,
     load_model_config,
     mean_potential,
@@ -38,6 +38,7 @@ from wegner_lab.random_model import (
     potential_envelope,
     _couplings,
     _key_pool,
+    build_model,
     sample_iid,
     sample_potential,
     site_uniforms,
@@ -655,6 +656,45 @@ class TestFactoriesAndConfig:
         box = _box(d=loaded.d)
         assert np.array_equal(sample_potential(loaded, 3, box), sample_potential(built, 3, box))
 
+    def test_model_file_keys_are_build_model_keywords(self):
+        # the section table is the one fact about a model file that build_model's signature does not state
+        params = inspect.signature(build_model).parameters
+        keys = {key for key, section in random_model._MODEL_SECTIONS.items() if section != "distribution"}
+        assert keys == set(params) - {"law", "base"}
+        assert all(params[key].annotation.removesuffix(" | None") in random_model.KINDS for key in keys)
+
+    @pytest.mark.parametrize(
+        "extra, keywords",
+        [
+            ("", {}),
+            ("[thickness]\ngamma = 0.5\n", {"set": "full", "gamma": 0.5}),
+            ("[thickness]\ngamma = 0.5\na = 2.0,\n", {"set": "full", "gamma": 0.5, "a": (2.0,)}),
+            ("[bound]\nc_u = 2.0\n", {"c_u": 2.0}),
+        ],
+        ids=["required-only", "thickness-gamma-only", "blank-list-entry", "bound"],
+    )
+    def test_model_file_defaults_are_build_model_defaults(self, tmp_path, extra, keywords):
+        path = tmp_path / "minimal.model.ini"
+        path.write_text("[model]\n[sites]\n[distribution]\nkind = uniform\n" + extra)
+        loaded, built = load_model_config(path), build_model(**keywords)
+        for f in dataclasses.fields(AlloyModel):
+            got, want = getattr(loaded, f.name), getattr(built, f.name)
+            if isinstance(want, RasterSet):
+                assert got.geometry == want.geometry and np.array_equal(got.cells, want.cells)
+            else:
+                assert got == want, f.name
+        box = _box()
+        assert np.array_equal(sample_potential(loaded, 3, box), sample_potential(built, 3, box))
+
+    def test_thickness_claim_without_gamma_refused(self, tmp_path):
+        # a claimed set with no gamma claims nothing that certify or the minorant could use
+        with pytest.raises(ModelConfigError, match=r"set 'full' needs \[thickness\] gamma"):
+            build_model(set="full")
+        bad = tmp_path / "nogamma.model.ini"
+        bad.write_text("[model]\n[sites]\n[distribution]\nkind = uniform\n[thickness]\nset = full\na = 1.0\n")
+        with pytest.raises(ModelConfigError, match=r"nogamma\.model\.ini: .* needs \[thickness\] gamma"):
+            load_model_config(bad)
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.model.ini"
         bad.write_text("[model]\ndimension = 1\nextent = 4\nbogus = 1\n")
@@ -701,8 +741,10 @@ class TestFactoriesAndConfig:
             ("profile = raster-file\nraster = b.rast\nradius = 1\n", "", "key 'radius' does not apply to profile raster-file"),
             ("set_resolution = 512\n", "", r"'set_resolution' applies only to \[thickness\] set = cantor"),
             ("set_resolution = 512\n", "[thickness]\ngamma = 1.0\nset = full\n", "'set_resolution' applies only"),
+            ("profile = blob\nradius = 1.0\n", "", r"keys\.model\.ini: unknown profile kind 'blob'"),
         ],
-        ids=["cantor-radius", "cantor-raster", "ball-depth", "raster-radius", "resolution-no-claim", "resolution-full-set"],
+        ids=["cantor-radius", "cantor-raster", "ball-depth", "raster-radius", "resolution-no-claim", "resolution-full-set",
+             "unknown-profile"],
     )
     def test_another_profiles_key_refused(self, tmp_path, sites, thickness, named):
         bad = tmp_path / "keys.model.ini"
