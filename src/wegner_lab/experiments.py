@@ -25,7 +25,6 @@ import inspect
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
@@ -59,7 +58,7 @@ class PreconditionError(RuntimeError):
 
 
 # the process pool of the running driver call, once its first parallel map opened it
-_POOL: contextvars.ContextVar[list[ProcessPoolExecutor]] = contextvars.ContextVar("replica_pool")
+_POOL: contextvars.ContextVar[list] = contextvars.ContextVar("replica_pool")
 
 
 # experiment name -> the name of its driver in this module, one entry per @_experiment
@@ -157,6 +156,8 @@ def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: li
     else:
         pools = _POOL.get()
         if not pools:
+            from concurrent.futures import ProcessPoolExecutor  # about 8 ms to load; serial runs never need it
+
             pools.append(ProcessPoolExecutor(max_workers=workers))
         results = pools[0].map(task, blocks)
     return [result for block in results for result in block]

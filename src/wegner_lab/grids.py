@@ -212,16 +212,6 @@ def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonia
     return DiscreteHamiltonian(ham.stencil, _read_only(ham.diag + v))
 
 
-def diagonal_hamiltonian(box: BoxSpec, diag: np.ndarray) -> DiscreteHamiltonian:
-    """Test seam: a purely diagonal operator on the box grid (free part zeroed)."""
-    diag = np.array(diag, dtype=float).ravel()
-    if diag.shape[0] != box.ndof:
-        raise GridError("diagonal length does not match the grid")
-    m = box.ndof if box.bc == "periodic" else box.ndof // box.n  # a periodic box is one slice
-    zero = Stencil(box, sp.csr_matrix((box.ndof, box.ndof)), sp.csr_matrix((m, m)), np.zeros(box.ndof // m - 1))
-    return DiscreteHamiltonian(zero, _read_only(diag))
-
-
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:
     """Continuum Dirichlet eigenvalues (pi^2/L^2) * sum(n_j^2) up to E_max.
 
@@ -240,31 +230,6 @@ def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float,
     sums, counts = np.unique(_kron_sum(np.arange(1, n_max + 1) ** 2, d), return_counts=True)
     keep = sums <= cap * (1 + 1e-15)
     return [(scale * int(s), int(c)) for s, c in zip(sums[keep], counts[keep])]
-
-
-def max_spectral_gap_below(L: float, d: int, E: float) -> float:
-    """Largest distance from any energy in [0, E+1] to the continuum Dirichlet spectrum.
-
-    The maximum is attained at 0, at a midpoint between consecutive
-    eigenvalues, or at E+1, so a finite candidate scan is exact.
-    """
-    if E < 0:
-        raise GridError("energy must be nonnegative")
-    top = E + 1.0
-    # enumerate eigenvalues until at least one lies above the scan window
-    e_max = 2.0 * top + 10.0 * math.pi * math.pi / (L * L)
-    while True:
-        pairs = free_dirichlet_spectrum(L, d, e_max)
-        if pairs and pairs[-1][0] > top:
-            break
-        e_max = 2.0 * e_max + 10.0
-    values = np.array([v for v, _ in pairs])
-    candidates = [0.0, top]
-    for a, b in zip(values, values[1:]):
-        mid = 0.5 * (a + b)
-        if 0.0 <= mid <= top:
-            candidates.append(mid)
-    return max(float(np.min(np.abs(values - c))) for c in candidates)
 
 
 def discrete_dirichlet_spectrum(box: BoxSpec) -> np.ndarray:

@@ -5,10 +5,13 @@ distributions through a splittable counter-based generator keyed by
 (experiment seed, site index), so any subset of sites can be evaluated in
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
-site_uniforms computes for a grid of keys and sites at once, bit for bit;
+site_uniforms computes for a grid of keys and sites at once, bit for bit.
 sample_potential draws 64 consecutive replicas per pass and keeps a few such
-blocks.  A model has one single-site profile u, a nonnegative bump of finite
-radius; u_j = u(x - x_j) is its translate to site center x_j.
+blocks, and keeps each block's 64 key pools for every box size drawn on it.
+A box's sites are grouped by coupling law once, and each law maps its
+group's uniforms with the IEEE operations of its scalar map.  A model has
+one single-site profile u, a nonnegative bump of finite radius;
+u_j = u(x - x_j) is its translate to site center x_j.
 
 Each coupling law is a frozen dataclass that states its own facts: its
 fields and their defaults are the keys of a model file's [distribution]
@@ -99,7 +102,7 @@ class Uniform:
     def _from_uniform(self, u):
         return self.lo + u * (self.hi - self.lo)
 
-    def _from_uniform_below(self, u: float, cap: float) -> float:
+    def _from_uniform_below(self, u, cap: float):
         return self.lo + u * (min(cap, self.hi) - self.lo)
 
     def cdf(self, x: float) -> float:
@@ -142,10 +145,10 @@ class BernoulliAt:
     def _from_uniform(self, u):
         return np.where(u < self.p0, self.v0, self.v1)
 
-    def _from_uniform_below(self, u: float, cap: float) -> float:
-        # both atoms under the cap: u < p0 picks v0, as the unconditioned map does (the
-        # accumulated masses are p0, then p0 + (1 - p0), which is 1.0 in binary64)
-        return self.v0 if self.v0 <= cap and (u < self.p0 or self.v1 > cap) else self.v1
+    def _from_uniform_below(self, u, cap: float):
+        # an atom over the cap is never drawn; with both under it, u < p0 picks v0 as the
+        # unconditioned map does (the accumulated masses are p0, then p0 + (1 - p0), which is 1.0 in binary64)
+        return np.where(u < (0.0 if self.v0 > cap else 1.0 if self.v1 > cap else self.p0), self.v0, self.v1)
 
     def cdf(self, x: float) -> float:
         return (self.p0 if self.v0 <= x else 0.0) + (1 - self.p0 if self.v1 <= x else 0.0)
@@ -205,9 +208,11 @@ class TruncatedPowerHolder:
         return min(self.alpha, 1.0)
 
 
-# each law maps a uniform draw u through _from_uniform: a coupling is always the
-# scalar map of a Python float (numpy's array ** can differ from Python's in the
-# last bit); only sample_iid passes an array
+# each law maps a uniform draw u through _from_uniform, or _from_uniform_below
+# when conditioned on a cap.  Uniform and BernoulliAt map an array of draws in
+# one numpy operation with the IEEE operations of their scalar maps.
+# TruncatedPowerHolder maps one Python float at a time, because numpy's array **
+# can differ from Python's in the last bit.
 Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 
 
@@ -220,7 +225,8 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # grid at once and returns the same bits as numpy's scalar path: each key's
 # pool is numpy's own SeedSequence(k).pool, the site word (the last entropy
 # word) and generate_state(2, uint64) run on uint32 values held in uint64
-# arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].
+# arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].  The pools of
+# a replica block are kept, so a new box size only mixes in its site words.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -278,20 +284,20 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
 
 
-def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
-    """First uniforms of every (key, site) stream, shape (len(keys), len(sites)).
+def _stacked_pools(keys: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """The keys' pools and the hash constants their site words meet, each (keys, 1, 4)."""
+    pools = [_key_pool(k) for k in keys]
+    pool = np.array([p for p, _ in pools], dtype=np.uint64).reshape(-1, 1, _POOL_SIZE)
+    return pool, np.array([c for _, c in pools], dtype=np.uint64).reshape(-1, 1, _POOL_SIZE)
 
-    Entry [k, j] equals, bit for bit,
-    Generator(Philox(SeedSequence(keys[k], spawn_key=(sites[j],)))).uniform(0.0, 1.0).
-    Sites are single SeedSequence words, 0 <= j < 2**32.
-    """
+
+def _pool_uniforms(pools: tuple[np.ndarray, np.ndarray], sites: tuple[int, ...]) -> np.ndarray:
+    """site_uniforms for the keys whose _stacked_pools these are."""
     if any(not isinstance(j, (int, np.integer)) or not 0 <= j <= _MASK32 for j in sites):
         raise ModelError("site indices must be ints in [0, 2**32)")
-    pools = [_key_pool(k) for k in keys]
-    if not keys or not sites:
-        return np.zeros((len(keys), len(sites)))
-    pool = np.array([p for p, _ in pools], dtype=np.uint64)[:, None, :]
-    xor = np.array([c for _, c in pools], dtype=np.uint64)[:, None, :]
+    pool, xor = pools
+    if not pool.size or not sites:
+        return np.zeros((pool.shape[0], len(sites)))
     # the site word's hashmix into each pool word, then mix
     h = (np.array(sites, dtype=np.uint64)[None, :, None] ^ xor) * (xor * _MULT_A & _MASK32) & _MASK32
     h ^= h >> 16
@@ -313,78 +319,76 @@ def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
     return (c0 >> 11).astype(np.float64) * 2.0**-53
 
 
+def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
+    """First uniforms of every (key, site) stream, shape (len(keys), len(sites)).
+
+    Entry [k, j] equals, bit for bit,
+    Generator(Philox(SeedSequence(keys[k], spawn_key=(sites[j],)))).uniform(0.0, 1.0).
+    Sites are single SeedSequence words, 0 <= j < 2**32.
+    """
+    return _pool_uniforms(_stacked_pools(keys), sites)
+
+
 REPLICA_BLOCK = 64  # consecutive replica keys drawn together
-UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept
+UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept, and as many blocks' key pools
 
 
-@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE, typed=True)  # typed: a float key equal to an int key is refused, not served
+def _block_pools(stem: Any, block: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_pools of the keys (*stem, r) of a replica block, or of the stem alone when block is None;
+    every box size drawn on the block shares them."""
+    keys = [stem] if block is None else [stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)]
+    pools = _stacked_pools(keys)
+    for a in pools:
+        a.flags.writeable = False
+    return pools
+
+
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE, typed=True)
 def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.ndarray:
-    if block is None:
-        keys = [stem]
-    else:
-        keys = [stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)]
-    u = site_uniforms(keys, sites)
+    u = _pool_uniforms(_block_pools(stem, block), sites)
     u.flags.writeable = False
     return u
 
 
+def _law_groups(dists: Sequence[Distribution], sites: tuple[int, ...]) -> tuple[tuple[Distribution, Any], ...]:
+    """The distinct laws of the listed sites, each with the positions in sites that it governs
+    (a slice of all of them when one law governs every site)."""
+    positions: dict[Distribution, list[int]] = {}
+    for k, i in enumerate(sites):
+        positions.setdefault(dists[i], []).append(k)
+    if len(positions) == 1:
+        return ((dists[sites[0]], slice(None)),)
+    return tuple((law, np.array(at)) for law, at in positions.items())
+
+
 def _couplings(
-    dists: Sequence[Distribution], seed: int | tuple[int, ...], sites: tuple[int, ...], cap: float | None = None
-) -> list[float]:
-    """The couplings of the listed sites: each law's scalar map of its site's uniform.
+    groups: tuple[tuple[Distribution, Any], ...], seed: int | tuple[int, ...], sites: tuple[int, ...],
+    cap: float | None = None,
+) -> np.ndarray:
+    """The couplings of the listed sites: each law of their _law_groups maps its sites' uniforms.
 
     A cap conditions every coupling on staying at or below it; a cap under
     which some listed site's law has no mass (cdf(cap) = 0) is refused.
-    The uniforms are the first of seed's stream at each site, as Python floats.
-    A key (*stem, r) is drawn with the 63 other replicas of its block of 64,
-    so consecutive replicas of one box cost one vectorised pass; any other
-    key draws a block of one.
+    The uniforms are the first of seed's stream at each site.  A key
+    (*stem, r) is drawn with the 63 other replicas of its block of 64, so
+    consecutive replicas of one box cost one vectorised pass; any other key
+    draws a block of one.
     """
-    if cap is not None and any(dists[i].cdf(cap) == 0.0 for i in sites):
+    if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
     if isinstance(seed, tuple) and seed and isinstance(seed[-1], int) and seed[-1] >= 0:
         block, row = divmod(seed[-1], REPLICA_BLOCK)
-        u = _uniform_block(seed[:-1], block, sites)[row].tolist()
+        u = _uniform_block(seed[:-1], block, sites)[row]
     else:
-        u = _uniform_block(seed, None, sites)[0].tolist()
-    if cap is None:
-        return [float(dists[i]._from_uniform(x)) for i, x in zip(sites, u)]
-    return [dists[i]._from_uniform_below(x, cap) for i, x in zip(sites, u)]
-
-
-def sample_iid(dist: Distribution, seed: int | tuple[int, ...], n: int) -> np.ndarray:
-    """Vectorized draws for statistics on a single distribution."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    return dist._from_uniform(rng.uniform(0.0, 1.0, size=n))
-
-
-def empirical_modulus(
-    dist: Distribution, eps: float, n_samples: int, seed: int | tuple[int, ...]
-) -> tuple[float, float, float]:
-    """Monte Carlo estimate of the single-site modulus, with standard error.
-
-    Split-sample design: the first half of the draws locates the heaviest
-    closed window of length eps (two-pointer sweep over the sorted sample);
-    the second half counts hits in that fixed window, so the estimate is an
-    unbiased binomial proportion rather than a maximum over fitted windows.
-    Returns (estimate, stderr, window_left).
-    """
-    if eps <= 0:
-        raise ModelError("window length must be positive")
-    draws = sample_iid(dist, seed, n_samples)
-    half = n_samples // 2
-    locate, count = np.sort(draws[:half]), draws[half:]
-    best_count, best_lo = 0, float(locate[0]) if half else 0.0
-    j = 0
-    for i in range(locate.shape[0]):
-        while j < locate.shape[0] and locate[j] <= locate[i] + eps:
-            j += 1
-        if j - i > best_count:
-            best_count, best_lo = j - i, float(locate[i])
-    inside = (count >= best_lo - 1e-12) & (count <= best_lo + eps + 1e-12)
-    p = float(inside.mean())
-    se = math.sqrt(max(p * (1 - p), 1e-12) / count.shape[0])
-    return p, se, best_lo
+        u = _uniform_block(seed, None, sites)[0]
+    c = np.empty(len(sites))
+    for law, at in groups:
+        if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time
+            c[at] = [law._from_uniform(x) if cap is None else law._from_uniform_below(x, cap) for x in u[at].tolist()]
+        else:
+            c[at] = law._from_uniform(u[at]) if cap is None else law._from_uniform_below(u[at], cap)
+    return c
 
 
 def modulus_s(dists: Sequence[Distribution], eps: float) -> float:
@@ -547,8 +551,8 @@ PROFILE_CACHE_SIZE = 64  # (model, box) pairs whose profile matrix is kept
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.csr_matrix]:
-    """Sites whose bump can reach the box, ascending, and the profile matrix P.
+def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.csr_matrix, tuple]:
+    """Sites whose bump can reach the box, ascending, the profile matrix P, and the sites' _law_groups.
 
     P has one row per grid node and one column per listed site, holding u_j
     at the nodes.  Each row of the CSR product P @ c starts at 0.0 and adds
@@ -565,9 +569,9 @@ def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.
         data.append(u[hit])
         indptr.append(indptr[-1] + hit.size)
     if not near:
-        return near, sp.csr_matrix((box.ndof, 0))
+        return near, sp.csr_matrix((box.ndof, 0)), ()
     P = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), shape=(box.ndof, len(near)))
-    return near, P.tocsr()
+    return near, P.tocsr(), _law_groups(model.dists, near)
 
 
 def sample_potential(
@@ -584,18 +588,16 @@ def sample_potential(
     couplings_override pins all couplings to a constant, a diagnostic seam.
     """
     model.check_box_registered(box)
-    near, P = _box_profiles(model, box)
+    near, P, groups = _box_profiles(model, box)
     if couplings_override is not None:
-        c = [couplings_override] * len(near)
-    else:
-        c = _couplings(model.dists, seed, near, conditioning_cap)
-    return P @ np.array(c, dtype=float)
+        return P @ np.full(len(near), float(couplings_override))
+    return P @ _couplings(groups, seed, near, conditioning_cap)
 
 
 def mean_potential(model: AlloyModel, box: BoxSpec) -> np.ndarray:
     """Expected potential: per-site means against the profiles."""
     model.check_box_registered(box)
-    near, P = _box_profiles(model, box)
+    near, P, _ = _box_profiles(model, box)
     return P @ np.array([model.dists[i].mean for i in near], dtype=float)
 
 
@@ -748,7 +750,8 @@ class DilutedMinorant:
         """The minorant field for the same disorder draw sample_potential uses."""
         nodes = box.nodes()
         w = np.zeros(box.ndof)
-        pis = _couplings(model.dists, seed, tuple(cell.site_index for cell in self.cells))
+        sites = tuple(cell.site_index for cell in self.cells)
+        pis = _couplings(_law_groups(model.dists, sites), seed, sites).tolist()
         for cell, pi in zip(self.cells, pis):
             if pi >= self.threshold:
                 w += self.threshold * self.weight * cell.kept.contains(nodes).astype(float)
@@ -989,7 +992,7 @@ def read_ini(path: Path, sections: Collection[str], error: type[ValueError]) -> 
 
 
 # a [distribution] section names its law by kind; its other keys are the
-# law's fields, which default to the field defaults
+# law's fields, which default to the field defaults; another law's field is refused
 _LAWS = {"uniform": Uniform, "bernoulli": BernoulliAt, "truncated-power": TruncatedPowerHolder}
 
 # the section of each model-file key, the one fact build_model's signature cannot hold
@@ -1039,7 +1042,11 @@ def load_model_config(path: str | Path) -> AlloyModel:
     kind = dist.get("kind", "").strip()
     if kind not in _LAWS:
         raise ModelConfigError(f"{path}: unknown distribution kind {kind!r}")
-    law = {f.name: _parse(path, dist, f.name, f.type) for f in fields(_LAWS[kind]) if f.name in dist}
+    types = {f.name: f.type for f in fields(_LAWS[kind])}
+    for key in dist:
+        if key != "kind" and key not in types:
+            raise ModelConfigError(f"{path}: [distribution] key {key!r} does not apply to kind {kind}")
+    law = {key: _parse(path, dist, key, types[key]) for key in dist if key != "kind"}
     try:
         return build_model(**keys, law=_LAWS[kind](**law), base=path.parent)
     except (ModelError, RasterError) as exc:

@@ -8,10 +8,10 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   off-diagonal, so `precount_below` counts all of its operators at every
   shift a query will ask for at once: each (operator, shift) pair is a
   lane, and from LANE_CROSSOVER lanes on one numpy recurrence runs over all
-  of them, one step per unknown, with the IEEE operations of the scalar
-  loop in the same order.  Each operator keeps those counts
-  (`DiscreteHamiltonian.below`), and inertia_count reads them instead of
-  running the loop again.  The shifts are a block's window ends
+  of them, one step per unknown and two ufuncs a step, with the IEEE
+  operations of the scalar loop in the same order.  Each operator keeps
+  those counts (`DiscreteHamiltonian.below`), and inertia_count reads them
+  first, before any count runs.  The shifts are a block's window ends
   (`precount_windows`) or the two resonance shifts of a resolvent query
   (`resonance_shifts`).
 - everything else (d>=2, and periodic boxes): the block Sturm count
@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import BoxSpec, DiscreteHamiltonian
 from .thick_sets import RasterSet
@@ -67,10 +66,11 @@ _LANCZOS_KEY = 12345
 # in one numpy Sturm recurrence over all lanes, beats the Python-float loop
 # that count_in_interval runs per lane.  Both costs grow with the n unknowns,
 # so the crossover is a lane count: on covering-model operators with n = 95,
-# 255 and 511 (one core of a 2-vCPU x86-64 host, one BLAS thread) the two met
-# at 48 to 72 lanes; at n = 511, 48 lanes took 3.1 ms looped and 4.9 ms at
-# once, 96 lanes 6.0 and 4.0 ms, and 288 lanes 22.4 and 7.0 ms.
-LANE_CROSSOVER = 64
+# 127, 255 and 511 (one pinned core of a 2-vCPU x86-64 host, one BLAS thread)
+# the two met at 24 to 32 lanes; at n = 511, 24 lanes took 2.1 ms looped and
+# 2.4 ms at once, 32 lanes 2.8 and 2.5 ms, 96 lanes 8.5 and 2.8 ms, and 288
+# lanes 23.6 and 4.0 ms.
+LANE_CROSSOVER = 32
 
 
 class EigensolverError(RuntimeError):
@@ -99,29 +99,46 @@ def _operator_scale(H: DiscreteHamiltonian) -> float:
     return float(max(rows.max(), 1.0))
 
 
+_STURM_CHUNK = 8  # steps per chunk of _sturm_lanes: few, so its (steps, R, S) buffer stays small
+
+
+def _sturm_steps(q: np.ndarray | None, o2: list[float], chunk: np.ndarray, zero_rule: bool) -> None:
+    """Turn the chunk's d - x into the pivots q_i = (d_i - x) - o2_i / q_{i-1}, in place, from
+    the pivot q before it (None at the first unknown); zero_rule takes a zero pivot as 1e-300."""
+    ratio = np.empty(chunk.shape[1:])
+    for o2_i, q_i in zip(o2, chunk):
+        if q is not None:
+            np.divide(o2_i, q, out=ratio)
+            np.subtract(q_i, ratio, out=q_i)
+        if zero_rule and not q_i.all():
+            np.copyto(q_i, 1e-300, where=q_i == 0.0)
+        q = q_i
+
+
 def _sturm_lanes(diag: np.ndarray, o2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The recurrence of sturm_count's loop on every (column, shift) lane at once: (R, S) counts.
 
-    One step per unknown, each a few ufuncs over the R x S lanes; the IEEE
-    operations per lane are the loop's, in its order, so the counts are its
-    counts.
+    The steps go in chunks of _STURM_CHUNK: one subtraction forms d - x for
+    the chunk, then each step is one division and one subtraction over the
+    R x S lanes.  At the end of a chunk one pass counts its negative pivots;
+    a chunk with an exact zero pivot is first run again with the loop's
+    1e-300 rule, step by step.  The IEEE operations per lane are the loop's,
+    in its order, so the counts are its counts.
     """
-    lanes = (diag.shape[1], shifts.shape[0])
-    q = np.empty(lanes)
-    ratio = np.empty(lanes)
-    negative = np.empty(lanes, dtype=bool)
-    count = np.zeros(lanes, dtype=np.int64)
-    with np.errstate(over="ignore"):  # a 1e-300 pivot can overflow the next quotient, as in the loop
-        for i, di in enumerate(diag):
-            if i:
-                np.divide(o2[i - 1], q, out=ratio)
-            np.subtract(di[:, np.newaxis], shifts, out=q)
-            if i:
-                q -= ratio
-            if not q.all():
-                np.copyto(q, 1e-300, where=q == 0.0)  # a zero pivot, as in the loop
-            np.less(q, 0.0, out=negative)
-            count += negative
+    count = np.zeros((diag.shape[1], shifts.shape[0]), dtype=np.int64)
+    o2 = [0.0] + o2.tolist()  # o2[i] meets the pivot before step i; step 0 has none
+    q = None
+    # a zero pivot divides before its chunk is run again; a 1e-300 one can overflow the next quotient, as in the loop
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, diag.shape[0], _STURM_CHUNK):
+            rows = diag[start : start + _STURM_CHUNK, :, np.newaxis]
+            chunk = rows - shifts
+            _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=False)
+            if not chunk.all():
+                chunk = rows - shifts
+                _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=True)
+            count += (chunk < 0.0).sum(axis=0)
+            q = chunk[-1]
     return count
 
 
@@ -209,9 +226,10 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     orders are.  A slice over INERTIA_DENSE_LIMIT unknowns has no exact
     count: EigensolverError.
     """
+    count = H.below.get(x)
+    if count is not None:
+        return count
     if H.is_tridiagonal:
-        if x in H.below:
-            return H.below[x]
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
     inner, coupling = H.stencil.inner, H.stencil.coupling
@@ -401,7 +419,9 @@ def resolvent_block_norm(
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of gtsv")
     else:
-        lu = spla.splu(sp.csc_matrix(H.matrix - z * sp.identity(n, format="csc")))
+        from scipy.sparse.linalg import splu  # about 18 ms to load; d=1 runs never need it
+
+        lu = splu(sp.csc_matrix(H.matrix - z * sp.identity(n, format="csc")))
         sol = lu.solve(rhs)
     M = sol[rows, :]
     if not np.all(np.isfinite(M)):

@@ -15,19 +15,20 @@ import time
 import numpy as np
 
 from wegner_lab import experiments
-from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum, max_spectral_gap_below
+from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum
 from wegner_lab.random_model import (
     BernoulliAt,
     TruncatedPowerHolder,
     Uniform,
     construct_diluted_minorant,
-    empirical_modulus,
     modulus_s,
     potential_envelope,
     sample_potential,
 )
 from wegner_lab.spectral import count_in_interval, eigs_below
 from wegner_lab.thick_sets import window_field_max
+
+from helpers import empirical_modulus, max_spectral_gap_below
 
 PASS = "PASS"
 

@@ -378,6 +378,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "bad.model.ini" in err and "[model] extent = 'ten'" in err
 
+    def test_another_laws_model_key_exits_two(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "covering.model.ini").read_text().replace("kind = uniform", "kind = uniform\np0 = 0.3\nalpha = 9")
+        model = _write(tmp_path / "stray.model.ini", text)
+        assert main(["certify", "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert "stray.model.ini" in err and "[distribution] key 'p0' does not apply to kind uniform" in err
+
     def test_set_from_file_feeds_uncertainty(self, tmp_path):
         raster = tmp_path / "set.npz"
         assert main(

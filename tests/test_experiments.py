@@ -7,6 +7,7 @@ sampling order, mesh layout, or reduction order shows up as an exact-value
 break.
 """
 
+import concurrent.futures
 import inspect
 import json
 import math
@@ -598,7 +599,7 @@ def test_one_process_pool_per_driver_call(driver, fixture, kw, maps, request, mo
 
     mapped = []
     map_replicas = X._map_replicas
-    monkeypatch.setattr(X, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)  # looked up at the first parallel map
     monkeypatch.setattr(X, "_map_replicas", lambda *a, **k: mapped.append(1) or map_replicas(*a, **k))
     model = request.getfixturevalue(fixture)
     run = getattr(X, driver)

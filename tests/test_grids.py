@@ -16,11 +16,11 @@ from wegner_lab.grids import (
     GridError,
     add_potential,
     build_free_laplacian,
-    diagonal_hamiltonian,
     discrete_dirichlet_spectrum,
     free_dirichlet_spectrum,
-    max_spectral_gap_below,
 )
+
+from helpers import diagonal_hamiltonian, max_spectral_gap_below
 
 
 def _box(d=1, L=1.0, n=8, bc="dirichlet", center=None):

@@ -1,6 +1,10 @@
-"""Every name a package module, a script or a test file imports is used in that file."""
+"""Every name a package module, a script or a test file imports is used in that file, and importing
+the drivers loads only what every run uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,12 @@ def test_unused_import_is_found():
 )
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_experiments_import_leaves_out_what_only_some_runs_use():
+    # the process pool is loaded at the first parallel map, sparse LU at the first d>=2 resolvent
+    code = "import sys, wegner_lab.experiments; print(sorted(set(sys.modules) & set(sys.argv[1:])))"
+    lazy = ["concurrent.futures.process", "scipy.sparse.linalg"]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code, *lazy], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -30,7 +30,6 @@ from wegner_lab.random_model import (
     Uniform,
     construct_diluted_minorant,
     covering_model,
-    empirical_modulus,
     geometric_dilution_model,
     load_model_config,
     mean_potential,
@@ -38,14 +37,16 @@ from wegner_lab.random_model import (
     potential_envelope,
     _couplings,
     _key_pool,
+    _law_groups,
     build_model,
-    sample_iid,
     sample_potential,
     site_uniforms,
     verify_NoPi,
     verify_Pi,
 )
 from wegner_lab.thick_sets import RasterGeometry, RasterSet, interval_member, save_raster, stripes_raster
+
+from helpers import empirical_modulus, sample_iid
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -195,7 +196,7 @@ class TestSampling:
 
     def test_bernoulli_conditioning_keeps_low_atom(self):
         b = BernoulliAt(0.0, 1.0, 0.3)
-        vals = {b._from_uniform_below(u, 0.5) for u in site_uniforms(list(range(20)), (0,))[:, 0].tolist()}
+        vals = set(b._from_uniform_below(site_uniforms(list(range(20)), (0,))[:, 0], 0.5).tolist())
         assert vals == {0.0}
 
     def test_iid_moments(self):
@@ -306,7 +307,7 @@ class TestStreams:
         with pytest.raises(ModelError):
             site_uniforms(keys, sites)
         with pytest.raises(ModelError):
-            _couplings([Uniform(0.0, 1.0)], keys[0], sites)
+            _couplings(((Uniform(0.0, 1.0), slice(None)),), keys[0], sites)
 
     @given(
         key=st.one_of(
@@ -343,15 +344,17 @@ class TestStreams:
     )
     def test_each_law_maps_the_scalar_uniform(self, dist, cap):
         # the law's scalar code on numpy's own uniform, bit for bit, plain and capped
-        sites = (0, 7)  # _couplings takes each site's law from a list indexed by site
+        sites = (0, 7)
+        groups = _law_groups([dist] * 8, sites)  # _law_groups takes each site's law from a list indexed by site
         for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
             u = [float(_numpy_uniform(key, site)) for site in sites]
-            assert _couplings([dist] * 8, key, sites) == [float(dist._from_uniform(x)) for x in u]
-            assert _couplings([dist] * 8, key, sites, cap) == [dist._from_uniform_below(x, cap) for x in u]
+            assert _couplings(groups, key, sites).tolist() == [float(dist._from_uniform(x)) for x in u]
+            assert _couplings(groups, key, sites, cap).tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
 
     def test_sample_couplings_match_numpy(self):
         model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
-        got = _couplings(model.dists, (3, 70), tuple(range(len(model.dists))))
+        sites = tuple(range(len(model.dists)))
+        got = _couplings(_law_groups(model.dists, sites), (3, 70), sites).tolist()
         want = [float(d._from_uniform(float(_numpy_uniform((3, 70), i)))) for i, d in enumerate(model.dists)]
         assert got == want
 
@@ -461,7 +464,8 @@ class TestAlloyModel:
         assert calls == []
 
     def test_sample_couplings_matches_sitewise(self, covering):
-        cs = _couplings(covering.dists, 9, tuple(range(len(covering.dists))))
+        sites = tuple(range(len(covering.dists)))
+        cs = _couplings(_law_groups(covering.dists, sites), 9, sites)
         assert cs[3] == float(covering.dists[3]._from_uniform(float(site_uniforms([9], (3,))[0, 0])))
 
     def test_same_draw_on_overlapping_boxes(self, covering):
@@ -733,6 +737,18 @@ class TestFactoriesAndConfig:
             load_model_config(path)
 
     @pytest.mark.parametrize(
+        "kind, stray",
+        [("uniform", "p0 = 0.3\nalpha = 9\n"), ("bernoulli", "hi = 2.0\n"), ("truncated-power", "v1 = 2.0\n")],
+    )
+    def test_another_laws_key_refused(self, tmp_path, kind, stray):
+        # the first stray key is named; the law's own keys may sit beside it
+        bad = tmp_path / "law.model.ini"
+        bad.write_text(f"[model]\ndimension = 1\nextent = 4\n[sites]\n[distribution]\nkind = {kind}\n" + stray)
+        key = stray.split(" =")[0]
+        with pytest.raises(ModelConfigError, match=rf"law\.model\.ini: \[distribution\] key '{key}' does not apply to kind {kind}"):
+            load_model_config(bad)
+
+    @pytest.mark.parametrize(
         "sites, thickness, named",
         [
             ("profile = cantor-translate\nradius = 3.0\n", "", "key 'radius' does not apply to profile cantor-translate"),
@@ -885,3 +901,70 @@ def test_slab_balls_overlap_two_deep(slab):
     near = slab.sites_near_box(box)
     depth = sum(slab.profile.evaluate(box.nodes(), slab.centers[i]) for i in near)
     assert depth.max() == 2.0
+
+
+def _scalar_coupling(law, u, cap):
+    """Each law's scalar map of one Python-float uniform, plain or conditioned below cap."""
+    if isinstance(law, Uniform):
+        return law.lo + u * ((law.hi if cap is None else min(cap, law.hi)) - law.lo)
+    if isinstance(law, BernoulliAt):
+        return (law.v0 if u < law.p0 else law.v1) if cap is None else _accumulated_atom(law, u, cap)
+    return law.m_plus * (u if cap is None else u * law.cdf(cap)) ** (1.0 / law.alpha)
+
+
+_LAW_POOL = (
+    Uniform(0.2, 1.7), Uniform(-0.5, 0.5), BernoulliAt(0.0, 1.0, 0.3), BernoulliAt(2.0, -1.0, 0.6),
+    TruncatedPowerHolder(2.0, 0.5), TruncatedPowerHolder(1.0, 3.0),
+)
+
+
+@st.composite
+def _law_case(draw):
+    d = draw(st.sampled_from([1, 2]))
+    model = build_model(dimension=d, extent=6.0 if d == 1 else 3.0, radius=0.5 if d == 1 else 0.75)
+    n_sites = len(model.centers)
+    if draw(st.booleans()):  # one law at every site, or a law per site
+        dists = (draw(st.sampled_from(_LAW_POOL)),) * n_sites
+    else:
+        dists = tuple(draw(st.lists(st.sampled_from(_LAW_POOL), min_size=n_sites, max_size=n_sites)))
+    L = draw(st.sampled_from([1.0, 2.0, 4.0] if d == 1 else [1.0, 2.0]))
+    reach = (6.0 - 0.5 if d == 1 else 3.0 - 0.75) - L / 2
+    center = tuple(draw(st.integers(-int(4 * reach), int(4 * reach))) / 4.0 for _ in range(d))
+    box = BoxSpec(d=d, length=L, center=center, n=draw(st.integers(3, 40 if d == 1 else 12)))
+    stem = draw(st.integers(0, 2**40))
+    # replica keys across the edges of the 64-replica blocks, and keys drawn as blocks of one
+    key = draw(st.sampled_from([(stem, 0), (stem, 63), (stem, 64), (stem, 130), stem, (stem, (1, 2)), (stem,)]))
+    cap = draw(st.one_of(st.none(), st.floats(-1.0, 2.0)))
+    return dataclasses.replace(model, dists=dists), box, key, cap
+
+
+@given(case=_law_case())
+@settings(max_examples=150, deadline=None)
+def test_sampled_potential_is_each_laws_scalar_map_of_numpys_uniform(case):
+    model, box, key, cap = case
+    sites = model.sites_near_box(box)
+    if cap is not None and any(model.dists[i].cdf(cap) == 0.0 for i in sites):
+        with pytest.raises(ModelError, match="leaves no mass below it"):
+            sample_potential(model, key, box, conditioning_cap=cap)
+        return
+    got = sample_potential(model, key, box, conditioning_cap=cap)
+    want = _loop_potential(model, box, lambda i: _scalar_coupling(model.dists[i], _numpy_uniform(key, i), cap))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):
+    random_model._block_pools.cache_clear()
+    random_model._uniform_block.cache_clear()
+    stem, built = (918273,), []
+    key_pool = random_model._key_pool
+    monkeypatch.setattr(random_model, "_key_pool", lambda key: built.append(key) or key_pool(key))
+    draws = [sample_potential(covering, stem + (70,), _box(L=L, n=int(16 * L) - 1)) for L in (4.0, 8.0)]
+    assert built == [stem + (r,) for r in range(64, 128)]  # one pool per key of the block, for both sizes
+    pool, _ = random_model._block_pools(stem, 1)
+    assert pool.shape == (64, 1, 4)
+    for r in range(64):
+        assert pool[r, 0].tolist() == np.random.SeedSequence(stem + (64 + r,)).pool.tolist()
+    # the second size's draw is the per-site oracle's
+    box = _box(L=8.0, n=127)
+    want = _loop_potential(covering, box, lambda i: covering.dists[i]._from_uniform(_numpy_uniform(stem + (70,), i)))
+    assert draws[1].tobytes() == want.tobytes()

@@ -24,7 +24,6 @@ from wegner_lab.grids import (
     Stencil,
     add_potential,
     build_free_laplacian,
-    diagonal_hamiltonian,
     discrete_dirichlet_spectrum,
 )
 from wegner_lab.random_model import load_model_config, sample_potential
@@ -41,11 +40,14 @@ from wegner_lab.spectral import (
     count_in_interval,
     eigs_below,
     inertia_count,
+    precount_below,
     precount_windows,
     resolvent_block_norm,
     sturm_count,
 )
 from wegner_lab.thick_sets import stripes_raster
+
+from helpers import diagonal_hamiltonian
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -217,6 +219,84 @@ class TestSturmLanes:
         assert len(calls) == in_lanes
         assert all(bool(H.below) == in_lanes for H in operators)
         assert [count_in_interval(H, -math.inf, 40.0) for H in operators] == want
+
+
+def _zero_pivot_bands(zeros, x, off):
+    """An integer diagonal whose Sturm pivots at the integer shift x, with couplings
+    off in {0, +-1, +-2**14}, are exactly zero at the steps in zeros and +-1 at the
+    others, and the steps at which they are zero.  A zero pivot taken as 1e-300
+    makes the next pivot about -c*c*1e300 (-inf once that overflows) when the
+    coupling c is not zero, whatever the diagonal, so the next zero can come
+    three steps later."""
+    diag, hit, q = [], [], None
+    o2 = [c * c for c in off.tolist()]  # Python floats overflow to inf without a warning
+    for i in range(len(o2) + 1):
+        ratio = 0.0 if q is None else o2[i - 1] / q
+        target = 0.0 if i in zeros else (1.0 if i % 3 else -1.0)
+        diag.append(float(x) if abs(ratio) > 1e200 else x + target + ratio)  # else ratio is an integer or tiny
+        q = (diag[-1] - x) - ratio
+        if q == 0.0:
+            hit.append(i)
+            q = 1e-300
+    return np.array(diag), hit
+
+
+_COUPLINGS = {"unit": [1.0], "overflow": [2.0**14], "mixed": [1.0, 0.0, -(2.0**14), -1.0]}  # 2**28 / 1e-300 overflows
+
+
+class TestChunkedLanes:
+    """_sturm_lanes runs its steps in chunks and reruns a chunk with a zero pivot; the counts stay the loop's."""
+
+    @pytest.mark.parametrize("couplings", sorted(_COUPLINGS))
+    @pytest.mark.parametrize(
+        "n, zeros",
+        [
+            (1, {0}),
+            (7, {0, 3, 6}),
+            (8, {7}),
+            (9, {8}),
+            (16, {0, 3, 8, 11, 15}),
+            (27, {8, 12, 15, 23, 26}),
+            (40, {2, 5, 23, 31, 39}),
+        ],
+    )
+    def test_zero_pivots_anywhere_in_a_chunk(self, n, zeros, couplings):
+        assert spectral._STURM_CHUNK == 8  # the cases put zeros at the first, a middle and the last step of a chunk
+        off = np.resize(_COUPLINGS[couplings], n - 1)
+        built, hit = _zero_pivot_bands(zeros, 2, off)
+        assert hit == sorted(zeros)
+        rng = np.random.default_rng(n)
+        # other lanes beside the constructed one: other shifts, and integer diagonals of their own
+        diag = np.column_stack([built, rng.integers(-2, 4, size=n).astype(float), built[::-1]])
+        shifts = np.array([2.0, 1.0, 2.5, -3.0, 4.0])
+        lanes = spectral._sturm_lanes(diag, off * off, shifts)
+        assert np.array_equal(lanes, _loop_counts(diag, off, shifts))
+
+    @given(n=st.integers(1, 45), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_integer_bands_of_any_length(self, n, data):
+        zeros = set(data.draw(st.lists(st.integers(0, n - 1), max_size=6)))
+        off = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0**14]), min_size=n - 1, max_size=n - 1)))
+        built, _ = _zero_pivot_bands(zeros, 1, off)
+        R = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        diag = np.column_stack([built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(R - 1)])
+        shifts = np.array(data.draw(st.lists(st.integers(-4, 5), min_size=1, max_size=6)), dtype=float)
+        assert np.array_equal(spectral._sturm_lanes(diag, off * off, shifts), _loop_counts(diag, off, shifts))
+
+    @pytest.mark.parametrize("lanes", [LANE_CROSSOVER - 1, LANE_CROSSOVER])
+    def test_both_sides_of_the_crossover_on_zero_pivots(self, lanes):
+        # unit spacing: the free stencil couples by -1 and has 2 on the diagonal, so the bands are integers
+        n = 21
+        free = build_free_laplacian(BoxSpec(d=1, length=float(n + 1), center=(0.0,), n=n))
+        built, hit = _zero_pivot_bands({0, 8, 12, 20}, 1, -np.ones(n - 1))
+        assert hit == [0, 8, 12, 20]
+        rng = np.random.default_rng(lanes)
+        columns = [built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(lanes - 1)]
+        operators = [add_potential(free, v - 2.0) for v in columns]
+        precount_below(operators, [1.0])
+        assert all(bool(H.below) == (lanes >= LANE_CROSSOVER) for H in operators)
+        assert [inertia_count(H, 1.0) for H in operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
 
 
 class TestInertiaCount:
