@@ -165,6 +165,13 @@ class DiscreteHamiltonian:
         queries that read them (spectral.precount_below)."""
         return {}
 
+    @functools.cached_property
+    def bisections(self) -> dict[tuple[float, str], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """LAPACK stebz's bisections of the d=1 bands per (cutoff, order): the
+        eigenvalues, blocks and splits that spectral._eigs_tridiagonal reuses,
+        each array read-only."""
+        return {}
+
     @property
     def is_tridiagonal(self) -> bool:
         return self.box.d == 1 and self.box.bc != "periodic"

@@ -333,7 +333,7 @@ REPLICA_BLOCK = 64  # consecutive replica keys drawn together
 UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept, and as many blocks' key pools
 
 
-@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE, typed=True)  # typed: a float key equal to an int key is refused, not served
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
 def _block_pools(stem: Any, block: int | None) -> tuple[np.ndarray, np.ndarray]:
     """_stacked_pools of the keys (*stem, r) of a replica block, or of the stem alone when block is None;
     every box size drawn on the block shares them."""
@@ -344,7 +344,7 @@ def _block_pools(stem: Any, block: int | None) -> tuple[np.ndarray, np.ndarray]:
     return pools
 
 
-@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
 def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.ndarray:
     u = _pool_uniforms(_block_pools(stem, block), sites)
     u.flags.writeable = False
@@ -377,6 +377,9 @@ def _couplings(
     """
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
+    # a key word that is not an int, say 3.0, would hash to the int's cached draw: check before the lookup
+    if type(seed) is not tuple or not all(type(w) is int and w >= 0 for w in seed):
+        _key_words(seed)
     if isinstance(seed, tuple) and seed and isinstance(seed[-1], int) and seed[-1] >= 0:
         block, row = divmod(seed[-1], REPLICA_BLOCK)
         u = _uniform_block(seed[:-1], block, sites)[row]

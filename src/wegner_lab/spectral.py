@@ -34,12 +34,21 @@ A closed window [lo, hi] is counted at its ends nudged outward by a relative
 The iterative eigensolver accepts its Ritz values only when they number
 exactly the inertia count, and refuses to return silently short.
 
+On the d=1 bands eigs_below runs LAPACK's bisection stebz over (floor, e_max],
+the floor below the Gershgorin disc, then stein for the vectors.  The
+bisection depends only on the operator, the cutoff and stebz's order, so
+each operator keeps it per (cutoff, order) (`DiscreteHamiltonian.bisections`,
+read-only) and bisects a cutoff once; stein runs on every call, so no n x k
+vectors are kept.  The free operator is memoised per box, so every scan over
+a box shares its bisections.
+
 A resolvent block is refused when the shift lies within 1e-10 of an
 eigenvalue (the two resonance counts differ).  Otherwise one factorization
 serves every column: LAPACK's gtsv on the d=1 bands, sparse LU in d>=2; the
-block's norm is its largest singular value from LAPACK's gesdd.  Both
-routines are called directly, fetched as scipy's solve_banded and svdvals
-fetch them, so the bits are theirs.
+block's norm is its largest singular value from LAPACK's gesdd.  All four
+LAPACK routines (stebz, stein, gtsv, gesdd) are called directly, fetched as
+scipy's eigh_tridiagonal, solve_banded and svdvals fetch them, with their
+arguments, so the bits are theirs.
 
 Everything here is deterministic: iterative starts come from a fixed
 counter-based key, never from global state.
@@ -283,11 +292,56 @@ def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence
     precount_below(operators, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
 
 
+# the LAPACK routines behind scipy.linalg.eigh_tridiagonal's select by value,
+# fetched the way it fetches them
+_STEBZ, _STEIN = sla.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
+def _check_info(info: int, routine: str) -> None:
+    """Raise on a LAPACK routine's nonzero info, as scipy's wrappers do."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
+
+
+def _bisect(H: DiscreteHamiltonian, e_max: float, order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """stebz's eigenvalues of the bands in (floor, e_max], with their blocks and
+    splits, in order "E" (ascending) or "B" (by block); kept in H.bisections.
+
+    The floor lies below the Gershgorin disc, so every eigenvalue at or
+    below e_max is found; a cutoff at or below the floor has none, and
+    stebz is never asked for an empty range (it refuses one).
+    """
+    key = (e_max, order)
+    found = H.bisections.get(key)
+    if found is None:
+        diag, off = H.tridiagonal()
+        floor = float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
+        if not e_max > floor:
+            found = (np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+        else:
+            m, w, iblock, isplit, info = _STEBZ(diag, off, 1, floor, e_max, 1, 1, 0.0, order)
+            _check_info(info, "stebz")
+            found = (w[:m].copy(), iblock, isplit)  # not a view of all n entries
+        for a in found:
+            a.flags.writeable = False
+        H.bisections[key] = found
+    return found
+
+
 def _eigs_tridiagonal(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
-    diag, off = H.tridiagonal()
-    floor = float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
-    out = sla.eigh_tridiagonal(diag, off, eigvals_only=not want_vectors, select="v", select_range=(floor, e_max))
-    return EigenResult(*(out if want_vectors else (out, None)), "tridiagonal")
+    """eigh_tridiagonal's select by value, from its LAPACK calls: stebz with
+    tol 0 (memoised per cutoff), then stein and an argsort for the vectors."""
+    w, iblock, isplit = _bisect(H, e_max, "B" if want_vectors else "E")
+    if not want_vectors:
+        return EigenResult(w, None, "tridiagonal")
+    if not w.size:
+        return EigenResult(w, np.empty((H.box.ndof, 0)), "tridiagonal")
+    v, info = _STEIN(*H.tridiagonal(), w, iblock, isplit)
+    _check_info(info, "stein")
+    order = np.argsort(w)
+    return EigenResult(w[order], v[:, order], "tridiagonal")
 
 
 def _eigs_dense(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
@@ -416,8 +470,7 @@ def resolvent_block_norm(
         *_, sol, info = _GTSV(off, diag - z, off, rhs, overwrite_d=1, overwrite_b=1)
         if info > 0:
             raise ResonantSampleError(f"zero pivot in row {info} of the tridiagonal solve at shift {z}")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gtsv")
+        _check_info(info, "gtsv")
     else:
         from scipy.sparse.linalg import splu  # about 18 ms to load; d=1 runs never need it
 
@@ -429,8 +482,7 @@ def resolvent_block_norm(
     work, info = _GESDD_LWORK(*M.shape, compute_uv=0, full_matrices=1)
     if info == 0:
         _, s, _, info = _GESDD(M, compute_uv=0, full_matrices=1, lwork=int(work), overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gesdd failed with info {info}")
+    _check_info(info, "gesdd")
     return float(s[0])
 
 

@@ -336,6 +336,18 @@ class TestRunCommand:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["covering", "slab"])
+    def test_probe_window_below_the_spectrum_finds_no_state(self, tmp_path, model):
+        # in d=1 the cutoff -1 lies below the bands' Gershgorin floor
+        text = (
+            "[run]\nexperiment = localisation-probe\nseed = 3\nreplicas = 2\n\n"
+            "[parameters]\nl = 8\ne_lo = -2.0\ne_hi = -1.0\n"
+        )
+        cfg = _write(tmp_path / "p.ini", text)
+        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / f"{model}.model.ini")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["fitted"]["states_found"] == 0
+
     def test_eigensolver_failure_exits_two(self, tmp_path, capsys):
         # 5041 unknowns: the Lanczos run stops short of the exact count below E=2
         text = (

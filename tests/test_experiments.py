@@ -26,6 +26,7 @@ from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian
 from wegner_lab.random_model import BernoulliAt, Uniform, covering_model, geometric_dilution_model
 from wegner_lab.reports import ExperimentReport
 from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
+from wegner_lab.thick_sets import stripes_raster
 
 EXACT = dict(rel=1e-12, abs=1e-300)
 
@@ -358,6 +359,26 @@ class TestSpectralMinimum:
         }
 
 
+    @pytest.mark.parametrize("shift", [-2.0, 2.0])
+    def test_zero_coupling_seam_fails_off_the_closed_form(self, covering, monkeypatch, shift):
+        # the seam's two counts must see a closed form moved by two tolerances
+        closed_form = X.discrete_dirichlet_spectrum
+
+        def moved(box):
+            levels = closed_form(box)
+            return levels + shift * 1e-9 * max(1.0, float(levels[0]))
+
+        kw = dict(eps_list=(0.5,), replicas=2, L=4.0, mesh_density=8)
+        assert X.run_spectral_minimum(covering, **kw).verdicts["zero_coupling_exact"] == "PASS"
+        monkeypatch.setattr(X, "discrete_dirichlet_spectrum", moved)
+        assert X.run_spectral_minimum(covering, **kw).verdicts["zero_coupling_exact"] == "FAIL"
+
+    def test_zero_coupling_seam_runs_no_eigensolve(self, covering, monkeypatch):
+        solves = []
+        monkeypatch.setattr(X, "eigs_below", lambda *args, **kw: solves.append(args) or spectral.eigs_below(*args, **kw))
+        X.run_spectral_minimum(covering, eps_list=(0.5,), replicas=2, L=4.0, mesh_density=8)
+        assert len(solves) == 2 + 2  # the unconditioned and the capped ground states only
+
 class TestIse:
     def test_fitted_rate_frozen(self, ise_report):
         assert ise_report.fitted["c0_hat"] == pytest.approx(0.5906538246246344, **EXACT)
@@ -446,6 +467,20 @@ class TestUncertainty:
         (4.0, 225.0): (6.151455736256816e-08, 19),
         (4.0, 400.0): (4.428395726255528e-11, 25),
     }
+
+    def test_a_second_set_on_the_same_scan_bisects_nothing(self, stripes_third, monkeypatch):
+        # the free operator is kept per box, and with it every cutoff's bisection
+        kw = dict(E_list=(25.0, 100.0, 225.0), L_list=(2.0, 3.0), mesh_density=16)
+        half = stripes_raster(width=0.5, period=1.0, resolution=48)
+        build_free_laplacian.cache_clear()
+        cold = X.run_uncertainty(half, **kw).to_json()
+        build_free_laplacian.cache_clear()
+        X.run_uncertainty(stripes_third, **kw)
+        calls = []
+        stebz = spectral._STEBZ
+        monkeypatch.setattr(spectral, "_STEBZ", lambda *args: calls.append(args) or stebz(*args))
+        assert X.run_uncertainty(half, **kw).to_json() == cold
+        assert calls == []
 
     def test_subspace_bounds_frozen(self, uncertainty_report):
         for (L, E), (lam, dim) in self.WANT.items():

@@ -309,6 +309,18 @@ class TestStreams:
         with pytest.raises(ModelError):
             _couplings(((Uniform(0.0, 1.0), slice(None)),), keys[0], sites)
 
+    def test_a_float_key_word_is_refused_whatever_the_cache_holds(self, covering):
+        # (3.0, 5) hashes like (3, 5), so a cached draw of (3, 5) must not answer it
+        box = _box()
+        random_model._uniform_block.cache_clear()
+        random_model._block_pools.cache_clear()
+        with pytest.raises(ModelError, match="stream keys"):
+            sample_potential(covering, (3.0, 5), box)
+        sample_potential(covering, (3, 5), box)
+        for key in ((3.0, 5), (3, 5.0), 3.0):
+            with pytest.raises(ModelError, match="stream keys"):
+                sample_potential(covering, key, box)
+
     @given(
         key=st.one_of(
             st.integers(0, 2**200),  # one to seven words

@@ -796,6 +796,128 @@ class TestResolventMatchesTheWrappers:
             resolvent_block_norm(H, 1.0, np.array([0]), np.array([2]))
 
 
+def _band_floor(H):
+    diag, off = H.tridiagonal()
+    return float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
+
+
+@st.composite
+def _jacobi_cutoff(draw):
+    """A Jacobi operator (potentials up to 1e3, some couplings zero so the bands
+    split) and a cutoff between levels, on a level, above the top, at the
+    Gershgorin floor or below it."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = rng.uniform(-50.0, 0.0, n - 1) * (rng.uniform(size=n - 1) > 0.1)
+    H = _jacobi(rng.uniform(0.0, 1e3, n) * draw(st.sampled_from([0.0, 1e-3, 1.0])), off)
+    ev = np.linalg.eigvalsh(H.matrix.toarray())
+    k = draw(st.integers(0, n - 1))
+    floor = _band_floor(H)
+    cutoff = draw(
+        st.sampled_from(
+            [
+                0.5 * (ev[k] + ev[min(k + 1, n - 1)]),
+                float(ev[k]),
+                float(ev[-1]) + 1.0,
+                floor,
+                floor - 1.0,
+            ]
+        )
+    )
+    return H, float(cutoff)
+
+
+def _count_stebz(monkeypatch):
+    calls = []
+    stebz = spectral._STEBZ
+
+    def counted(*args):
+        calls.append(args)
+        return stebz(*args)
+
+    monkeypatch.setattr(spectral, "_STEBZ", counted)
+    return calls
+
+
+class TestTridiagonalBisection:
+    """The direct stebz/stein calls give eigh_tridiagonal's bits, and each
+    operator bisects a cutoff once."""
+
+    @given(_jacobi_cutoff(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigh_tridiagonal_bit_for_bit(self, problem, want_vectors):
+        H, cutoff = problem
+        got = _eigs_tridiagonal(H, cutoff, want_vectors)
+        if cutoff <= _band_floor(H):  # scipy and stebz both refuse an empty range
+            assert got.eigenvalues.shape == (0,)
+            if want_vectors:
+                assert got.eigenvectors.shape == (H.box.ndof, 0)
+            return
+        diag, off = H.tridiagonal()
+        want = sla.eigh_tridiagonal(
+            diag, off, eigvals_only=not want_vectors, select="v", select_range=(_band_floor(H), cutoff)
+        )
+        values, vectors = want if want_vectors else (want, None)
+        assert got.eigenvalues.shape == values.shape
+        assert got.eigenvalues.tobytes() == values.tobytes()
+        if want_vectors:
+            assert got.eigenvectors.shape == vectors.shape
+            assert got.eigenvectors.tobytes() == vectors.tobytes()
+        else:
+            assert got.eigenvectors is None
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_a_repeated_cutoff_bisects_once(self, monkeypatch, want_vectors):
+        calls = _count_stebz(monkeypatch)
+        box, H = _random_operator(1, 90, 6.0, seed=21, amplitude=5.0)
+        first = eigs_below(H, 30.0, want_vectors=want_vectors)
+        again = eigs_below(H, 30.0, want_vectors=want_vectors)
+        assert len(calls) == 1
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+        if want_vectors:
+            assert again.eigenvectors.tobytes() == first.eigenvectors.tobytes()
+        eigs_below(H, 30.0, want_vectors=not want_vectors)  # the other order is its own bisection
+        assert len(calls) == 2
+
+    def test_another_cutoff_is_never_served_from_an_entry(self, monkeypatch):
+        calls = _count_stebz(monkeypatch)
+        box, H = _random_operator(1, 90, 6.0, seed=22, amplitude=5.0)
+        ev = np.linalg.eigvalsh(H.matrix.toarray())
+        low, high = 0.5 * (ev[2] + ev[3]), 0.5 * (ev[6] + ev[7])
+        assert eigs_below(H, low).eigenvalues.size == 3
+        assert eigs_below(H, high).eigenvalues.size == 7
+        assert eigs_below(H, low, want_vectors=True).eigenvectors.shape == (90, 3)
+        assert eigs_below(H, high, want_vectors=True).eigenvectors.shape == (90, 7)
+        assert len(calls) == 4
+        assert len(H.bisections) == 4
+
+    def test_kept_arrays_are_read_only(self):
+        box, H = _random_operator(1, 70, 5.0, seed=23, amplitude=5.0)
+        values = eigs_below(H, 40.0).eigenvalues
+        before = values.copy()
+        for kept in H.bisections.values():
+            assert not any(a.flags.writeable for a in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        pairs = eigs_below(H, 40.0, want_vectors=True)
+        pairs.eigenvalues[:] = 0.0  # the sorted copy is the caller's own
+        pairs.eigenvectors[:] = 0.0
+        assert eigs_below(H, 40.0).eigenvalues.tobytes() == before.tobytes()
+        again = eigs_below(H, 40.0, want_vectors=True)
+        assert again.eigenvalues.tobytes() == before.tobytes()
+        assert np.abs(again.eigenvectors).max() > 0.0
+
+    @pytest.mark.parametrize("below", [0.0, 1.0, 1e3])
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_a_cutoff_at_or_below_the_floor_is_empty_without_bisection(self, monkeypatch, below, want_vectors):
+        calls = _count_stebz(monkeypatch)
+        box, H = _random_operator(1, 40, 4.0, seed=24, amplitude=2.0)
+        res = eigs_below(H, _band_floor(H) - below, want_vectors=want_vectors)
+        assert res.method == "tridiagonal" and res.eigenvalues.shape == (0,)
+        assert res.eigenvectors is None if not want_vectors else res.eigenvectors.shape == (40, 0)
+        assert calls == []
+
+
 class TestCompressedIndicator:
     def test_full_set_gives_exactly_one(self):
         box = BoxSpec(d=1, length=1.0, center=(0.5,), n=50)
