@@ -10,6 +10,7 @@ Exit code 1 if any experiment verdict is FAIL, else 0.
 """
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -20,6 +21,23 @@ from wegner_lab.random_model import (
     geometric_dilution_model,
 )
 from wegner_lab.thick_sets import stripes_raster
+
+# the battery, one row per job: its name, the experiments driver it calls, the
+# subject it runs on, its replicas at full size and under --quick (None: the
+# driver's default either way), and any other arguments; every driver that
+# takes workers gets --workers
+JOBS = (
+    ("wegner-covering", "run_wegner", "covering", (200, 20), {}),
+    ("wegner-cantor", "run_wegner", "cantor", (200, 20), {}),
+    ("ids-covering", "estimate_ids", "covering", (100, 10), {"c_w": 1.0}),
+    ("uncertainty-stripes", "run_uncertainty", "stripes", None, {}),
+    ("ise-covering", "run_ise", "covering", (200, 20), {}),
+    ("stubborn-geometric", "run_stubborn", "geometric", None, {}),
+    ("stubborn-exp-geometric", "run_stubborn_exponential", "geometric", None, {}),
+    ("spectral-minimum-covering", "run_spectral_minimum", "covering", (40, 10), {}),
+    ("localisation-probe-covering", "localisation_probe", "covering", None, {}),
+    ("minorant-covering", "run_minorant_check", "covering", (20, 5), {}),
+)
 
 
 def _workers(text: str) -> int:
@@ -36,33 +54,22 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=_workers, default=1, help="parallel replica workers (at least 1)")
     args = ap.parse_args(argv)
     out = Path(args.out)
-    w = args.workers
 
-    covering = covering_model()
-    cantor = fat_cantor_model()
-    geometric = geometric_dilution_model()
-    stripes = stripes_raster(1.0 / 3.0, 1.0, 48)
-
-    # replica counts: (default, quick)
-    def n(full, quick):
-        return quick if args.quick else full
-
-    jobs = [
-        ("wegner-covering", lambda: X.run_wegner(covering, replicas=n(200, 20), workers=w)),
-        ("wegner-cantor", lambda: X.run_wegner(cantor, replicas=n(200, 20), workers=w)),
-        ("ids-covering", lambda: X.estimate_ids(covering, replicas=n(100, 10), c_w=1.0, workers=w)),
-        ("uncertainty-stripes", lambda: X.run_uncertainty(stripes)),
-        ("ise-covering", lambda: X.run_ise(covering, replicas=n(200, 20), workers=w)),
-        ("stubborn-geometric", lambda: X.run_stubborn(geometric, workers=w)),
-        ("stubborn-exp-geometric", lambda: X.run_stubborn_exponential(geometric, workers=w)),
-        ("spectral-minimum-covering", lambda: X.run_spectral_minimum(covering, replicas=n(40, 10), workers=w)),
-        ("localisation-probe-covering", lambda: X.localisation_probe(covering, workers=w)),
-        ("minorant-covering", lambda: X.run_minorant_check(covering, replicas=n(20, 5))),
-    ]
+    subjects = {
+        "covering": covering_model(),
+        "cantor": fat_cantor_model(),
+        "geometric": geometric_dilution_model(),
+        "stripes": stripes_raster(1.0 / 3.0, 1.0, 48),
+    }
 
     failed = False
-    for name, job in jobs:
-        rep = job()
+    for name, driver_name, subject, replicas, kwargs in JOBS:
+        driver = getattr(X, driver_name)
+        if replicas is not None:
+            kwargs = kwargs | {"replicas": replicas[args.quick]}
+        if "workers" in inspect.signature(driver).parameters:
+            kwargs = kwargs | {"workers": args.workers}
+        rep = driver(subjects[subject], **kwargs)
         rep.write(out / name)
         print(f"{name:<30s} {rep.overall:<13s} {rep.wall_clock_s:7.2f}s")
         failed = failed or rep.overall == "FAIL"

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .grids import BoxSpec, add_potential, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
+from .grids import BoxSpec, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
     REPLICA_BLOCK,
     AlloyModel,
@@ -37,6 +37,7 @@ from .random_model import (
     mean_potential,
     modulus_s,
     sample_potential,
+    sample_potentials,
     verify_NoPi,
 )
 from .reports import FAIL, INFORMATIONAL, PASS, ExperimentReport, record
@@ -117,15 +118,11 @@ def _experiment(name: str):
 
 
 def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draws: list) -> list:
-    """query(replicas, *args) for one block of (key, couplings override) draws.
-
-    replicas yields (H, v) per draw, each sampled only when reached: v on the
-    box, H = -Delta + v.
-    """
-    potentials = (
-        sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override) for key, override in draws
-    )
-    return query(((add_potential(build_free_laplacian(box), v), v) for v in potentials), *args)
+    """query(block, V, *args) for one block of (key, couplings override) draws, sampled and built as
+    one array each: V holds the potentials, a column per draw, and block the read-only operators
+    -Delta + V[:, r] on the box's shared stencil, their diagonals the columns of block.diag."""
+    V = sample_potentials(model, draws, box, cap)
+    return query(add_potentials(build_free_laplacian(box), V), V, *args)
 
 
 def _per_operator(query):
@@ -136,10 +133,10 @@ def _per_operator(query):
     """
 
     @functools.wraps(query)
-    def block(replicas, *args) -> list:
-        return [query(H, v, *args) for H, v in replicas]
+    def each(block, V, *args) -> list:
+        return [query(H, v, *args) for H, v in zip(block.operators, V.T)]
 
-    return block
+    return each
 
 
 def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: list, workers: int, cap=None) -> list:
@@ -198,11 +195,10 @@ def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None,
 # eigenvalue counting in random boxes (the volume-law estimate)
 
 
-def _window_counts(replicas, windows) -> list[tuple[int, ...]]:
+def _window_counts(block, V, windows) -> list[tuple[int, ...]]:
     """Eigenvalue counts of a block of draws, one per closed (lo, hi) window."""
-    operators = [H for H, _ in replicas]
-    precount_windows(operators, windows)
-    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in operators]
+    precount_windows(block, windows)
+    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
 
 
 def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float) -> float:
@@ -419,8 +415,7 @@ def run_stubborn(
         gap_to_free = min(abs(lam - E) for lam in spec)
         rep.records.append(record([L], "free_spectrum_distance", gap_to_free, None, None))
         rep.records.append(record([L], "distance_budget", 6 * math.pi * math.sqrt(E + 1) / L + allowance, None, None))
-        hits = 0
-        total = 0
+        hits = total = 0
         for x in centers:
             box = _box(model.d, L, rho, center=x)
             draws = _draws(seed, replicas) + [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
@@ -636,15 +631,14 @@ def run_uncertainty(
 # initial-scale resolvent decay
 
 
-def _end_to_end_norms(replicas, z, rows, cols) -> list[float | None]:
+def _end_to_end_norms(block, V, z, rows, cols) -> list[float | None]:
     """|1_A (H - z)^{-1} 1_B| of a block of draws (A = rows, B = cols), None where z is resonant for a draw.
 
     The block's resonance checks are counted ahead, at once (precount_below).
     """
-    operators = [H for H, _ in replicas]
-    precount_below(operators, resonance_shifts(z))
+    precount_below(block, resonance_shifts(z))
     norms: list[float | None] = []
-    for H in operators:
+    for H in block.operators:
         try:
             norms.append(resolvent_block_norm(H, z, rows, cols))
         except ResonantSampleError:
@@ -805,18 +799,13 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
         dist = np.maximum(dist, np.abs(idx[axis] - peak[axis]))
     shell_width = max(1, int(round(1.0 / box.h)))
     bands = dist // shell_width
-    norms = []
-    for b in range(int(bands.max()) + 1):
-        m = bands == b
-        val = float(np.sqrt((arr[m] ** 2).sum()))
-        norms.append(val)
+    norms = [float(np.sqrt((arr[bands == b] ** 2).sum())) for b in range(int(bands.max()) + 1)]
     usable = [(b, math.log(v)) for b, v in enumerate(norms) if v > 1e-14]
     if len(usable) < 3:
         return None
     xs = np.array([u[0] for u in usable], dtype=float)
     ys = np.array([u[1] for u in usable])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return -slope
+    return -float(np.polyfit(xs, ys, 1)[0])
 
 
 @_per_operator

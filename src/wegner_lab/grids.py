@@ -9,8 +9,9 @@ difference and shared by every operator on it) and its own full diagonal,
 to which add_potential adds.  -Delta is the Kronecker sum of the 1-d second
 difference, so its diagonal is the Kronecker sum of the 1-d diagonal and its
 stencil recurses over the axes; an open box's first-axis slices are the
-factors of that recursion, and a periodic box is one slice.  The sparse
-matrix is summed only when a solver asks for it, with the same
+factors of that recursion, and a periodic box is one slice.  A block of
+operators keeps its diagonals as the columns of one array (add_potentials).
+The sparse matrix is summed only when a solver asks for it, with the same
 floating-point additions an eager sum does.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,14 +210,27 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(Stencil(box, off, inner, band), _read_only(_kron_sum(main, box.d)))
 
 
+class OperatorBlock(NamedTuple):
+    """Operators on one stencil whose diagonals are the columns of one read-only (ndof, R) array."""
+
+    diag: np.ndarray
+    operators: list[DiscreteHamiltonian]
+
+
+def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
+    """The operators ham + diag(V[:, r]) on ham's stencil as one block, ham left untouched: the
+    potentials' finiteness is checked once, and the diagonals are one elementwise sum."""
+    if V.shape[0] != ham.box.ndof:
+        raise GridError(f"potential length {V.shape[0]} does not match {ham.box.ndof} dof")
+    if not np.isfinite(V).all():
+        raise GridError("potential contains non-finite entries")
+    diag = _read_only(ham.diag[:, np.newaxis] + V)
+    return OperatorBlock(diag, [DiscreteHamiltonian(ham.stencil, d) for d in diag.T])
+
+
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:
     """Return the operator with diag(v) added, on the same stencil; the input is left untouched."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != ham.box.ndof:
-        raise GridError(f"potential length {v.shape[0]} does not match {ham.box.ndof} dof")
-    if not np.all(np.isfinite(v)):
-        raise GridError("potential contains non-finite entries")
-    return DiscreteHamiltonian(ham.stencil, _read_only(ham.diag + v))
+    return add_potentials(ham, np.asarray(v, dtype=float).reshape(-1, 1)).operators[0]
 
 
 def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float, int]]:

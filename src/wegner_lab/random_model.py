@@ -6,11 +6,12 @@ distributions through a splittable counter-based generator keyed by
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
 site_uniforms computes for a grid of keys and sites at once, bit for bit.
-sample_potential draws 64 consecutive replicas per pass and keeps a few such
-blocks, and keeps each block's 64 key pools for every box size drawn on it.
-A box's sites are grouped by coupling law once, and each law maps its
-group's uniforms with the IEEE operations of its scalar map.  A model has
-one single-site profile u, a nonnegative bump of finite radius;
+Uniforms are drawn for 64 consecutive replicas per pass; a few such blocks
+are kept, and each block's 64 key pools for every box size drawn on it.
+sample_potentials forms a block of draws as one array: each coupling law
+maps the block's uniforms with the IEEE operations of its scalar map, and
+one sparse product sums the bumps (sample_potential is its one-draw call).
+A model has one single-site profile u, a nonnegative bump of finite radius;
 u_j = u(x - x_j) is its translate to site center x_j.
 
 Each coupling law is a frozen dataclass that states its own facts: its
@@ -226,7 +227,8 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # pool is numpy's own SeedSequence(k).pool, the site word (the last entropy
 # word) and generate_state(2, uint64) run on uint32 values held in uint64
 # arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].  The pools of
-# a replica block are kept, so a new box size only mixes in its site words.
+# a replica block are kept, so a new box size only mixes in its site words,
+# and a block of draws reads each key's row from the kept blocks.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -351,46 +353,40 @@ def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.n
     return u
 
 
-def _law_groups(dists: Sequence[Distribution], sites: tuple[int, ...]) -> tuple[tuple[Distribution, Any], ...]:
-    """The distinct laws of the listed sites, each with the positions in sites that it governs
-    (a slice of all of them when one law governs every site)."""
+def _law_groups(dists: Sequence[Distribution], sites: tuple[int, ...]) -> tuple[tuple[Distribution, np.ndarray], ...]:
+    """The distinct laws of the listed sites, each with the positions in sites that it governs."""
     positions: dict[Distribution, list[int]] = {}
     for k, i in enumerate(sites):
         positions.setdefault(dists[i], []).append(k)
-    if len(positions) == 1:
-        return ((dists[sites[0]], slice(None)),)
     return tuple((law, np.array(at)) for law, at in positions.items())
 
 
-def _couplings(
-    groups: tuple[tuple[Distribution, Any], ...], seed: int | tuple[int, ...], sites: tuple[int, ...],
-    cap: float | None = None,
-) -> np.ndarray:
-    """The couplings of the listed sites: each law of their _law_groups maps its sites' uniforms.
-
-    A cap conditions every coupling on staying at or below it; a cap under
-    which some listed site's law has no mass (cdf(cap) = 0) is refused.
-    The uniforms are the first of seed's stream at each site.  A key
-    (*stem, r) is drawn with the 63 other replicas of its block of 64, so
-    consecutive replicas of one box cost one vectorised pass; any other key
-    draws a block of one.
-    """
+def _couplings(groups: tuple[tuple[Distribution, Any], ...], keys: Sequence[Any], sites: tuple[int, ...],
+               cap: float | None = None) -> np.ndarray:
+    """The (keys, sites) couplings of the listed sites, the first uniform of each key's stream at each site
+    mapped by the site's law (its _law_groups), for every key at once.  A key (*stem, r) is drawn with
+    the 63 other replicas of its block of 64, any other key as a block of one.  A cap conditions every
+    coupling on staying at or below it; a cap under which a listed site's law has no mass is refused."""
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-    # a key word that is not an int, say 3.0, would hash to the int's cached draw: check before the lookup
-    if type(seed) is not tuple or not all(type(w) is int and w >= 0 for w in seed):
-        _key_words(seed)
-    if isinstance(seed, tuple) and seed and isinstance(seed[-1], int) and seed[-1] >= 0:
-        block, row = divmod(seed[-1], REPLICA_BLOCK)
-        u = _uniform_block(seed[:-1], block, sites)[row]
-    else:
-        u = _uniform_block(seed, None, sites)[0]
-    c = np.empty(len(sites))
+    u = np.empty((len(keys), len(sites)))
+    for k, key in enumerate(keys):
+        # a key word that is not an int, say 3.0, would hash to the int's cached draw: check before the lookup
+        if type(key) is not tuple or not all(type(w) is int and w >= 0 for w in key):
+            _key_words(key)
+        if isinstance(key, tuple) and key and isinstance(key[-1], int) and key[-1] >= 0:
+            block, row = divmod(key[-1], REPLICA_BLOCK)
+            u[k] = _uniform_block(key[:-1], block, sites)[row]
+        else:
+            u[k] = _uniform_block(key, None, sites)[0]
+    c = np.empty_like(u)
     for law, at in groups:
         if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time
-            c[at] = [law._from_uniform(x) if cap is None else law._from_uniform_below(x, cap) for x in u[at].tolist()]
+            x = u[:, at]
+            mapped = [law._from_uniform(v) if cap is None else law._from_uniform_below(v, cap) for v in x.ravel().tolist()]
+            c[:, at] = np.reshape(mapped, x.shape)
         else:
-            c[at] = law._from_uniform(u[at]) if cap is None else law._from_uniform_below(u[at], cap)
+            c[:, at] = law._from_uniform(u[:, at]) if cap is None else law._from_uniform_below(u[:, at], cap)
     return c
 
 
@@ -577,24 +573,31 @@ def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.
     return near, P.tocsr(), _law_groups(model.dists, near)
 
 
-def sample_potential(
-    model: AlloyModel,
-    seed: int | tuple[int, ...],
-    box: BoxSpec,
-    conditioning_cap: float | None = None,
-    couplings_override: float | None = None,
-) -> np.ndarray:
-    """One disorder sample of the potential at every grid node of the box.
+def sample_potentials(model: AlloyModel, draws: Sequence[tuple[Any, float | None]], box: BoxSpec,
+                      conditioning_cap: float | None = None) -> np.ndarray:
+    """The (ndof, len(draws)) potentials of (key, couplings override) draws at the box's nodes, a column per draw.
 
-    conditioning_cap draws every coupling conditioned on staying at or below
-    the cap (the small-coupling event used for the spectral minimum probe);
-    couplings_override pins all couplings to a constant, a diagnostic seam.
+    conditioning_cap conditions every coupling on staying at or below it (the
+    small-coupling event of the spectral minimum probe); an override pins its
+    draw's couplings to a constant, a diagnostic seam.  One CSR product P @ C.T
+    forms every column: csr_matvecs adds u_j c_j in csr_matvec's order, so each column is its draw's P @ c.
     """
     model.check_box_registered(box)
     near, P, groups = _box_profiles(model, box)
-    if couplings_override is not None:
-        return P @ np.full(len(near), float(couplings_override))
-    return P @ _couplings(groups, seed, near, conditioning_cap)
+    C = np.empty((len(draws), len(near)))
+    drawn = [r for r, (_, override) in enumerate(draws) if override is None]
+    if drawn:
+        C[drawn] = _couplings(groups, [draws[r][0] for r in drawn], near, conditioning_cap)
+    for r, (_, override) in enumerate(draws):
+        if override is not None:
+            C[r] = float(override)
+    return P @ C.T
+
+
+def sample_potential(model: AlloyModel, seed: int | tuple[int, ...], box: BoxSpec, conditioning_cap: float | None = None,
+                     couplings_override: float | None = None) -> np.ndarray:
+    """One disorder sample of the potential at every grid node of the box: sample_potentials for one draw."""
+    return sample_potentials(model, [(seed, couplings_override)], box, conditioning_cap)[:, 0]
 
 
 def mean_potential(model: AlloyModel, box: BoxSpec) -> np.ndarray:
@@ -754,7 +757,7 @@ class DilutedMinorant:
         nodes = box.nodes()
         w = np.zeros(box.ndof)
         sites = tuple(cell.site_index for cell in self.cells)
-        pis = _couplings(_law_groups(model.dists, sites), seed, sites).tolist()
+        pis = _couplings(_law_groups(model.dists, sites), [seed], sites)[0].tolist()
         for cell, pi in zip(self.cells, pis):
             if pi >= self.threshold:
                 w += self.threshold * self.weight * cell.kept.contains(nodes).astype(float)

@@ -5,15 +5,15 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
 
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
   tridiagonal bands (`sturm_count`).  A block of replicas shares the free
-  off-diagonal, so `precount_below` counts all of its operators at every
-  shift a query will ask for at once: each (operator, shift) pair is a
-  lane, and from LANE_CROSSOVER lanes on one numpy recurrence runs over all
-  of them, one step per unknown and two ufuncs a step, with the IEEE
+  off-diagonal and keeps its diagonals as one (n, R) array
+  (`grids.OperatorBlock`), so `precount_below` counts every operator at
+  every shift a query will ask for at once: each (operator, shift) pair is
+  a lane, and from LANE_CROSSOVER lanes on one numpy recurrence runs over
+  that array, one step per unknown and two ufuncs a step, with the IEEE
   operations of the scalar loop in the same order.  Each operator keeps
   those counts (`DiscreteHamiltonian.below`), and inertia_count reads them
-  first, before any count runs.  The shifts are a block's window ends
-  (`precount_windows`) or the two resonance shifts of a resolvent query
-  (`resonance_shifts`).
+  first.  The shifts are a block's window ends (`precount_windows`) or the
+  two resonance shifts of a resolvent query (`resonance_shifts`).
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice, in both slice orders.  An open box has n
@@ -64,7 +64,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .grids import BoxSpec, DiscreteHamiltonian
+from .grids import BoxSpec, DiscreteHamiltonian, OperatorBlock
 from .thick_sets import RasterSet
 
 DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs above it
@@ -270,26 +270,21 @@ def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
     return inertia_count(H, x_hi) - (0 if lo == -math.inf else inertia_count(H, x_lo))
 
 
-def precount_below(operators: Sequence[DiscreteHamiltonian], shifts: Sequence[float]) -> None:
-    """Count every operator below every shift at once, for inertia_count to read.
-
-    For d=1 operators with an open boundary, all on one box: each
-    (operator, shift) pair is a lane, and from LANE_CROSSOVER lanes on one
-    sturm_count runs them all and each operator keeps its counts in `below`.
-    Fewer lanes, or other operators, are left to inertia_count.
-    """
+def precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
+    """Count every operator of the block below every shift at once, for inertia_count to read: for d=1
+    operators with an open boundary, from LANE_CROSSOVER (operator, shift) lanes on, one sturm_count on
+    the block's (n, R) diagonal, kept in each operator's `below`.  Anything else is left to inertia_count."""
     shifts = sorted({x for x in shifts if x != -math.inf})
-    if not operators or not operators[0].is_tridiagonal or len(operators) * len(shifts) < LANE_CROSSOVER:
+    if block.diag.shape[1] * len(shifts) < LANE_CROSSOVER or not block.operators[0].is_tridiagonal:
         return
-    diag = np.column_stack([H.tridiagonal()[0] for H in operators])
-    below = sturm_count(diag, operators[0].tridiagonal()[1], shifts)
-    for H, counts in zip(operators, below.tolist()):
+    below = sturm_count(block.diag, block.operators[0].stencil.coupling, shifts)
+    for H, counts in zip(block.operators, below.tolist()):
         H.below.update(zip(shifts, counts))
 
 
-def precount_windows(operators: Sequence[DiscreteHamiltonian], windows: Sequence[tuple[float, float]]) -> None:
+def precount_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> None:
     """precount_below at the ends of every closed window, for count_in_interval to read."""
-    precount_below(operators, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
+    precount_below(block, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
 
 
 # the LAPACK routines behind scipy.linalg.eigh_tridiagonal's select by value,
@@ -508,6 +503,4 @@ def compressed_indicator_min_eig(basis: np.ndarray, box: BoxSpec, S: RasterSet) 
         raise EigensolverError("basis columns are not orthonormal to the required tolerance")
     mask = S.contains(box.nodes()).astype(float)
     G = basis.T @ (mask[:, np.newaxis] * basis)
-    G = 0.5 * (G + G.T)
-    ev = sla.eigvalsh(G)
-    return float(ev[0])
+    return float(sla.eigvalsh(0.5 * (G + G.T))[0])

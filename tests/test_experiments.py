@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from wegner_lab import experiments as X
 from wegner_lab import spectral
-from wegner_lab.grids import BoxSpec, add_potential, build_free_laplacian
-from wegner_lab.random_model import BernoulliAt, Uniform, covering_model, geometric_dilution_model
+from wegner_lab.grids import BoxSpec, add_potential, add_potentials, build_free_laplacian
+from wegner_lab.random_model import BernoulliAt, Uniform, covering_model, geometric_dilution_model, sample_potential
 from wegner_lab.reports import ExperimentReport
 from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
 from wegner_lab.thick_sets import stripes_raster
@@ -446,10 +446,25 @@ class TestIse:
             return sturm_count(diag, off, x)
 
         monkeypatch.setattr(spectral, "sturm_count", counting)
-        got = X._end_to_end_norms(((add_potential(free, v), v) for v in V), z, rows, cols)
+        got = X._end_to_end_norms(add_potentials(free, V.T), V.T, z, rows, cols)
         assert got == want
         assert [i for i, norm in enumerate(got) if norm is None] == [hit]
         assert len(scalar) == (0 if 2 * R >= LANE_CROSSOVER else 2 * R)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_replica_block_hands_queries_the_per_draw_operators(covering, slab, d):
+    model, box = (covering, X._box(1, 8.0, 16)) if d == 1 else (slab, X._box(2, 2.0, 4))
+    draws = [((3, r), None) for r in range(60, 70)] + [((3, 0), 0.0), (9, None), ((3, 64), 0.25)]
+    for cap in (None, 0.5):
+        block, V = X._replica_block(lambda block, V: (block, V), (), model, box, cap, draws)
+        free = build_free_laplacian(box)
+        for r, (key, override) in enumerate(draws):
+            v = sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override)
+            H = block.operators[r]
+            assert np.array_equal(V[:, r].view(np.int64), v.view(np.int64))
+            assert np.array_equal(H.diag.view(np.int64), add_potential(free, v).diag.view(np.int64))
+            assert H.stencil is free.stencil and not H.diag.flags.writeable
 
 
 class TestUncertainty:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wegner_lab import random_model
-from wegner_lab.grids import BoxSpec
+from wegner_lab.grids import BoxSpec, GridError, add_potential, add_potentials, build_free_laplacian
 from wegner_lab.random_model import (
     AlloyModel,
     BallIndicator,
@@ -40,6 +40,7 @@ from wegner_lab.random_model import (
     _law_groups,
     build_model,
     sample_potential,
+    sample_potentials,
     site_uniforms,
     verify_NoPi,
     verify_Pi,
@@ -192,6 +193,8 @@ class TestSampling:
             return  # refused by the caller
         if step is not None:
             u = float(np.nextafter(p0, p0 + step))  # the draw just below, at or just above p0
+            if u >= 1.0:
+                return  # above the largest p0 below 1: no uniform in [0, 1) is drawn there
         assert law._from_uniform_below(u, cap) == _accumulated_atom(law, u, cap)
 
     def test_bernoulli_conditioning_keeps_low_atom(self):
@@ -307,7 +310,7 @@ class TestStreams:
         with pytest.raises(ModelError):
             site_uniforms(keys, sites)
         with pytest.raises(ModelError):
-            _couplings(((Uniform(0.0, 1.0), slice(None)),), keys[0], sites)
+            _couplings(((Uniform(0.0, 1.0), slice(None)),), keys[:1], sites)
 
     def test_a_float_key_word_is_refused_whatever_the_cache_holds(self, covering):
         # (3.0, 5) hashes like (3, 5), so a cached draw of (3, 5) must not answer it
@@ -360,13 +363,13 @@ class TestStreams:
         groups = _law_groups([dist] * 8, sites)  # _law_groups takes each site's law from a list indexed by site
         for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
             u = [float(_numpy_uniform(key, site)) for site in sites]
-            assert _couplings(groups, key, sites).tolist() == [float(dist._from_uniform(x)) for x in u]
-            assert _couplings(groups, key, sites, cap).tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
+            assert _couplings(groups, [key], sites)[0].tolist() == [float(dist._from_uniform(x)) for x in u]
+            assert _couplings(groups, [key], sites, cap)[0].tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
 
     def test_sample_couplings_match_numpy(self):
         model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
         sites = tuple(range(len(model.dists)))
-        got = _couplings(_law_groups(model.dists, sites), (3, 70), sites).tolist()
+        got = _couplings(_law_groups(model.dists, sites), [(3, 70)], sites)[0].tolist()
         want = [float(d._from_uniform(float(_numpy_uniform((3, 70), i)))) for i, d in enumerate(model.dists)]
         assert got == want
 
@@ -477,7 +480,7 @@ class TestAlloyModel:
 
     def test_sample_couplings_matches_sitewise(self, covering):
         sites = tuple(range(len(covering.dists)))
-        cs = _couplings(_law_groups(covering.dists, sites), 9, sites)
+        cs = _couplings(_law_groups(covering.dists, sites), [9], sites)[0]
         assert cs[3] == float(covering.dists[3]._from_uniform(float(site_uniforms([9], (3,))[0, 0])))
 
     def test_same_draw_on_overlapping_boxes(self, covering):
@@ -962,6 +965,68 @@ def test_sampled_potential_is_each_laws_scalar_map_of_numpys_uniform(case):
     got = sample_potential(model, key, box, conditioning_cap=cap)
     want = _loop_potential(model, box, lambda i: _scalar_coupling(model.dists[i], _numpy_uniform(key, i), cap))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _block_case(draw):
+    """A model (one law, or a law per site), a d=1 or d=2 box, a cap or none, and a block of
+    (key, override) draws: consecutive replicas from a start that may straddle replicas 63/64,
+    some overridden, with plain-int keys and other stems mixed in."""
+    model, box, _, cap = draw(_law_case())
+    stem = draw(st.integers(0, 2**40))
+    start = draw(st.sampled_from([0, 1, 40, 63, 64, 120]))
+    keys = [(stem, r) for r in range(start, start + draw(st.integers(1, 70)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(keys)))
+        keys.insert(at, draw(st.sampled_from([stem, stem + 1, (stem + 1, 5), (stem, 3), (stem, (1, 2))])))
+    overrides = draw(st.lists(st.sampled_from([None, None, None, 0.0, 0.75, -1.5]), min_size=len(keys), max_size=len(keys)))
+    return model, box, cap, list(zip(keys, overrides))
+
+
+@given(case=_block_case())
+@settings(max_examples=120, deadline=None)
+def test_a_block_of_draws_is_the_column_stack_of_single_draws(case):
+    model, box, cap, draws = case
+    sites = model.sites_near_box(box)
+    refused = cap is not None and any(model.dists[i].cdf(cap) == 0.0 for i in sites)
+    if refused and any(override is None for _, override in draws):
+        with pytest.raises(ModelError, match="leaves no mass below it"):
+            sample_potentials(model, draws, box, conditioning_cap=cap)
+        return
+    V = sample_potentials(model, draws, box, conditioning_cap=cap)
+    singles = [sample_potential(model, key, box, conditioning_cap=cap, couplings_override=o) for key, o in draws]
+    want = np.column_stack(singles)
+    assert V.shape == want.shape == (box.ndof, len(draws)) and V.dtype == want.dtype
+    assert np.array_equal(V.view(np.int64), want.view(np.int64))
+    # the block's first and last drawn columns against numpy's scalar stream
+    drawn = [r for r, (_, override) in enumerate(draws) if override is None]
+    for r in drawn[:1] + drawn[-1:]:
+        key = draws[r][0]
+        oracle = _loop_potential(model, box, lambda i: _scalar_coupling(model.dists[i], _numpy_uniform(key, i), cap))
+        assert V[:, r].tobytes() == oracle.tobytes()
+    # the block's operators: each diagonal is the per-draw chain's, bit for bit, read-only, on the box's stencil
+    free = build_free_laplacian(box)
+    block = add_potentials(free, V)
+    assert len(block.operators) == len(draws) and not block.diag.flags.writeable
+    for r, (H, v) in enumerate(zip(block.operators, singles)):
+        single = add_potential(free, v)
+        assert np.array_equal(H.diag.view(np.int64), single.diag.view(np.int64))
+        assert np.array_equal(block.diag[:, r].view(np.int64), single.diag.view(np.int64))
+        assert H.stencil is free.stencil and not H.diag.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_block_with_a_non_finite_potential_is_refused(covering, bad):
+    box = _box(L=4.0, n=63)
+    draws = [((5, r), None) for r in range(60, 68)]
+    draws[3] = ((5, 63), bad)
+    V = sample_potentials(covering, draws, box)
+    free = build_free_laplacian(box)
+    with pytest.raises(GridError, match="potential contains non-finite entries"):
+        add_potentials(free, V)
+    with pytest.raises(GridError, match="potential contains non-finite entries"):
+        add_potential(free, V[:, 3])
+    add_potentials(free, np.delete(V, 3, axis=1))  # the finite draws alone are accepted
 
 
 def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):

@@ -23,18 +23,20 @@ from wegner_lab.thick_sets import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
-BATTERY_JOBS = (
-    "wegner-covering",
-    "wegner-cantor",
-    "ids-covering",
-    "uncertainty-stripes",
-    "ise-covering",
-    "stubborn-geometric",
-    "stubborn-exp-geometric",
-    "spectral-minimum-covering",
-    "localisation-probe-covering",
-    "minorant-covering",
-)
+
+def _load_script(name):
+    """A script under scripts/ as a module, loaded without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write
+    return module
+
+
+BATTERY_JOBS = tuple(name for name, *_ in _load_script("run_battery.py").JOBS)
 
 
 def _script(name, *args):

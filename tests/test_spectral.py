@@ -23,6 +23,7 @@ from wegner_lab.grids import (
     DiscreteHamiltonian,
     Stencil,
     add_potential,
+    add_potentials,
     build_free_laplacian,
     discrete_dirichlet_spectrum,
 )
@@ -200,10 +201,10 @@ class TestSturmLanes:
         want = [[count_in_interval(add_potential(free, diag[:, r]), lo, hi) for lo, hi in windows] for r in range(R)]
         # the lanes, and the loop below the crossover
         for crossover in (1, LANE_CROSSOVER):
-            operators = [add_potential(free, diag[:, r]) for r in range(R)]
+            block = add_potentials(free, diag)
             with mock.patch.object(spectral, "LANE_CROSSOVER", crossover):
-                precount_windows(operators, windows)
-            assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in operators] == want
+                precount_windows(block, windows)
+            assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in block.operators] == want
 
     @pytest.mark.parametrize("R, in_lanes", [(LANE_CROSSOVER - 1, False), (LANE_CROSSOVER, True)])
     def test_both_sides_of_the_crossover(self, R, in_lanes, monkeypatch):
@@ -212,13 +213,13 @@ class TestSturmLanes:
         monkeypatch.setattr(spectral, "_sturm_lanes", lambda *a: calls.append(1) or real(*a))
         free = build_free_laplacian(BoxSpec(d=1, length=5.0, center=(0.0,), n=80))
         V = np.random.default_rng(R).uniform(0.0, 20.0, size=(80, R))
-        operators = [add_potential(free, v) for v in V.T]
+        block = add_potentials(free, V)
         # one window end: R lanes
         want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
-        precount_windows(operators, [(-math.inf, 40.0)])
+        precount_windows(block, [(-math.inf, 40.0)])
         assert len(calls) == in_lanes
-        assert all(bool(H.below) == in_lanes for H in operators)
-        assert [count_in_interval(H, -math.inf, 40.0) for H in operators] == want
+        assert all(bool(H.below) == in_lanes for H in block.operators)
+        assert [count_in_interval(H, -math.inf, 40.0) for H in block.operators] == want
 
 
 def _zero_pivot_bands(zeros, x, off):
@@ -293,10 +294,10 @@ class TestChunkedLanes:
         assert hit == [0, 8, 12, 20]
         rng = np.random.default_rng(lanes)
         columns = [built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(lanes - 1)]
-        operators = [add_potential(free, v - 2.0) for v in columns]
-        precount_below(operators, [1.0])
-        assert all(bool(H.below) == (lanes >= LANE_CROSSOVER) for H in operators)
-        assert [inertia_count(H, 1.0) for H in operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
+        block = add_potentials(free, np.column_stack(columns) - 2.0)
+        precount_below(block, [1.0])
+        assert all(bool(H.below) == (lanes >= LANE_CROSSOVER) for H in block.operators)
+        assert [inertia_count(H, 1.0) for H in block.operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
 
 
 class TestInertiaCount:
