@@ -23,20 +23,20 @@ from wegner_lab.random_model import (
 from wegner_lab.thick_sets import stripes_raster
 
 # the battery, one row per job: its name, the experiments driver it calls, the
-# subject it runs on, its replicas at full size and under --quick (None: the
-# driver's default either way), and any other arguments; every driver that
-# takes workers gets --workers
+# subject it runs on, its replicas under --quick (None: the driver's default;
+# a full run always takes the driver's default), and any other arguments;
+# every driver that takes workers gets --workers
 JOBS = (
-    ("wegner-covering", "run_wegner", "covering", (200, 20), {}),
-    ("wegner-cantor", "run_wegner", "cantor", (200, 20), {}),
-    ("ids-covering", "estimate_ids", "covering", (100, 10), {"c_w": 1.0}),
+    ("wegner-covering", "run_wegner", "covering", 20, {}),
+    ("wegner-cantor", "run_wegner", "cantor", 20, {}),
+    ("ids-covering", "estimate_ids", "covering", 10, {"c_w": 1.0}),
     ("uncertainty-stripes", "run_uncertainty", "stripes", None, {}),
-    ("ise-covering", "run_ise", "covering", (200, 20), {}),
+    ("ise-covering", "run_ise", "covering", 20, {}),
     ("stubborn-geometric", "run_stubborn", "geometric", None, {}),
     ("stubborn-exp-geometric", "run_stubborn_exponential", "geometric", None, {}),
-    ("spectral-minimum-covering", "run_spectral_minimum", "covering", (40, 10), {}),
+    ("spectral-minimum-covering", "run_spectral_minimum", "covering", 10, {}),
     ("localisation-probe-covering", "localisation_probe", "covering", None, {}),
-    ("minorant-covering", "run_minorant_check", "covering", (20, 5), {}),
+    ("minorant-covering", "run_minorant_check", "covering", 5, {}),
 )
 
 
@@ -63,10 +63,10 @@ def main(argv=None) -> int:
     }
 
     failed = False
-    for name, driver_name, subject, replicas, kwargs in JOBS:
+    for name, driver_name, subject, quick_replicas, kwargs in JOBS:
         driver = getattr(X, driver_name)
-        if replicas is not None:
-            kwargs = kwargs | {"replicas": replicas[args.quick]}
+        if args.quick and quick_replicas is not None:
+            kwargs = kwargs | {"replicas": quick_replicas}
         if "workers" in inspect.signature(driver).parameters:
             kwargs = kwargs | {"workers": args.workers}
         rep = driver(subjects[subject], **kwargs)

@@ -13,7 +13,8 @@ run file's [parameters] keys are the driver's keyword arguments lowercased,
 with the driver's defaults and the kinds its annotations give (plus those
 of build_set when the driver takes a set, not a model).  [run] holds the
 experiment, a seed >= 0, and those of replicas, workers and mesh_density
-(each >= 1) the driver takes; workers = 1 is the serial run of any driver.
+(each >= 1, as the drivers require of replicas and workers too) the driver
+takes; workers = 1 is the serial run of any driver.
 A model file's keys are random_model.build_model's keywords, and one table,
 random_model.KINDS, parses the values of both kinds of file.
 
@@ -62,8 +63,8 @@ class ConfigError(ValueError):
     pass
 
 
-# [run] keys besides the experiment, with the least value each accepts
-_RUN_KEYS = {"seed": 0, "replicas": 1, "workers": 1, "mesh_density": 1}
+# [run] keys besides the experiment, in the resolved file's order, with the least value each accepts
+_RUN_KEYS = {"seed": 0, "workers": 1, "replicas": 1, "mesh_density": 1}
 
 
 def build_set(
@@ -105,11 +106,9 @@ def _schema(experiment: str) -> tuple[Any, dict[str, inspect.Parameter], dict[st
 @dataclass
 class RunConfig:
     experiment: str
-    seed: int = 0
-    replicas: int | None = None
-    workers: int = 1
-    mesh_density: int | None = None
-    params: dict[str, Any] = field(default_factory=dict)
+    # the call's keyword values by lowercased key: the [run] keys set (seed and workers always) and every
+    # [parameters] key, defaults included
+    params: dict[str, Any] = field(default_factory=lambda: {"seed": 0, "workers": 1})
 
 
 def _parse_value(kind: str, raw: str, key: str, where: str) -> Any:
@@ -140,7 +139,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: {key} must be at least {_RUN_KEYS[key]}, got {value}")
         if key not in keys and (key, value) != ("workers", 1):
             raise ConfigError(f"{path}: experiment {experiment} takes no {key!r} in [run]")
-        setattr(cfg, key, value)
+        cfg.params[key] = value
     params = {k: p for k, p in keys.items() if k not in _RUN_KEYS} | (set_keys or {})
     if "parameters" in parser:
         for key, raw in parser["parameters"].items():
@@ -155,13 +154,9 @@ def parse_run_config(path: str | Path) -> RunConfig:
 
 
 def resolved_ini(cfg: RunConfig) -> str:
-    lines = ["[run]", f"experiment = {cfg.experiment}", f"seed = {cfg.seed}", f"workers = {cfg.workers}"]
-    if cfg.replicas is not None:
-        lines.append(f"replicas = {cfg.replicas}")
-    if cfg.mesh_density is not None:
-        lines.append(f"mesh_density = {cfg.mesh_density}")
-    lines += ["", "[parameters]"]
-    for key in sorted(cfg.params):
+    lines = ["[run]", f"experiment = {cfg.experiment}"]
+    lines += [f"{key} = {cfg.params[key]}" for key in _RUN_KEYS if key in cfg.params] + ["", "[parameters]"]
+    for key in sorted(cfg.params.keys() - _RUN_KEYS):
         val = cfg.params[key]
         if val is None:
             continue
@@ -183,11 +178,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"experiment {cfg.experiment} needs a model file (--model)")
     else:
         subject = load_model_config(args.model)
-    kwargs = {p.name: getattr(cfg, k) if k in _RUN_KEYS else cfg.params[k] for k, p in keys.items()}
     out_dir = Path(os.environ.get("WEGNER_LAB_OUT", args.out or "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     # unset replicas and mesh_density, and an unset c_w, leave the driver's default
-    rep = driver(subject, **{name: v for name, v in kwargs.items() if v is not None})
+    rep = driver(subject, **{p.name: cfg.params[k] for k, p in keys.items() if cfg.params.get(k) is not None})
     rep.write(out_dir)
     (out_dir / "config.resolved.ini").write_text(resolved_ini(cfg))
     sys.stdout.write(rep.human_summary())

@@ -74,11 +74,11 @@ def _experiment(name: str):
     """Register the driver as the experiment `name`.
 
     A call binds with the driver's defaults, each Grid argument as the sorted
-    tuple of its distinct values; an empty grid or fewer than one replica is
-    refused.  The report is stamped with the name, the seed, the wall-clock
-    time and the config: every bound argument but the first (the model or
-    set), seed and workers, under any entries the driver set itself.  The one
-    process pool its replica maps shared is shut down."""
+    tuple of its distinct values; an empty grid or fewer than one replica or
+    worker is refused.  The report is stamped with the name, the seed, the
+    wall-clock time and the config: every bound argument but the first (the
+    model or set), seed and workers, under any entries the driver set itself.
+    The one process pool its replica maps shared is shut down."""
 
     def register(driver):
         EXPERIMENTS[name] = driver.__name__
@@ -94,8 +94,9 @@ def _experiment(name: str):
                 call[key] = tuple(sorted(set(call[key])))
                 if not call[key]:
                     raise PreconditionError(f"{key} must not be empty")
-            if call.get("replicas", 1) < 1:  # every default is >= 1
-                raise PreconditionError(f"replicas must be at least 1, got {call['replicas']}")
+            for key in ("replicas", "workers"):
+                if call.get(key, 1) < 1:  # every default is >= 1
+                    raise PreconditionError(f"{key} must be at least 1, got {call[key]}")
             t0 = time.perf_counter()
             token = _POOL.set([])
             try:
@@ -295,7 +296,10 @@ def estimate_ids(
     box = _box(model.d, L, mesh_density)
     vol = L**model.d
     windows = tuple((-math.inf, v) for E in E_list for v in (E - eps, E, E + eps))
-    counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
+    # one more draw, the zero-coupling seam: its counts below each E must be the free operator's
+    draws = _draws(seed, replicas) + [((seed, 0), 0.0)]
+    *counts, free = _map_replicas(_window_counts, (windows,), model, box, draws, workers)
+    counts = np.array(counts, float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
     ses = _stderr(at_e) / vol
@@ -303,12 +307,9 @@ def estimate_ids(
         rep.records.append(record(E, "ids", float(m), float(s), replicas))
     rep.verdicts["monotone_in_energy"] = PASS if bool(np.all(np.diff(means) >= 0)) else FAIL
 
-    # zero-coupling seam: one deterministic evaluation must hit the free count
-    below = [(-math.inf, E) for E in E_list]
-    (free,) = _map_replicas(_window_counts, (below,), model, box, [((seed, 0), 0.0)], workers)
     spec = discrete_dirichlet_spectrum(box)
     seam_ok = True
-    for E, got in zip(E_list, free):
+    for E, got in zip(E_list, free[1::3]):
         want = int(np.count_nonzero(spec <= E + 1e-12 * max(1.0, E)))
         rep.records.append(record(E, "ids_free_seam", got / vol, None, 1))
         seam_ok = seam_ok and got == want

@@ -336,18 +336,16 @@ UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept, and as 
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
-def _block_pools(stem: Any, block: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """_stacked_pools of the keys (*stem, r) of a replica block, or of the stem alone when block is None;
-    every box size drawn on the block shares them."""
-    keys = [stem] if block is None else [stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)]
-    pools = _stacked_pools(keys)
+def _block_pools(stem: tuple[int, ...], block: int) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_pools of the keys (*stem, r) of a replica block; every box size drawn on the block shares them."""
+    pools = _stacked_pools([stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)])
     for a in pools:
         a.flags.writeable = False
     return pools
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
-def _uniform_block(stem: Any, block: int | None, sites: tuple[int, ...]) -> np.ndarray:
+def _uniform_block(stem: tuple[int, ...], block: int, sites: tuple[int, ...]) -> np.ndarray:
     u = _pool_uniforms(_block_pools(stem, block), sites)
     u.flags.writeable = False
     return u
@@ -364,21 +362,21 @@ def _law_groups(dists: Sequence[Distribution], sites: tuple[int, ...]) -> tuple[
 def _couplings(groups: tuple[tuple[Distribution, Any], ...], keys: Sequence[Any], sites: tuple[int, ...],
                cap: float | None = None) -> np.ndarray:
     """The (keys, sites) couplings of the listed sites, the first uniform of each key's stream at each site
-    mapped by the site's law (its _law_groups), for every key at once.  A key (*stem, r) is drawn with
-    the 63 other replicas of its block of 64, any other key as a block of one.  A cap conditions every
+    mapped by the site's law (its _law_groups), for every key at once.  SeedSequence reads only a key's
+    uint32 words, so every key names the stream of its word tuple (*stem, r), read as row r % 64 of the
+    replica block of 64 keys it shares with stem; the empty key has no row.  A cap conditions every
     coupling on staying at or below it; a cap under which a listed site's law has no mass is refused."""
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
     u = np.empty((len(keys), len(sites)))
     for k, key in enumerate(keys):
-        # a key word that is not an int, say 3.0, would hash to the int's cached draw: check before the lookup
-        if type(key) is not tuple or not all(type(w) is int and w >= 0 for w in key):
-            _key_words(key)
-        if isinstance(key, tuple) and key and isinstance(key[-1], int) and key[-1] >= 0:
-            block, row = divmod(key[-1], REPLICA_BLOCK)
-            u[k] = _uniform_block(key[:-1], block, sites)[row]
-        else:
-            u[k] = _uniform_block(key, None, sites)[0]
+        # a key that is its own word tuple, as every driver's (seed, r) is, needs no split
+        own = type(key) is tuple and all(type(w) is int and 0 <= w <= _MASK32 for w in key)
+        words = key if own else _key_words(key)
+        if not words:
+            raise ModelError(f"stream keys need at least one word, got {key!r}")
+        block, row = divmod(words[-1], REPLICA_BLOCK)
+        u[k] = _uniform_block(tuple(words[:-1]), block, sites)[row]
     c = np.empty_like(u)
     for law, at in groups:
         if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time

@@ -72,8 +72,8 @@ class TestParseRunConfig:
     def test_defaults_fill_in(self, tmp_path):
         cfg = parse_run_config(_write(tmp_path / "r.ini", "[run]\nexperiment = uncertainty\n"))
         assert cfg.experiment == "uncertainty"
-        assert cfg.seed == 0 and cfg.workers == 1
-        assert cfg.replicas is None and cfg.mesh_density is None
+        assert cfg.params["seed"] == 0 and cfg.params["workers"] == 1
+        assert "replicas" not in cfg.params and "mesh_density" not in cfg.params
         assert cfg.params["set_kind"] == "stripes"
         assert cfg.params["l_list"] == (2.0, 3.0, 4.0)
 
@@ -81,7 +81,7 @@ class TestParseRunConfig:
         text = "[run]\nexperiment = wegner\nreplicas = 4\n\n[parameters]\nl_list = 8, 16\n"
         cfg = parse_run_config(_write(tmp_path / "r.ini", text))
         assert cfg.params["l_list"] == (8.0, 16.0)
-        assert cfg.replicas == 4
+        assert cfg.params["replicas"] == 4
 
     def test_unknown_section_named(self, tmp_path):
         p = _write(tmp_path / "r.ini", "[run]\nexperiment = ise\n\n[extras]\nx = 1\n")

@@ -611,14 +611,20 @@ class TestReportSurface:
         ("run_spectral_minimum", "covering", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=70)),
         ("localisation_probe", "covering", dict(E_lo=0.0, E_hi=2.0, L=8.0, seed=0, replicas=4)),
         ("run_stubborn_exponential", "geometric", dict(L=4.0, eigen_index=3, seed=0, replicas=3)),
-        # one worker maps blocks of 64 and 1 (64, 64 and 1) replicas: the full
-        # blocks count in lanes, the one-replica tails in the scalar loop; two
-        # workers map blocks of 8 (16) replicas, which count in the loop (lanes)
+        # one worker maps blocks of 64 and 1 (64, 64 and 2, the seam's draw
+        # last) draws: the full blocks count in lanes, the one-replica tail in
+        # the scalar loop; two workers map blocks of 8 (16) draws, which count
+        # in the loop (lanes)
         ("run_wegner", "covering", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=65)),
         ("estimate_ids", "covering", dict(L=4.0, E_list=(2.0, 5.0, 10.0), seed=5, replicas=129)),
         # one worker checks resonance for 64 operators in lanes and for the
         # last one in the loop; two workers map blocks of 8, all in the loop
         ("run_ise", "covering", dict(L_list=(4.0,), seed=5, replicas=65)),
+        # d=2, where worker processes pay: boxes of 225 and 529 unknowns, one
+        # block of 8 replicas on one worker, eight blocks of 1 on two
+        ("run_wegner", "slab", dict(L_list=(4.0, 6.0), eps_list=(0.4,), seed=3, replicas=8, mesh_density=4)),
+        ("run_ise", "slab", dict(L_list=(4.0, 6.0), seed=5, replicas=8, mesh_density=4)),
+        ("run_spectral_minimum", "slab", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=8, mesh_density=4)),
     ],
 )
 def test_replica_drivers_are_worker_count_invariant(driver, fixture, kw, request):
@@ -741,9 +747,11 @@ def test_fewer_than_one_replica_refused_before_sampling(driver, fixture, request
     run = getattr(X, driver)
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
-    for replicas in (0, -3):
-        with pytest.raises(X.PreconditionError, match=f"replicas must be at least 1, got {replicas}$"):
-            run(model, replicas=replicas)
+    monkeypatch.setattr(X, "sample_potentials", lambda *a, **k: sampled.append(a))
+    for key in [k for k in ("replicas", "workers") if k in inspect.signature(run).parameters]:
+        for value in (0, -3):
+            with pytest.raises(X.PreconditionError, match=f"{key} must be at least 1, got {value}$"):
+                run(model, **{key: value})
     # the count is read from the bound arguments, so a positional 0 is refused alike
     params = list(inspect.signature(run).parameters.values())
     before = [p.default for p in params[1 : [p.name for p in params].index("replicas")]]

@@ -243,18 +243,20 @@ _KEYS = st.one_of(
 _SITES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
+def _words(key):
+    """The flat uint32 words, least significant first, that SeedSequence reads from a key."""
+    if isinstance(key, tuple):
+        return [w for part in key for w in _words(part)]
+    key = int(key)
+    return [(key >> s) & 0xFFFFFFFF for s in range(0, max(32, key.bit_length()), 32)]
+
+
 def _mixed_pool(key):
     """SeedSequence's key mixing by hand, mod 2**32 on Python ints: the pool
     before the site word, and the hash constants the site word meets.  The
     oracle for _key_pool."""
     mask, init_a, mult_a, mix_l, mix_r = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-
-    def words_of(k):
-        if isinstance(k, tuple):
-            return [w for part in k for w in words_of(part)]
-        return [(k >> s) & mask for s in range(0, max(32, k.bit_length()), 32)]
-
-    words = words_of(key)
+    words = _words(key)
     words += [0] * (4 - len(words))
     h = init_a
     pool = []
@@ -323,6 +325,26 @@ class TestStreams:
         for key in ((3.0, 5), (3, 5.0), 3.0):
             with pytest.raises(ModelError, match="stream keys"):
                 sample_potential(covering, key, box)
+
+    @given(
+        key=st.one_of(
+            st.integers(0, 2**200),  # one to seven words
+            st.recursive(st.integers(0, 2**70), lambda part: st.lists(part, min_size=1, max_size=3).map(tuple)),
+            st.lists(st.integers(0, 2**63 - 1).map(np.int64), min_size=1, max_size=4).map(tuple),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_key_draws_the_stream_of_its_word_tuple(self, covering, key):
+        box = _box()
+        got = sample_potential(covering, key, box)
+        assert got.tobytes() == sample_potential(covering, tuple(_words(key)), box).tobytes()
+        want = _loop_potential(covering, box, lambda i: covering.dists[i]._from_uniform(_numpy_uniform(key, i)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key", [(), ((),), ((), ())])
+    def test_a_key_without_words_is_refused(self, covering, key):
+        with pytest.raises(ModelError, match="stream keys"):
+            sample_potential(covering, key, _box())
 
     @given(
         key=st.one_of(
@@ -947,7 +969,7 @@ def _law_case(draw):
     center = tuple(draw(st.integers(-int(4 * reach), int(4 * reach))) / 4.0 for _ in range(d))
     box = BoxSpec(d=d, length=L, center=center, n=draw(st.integers(3, 40 if d == 1 else 12)))
     stem = draw(st.integers(0, 2**40))
-    # replica keys across the edges of the 64-replica blocks, and keys drawn as blocks of one
+    # replica keys across the edges of the 64-replica blocks, and keys whose last word is no replica index
     key = draw(st.sampled_from([(stem, 0), (stem, 63), (stem, 64), (stem, 130), stem, (stem, (1, 2)), (stem,)]))
     cap = draw(st.one_of(st.none(), st.floats(-1.0, 2.0)))
     return dataclasses.replace(model, dists=dists), box, key, cap
