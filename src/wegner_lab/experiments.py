@@ -42,15 +42,12 @@ from .random_model import (
 )
 from .reports import FAIL, INFORMATIONAL, PASS, ExperimentReport, record
 from .spectral import (
-    ResonantSampleError,
     compressed_indicator_min_eig,
     count_in_interval,
+    count_windows,
     eigs_below,
     inertia_count,
-    precount_below,
-    precount_windows,
-    resolvent_block_norm,
-    resonance_shifts,
+    resolvent_norms,
 )
 from .thick_sets import RasterSet, WindowSpec, certify_thickness, window_field_max
 
@@ -119,25 +116,11 @@ def _experiment(name: str):
 
 
 def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draws: list) -> list:
-    """query(block, V, *args) for one block of (key, couplings override) draws, sampled and built as
-    one array each: V holds the potentials, a column per draw, and block the read-only operators
-    -Delta + V[:, r] on the box's shared stencil, their diagonals the columns of block.diag."""
+    """query(block, *args), one answer per draw in draw order, for one block of (key, couplings override)
+    draws, sampled and built as one array each: V = block.potentials holds a potential per draw, a column
+    each, and block.operators the read-only operators -Delta + V[:, r] on the box's shared stencil."""
     V = sample_potentials(model, draws, box, cap)
-    return query(add_potentials(build_free_laplacian(box), V), V, *args)
-
-
-def _per_operator(query):
-    """The block query applying query(H, v, *args) to each replica in turn.
-
-    functools.wraps gives the block the query's module and name, which it
-    replaces, so worker processes unpickle the block by that name.
-    """
-
-    @functools.wraps(query)
-    def each(block, V, *args) -> list:
-        return [query(H, v, *args) for H, v in zip(block.operators, V.T)]
-
-    return each
+    return query(add_potentials(build_free_laplacian(box), V), *args)
 
 
 def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: list, workers: int, cap=None) -> list:
@@ -196,12 +179,6 @@ def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None,
 # eigenvalue counting in random boxes (the volume-law estimate)
 
 
-def _window_counts(block, V, windows) -> list[tuple[int, ...]]:
-    """Eigenvalue counts of a block of draws, one per closed (lo, hi) window."""
-    precount_windows(block, windows)
-    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
-
-
 def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float) -> float:
     """Mean-shifted free eigenvalue: the highest one keeping the window under e_ref.
 
@@ -247,7 +224,7 @@ def run_wegner(
         e_anchor = _anchor_energy(model, box, e_ref, eps_list[-1])
         rep.fitted[f"anchor_energy_L={L:g}"] = e_anchor
         windows = tuple((e_anchor - e, e_anchor + e) for e in eps_list)
-        counts = np.array(_map_replicas(_window_counts, (windows,), model, box, _draws(seed, replicas), workers), float)
+        counts = np.array(_map_replicas(count_windows, (windows,), model, box, _draws(seed, replicas), workers), float)
         if np.any(np.diff(counts, axis=1) < 0):
             nested_ok = False
         for k, e in enumerate(eps_list):
@@ -298,7 +275,7 @@ def estimate_ids(
     windows = tuple((-math.inf, v) for E in E_list for v in (E - eps, E, E + eps))
     # one more draw, the zero-coupling seam: its counts below each E must be the free operator's
     draws = _draws(seed, replicas) + [((seed, 0), 0.0)]
-    *counts, free = _map_replicas(_window_counts, (windows,), model, box, draws, workers)
+    *counts, free = _map_replicas(count_windows, (windows,), model, box, draws, workers)
     counts = np.array(counts, float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
@@ -420,7 +397,7 @@ def run_stubborn(
         for x in centers:
             box = _box(model.d, L, rho, center=x)
             draws = _draws(seed, replicas) + [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
-            counts = _map_replicas(_window_counts, (((lo, hi),),), model, box, draws, workers)
+            counts = _map_replicas(count_windows, (((lo, hi),),), model, box, draws, workers)
             hits += sum(1 for (c,) in counts if c >= 1)
             total += len(counts)
         rep.records.append(record([L], "window_hit_fraction", hits / total, None, total))
@@ -431,10 +408,10 @@ def run_stubborn(
     return rep
 
 
-@_per_operator
-def _untouched_count(H, v, lo, hi) -> tuple[bool, int]:
-    """Whether one draw leaves the box free of potential, and its count in [lo, hi]."""
-    return float(np.abs(v).max()) == 0.0, count_in_interval(H, lo, hi)
+def _untouched_count(block, lo, hi) -> list[tuple[bool, int]]:
+    """Whether each draw leaves the box free of potential, and its count in [lo, hi]."""
+    untouched = np.abs(block.potentials).max(axis=0) == 0.0
+    return [(bool(u), count_in_interval(H, lo, hi)) for u, H in zip(untouched, block.operators)]
 
 
 @_experiment("stubborn-exp")
@@ -498,7 +475,7 @@ def run_stubborn_exponential(
     cbox = _box(model.d, L, mesh_density, center=xc)
     Ec = float(discrete_dirichlet_spectrum(cbox)[eigen_index])
     window = ((Ec - width, Ec + width),)
-    counts = _map_replicas(_window_counts, (window,), model, cbox, _draws(seed, replicas), workers)
+    counts = _map_replicas(count_windows, (window,), model, cbox, _draws(seed, replicas), workers)
     in_win = sum(c >= 1 for (c,) in counts)
     rep.records.append(record([L], "contrast_hit_fraction", in_win / replicas, None, replicas))
     return rep
@@ -632,21 +609,6 @@ def run_uncertainty(
 # initial-scale resolvent decay
 
 
-def _end_to_end_norms(block, V, z, rows, cols) -> list[float | None]:
-    """|1_A (H - z)^{-1} 1_B| of a block of draws (A = rows, B = cols), None where z is resonant for a draw.
-
-    The block's resonance checks are counted ahead, at once (precount_below).
-    """
-    precount_below(block, resonance_shifts(z))
-    norms: list[float | None] = []
-    for H in block.operators:
-        try:
-            norms.append(resolvent_block_norm(H, z, rows, cols))
-        except ResonantSampleError:
-            norms.append(None)
-    return norms
-
-
 @_experiment("ise")
 def run_ise(
     model: AlloyModel,
@@ -673,7 +635,7 @@ def run_ise(
         z = 1.0 / math.sqrt(L)
         rows = box.node_block((-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
         cols = box.node_block((L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
-        results = _map_replicas(_end_to_end_norms, (z, rows, cols), model, box, _draws(seed, replicas), workers)
+        results = _map_replicas(resolvent_norms, (z, rows, cols), model, box, _draws(seed, replicas), workers)
         norms = np.array([r for r in results if r is not None], dtype=float)
         resonant[L] = sum(1 for r in results if r is None)
         if norms.size == 0:
@@ -719,19 +681,20 @@ def run_ise(
 # bottom of the spectrum
 
 
-@_per_operator
-def _ground_state(H, v, e_cap) -> float:
-    """The lowest eigenvalue of one draw, which must lie at or below e_cap."""
-    ev = eigs_below(H, e_cap).eigenvalues
-    if ev.size == 0:
-        raise PreconditionError("eigenvalue cap missed the ground state")
-    return float(ev[0])
+def _ground_state(block, e_cap) -> list[float]:
+    """The lowest eigenvalue of each draw, which must lie at or below e_cap."""
+    grounds = []
+    for H in block.operators:
+        ev = eigs_below(H, e_cap).eigenvalues
+        if ev.size == 0:
+            raise PreconditionError("eigenvalue cap missed the ground state")
+        grounds.append(float(ev[0]))
+    return grounds
 
 
-@_per_operator
-def _ground_within(H, v, lo, hi) -> bool:
-    """Whether one draw's lowest eigenvalue lies in [lo, hi], by exact counts: none below lo, one or more in [lo, hi]."""
-    return inertia_count(H, lo) == 0 and count_in_interval(H, lo, hi) > 0
+def _ground_within(block, lo, hi) -> list[bool]:
+    """Whether each draw's lowest eigenvalue lies in [lo, hi], by exact counts: none below lo, some in [lo, hi]."""
+    return [inertia_count(H, lo) == 0 and count_in_interval(H, lo, hi) > 0 for H in block.operators]
 
 
 @_experiment("spectral-minimum")
@@ -809,19 +772,21 @@ def _shell_decay_rate(psi: np.ndarray, box: BoxSpec) -> float | None:
     return -float(np.polyfit(xs, ys, 1)[0])
 
 
-@_per_operator
-def _probe(H, v, E_lo, E_hi) -> tuple[list[float], list[float]]:
-    """Participation ratios and shell decay rates of one draw's states in [E_lo, E_hi]."""
-    res = eigs_below(H, E_hi, want_vectors=True)
-    prs: list[float] = []
-    decays: list[float] = []
-    for psi in res.eigenvectors[:, res.eigenvalues >= E_lo].T:
-        psi = psi / np.linalg.norm(psi)
-        prs.append(float(1.0 / np.sum(psi**4)))
-        rate = _shell_decay_rate(psi, H.box)
-        if rate is not None:
-            decays.append(rate)
-    return prs, decays
+def _probe(block, E_lo, E_hi) -> list[tuple[list[float], list[float]]]:
+    """Participation ratios and shell decay rates of each draw's states in [E_lo, E_hi]."""
+    out = []
+    for H in block.operators:
+        res = eigs_below(H, E_hi, want_vectors=True)
+        prs: list[float] = []
+        decays: list[float] = []
+        for psi in res.eigenvectors[:, res.eigenvalues >= E_lo].T:
+            psi = psi / np.linalg.norm(psi)
+            prs.append(float(1.0 / np.sum(psi**4)))
+            rate = _shell_decay_rate(psi, H.box)
+            if rate is not None:
+                decays.append(rate)
+        out.append((prs, decays))
+    return out
 
 
 @_experiment("localisation-probe")

@@ -163,7 +163,7 @@ class DiscreteHamiltonian:
     @functools.cached_property
     def below(self) -> dict[float, int]:
         """Counts of eigenvalues strictly below a shift, found ahead of the
-        queries that read them (spectral.precount_below)."""
+        queries that read them (spectral.count_windows, resolvent_norms)."""
         return {}
 
     @functools.cached_property
@@ -211,10 +211,11 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
 
 
 class OperatorBlock(NamedTuple):
-    """Operators on one stencil whose diagonals are the columns of one read-only (ndof, R) array."""
+    """Operators on one stencil, their diagonals the columns of one read-only (ndof, R) array, and their potentials."""
 
     diag: np.ndarray
     operators: list[DiscreteHamiltonian]
+    potentials: np.ndarray
 
 
 def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
@@ -225,7 +226,7 @@ def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
     if not np.isfinite(V).all():
         raise GridError("potential contains non-finite entries")
     diag = _read_only(ham.diag[:, np.newaxis] + V)
-    return OperatorBlock(diag, [DiscreteHamiltonian(ham.stencil, d) for d in diag.T])
+    return OperatorBlock(diag, [DiscreteHamiltonian(ham.stencil, d) for d in diag.T], V)
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:

@@ -6,14 +6,14 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
   tridiagonal bands (`sturm_count`).  A block of replicas shares the free
   off-diagonal and keeps its diagonals as one (n, R) array
-  (`grids.OperatorBlock`), so `precount_below` counts every operator at
-  every shift a query will ask for at once: each (operator, shift) pair is
-  a lane, and from LANE_CROSSOVER lanes on one numpy recurrence runs over
-  that array, one step per unknown and two ufuncs a step, with the IEEE
-  operations of the scalar loop in the same order.  Each operator keeps
-  those counts (`DiscreteHamiltonian.below`), and inertia_count reads them
-  first.  The shifts are a block's window ends (`precount_windows`) or the
-  two resonance shifts of a resolvent query (`resonance_shifts`).
+  (`grids.OperatorBlock`), so the block queries (`count_windows`,
+  `resolvent_norms`) first count every operator at every shift they will
+  ask for at once: each (operator, shift) pair is a lane, and from
+  LANE_CROSSOVER lanes on one numpy recurrence runs over that array, one
+  step per unknown and two ufuncs a step, with the IEEE operations of the
+  scalar loop in the same order.  Each operator keeps those counts
+  (`DiscreteHamiltonian.below`), and inertia_count reads them first.  The
+  shifts are the block's window ends or the two resonance shifts of z.
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice, in both slice orders.  An open box has n
@@ -28,8 +28,9 @@ A box whose one slice is over INERTIA_DENSE_LIMIT unknowns has no exact
 count and is refused with EigensolverError; no answer rests on an
 uncertified count.
 
-A closed window [lo, hi] is counted at its ends nudged outward by a relative
-1e-12 (`_closed_window`), by count_in_interval and precount_windows alike.
+A closed window [lo, hi] is counted at its finite ends nudged outward by a
+relative 1e-12 (`_closed_window`), by count_in_interval and count_windows
+alike.
 
 The iterative eigensolver accepts its Ritz values only when they number
 exactly the inertia count, and refuses to return silently short.
@@ -256,9 +257,10 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
 
 def _closed_window(lo: float, hi: float) -> tuple[float, float]:
     """The inertia points of the closed window [lo, hi]: each end nudged
-    outward by a relative 1e-12, far below eigenvalue spacing at the scales
-    used here."""
-    delta = 1e-12 * max(1.0, abs(hi), abs(lo) if math.isfinite(lo) else 0.0)
+    outward by 1e-12 times the larger of 1 and its finite ends' magnitudes,
+    far below eigenvalue spacing at the scales used here; an infinite end
+    stays put."""
+    delta = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0, abs(hi) if math.isfinite(hi) else 0.0)
     return lo - delta, hi + delta
 
 
@@ -270,7 +272,7 @@ def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
     return inertia_count(H, x_hi) - (0 if lo == -math.inf else inertia_count(H, x_lo))
 
 
-def precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
+def _precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
     """Count every operator of the block below every shift at once, for inertia_count to read: for d=1
     operators with an open boundary, from LANE_CROSSOVER (operator, shift) lanes on, one sturm_count on
     the block's (n, R) diagonal, kept in each operator's `below`.  Anything else is left to inertia_count."""
@@ -282,9 +284,10 @@ def precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
         H.below.update(zip(shifts, counts))
 
 
-def precount_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> None:
-    """precount_below at the ends of every closed window, for count_in_interval to read."""
-    precount_below(block, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
+def count_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> list[tuple[int, ...]]:
+    """Each operator's count_in_interval in every closed (lo, hi) window, the window ends counted ahead."""
+    _precount_below(block, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
+    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
 
 
 # the LAPACK routines behind scipy.linalg.eigh_tridiagonal's select by value,
@@ -429,13 +432,13 @@ def eigs_below(H: DiscreteHamiltonian, e_max: float, want_vectors: bool = False)
 _GESDD, _GESDD_LWORK = sla.get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64, ilp64="preferred")
 
 
-def resonance_shifts(z: float) -> tuple[float, float]:
+def _resonance_shifts(z: float) -> tuple[float, float]:
     """The two shifts whose eigenvalue counts differ when z is within 1e-10 of an eigenvalue."""
     return z - 1e-10, z + 1e-10
 
 
 def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
-    lo, hi = resonance_shifts(z)
+    lo, hi = _resonance_shifts(z)
     if inertia_count(H, lo) != inertia_count(H, hi):
         raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
 
@@ -479,6 +482,18 @@ def resolvent_block_norm(
         _, s, _, info = _GESDD(M, compute_uv=0, full_matrices=1, lwork=int(work), overwrite_a=1)
     _check_info(info, "gesdd")
     return float(s[0])
+
+
+def resolvent_norms(block: OperatorBlock, z: float, rows: np.ndarray, cols: np.ndarray) -> list[float | None]:
+    """Each operator's resolvent_block_norm, None where z is resonant for it; the resonance shifts counted ahead."""
+    _precount_below(block, _resonance_shifts(z))
+    norms: list[float | None] = []
+    for H in block.operators:
+        try:
+            norms.append(resolvent_block_norm(H, z, rows, cols))
+        except ResonantSampleError:
+            norms.append(None)
+    return norms
 
 
 # ---------------------------------------------------------------------------

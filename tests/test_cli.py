@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wegner_lab import experiments as X
+from wegner_lab import spectral
 from wegner_lab.cli import ConfigError, main, parse_run_config, resolved_ini
 from wegner_lab.random_model import load_model_config
 from wegner_lab.spectral import ResonantSampleError
@@ -377,7 +378,7 @@ class TestRunCommand:
         def refuse(H, lo, hi):
             raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {hi}")
 
-        monkeypatch.setattr(X, "count_in_interval", refuse)
+        monkeypatch.setattr(spectral, "count_in_interval", refuse)
         cfg = _write(tmp_path / "w.ini", "[run]\nexperiment = wegner\nreplicas = 1\n\n[parameters]\nl_list = 4\n")
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2

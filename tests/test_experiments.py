@@ -225,6 +225,11 @@ class TestIds:
         kw = dict(L=4.0, E_list=(2.0, 5.0, 10.0), replicas=8, seed=5)
         assert X.estimate_ids(covering, **kw).to_json() == X.estimate_ids(covering, workers=2, **kw).to_json()
 
+    def test_a_constant_below_the_increments_fails_the_continuity_bound(self, covering):
+        rep = X.estimate_ids(covering, replicas=8, c_w=1e-6)
+        assert rep.fitted["implied_c_w"] == pytest.approx(1.0 / 3.0, **EXACT)
+        assert rep.verdicts["continuity_bound"] == "FAIL"
+
 
 class TestStubbornWindows:
     def test_geometry_frozen(self, stubborn_report):
@@ -274,6 +279,13 @@ class TestStubbornWindows:
     def test_covering_support_refused(self, covering):
         with pytest.raises(X.PreconditionError, match="sup-norm bound"):
             X.run_stubborn(covering)
+
+    def test_too_few_disjoint_boxes_fail(self, geometric):
+        # the thin region holds 47 disjoint boxes of side 8 and 23 of side 16, not 500
+        rep = X.run_stubborn(geometric, min_boxes=500)
+        assert rep.verdicts == {"persistent_window_L=8": "FAIL", "persistent_window_L=16": "FAIL"}
+        assert _rec(rep, "disjoint_boxes_found", [8.0])["value"] == 47.0
+        assert _rec(rep, "disjoint_boxes_found", [16.0])["value"] == 23.0
 
 
 class TestStubbornExponential:
@@ -417,6 +429,13 @@ class TestIse:
         kw = dict(L_list=(4.0, 8.0), replicas=8, seed=5)
         assert X.run_ise(covering, **kw).to_json() == X.run_ise(covering, workers=2, **kw).to_json()
 
+    def test_couplings_too_weak_to_localise_fail(self):
+        # couplings of at most 1e-9 leave each operator all but free: no positive rate meets its target
+        rep = X.run_ise(covering_model(dist=Uniform(0.0, 1e-9)), replicas=16)
+        assert rep.fitted["c0_hat"] == 0.0
+        assert rep.verdicts["exponential_rate_positive"] == "FAIL"
+        assert rep.verdicts["probability_scaling"] == "FAIL"
+
     # two resonance shifts per operator: 31 operators are 62 lanes, below the
     # crossover, and 32 are 64, at it
     @pytest.mark.parametrize("R", [1, 31, 32, 64, 65])
@@ -446,7 +465,7 @@ class TestIse:
             return sturm_count(diag, off, x)
 
         monkeypatch.setattr(spectral, "sturm_count", counting)
-        got = X._end_to_end_norms(add_potentials(free, V.T), V.T, z, rows, cols)
+        got = spectral.resolvent_norms(add_potentials(free, V.T), z, rows, cols)
         assert got == want
         assert [i for i, norm in enumerate(got) if norm is None] == [hit]
         assert len(scalar) == (0 if 2 * R >= LANE_CROSSOVER else 2 * R)
@@ -457,7 +476,8 @@ def test_replica_block_hands_queries_the_per_draw_operators(covering, slab, d):
     model, box = (covering, X._box(1, 8.0, 16)) if d == 1 else (slab, X._box(2, 2.0, 4))
     draws = [((3, r), None) for r in range(60, 70)] + [((3, 0), 0.0), (9, None), ((3, 64), 0.25)]
     for cap in (None, 0.5):
-        block, V = X._replica_block(lambda block, V: (block, V), (), model, box, cap, draws)
+        block = X._replica_block(lambda block: block, (), model, box, cap, draws)
+        V = block.potentials
         free = build_free_laplacian(box)
         for r, (key, override) in enumerate(draws):
             v = sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override)
@@ -625,6 +645,8 @@ class TestReportSurface:
         ("run_wegner", "slab", dict(L_list=(4.0, 6.0), eps_list=(0.4,), seed=3, replicas=8, mesh_density=4)),
         ("run_ise", "slab", dict(L_list=(4.0, 6.0), seed=5, replicas=8, mesh_density=4)),
         ("run_spectral_minimum", "slab", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=8, mesh_density=4)),
+        # 225 unknowns: dense eigenvectors, 8 states found
+        ("localisation_probe", "slab", dict(E_lo=0.0, E_hi=3.0, L=4.0, seed=0, replicas=8, mesh_density=4)),
     ],
 )
 def test_replica_drivers_are_worker_count_invariant(driver, fixture, kw, request):

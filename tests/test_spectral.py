@@ -39,10 +39,9 @@ from wegner_lab.spectral import (
     block_sturm_count,
     compressed_indicator_min_eig,
     count_in_interval,
+    count_windows,
     eigs_below,
     inertia_count,
-    precount_below,
-    precount_windows,
     resolvent_block_norm,
     sturm_count,
 )
@@ -203,7 +202,8 @@ class TestSturmLanes:
         for crossover in (1, LANE_CROSSOVER):
             block = add_potentials(free, diag)
             with mock.patch.object(spectral, "LANE_CROSSOVER", crossover):
-                precount_windows(block, windows)
+                got = count_windows(block, windows)
+            assert [list(counts) for counts in got] == want
             assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in block.operators] == want
 
     @pytest.mark.parametrize("R, in_lanes", [(LANE_CROSSOVER - 1, False), (LANE_CROSSOVER, True)])
@@ -216,9 +216,10 @@ class TestSturmLanes:
         block = add_potentials(free, V)
         # one window end: R lanes
         want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
-        precount_windows(block, [(-math.inf, 40.0)])
+        got = count_windows(block, [(-math.inf, 40.0)])
         assert len(calls) == in_lanes
         assert all(bool(H.below) == in_lanes for H in block.operators)
+        assert got == [(count,) for count in want]
         assert [count_in_interval(H, -math.inf, 40.0) for H in block.operators] == want
 
 
@@ -295,7 +296,7 @@ class TestChunkedLanes:
         rng = np.random.default_rng(lanes)
         columns = [built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(lanes - 1)]
         block = add_potentials(free, np.column_stack(columns) - 2.0)
-        precount_below(block, [1.0])
+        spectral._precount_below(block, [1.0])
         assert all(bool(H.below) == (lanes >= LANE_CROSSOVER) for H in block.operators)
         assert [inertia_count(H, 1.0) for H in block.operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
 
@@ -576,6 +577,27 @@ class TestCountInInterval:
         box, H = _random_operator(2, 10, 2.0, seed=3)
         top = float(abs(H.matrix).sum(axis=0).max())
         assert count_in_interval(H, -math.inf, top + 1.0) == box.ndof
+
+    # a window end at +-inf is not nudged and nudges no finite end: the first
+    # draw is the free operator, whose dense counts these pin
+    @pytest.mark.parametrize("d, n, length, free", [(1, 127, 8.0, (122, 127, 0, 0)), (2, 7, 3.0, (48, 49, 0, 0))])
+    # the ends 5 - 5e-12 and +inf make 2R lanes: below the crossover and at it (lanes run in d=1 only)
+    @pytest.mark.parametrize("R", [LANE_CROSSOVER // 2 - 1, LANE_CROSSOVER // 2])
+    def test_windows_with_an_infinite_end_match_dense_counts(self, d, n, length, free, R):
+        windows = [(5.0, math.inf), (-math.inf, math.inf), (-math.inf, -math.inf), (math.inf, math.inf)]
+        box = BoxSpec(d=d, length=length, center=(0.0,) * d, n=n)
+        V = np.random.default_rng(R).uniform(0.0, 3.0, size=(box.ndof, R))
+        V[:, 0] = 0.0
+        block = add_potentials(build_free_laplacian(box), V)
+        want = []
+        for H in block.operators:
+            ev = sla.eigvalsh(H.matrix.toarray())
+            want.append(tuple(int(np.count_nonzero((ev >= lo) & (ev <= hi))) for lo, hi in windows))
+        assert want[0] == free
+        alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
+        assert [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in alone] == want
+        assert count_windows(block, windows) == want
+        assert all(bool(H.below) == (d == 1 and 2 * R >= LANE_CROSSOVER) for H in block.operators)
 
     def test_interval_below_spectrum_is_empty(self):
         box = BoxSpec(d=1, length=1.0, center=(0.5,), n=50)
