@@ -6,8 +6,10 @@ distributions through a splittable counter-based generator keyed by
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
 site_uniforms computes for a grid of keys and sites at once, bit for bit.
-Uniforms are drawn for 64 consecutive replicas per pass; a few such blocks
-are kept, and each block's 64 key pools for every box size drawn on it.
+Uniforms are drawn in stream blocks of 64 consecutive replicas: the keys of
+one stem that a block of draws reads come from one pass over every stream
+block they touch.  A few such arrays are kept, and each stream block's 64 key
+pools for every box size drawn on it.
 sample_potentials forms a block of draws as one array: each coupling law
 maps the block's uniforms with the IEEE operations of its scalar map, and
 one sparse product sums the bumps (sample_potential is its one-draw call).
@@ -41,7 +43,7 @@ from typing import Any, Collection, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import BoxSpec
+from .grids import BoxSpec, axes_product
 from .thick_sets import (
     GridField,
     RasterError,
@@ -227,8 +229,9 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # pool is numpy's own SeedSequence(k).pool, the site word (the last entropy
 # word) and generate_state(2, uint64) run on uint32 values held in uint64
 # arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].  The pools of
-# a replica block are kept, so a new box size only mixes in its site words,
-# and a block of draws reads each key's row from the kept blocks.
+# a stream block are kept, so a new box size only mixes in its site words,
+# and a block of draws reads its keys per stem, from one pass over the kept
+# pools of every stream block those keys touch.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -331,13 +334,13 @@ def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
     return _pool_uniforms(_stacked_pools(keys), sites)
 
 
-REPLICA_BLOCK = 64  # consecutive replica keys drawn together
-UNIFORM_CACHE_SIZE = 16  # (key stem, replica block, sites) blocks kept, and as many blocks' key pools
+REPLICA_BLOCK = 64  # consecutive replica keys whose pools are mixed together: one stream block
+UNIFORM_CACHE_SIZE = 16  # (key stem, stream blocks, sites) uniform arrays kept, and as many blocks' key pools
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
 def _block_pools(stem: tuple[int, ...], block: int) -> tuple[np.ndarray, np.ndarray]:
-    """_stacked_pools of the keys (*stem, r) of a replica block; every box size drawn on the block shares them."""
+    """_stacked_pools of the keys (*stem, r) of a stream block; every box size drawn on the block shares them."""
     pools = _stacked_pools([stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)])
     for a in pools:
         a.flags.writeable = False
@@ -345,8 +348,11 @@ def _block_pools(stem: tuple[int, ...], block: int) -> tuple[np.ndarray, np.ndar
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
-def _uniform_block(stem: tuple[int, ...], block: int, sites: tuple[int, ...]) -> np.ndarray:
-    u = _pool_uniforms(_block_pools(stem, block), sites)
+def _uniform_blocks(stem: tuple[int, ...], blocks: tuple[int, ...], sites: tuple[int, ...]) -> np.ndarray:
+    """site_uniforms of the keys (*stem, r) of the listed stream blocks, REPLICA_BLOCK rows a block in the
+    listed order, read-only: one _pool_uniforms pass over the blocks' kept pools."""
+    pools = [_block_pools(stem, block) for block in blocks]
+    u = _pool_uniforms((np.concatenate([p for p, _ in pools]), np.concatenate([c for _, c in pools])), sites)
     u.flags.writeable = False
     return u
 
@@ -364,19 +370,26 @@ def _couplings(groups: tuple[tuple[Distribution, Any], ...], keys: Sequence[Any]
     """The (keys, sites) couplings of the listed sites, the first uniform of each key's stream at each site
     mapped by the site's law (its _law_groups), for every key at once.  SeedSequence reads only a key's
     uint32 words, so every key names the stream of its word tuple (*stem, r), read as row r % 64 of the
-    replica block of 64 keys it shares with stem; the empty key has no row.  A cap conditions every
-    coupling on staying at or below it; a cap under which a listed site's law has no mass is refused."""
+    stream block of 64 keys it shares with stem, and the keys of one stem are read from one _uniform_blocks
+    array; the empty key has no row.  A cap conditions every coupling on staying at or below it; a cap under
+    which a listed site's law has no mass is refused."""
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-    u = np.empty((len(keys), len(sites)))
+    stems: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for k, key in enumerate(keys):
         # a key that is its own word tuple, as every driver's (seed, r) is, needs no split
         own = type(key) is tuple and all(type(w) is int and 0 <= w <= _MASK32 for w in key)
         words = key if own else _key_words(key)
         if not words:
             raise ModelError(f"stream keys need at least one word, got {key!r}")
-        block, row = divmod(words[-1], REPLICA_BLOCK)
-        u[k] = _uniform_block(tuple(words[:-1]), block, sites)[row]
+        at, rs = stems.setdefault(tuple(words[:-1]), ([], []))
+        at.append(k)
+        rs.append(words[-1])
+    u = np.empty((len(keys), len(sites)))
+    for stem, (at, rs) in stems.items():
+        block, row = np.divmod(np.array(rs, dtype=np.int64), REPLICA_BLOCK)
+        blocks, slot = np.unique(block, return_inverse=True)
+        u[at] = _uniform_blocks(stem, tuple(blocks.tolist()), sites)[slot * REPLICA_BLOCK + row]
     c = np.empty_like(u)
     for law, at in groups:
         if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time
@@ -544,6 +557,22 @@ class AlloyModel:
             )
 
 
+def _profile_patches(model: AlloyModel, axes: Sequence[np.ndarray], sites: Sequence[int]):
+    """Per listed site, the flat C-order indices, ascending, of the points of the grid on these ascending axes
+    that lie within max_radius + 1e-9 of its centre on every axis, and its profile there.  Off that patch a
+    profile is an exact 0.0, so nothing is left out."""
+    d, shape = len(axes), tuple(a.size for a in axes)
+    grid = axes_product(axes).reshape(*shape, d)
+    index = np.arange(math.prod(shape)).reshape(shape)
+    centers = np.array([model.centers[i] for i in sites], dtype=float).reshape(-1, d)
+    reach = model.max_radius + 1e-9
+    lo = [np.searchsorted(a, centers[:, k] - reach).tolist() for k, a in enumerate(axes)]
+    hi = [np.searchsorted(a, centers[:, k] + reach, "right").tolist() for k, a in enumerate(axes)]
+    for s, i in enumerate(sites):
+        patch = tuple(slice(lo[k][s], hi[k][s]) for k in range(d))
+        yield index[patch].ravel(), model.profile.evaluate(grid[patch].reshape(-1, d), model.centers[i])
+
+
 PROFILE_CACHE_SIZE = 64  # (model, box) pairs whose profile matrix is kept
 
 
@@ -557,12 +586,10 @@ def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.
     c_j * u_j site by site, less the zero terms, which would add nothing.
     """
     near = tuple(model.sites_near_box(box))
-    nodes = box.nodes()
     rows, data, indptr = [], [], [0]
-    for i in near:
-        u = model.profile.evaluate(nodes, model.centers[i])
+    for at, u in _profile_patches(model, [box.axis_nodes(k) for k in range(box.d)], near):
         hit = np.flatnonzero(u)
-        rows.append(hit)
+        rows.append(at[hit])
         data.append(u[hit])
         indptr.append(indptr[-1] + hit.size)
     if not near:
@@ -625,10 +652,9 @@ def registration_geometry(model: AlloyModel, margin: float = 0.0) -> RasterGeome
 def potential_envelope(model: AlloyModel, margin: float = 0.0) -> GridField:
     """U = sum_j u_j sampled at raster cell centers over the registration hull."""
     geo = registration_geometry(model, margin)
-    pts = geo.centers()
-    vals = np.zeros(pts.shape[0])
-    for c in model.centers:
-        vals += model.profile.evaluate(pts, c)
+    vals = np.zeros(math.prod(geo.shape))
+    for at, u in _profile_patches(model, [geo.axis_centers(k) for k in range(model.d)], range(len(model.centers))):
+        vals[at] += u
     return GridField(geometry=geo, values=vals.reshape(geo.shape))
 
 
@@ -750,16 +776,18 @@ class DilutedMinorant:
     def margin(self) -> float:
         return min(self.threshold / self.lattice_count, self.gamma_hat, 1.0 - self.s_at_threshold)
 
-    def sample_on(self, model: AlloyModel, box: BoxSpec, seed: int | tuple[int, ...]) -> np.ndarray:
-        """The minorant field for the same disorder draw sample_potential uses."""
+    def sample_on(self, model: AlloyModel, box: BoxSpec, keys: Sequence[Any]) -> np.ndarray:
+        """The (ndof, len(keys)) minorant fields, a column per key, for the disorder draws sample_potential
+        uses: each cell's mask is built once, and its term threshold * weight * mask is added, in cell
+        order, to the columns whose coupling reaches the threshold."""
         nodes = box.nodes()
-        w = np.zeros(box.ndof)
+        W = np.zeros((box.ndof, len(keys)))
         sites = tuple(cell.site_index for cell in self.cells)
-        pis = _couplings(_law_groups(model.dists, sites), [seed], sites)[0].tolist()
-        for cell, pi in zip(self.cells, pis):
-            if pi >= self.threshold:
-                w += self.threshold * self.weight * cell.kept.contains(nodes).astype(float)
-        return w
+        pis = _couplings(_law_groups(model.dists, sites), keys, sites)
+        for cell, pi in zip(self.cells, pis.T):
+            term = self.threshold * self.weight * cell.kept.contains(nodes).astype(float)
+            np.add(W, term[:, np.newaxis], out=W, where=pi >= self.threshold)
+        return W
 
 
 def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:

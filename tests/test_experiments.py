@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 from wegner_lab import experiments as X
 from wegner_lab import spectral
 from wegner_lab.grids import BoxSpec, add_potential, add_potentials, build_free_laplacian
-from wegner_lab.random_model import BernoulliAt, Uniform, covering_model, geometric_dilution_model, sample_potential
+from wegner_lab.random_model import (
+    REPLICA_BLOCK,
+    BernoulliAt,
+    Uniform,
+    covering_model,
+    geometric_dilution_model,
+    sample_potential,
+)
 from wegner_lab.reports import ExperimentReport
 from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
 from wegner_lab.thick_sets import stripes_raster
@@ -487,6 +494,81 @@ def test_replica_block_hands_queries_the_per_draw_operators(covering, slab, d):
             assert H.stencil is free.stencil and not H.diag.flags.writeable
 
 
+def test_a_serial_map_is_one_block_up_to_the_cap(covering):
+    assert X.SERIAL_BLOCK % REPLICA_BLOCK == 0  # a whole number of stream blocks
+    box = X._box(1, 4.0, 16)
+
+    def sizes(block):
+        return [block.diag.shape[1]] * block.diag.shape[1]
+
+    assert X._map_replicas(sizes, (), covering, box, X._draws(3, 40), 1) == [40] * 40
+    tail = 200 - X.SERIAL_BLOCK
+    assert X._map_replicas(sizes, (), covering, box, X._draws(3, 200), 1) == [X.SERIAL_BLOCK] * X.SERIAL_BLOCK + [tail] * tail
+
+
+@pytest.mark.parametrize(
+    "driver, kw",
+    [
+        # 130 draws cross two stream blocks of 64 and a serial block of 128
+        ("run_wegner", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=130)),
+        # 129 replicas and the zero-coupling seam's override, the map's last draw
+        ("estimate_ids", dict(L=4.0, E_list=(2.0, 5.0), seed=5, replicas=129)),
+        ("run_ise", dict(L_list=(4.0,), seed=5, replicas=130)),
+        # the capped maps read the unconditioned map's uniforms
+        ("run_spectral_minimum", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=130)),
+        ("localisation_probe", dict(E_lo=0.0, E_hi=2.0, L=4.0, seed=0, replicas=130)),
+    ],
+)
+def test_replica_reports_do_not_depend_on_the_block_size(covering, driver, kw, monkeypatch):
+    run = getattr(X, driver)
+    want = run(covering, **kw)
+    assert want.records
+    for size in (1, REPLICA_BLOCK):
+        monkeypatch.setattr(X, "SERIAL_BLOCK", size)
+        assert run(covering, **kw).to_json() == want.to_json(), size
+    monkeypatch.undo()
+    assert run(covering, workers=2, **kw).to_json() == want.to_json()
+
+
+def _masked_shell_decay_rate(psi, box):
+    """_shell_decay_rate with a boolean mask per band, the way it was first written: the oracle."""
+    shape = box.shape
+    arr = np.abs(psi.reshape(shape))
+    peak = np.unravel_index(int(np.argmax(arr)), shape)
+    idx = np.indices(shape)
+    dist = np.zeros(shape, dtype=int)
+    for axis in range(box.d):
+        dist = np.maximum(dist, np.abs(idx[axis] - peak[axis]))
+    shell_width = max(1, int(round(1.0 / box.h)))
+    bands = dist // shell_width
+    norms = [float(np.sqrt((arr[bands == b] ** 2).sum())) for b in range(int(bands.max()) + 1)]
+    usable = [(b, math.log(v)) for b, v in enumerate(norms) if v > 1e-14]
+    if len(usable) < 3:
+        return None
+    xs = np.array([u[0] for u in usable], dtype=float)
+    ys = np.array([u[1] for u in usable])
+    return -float(np.polyfit(xs, ys, 1)[0])
+
+
+@given(
+    d=st.sampled_from([1, 2]),
+    L=st.sampled_from([2.0, 4.0, 8.0, 24.0]),
+    density=st.sampled_from([2, 4, 8, 16]),
+    rate=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_shell_decay_rate_is_the_masked_bands(d, L, density, rate, seed):
+    n = int(L * density) - 1
+    if n**d > 20000:
+        n = int(20000 ** (1 / d))
+    box = BoxSpec(d=d, length=L, center=(0.0,) * d, n=n)
+    rng = np.random.default_rng(seed)
+    # a random vector, damped away from a random node so the shells decay
+    psi = rng.standard_normal(box.ndof) * np.exp(-rate * np.abs(box.nodes() - rng.uniform(-L / 2, L / 2)).max(axis=1))
+    assert X._shell_decay_rate(psi, box) == _masked_shell_decay_rate(psi, box)
+
+
 class TestUncertainty:
     WANT = {
         (2.0, 25.0): (0.053473373688890914, 3),
@@ -631,14 +713,14 @@ class TestReportSurface:
         ("run_spectral_minimum", "covering", dict(eps_list=(0.5,), L=4.0, seed=0, replicas=70)),
         ("localisation_probe", "covering", dict(E_lo=0.0, E_hi=2.0, L=8.0, seed=0, replicas=4)),
         ("run_stubborn_exponential", "geometric", dict(L=4.0, eigen_index=3, seed=0, replicas=3)),
-        # one worker maps blocks of 64 and 1 (64, 64 and 2, the seam's draw
-        # last) draws: the full blocks count in lanes, the one-replica tail in
-        # the scalar loop; two workers map blocks of 8 (16) draws, which count
-        # in the loop (lanes)
+        # one worker maps one block of 65 draws (blocks of 128 and 2, the
+        # seam's draw last): the large blocks count in lanes, the two-draw tail
+        # in the scalar loop; two workers map blocks of 8 (16) draws, which
+        # count in the loop (lanes)
         ("run_wegner", "covering", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=65)),
         ("estimate_ids", "covering", dict(L=4.0, E_list=(2.0, 5.0, 10.0), seed=5, replicas=129)),
-        # one worker checks resonance for 64 operators in lanes and for the
-        # last one in the loop; two workers map blocks of 8, all in the loop
+        # one worker checks resonance for all 65 operators in lanes; two
+        # workers map blocks of 8, all in the loop
         ("run_ise", "covering", dict(L_list=(4.0,), seed=5, replicas=65)),
         # d=2, where worker processes pay: boxes of 225 and 529 unknowns, one
         # block of 8 replicas on one worker, eight blocks of 1 on two

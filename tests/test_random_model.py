@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from wegner_lab.random_model import (
     CantorTranslate,
     ConstructionError,
     CoverageError,
+    RasterProfile,
     ModelConfigError,
     ModelError,
     TruncatedPowerHolder,
@@ -317,7 +319,7 @@ class TestStreams:
     def test_a_float_key_word_is_refused_whatever_the_cache_holds(self, covering):
         # (3.0, 5) hashes like (3, 5), so a cached draw of (3, 5) must not answer it
         box = _box()
-        random_model._uniform_block.cache_clear()
+        random_model._uniform_blocks.cache_clear()
         random_model._block_pools.cache_clear()
         with pytest.raises(ModelError, match="stream keys"):
             sample_potential(covering, (3.0, 5), box)
@@ -606,10 +608,10 @@ class TestDilutedMinorant:
     def test_minorant_below_field_pathwise(self, covering):
         dm = construct_diluted_minorant(covering, 4.0)
         box = _box(L=8.0, n=127)
+        W = dm.sample_on(covering, box, [(13, r) for r in range(30)])
         for r in range(30):
             v = sample_potential(covering, (13, r), box)
-            w = dm.sample_on(covering, box, (13, r))
-            assert np.all(w <= v + 1e-12)
+            assert np.all(W[:, r] <= v + 1e-12)
 
     def test_construction_preconditions(self, geometric):
         with pytest.raises(ConstructionError):
@@ -1053,7 +1055,7 @@ def test_a_block_with_a_non_finite_potential_is_refused(covering, bad):
 
 def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):
     random_model._block_pools.cache_clear()
-    random_model._uniform_block.cache_clear()
+    random_model._uniform_blocks.cache_clear()
     stem, built = (918273,), []
     key_pool = random_model._key_pool
     monkeypatch.setattr(random_model, "_key_pool", lambda key: built.append(key) or key_pool(key))
@@ -1067,3 +1069,120 @@ def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):
     box = _box(L=8.0, n=127)
     want = _loop_potential(covering, box, lambda i: covering.dists[i]._from_uniform(_numpy_uniform(stem + (70,), i)))
     assert draws[1].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a block's keys read per stem, from one pass over the stream blocks they touch
+
+
+def test_uniform_blocks_are_the_site_uniforms_of_their_keys():
+    random_model._uniform_blocks.cache_clear()
+    sites = (0, 5, 17, 2**32 - 1)
+    u = random_model._uniform_blocks((77, 3), (0, 2, 5), sites)
+    keys = [(77, 3, r) for block in (0, 2, 5) for r in range(64 * block, 64 * block + 64)]
+    assert u.shape == (192, 4) and u.tobytes() == site_uniforms(keys, sites).tobytes()
+    assert not u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.5
+    assert random_model._uniform_blocks((77, 3), (0, 2, 5), sites) is u  # kept
+
+
+_STEM_KEYS = st.one_of(
+    st.tuples(st.sampled_from([5, 2**32 - 1]), st.integers(0, 400)),  # two stems, replicas over several stream blocks
+    st.integers(0, 2**40),  # an int key: stem () below 2**32, (low word,) above
+    st.tuples(st.tuples(st.just(5)), st.integers(0, 200)),  # nested: the stem (5,) again
+    st.tuples(st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 300).map(np.int64)),  # np.int64 words
+)
+
+
+@given(keys=st.lists(_STEM_KEYS, min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_couplings_read_every_stem_from_its_stream_blocks(keys):
+    sites = (0, 3, 64, 1000)
+    got = _couplings(((Uniform(0.0, 1.0), slice(None)),), keys, sites)  # 0.0 + u * 1.0 is u
+    want = site_uniforms([tuple(_words(k)) for k in keys], sites)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# profiles evaluated on their support only, against full evaluation
+
+
+def _raster_profile(d):
+    """A ragged raster bump, off centre, so its far corner sets its radius."""
+    geo = RasterGeometry(origin=(-0.75,) + (-0.5,) * (d - 1), extent=(1.25,) + (1.0,) * (d - 1), resolution=(8,) * d,
+                         periodic=False)
+    return RasterProfile(RasterSet(geometry=geo, cells=np.random.default_rng(d).random(geo.shape) < 0.6))
+
+
+_PATCH_MODELS = {
+    "ball-1d": lambda: build_model(extent=5.0, radius=0.5),  # half open: [c - 1/2, c + 1/2)
+    "ball-1d-wide": lambda: build_model(extent=5.0, radius=1.25),
+    "ball-2d": lambda: build_model(dimension=2, extent=3.0, radius=0.75),
+    "cantor": lambda: build_model(extent=5.0, profile="cantor-translate", cantor_depth=3),
+    "raster-1d": lambda: dataclasses.replace(build_model(extent=5.0), profile=_raster_profile(1)),
+    "raster-2d": lambda: dataclasses.replace(build_model(dimension=2, extent=3.0), profile=_raster_profile(2)),
+}
+
+
+@st.composite
+def _patch_case(draw):
+    name = draw(st.sampled_from(sorted(_PATCH_MODELS)))
+    model = _PATCH_MODELS[name]()
+    d = model.d
+    L = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    center = tuple(draw(st.integers(-6, 6)) / 4.0 for _ in range(d))
+    # n = 4L - 1 puts Dirichlet nodes on the quarter points, where half-open ball ends fall
+    n = draw(st.one_of(st.just(int(4 * L) - 1), st.integers(2, 12 if d == 2 else 60)))
+    bc = draw(st.sampled_from(["dirichlet", "neumann", "periodic"]))
+    return name, model, BoxSpec(d=d, length=L, center=center, n=n, bc=bc)
+
+
+@given(case=_patch_case())
+@settings(max_examples=80, deadline=None)
+def test_profiles_on_their_patches_are_the_full_evaluation(case):
+    name, model, box = case
+    nodes, near = box.nodes(), model.sites_near_box(box)
+    full = [model.profile.evaluate(nodes, model.centers[i]) for i in near]
+    axes = [box.axis_nodes(k) for k in range(box.d)]
+    for u, (at, patch) in zip(full, random_model._profile_patches(model, axes, near)):
+        assert np.all(np.diff(at) > 0)
+        off = np.ones(box.ndof, dtype=bool)
+        off[at] = False
+        assert not u[off].any(), name
+        assert u[at].tobytes() == patch.tobytes()
+    # P holds the full evaluation's nonzeros, in its order
+    _, P, _ = random_model._box_profiles.__wrapped__(model, box)
+    want = sp.csr_matrix(np.column_stack(full) if full else np.zeros((box.ndof, 0)))
+    assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
+    assert P.data.tobytes() == want.data.tobytes()
+    # the envelope: every site's full evaluation summed in site order, bit for bit
+    pts = random_model.registration_geometry(model).centers()
+    total = np.zeros(pts.shape[0])
+    for c in model.centers:
+        total += model.profile.evaluate(pts, c)
+    assert potential_envelope(model).values.ravel().tobytes() == total.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the minorant's fields for a list of keys against the per-draw loop
+
+
+@pytest.mark.parametrize("name", ["covering", "cantor", "covering-bernoulli"])
+def test_minorant_fields_are_the_per_draw_loop(name, covering, cantor):
+    model = {"covering": covering, "cantor": cantor}.get(name)
+    if model is None:  # half the cells fall below the threshold
+        model = dataclasses.replace(covering, dists=(BernoulliAt(0.0, 1.0, 0.5),) * len(covering.centers))
+    dm = construct_diluted_minorant(model, 4.0)
+    box = _box(L=8.0, n=127)
+    keys = [(13, r) for r in range(70)] + [5, (6, 64)]
+    W = dm.sample_on(model, box, keys)
+    assert W.shape == (box.ndof, len(keys))
+    nodes = box.nodes()
+    for key, w in zip(keys, W.T):
+        want = np.zeros(box.ndof)
+        for cell in dm.cells:
+            pi = model.dists[cell.site_index]._from_uniform(_numpy_uniform(key, cell.site_index))
+            if pi >= dm.threshold:
+                want += dm.threshold * dm.weight * cell.kept.contains(nodes).astype(float)
+        assert w.tobytes() == want.tobytes(), key
