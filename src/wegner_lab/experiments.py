@@ -115,16 +115,16 @@ def _experiment(name: str):
     return register
 
 
-def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: float | None, draws: list) -> list:
-    """query(block, *args), one answer per draw in draw order, for one block of (key, couplings override)
-    draws, sampled and built as one array each: V = block.potentials holds a potential per draw, a column
-    each, and block.operators the read-only operators -Delta + V[:, r] on the box's shared stencil."""
-    V = sample_potentials(model, draws, box, cap)
+def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: int, cap, draws: list) -> list:
+    """query(block, *args), one answer per draw in draw order, for one block of (replica, couplings override)
+    draws of the seed, sampled and built as one array each: V = block.potentials holds a potential per draw, a
+    column each, and block.operators the read-only operators -Delta + V[:, r] on the box's shared stencil."""
+    V = sample_potentials(model, seed, draws, box, cap)
     return query(add_potentials(build_free_laplacian(box), V), *args)
 
 
-# draws a serial map hands to one _replica_block call: a whole number of
-# stream blocks, so a map of replicas 0, 1, ... reads each stream block in one
+# the most draws one _replica_block call takes: a whole number of stream
+# blocks, so a serial map of replicas 0, 1, ... reads each stream block in one
 # pass, and few enough that a 10,000-replica map never holds (n, 10,000) arrays.
 # On the battery (one pinned core of a 2-vCPU x86-64 host, one BLAS thread),
 # 128 and 256 draws read wall times within 1.3% of each other over four
@@ -133,33 +133,29 @@ def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, cap: flo
 SERIAL_BLOCK = 2 * REPLICA_BLOCK
 
 
-def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, draws: list, workers: int, cap=None) -> list:
-    """The block query over the draws, each conditioned below cap; one result per draw, in draw order.
+def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: int, draws: list, workers: int, cap=None):
+    """The block query over the seed's draws, each conditioned below cap; one result per draw, in draw order.
 
-    Serial maps go in blocks of SERIAL_BLOCK draws, aligned with the stream
-    blocks when the draws are replicas 0, 1, ..., so a map of up to
-    SERIAL_BLOCK draws samples, builds and counts as one block; parallel maps
-    cut them to about a quarter of each worker's share, at most REPLICA_BLOCK,
-    so every worker gets blocks.
+    One rule cuts every map: each worker's share of the draws,
+    ceil(len(draws) / workers), goes in blocks of at most SERIAL_BLOCK.  So a
+    serial map of up to SERIAL_BLOCK draws samples, builds and counts as one
+    block, and a parallel map of up to workers * SERIAL_BLOCK draws hands each
+    worker one block.
     """
-    task = functools.partial(_replica_block, query, args, model, box, cap)
-    size = SERIAL_BLOCK if workers <= 1 else min(REPLICA_BLOCK, max(1, len(draws) // (4 * workers)))
+    task = functools.partial(_replica_block, query, args, model, box, seed, cap)
+    size = min(SERIAL_BLOCK, max(1, -(-len(draws) // workers)))
     blocks = [draws[i : i + size] for i in range(0, len(draws), size)]
-    if workers <= 1:
-        results = map(task, blocks)
-    else:
-        pools = _POOL.get()
-        if not pools:
-            from concurrent.futures import ProcessPoolExecutor  # about 8 ms to load; serial runs never need it
+    if workers > 1 and not _POOL.get():
+        from concurrent.futures import ProcessPoolExecutor  # about 8 ms to load; serial runs never need it
 
-            pools.append(ProcessPoolExecutor(max_workers=workers))
-        results = pools[0].map(task, blocks)
+        _POOL.get().append(ProcessPoolExecutor(max_workers=workers))
+    results = map(task, blocks) if workers <= 1 else _POOL.get()[0].map(task, blocks)
     return [result for block in results for result in block]
 
 
-def _draws(seed: int, replicas: int) -> list[tuple[Any, float | None]]:
-    """Replicas 0 .. replicas-1 of the root seed, as drawn."""
-    return [((seed, r), None) for r in range(replicas)]
+def _draws(replicas: int) -> list[tuple[int, float | None]]:
+    """Replicas 0 .. replicas-1, as drawn."""
+    return [(r, None) for r in range(replicas)]
 
 
 def _stderr(samples: np.ndarray) -> Any:
@@ -224,6 +220,7 @@ def run_wegner(
     these models the boundary-dominated small boxes give the largest ratio,
     so the fitted constant is the maximum of mean + 3 stderr over the grid
     and the trend verdict demands no growth from smallest to largest box.
+    nested_window_monotonicity cannot fail while the counts are exact.
     """
     if eps_list[0] <= 0:
         raise PreconditionError(f"eps_list entries must be positive, got {eps_list[0]:g}")
@@ -236,7 +233,7 @@ def run_wegner(
         e_anchor = _anchor_energy(model, box, e_ref, eps_list[-1])
         rep.fitted[f"anchor_energy_L={L:g}"] = e_anchor
         windows = tuple((e_anchor - e, e_anchor + e) for e in eps_list)
-        counts = np.array(_map_replicas(count_windows, (windows,), model, box, _draws(seed, replicas), workers), float)
+        counts = np.array(_map_replicas(count_windows, (windows,), model, box, seed, _draws(replicas), workers), float)
         if np.any(np.diff(counts, axis=1) < 0):
             nested_ok = False
         for k, e in enumerate(eps_list):
@@ -277,7 +274,8 @@ def estimate_ids(
     Estimates N(E) = E{#eigenvalues <= E} / L^d on an energy grid, checks the
     exact free-field limit through the zero-coupling seam, and bounds the
     window increments N(E+eps) - N(E-eps) by the volume-law constant when one
-    is supplied (informational otherwise).
+    is supplied (informational otherwise).  monotone_in_energy cannot fail
+    while the counts are exact.
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps:g}")
@@ -286,8 +284,8 @@ def estimate_ids(
     vol = L**model.d
     windows = tuple((-math.inf, v) for E in E_list for v in (E - eps, E, E + eps))
     # one more draw, the zero-coupling seam: its counts below each E must be the free operator's
-    draws = _draws(seed, replicas) + [((seed, 0), 0.0)]
-    *counts, free = _map_replicas(count_windows, (windows,), model, box, draws, workers)
+    draws = _draws(replicas) + [(0, 0.0)]
+    *counts, free = _map_replicas(count_windows, (windows,), model, box, seed, draws, workers)
     counts = np.array(counts, float)
     at_e = counts[:, 1::3]
     means = at_e.mean(axis=0) / vol
@@ -408,8 +406,8 @@ def run_stubborn(
         hits = total = 0
         for x in centers:
             box = _box(model.d, L, rho, center=x)
-            draws = _draws(seed, replicas) + [((seed, 0), 0.0), ((seed, 0), model.m_plus)]
-            counts = _map_replicas(count_windows, (((lo, hi),),), model, box, draws, workers)
+            draws = _draws(replicas) + [(0, 0.0), (0, model.m_plus)]
+            counts = _map_replicas(count_windows, (((lo, hi),),), model, box, seed, draws, workers)
             hits += sum(1 for (c,) in counts if c >= 1)
             total += len(counts)
         rep.records.append(record([L], "window_hit_fraction", hits / total, None, total))
@@ -470,8 +468,8 @@ def run_stubborn_exponential(
     cont = [e for e, mult in free_dirichlet_spectrum(L, model.d, cap) for _ in range(mult)]
     rep.fitted["continuum_deviation"] = abs(E - cont[eigen_index])
 
-    draws = _draws(seed, replicas) + [((seed, 0), model.m_plus)]
-    results = _map_replicas(_untouched_count, (E - width, E + width), model, box, draws, workers)
+    draws = _draws(replicas) + [(0, model.m_plus)]
+    results = _map_replicas(_untouched_count, (E - width, E + width), model, box, seed, draws, workers)
     ok = all(count >= 1 for _, count in results)
     silent = all(untouched for untouched, _ in results)
     rep.verdicts["persistent_eigenvalue"] = PASS if ok else FAIL
@@ -487,7 +485,7 @@ def run_stubborn_exponential(
     cbox = _box(model.d, L, mesh_density, center=xc)
     Ec = float(discrete_dirichlet_spectrum(cbox)[eigen_index])
     window = ((Ec - width, Ec + width),)
-    counts = _map_replicas(count_windows, (window,), model, cbox, _draws(seed, replicas), workers)
+    counts = _map_replicas(count_windows, (window,), model, cbox, seed, _draws(replicas), workers)
     in_win = sum(c >= 1 for (c,) in counts)
     rep.records.append(record([L], "contrast_hit_fraction", in_win / replicas, None, replicas))
     return rep
@@ -647,7 +645,7 @@ def run_ise(
         z = 1.0 / math.sqrt(L)
         rows = box.node_block((-L / 2,) * model.d, (-L / 4,) + (L / 2,) * (model.d - 1))
         cols = box.node_block((L / 4,) + (-L / 2,) * (model.d - 1), (L / 2,) * model.d)
-        results = _map_replicas(resolvent_norms, (z, rows, cols), model, box, _draws(seed, replicas), workers)
+        results = _map_replicas(resolvent_norms, (z, rows, cols), model, box, seed, _draws(replicas), workers)
         norms = np.array([r for r in results if r is not None], dtype=float)
         resonant[L] = sum(1 for r in results if r is None)
         if norms.size == 0:
@@ -739,14 +737,14 @@ def run_spectral_minimum(
     rep.fitted["free_ground"] = ground
     rep.fitted["potential_ceiling"] = sup_env
 
-    mins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, _draws(seed, replicas), workers))
+    mins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, seed, _draws(replicas), workers))
     rep.records.append(record(["unconditioned"], "min_eig_mean", float(mins.mean()), float(_stderr(mins)), replicas))
     rep.records.append(record(["unconditioned"], "min_eig_low", float(mins.min()), None, replicas))
     rep.verdicts["floor_respected"] = PASS if bool(np.all(mins >= ground - 1e-9 * max(1.0, ground))) else FAIL
 
     near = model.sites_near_box(box)
     for eps in sorted(set(eps_list), reverse=True):
-        cmins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, _draws(seed, replicas), workers, cap=eps))
+        cmins = np.array(_map_replicas(_ground_state, (e_cap,), model, box, seed, _draws(replicas), workers, cap=eps))
         bound = ground + eps * sup_env
         rep.records.append(record(["conditioned", eps], "min_eig_mean", float(cmins.mean()), float(_stderr(cmins)), replicas))
         rep.records.append(record(["conditioned", eps], "min_eig_high", float(cmins.max()), None, replicas))
@@ -756,7 +754,7 @@ def run_spectral_minimum(
         rep.fitted[f"event_log10_prob_eps={eps:g}"] = log10p
 
     tol = 1e-9 * max(1.0, ground)
-    (exact,) = _map_replicas(_ground_within, (ground - tol, ground + tol), model, box, [((seed, 0), 0.0)], workers)
+    (exact,) = _map_replicas(_ground_within, (ground - tol, ground + tol), model, box, seed, [(0, 0.0)], workers)
     rep.verdicts["zero_coupling_exact"] = PASS if exact else FAIL
     return rep
 
@@ -832,7 +830,7 @@ def localisation_probe(
     box = _box(model.d, L, mesh_density)
     prs: list[float] = []
     decays: list[float] = []
-    for pr, rates in _map_replicas(_probe, (E_lo, E_hi), model, box, _draws(seed, replicas), workers):
+    for pr, rates in _map_replicas(_probe, (E_lo, E_hi), model, box, seed, _draws(replicas), workers):
         prs += pr
         decays += rates
     if prs:
@@ -870,7 +868,7 @@ def run_minorant_check(
     box = _box(model.d, box_length, mesh_density)
     ok = True
     active = 0
-    W = dm.sample_on(model, box, [(seed, r) for r in range(replicas)])
+    W = dm.sample_on(model, box, seed, range(replicas))
     for r, w in enumerate(W.T):
         v = sample_potential(model, (seed, r), box)
         ok = ok and bool(np.all(w <= v + 1e-12))

@@ -6,13 +6,14 @@ distributions through a splittable counter-based generator keyed by
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
 site_uniforms computes for a grid of keys and sites at once, bit for bit.
-Uniforms are drawn in stream blocks of 64 consecutive replicas: the keys of
-one stem that a block of draws reads come from one pass over every stream
-block they touch.  A few such arrays are kept, and each stream block's 64 key
-pools for every box size drawn on it.
-sample_potentials forms a block of draws as one array: each coupling law
-maps the block's uniforms with the IEEE operations of its scalar map, and
-one sparse product sums the bumps (sample_potential is its one-draw call).
+Uniforms are drawn in stream blocks of 64 consecutive replicas r of a seed,
+the keys (seed, r).  sample_potentials forms a block of (replica, override)
+draws of one seed as one array: it splits the seed into words once, reads
+the uniforms in one pass over the stream blocks the replicas touch, maps
+them by each coupling law with the IEEE operations of its scalar map, and
+sums the bumps in one sparse product.  Its one-draw call sample_potential
+splits any key into a seed and a replica.  A few uniform arrays are kept,
+and each stream block's 64 key pools for every box size drawn on it.
 A model has one single-site profile u, a nonnegative bump of finite radius;
 u_j = u(x - x_j) is its translate to site center x_j.
 
@@ -230,8 +231,8 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # word) and generate_state(2, uint64) run on uint32 values held in uint64
 # arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].  The pools of
 # a stream block are kept, so a new box size only mixes in its site words,
-# and a block of draws reads its keys per stem, from one pass over the kept
-# pools of every stream block those keys touch.
+# and a block of draws reads its replicas of one seed from one pass over the
+# kept pools of every stream block they touch.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -365,31 +366,23 @@ def _law_groups(dists: Sequence[Distribution], sites: tuple[int, ...]) -> tuple[
     return tuple((law, np.array(at)) for law, at in positions.items())
 
 
-def _couplings(groups: tuple[tuple[Distribution, Any], ...], keys: Sequence[Any], sites: tuple[int, ...],
-               cap: float | None = None) -> np.ndarray:
-    """The (keys, sites) couplings of the listed sites, the first uniform of each key's stream at each site
-    mapped by the site's law (its _law_groups), for every key at once.  SeedSequence reads only a key's
-    uint32 words, so every key names the stream of its word tuple (*stem, r), read as row r % 64 of the
-    stream block of 64 keys it shares with stem, and the keys of one stem are read from one _uniform_blocks
-    array; the empty key has no row.  A cap conditions every coupling on staying at or below it; a cap under
-    which a listed site's law has no mass is refused."""
+def _couplings(groups: tuple[tuple[Distribution, Any], ...], stem: tuple[int, ...], rows: Sequence[int],
+               sites: tuple[int, ...], cap: float | None = None) -> np.ndarray:
+    """The (rows, sites) couplings of the listed sites under the keys (*stem, r) of the replica rows r, each
+    the first uniform of its key's stream at the site, mapped by the site's law (its _law_groups).  stem is
+    the uint32 words of a split key; row r is read as row r % 64 of its stream block, and every row from one
+    _uniform_blocks array.  A row outside [0, 2**32) is refused, and so is a cap under which a listed
+    site's law has no mass; a cap conditions every coupling on staying at or below it."""
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
-    stems: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for k, key in enumerate(keys):
-        # a key that is its own word tuple, as every driver's (seed, r) is, needs no split
-        own = type(key) is tuple and all(type(w) is int and 0 <= w <= _MASK32 for w in key)
-        words = key if own else _key_words(key)
-        if not words:
-            raise ModelError(f"stream keys need at least one word, got {key!r}")
-        at, rs = stems.setdefault(tuple(words[:-1]), ([], []))
-        at.append(k)
-        rs.append(words[-1])
-    u = np.empty((len(keys), len(sites)))
-    for stem, (at, rs) in stems.items():
-        block, row = np.divmod(np.array(rs, dtype=np.int64), REPLICA_BLOCK)
-        blocks, slot = np.unique(block, return_inverse=True)
-        u[at] = _uniform_blocks(stem, tuple(blocks.tolist()), sites)[slot * REPLICA_BLOCK + row]
+    r = np.array(rows)
+    if not r.size:
+        return np.empty((0, len(sites)))
+    if r.dtype.kind not in "iu" or r.min() < 0 or r.max() > _MASK32:
+        raise ModelError(f"replica rows must be ints in [0, 2**32), got {rows!r}")
+    block, row = np.divmod(r.astype(np.int64), REPLICA_BLOCK)
+    blocks, slot = np.unique(block, return_inverse=True)
+    u = _uniform_blocks(stem, tuple(blocks.tolist()), sites)[slot * REPLICA_BLOCK + row]
     c = np.empty_like(u)
     for law, at in groups:
         if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time
@@ -598,9 +591,10 @@ def _box_profiles(model: AlloyModel, box: BoxSpec) -> tuple[tuple[int, ...], sp.
     return near, P.tocsr(), _law_groups(model.dists, near)
 
 
-def sample_potentials(model: AlloyModel, draws: Sequence[tuple[Any, float | None]], box: BoxSpec,
+def sample_potentials(model: AlloyModel, seed: Any, draws: Sequence[tuple[int, float | None]], box: BoxSpec,
                       conditioning_cap: float | None = None) -> np.ndarray:
-    """The (ndof, len(draws)) potentials of (key, couplings override) draws at the box's nodes, a column per draw.
+    """The (ndof, len(draws)) potentials of (replica, couplings override) draws at the box's nodes, a column
+    per draw; replica r draws through the key (seed, r), the seed split into its words once.
 
     conditioning_cap conditions every coupling on staying at or below it (the
     small-coupling event of the spectral minimum probe); an override pins its
@@ -608,21 +602,26 @@ def sample_potentials(model: AlloyModel, draws: Sequence[tuple[Any, float | None
     forms every column: csr_matvecs adds u_j c_j in csr_matvec's order, so each column is its draw's P @ c.
     """
     model.check_box_registered(box)
+    stem = tuple(_key_words(seed))
     near, P, groups = _box_profiles(model, box)
     C = np.empty((len(draws), len(near)))
-    drawn = [r for r, (_, override) in enumerate(draws) if override is None]
+    drawn = [k for k, (_, override) in enumerate(draws) if override is None]
     if drawn:
-        C[drawn] = _couplings(groups, [draws[r][0] for r in drawn], near, conditioning_cap)
-    for r, (_, override) in enumerate(draws):
+        C[drawn] = _couplings(groups, stem, [draws[k][0] for k in drawn], near, conditioning_cap)
+    for k, (_, override) in enumerate(draws):
         if override is not None:
-            C[r] = float(override)
+            C[k] = float(override)
     return P @ C.T
 
 
-def sample_potential(model: AlloyModel, seed: int | tuple[int, ...], box: BoxSpec, conditioning_cap: float | None = None,
+def sample_potential(model: AlloyModel, key: Any, box: BoxSpec, conditioning_cap: float | None = None,
                      couplings_override: float | None = None) -> np.ndarray:
-    """One disorder sample of the potential at every grid node of the box: sample_potentials for one draw."""
-    return sample_potentials(model, [(seed, couplings_override)], box, conditioning_cap)[:, 0]
+    """One disorder sample of the potential at every grid node of the box: sample_potentials for one draw,
+    the key split into its words, the last its replica row and the others its seed."""
+    words = _key_words(key)
+    if not words:
+        raise ModelError(f"stream keys need at least one word, got {key!r}")
+    return sample_potentials(model, tuple(words[:-1]), [(words[-1], couplings_override)], box, conditioning_cap)[:, 0]
 
 
 def mean_potential(model: AlloyModel, box: BoxSpec) -> np.ndarray:
@@ -776,14 +775,14 @@ class DilutedMinorant:
     def margin(self) -> float:
         return min(self.threshold / self.lattice_count, self.gamma_hat, 1.0 - self.s_at_threshold)
 
-    def sample_on(self, model: AlloyModel, box: BoxSpec, keys: Sequence[Any]) -> np.ndarray:
-        """The (ndof, len(keys)) minorant fields, a column per key, for the disorder draws sample_potential
-        uses: each cell's mask is built once, and its term threshold * weight * mask is added, in cell
-        order, to the columns whose coupling reaches the threshold."""
+    def sample_on(self, model: AlloyModel, box: BoxSpec, seed: Any, replicas: Sequence[int]) -> np.ndarray:
+        """The (ndof, len(replicas)) minorant fields, a column per replica, for the disorder draws sample_potential
+        takes from the keys (seed, r): each cell's mask is built once, and its term threshold * weight * mask is
+        added, in cell order, to the columns whose coupling reaches the threshold."""
         nodes = box.nodes()
-        W = np.zeros((box.ndof, len(keys)))
+        W = np.zeros((box.ndof, len(replicas)))
         sites = tuple(cell.site_index for cell in self.cells)
-        pis = _couplings(_law_groups(model.dists, sites), keys, sites)
+        pis = _couplings(_law_groups(model.dists, sites), tuple(_key_words(seed)), replicas, sites)
         for cell, pi in zip(self.cells, pis.T):
             term = self.threshold * self.weight * cell.kept.contains(nodes).astype(float)
             np.add(W, term[:, np.newaxis], out=W, where=pi >= self.threshold)

@@ -11,6 +11,7 @@ import concurrent.futures
 import inspect
 import json
 import math
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wegner_lab import experiments as X
-from wegner_lab import spectral
+from wegner_lab import random_model, spectral
 from wegner_lab.grids import BoxSpec, add_potential, add_potentials, build_free_laplacian
 from wegner_lab.random_model import (
     REPLICA_BLOCK,
@@ -481,29 +482,69 @@ class TestIse:
 @pytest.mark.parametrize("d", [1, 2])
 def test_replica_block_hands_queries_the_per_draw_operators(covering, slab, d):
     model, box = (covering, X._box(1, 8.0, 16)) if d == 1 else (slab, X._box(2, 2.0, 4))
-    draws = [((3, r), None) for r in range(60, 70)] + [((3, 0), 0.0), (9, None), ((3, 64), 0.25)]
+    draws = [(r, None) for r in range(60, 70)] + [(0, 0.0), (9, None), (64, 0.25)]
     for cap in (None, 0.5):
-        block = X._replica_block(lambda block: block, (), model, box, cap, draws)
+        block = X._replica_block(lambda block: block, (), model, box, 3, cap, draws)
         V = block.potentials
         free = build_free_laplacian(box)
-        for r, (key, override) in enumerate(draws):
-            v = sample_potential(model, key, box, conditioning_cap=cap, couplings_override=override)
+        for r, (replica, override) in enumerate(draws):
+            v = sample_potential(model, (3, replica), box, conditioning_cap=cap, couplings_override=override)
             H = block.operators[r]
             assert np.array_equal(V[:, r].view(np.int64), v.view(np.int64))
             assert np.array_equal(H.diag.view(np.int64), add_potential(free, v).diag.view(np.int64))
             assert H.stencil is free.stencil and not H.diag.flags.writeable
 
 
+def _block_sizes(block):
+    """Each draw's block size: a block query that a worker process can unpickle."""
+    return [block.diag.shape[1]] * block.diag.shape[1]
+
+
 def test_a_serial_map_is_one_block_up_to_the_cap(covering):
     assert X.SERIAL_BLOCK % REPLICA_BLOCK == 0  # a whole number of stream blocks
     box = X._box(1, 4.0, 16)
-
-    def sizes(block):
-        return [block.diag.shape[1]] * block.diag.shape[1]
-
-    assert X._map_replicas(sizes, (), covering, box, X._draws(3, 40), 1) == [40] * 40
+    assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(40), 1) == [40] * 40
     tail = 200 - X.SERIAL_BLOCK
-    assert X._map_replicas(sizes, (), covering, box, X._draws(3, 200), 1) == [X.SERIAL_BLOCK] * X.SERIAL_BLOCK + [tail] * tail
+    want = [X.SERIAL_BLOCK] * X.SERIAL_BLOCK + [tail] * tail
+    assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(200), 1) == want
+
+
+def test_a_parallel_map_gives_each_worker_one_share(covering):
+    # the serial rule's cap, with one block of ceil(n / 2) draws for each of two workers
+    box = X._box(1, 4.0, 16)
+    cap = X.SERIAL_BLOCK
+    token = X._POOL.set([])
+    try:
+        for n, want in [(1, [1]), (3, [2, 2, 1]), (200, [100] * 200), (2 * cap + 2, [cap] * 2 * cap + [2, 2])]:
+            assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(n), 2) == want, n
+        assert len(X._POOL.get()) == 1
+    finally:
+        for pool in X._POOL.get():
+            pool.shutdown()
+        X._POOL.reset(token)
+
+
+def test_the_two_worker_cut_reads_each_share_in_one_pass(covering, monkeypatch):
+    # a 200-draw map: the serial cut reads stream blocks 0-1 and 2-3, and the two-worker cut 0-1 for
+    # replicas 0-99 and 1-3 for replicas 100-199, each block of the map in one _pool_uniforms pass
+    rows = []
+    pool_uniforms = random_model._pool_uniforms
+
+    def counted(pools, sites):
+        rows.append(len(pools[0]))
+        return pool_uniforms(pools, sites)
+
+    monkeypatch.setattr(random_model, "_pool_uniforms", counted)
+    box = X._box(1, 4.0, 16)
+    for workers, want in [(1, [128, 128]), (2, [128, 192])]:
+        random_model._uniform_blocks.cache_clear()
+        rows.clear()
+        token = X._POOL.set([types.SimpleNamespace(map=map)])  # a pool that maps in this process
+        try:
+            X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(200), workers)
+        finally:
+            X._POOL.reset(token)
+        assert rows == want, workers
 
 
 @pytest.mark.parametrize(
@@ -996,6 +1037,14 @@ class TestUncertaintyWithLittleData:
         rep = X.run_uncertainty(stripes_third, E_list=(1.0, 25.0), L_list=(2.0,), mesh_density=16)
         assert not [r for r in rep.records if r["point"] == [2.0, 1.0]]
         assert rep.verdicts["full_set_identity"] == "INFORMATIONAL"
+
+    def test_a_set_between_the_grid_nodes_fails_positivity(self):
+        # a negative control: the stripes certify gamma 0.2, but no node of these Neumann grids lies in one
+        rep = X.run_uncertainty(stripes_raster(0.2, 1.0, 10), L_list=(2.0, 4.0), mesh_density=2, bc="neumann")
+        assert rep.fitted["gamma_certified"] == pytest.approx(0.2)
+        lams = [r["value"] for r in rep.records if r["statistic"] == "lambda_min"]
+        assert len(lams) == 8 and all(v == 0.0 for v in lams)
+        assert rep.verdicts["positivity"] == "FAIL"
 
     def test_no_subspace_anywhere_refused(self, stripes_third):
         with pytest.raises(X.PreconditionError, match="no box has an eigenvalue at or below any E"):

@@ -42,10 +42,22 @@ def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
-def test_experiments_import_leaves_out_what_only_some_runs_use():
-    # the process pool is loaded at the first parallel map, sparse LU at the first d>=2 resolvent
-    code = "import sys, wegner_lab.experiments; print(sorted(set(sys.modules) & set(sys.argv[1:])))"
+def _lazy_modules_loaded_by(code: str) -> str:
+    """The lazily imported modules that running code in a fresh interpreter leaves loaded."""
     lazy = ["concurrent.futures.process", "scipy.sparse.linalg"]
+    code += "\nimport sys; print(sorted(set(sys.modules) & set(sys.argv[1:])))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code, *lazy], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_experiments_import_leaves_out_what_only_some_runs_use():
+    # the process pool is loaded at the first parallel map, sparse LU at the first d>=2 resolvent
+    assert _lazy_modules_loaded_by("import wegner_lab.experiments") == "[]"
+
+
+def test_a_serial_d1_run_loads_neither_the_process_pool_nor_sparse_lu():
+    code = ("from wegner_lab.experiments import run_wegner\nfrom wegner_lab.random_model import covering_model\n"
+            "run_wegner(covering_model(), L_list=(4.0,), replicas=4)")
+    assert _lazy_modules_loaded_by(code) == "[]"
+    assert _lazy_modules_loaded_by(code.replace("replicas=4", "replicas=4, workers=2")) == "['concurrent.futures.process']"

@@ -253,6 +253,12 @@ def _words(key):
     return [(key >> s) & 0xFFFFFFFF for s in range(0, max(32, key.bit_length()), 32)]
 
 
+def _split(key):
+    """A key as _couplings takes it: the stem, its words but the last, and a one-row list of the last."""
+    words = _words(key)
+    return tuple(words[:-1]), words[-1:]
+
+
 def _mixed_pool(key):
     """SeedSequence's key mixing by hand, mod 2**32 on Python ints: the pool
     before the site word, and the hash constants the site word meets.  The
@@ -313,8 +319,17 @@ class TestStreams:
     def test_out_of_range_input_raises(self, keys, sites):
         with pytest.raises(ModelError):
             site_uniforms(keys, sites)
-        with pytest.raises(ModelError):
-            _couplings(((Uniform(0.0, 1.0), slice(None)),), keys[:1], sites)
+        with pytest.raises(ModelError):  # the split of the key, or the sites behind the couplings
+            words = random_model._key_words(keys[0])
+            _couplings(((Uniform(0.0, 1.0), slice(None)),), tuple(words[:-1]), words[-1:], sites)
+
+    @pytest.mark.parametrize("rows", [[-1], [5, 2**32], [2**64], [3.0], [0, 1.5], ["7"]])
+    def test_a_replica_row_outside_32_bits_is_refused(self, covering, rows):
+        with pytest.raises(ModelError, match="replica rows must be ints"):
+            _couplings(((Uniform(0.0, 1.0), slice(None)),), (5,), rows, (0, 3))
+        with pytest.raises(ModelError, match="replica rows must be ints"):
+            sample_potentials(covering, 5, [(r, None) for r in rows], _box())
+        _couplings(((Uniform(0.0, 1.0), slice(None)),), (5,), [0, 2**32 - 1, np.int64(7)], (0, 3))
 
     def test_a_float_key_word_is_refused_whatever_the_cache_holds(self, covering):
         # (3.0, 5) hashes like (3, 5), so a cached draw of (3, 5) must not answer it
@@ -387,13 +402,13 @@ class TestStreams:
         groups = _law_groups([dist] * 8, sites)  # _law_groups takes each site's law from a list indexed by site
         for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
             u = [float(_numpy_uniform(key, site)) for site in sites]
-            assert _couplings(groups, [key], sites)[0].tolist() == [float(dist._from_uniform(x)) for x in u]
-            assert _couplings(groups, [key], sites, cap)[0].tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
+            assert _couplings(groups, *_split(key), sites)[0].tolist() == [float(dist._from_uniform(x)) for x in u]
+            assert _couplings(groups, *_split(key), sites, cap)[0].tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
 
     def test_sample_couplings_match_numpy(self):
         model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
         sites = tuple(range(len(model.dists)))
-        got = _couplings(_law_groups(model.dists, sites), [(3, 70)], sites)[0].tolist()
+        got = _couplings(_law_groups(model.dists, sites), (3,), [70], sites)[0].tolist()
         want = [float(d._from_uniform(float(_numpy_uniform((3, 70), i)))) for i, d in enumerate(model.dists)]
         assert got == want
 
@@ -504,7 +519,7 @@ class TestAlloyModel:
 
     def test_sample_couplings_matches_sitewise(self, covering):
         sites = tuple(range(len(covering.dists)))
-        cs = _couplings(_law_groups(covering.dists, sites), [9], sites)[0]
+        cs = _couplings(_law_groups(covering.dists, sites), (), [9], sites)[0]
         assert cs[3] == float(covering.dists[3]._from_uniform(float(site_uniforms([9], (3,))[0, 0])))
 
     def test_same_draw_on_overlapping_boxes(self, covering):
@@ -608,7 +623,7 @@ class TestDilutedMinorant:
     def test_minorant_below_field_pathwise(self, covering):
         dm = construct_diluted_minorant(covering, 4.0)
         box = _box(L=8.0, n=127)
-        W = dm.sample_on(covering, box, [(13, r) for r in range(30)])
+        W = dm.sample_on(covering, box, 13, range(30))
         for r in range(30):
             v = sample_potential(covering, (13, r), box)
             assert np.all(W[:, r] <= v + 1e-12)
@@ -993,39 +1008,38 @@ def test_sampled_potential_is_each_laws_scalar_map_of_numpys_uniform(case):
 
 @st.composite
 def _block_case(draw):
-    """A model (one law, or a law per site), a d=1 or d=2 box, a cap or none, and a block of
-    (key, override) draws: consecutive replicas from a start that may straddle replicas 63/64,
-    some overridden, with plain-int keys and other stems mixed in."""
+    """A model (one law, or a law per site), a d=1 or d=2 box, a cap or none, a seed of one or more
+    words, and a block of (replica, override) draws: consecutive replicas from a start that may
+    straddle replicas 63/64, some overridden, with replicas from other stream blocks mixed in."""
     model, box, _, cap = draw(_law_case())
-    stem = draw(st.integers(0, 2**40))
+    seed = draw(st.one_of(st.integers(0, 2**40), st.tuples(st.integers(0, 9), st.integers(0, 2**33)), st.just(())))
     start = draw(st.sampled_from([0, 1, 40, 63, 64, 120]))
-    keys = [(stem, r) for r in range(start, start + draw(st.integers(1, 70)))]
+    rows = list(range(start, start + draw(st.integers(1, 70))))
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(keys)))
-        keys.insert(at, draw(st.sampled_from([stem, stem + 1, (stem + 1, 5), (stem, 3), (stem, (1, 2))])))
-    overrides = draw(st.lists(st.sampled_from([None, None, None, 0.0, 0.75, -1.5]), min_size=len(keys), max_size=len(keys)))
-    return model, box, cap, list(zip(keys, overrides))
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([0, 3, start, 200, 2**32 - 1])))
+    overrides = draw(st.lists(st.sampled_from([None, None, None, 0.0, 0.75, -1.5]), min_size=len(rows), max_size=len(rows)))
+    return model, box, cap, seed, list(zip(rows, overrides))
 
 
 @given(case=_block_case())
 @settings(max_examples=120, deadline=None)
 def test_a_block_of_draws_is_the_column_stack_of_single_draws(case):
-    model, box, cap, draws = case
+    model, box, cap, seed, draws = case
     sites = model.sites_near_box(box)
     refused = cap is not None and any(model.dists[i].cdf(cap) == 0.0 for i in sites)
     if refused and any(override is None for _, override in draws):
         with pytest.raises(ModelError, match="leaves no mass below it"):
-            sample_potentials(model, draws, box, conditioning_cap=cap)
+            sample_potentials(model, seed, draws, box, conditioning_cap=cap)
         return
-    V = sample_potentials(model, draws, box, conditioning_cap=cap)
-    singles = [sample_potential(model, key, box, conditioning_cap=cap, couplings_override=o) for key, o in draws]
+    V = sample_potentials(model, seed, draws, box, conditioning_cap=cap)
+    singles = [sample_potential(model, (seed, r), box, conditioning_cap=cap, couplings_override=o) for r, o in draws]
     want = np.column_stack(singles)
     assert V.shape == want.shape == (box.ndof, len(draws)) and V.dtype == want.dtype
     assert np.array_equal(V.view(np.int64), want.view(np.int64))
     # the block's first and last drawn columns against numpy's scalar stream
     drawn = [r for r, (_, override) in enumerate(draws) if override is None]
     for r in drawn[:1] + drawn[-1:]:
-        key = draws[r][0]
+        key = tuple(_words((seed, draws[r][0])))
         oracle = _loop_potential(model, box, lambda i: _scalar_coupling(model.dists[i], _numpy_uniform(key, i), cap))
         assert V[:, r].tobytes() == oracle.tobytes()
     # the block's operators: each diagonal is the per-draw chain's, bit for bit, read-only, on the box's stencil
@@ -1042,9 +1056,9 @@ def test_a_block_of_draws_is_the_column_stack_of_single_draws(case):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_a_block_with_a_non_finite_potential_is_refused(covering, bad):
     box = _box(L=4.0, n=63)
-    draws = [((5, r), None) for r in range(60, 68)]
-    draws[3] = ((5, 63), bad)
-    V = sample_potentials(covering, draws, box)
+    draws = [(r, None) for r in range(60, 68)]
+    draws[3] = (63, bad)
+    V = sample_potentials(covering, 5, draws, box)
     free = build_free_laplacian(box)
     with pytest.raises(GridError, match="potential contains non-finite entries"):
         add_potentials(free, V)
@@ -1072,7 +1086,7 @@ def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a block's keys read per stem, from one pass over the stream blocks they touch
+# a block's replicas of one seed read from one pass over the stream blocks they touch
 
 
 def test_uniform_blocks_are_the_site_uniforms_of_their_keys():
@@ -1087,20 +1101,25 @@ def test_uniform_blocks_are_the_site_uniforms_of_their_keys():
     assert random_model._uniform_blocks((77, 3), (0, 2, 5), sites) is u  # kept
 
 
-_STEM_KEYS = st.one_of(
-    st.tuples(st.sampled_from([5, 2**32 - 1]), st.integers(0, 400)),  # two stems, replicas over several stream blocks
-    st.integers(0, 2**40),  # an int key: stem () below 2**32, (low word,) above
-    st.tuples(st.tuples(st.just(5)), st.integers(0, 200)),  # nested: the stem (5,) again
-    st.tuples(st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 300).map(np.int64)),  # np.int64 words
+_SEEDS = st.one_of(
+    st.sampled_from([5, 2**32 - 1, (), (5, 6)]),
+    st.integers(0, 2**70),  # one to three words
+    st.tuples(st.tuples(st.just(5)), st.integers(0, 2**40)),  # nested
+    st.tuples(st.integers(0, 2**63 - 1).map(np.int64)),  # np.int64 words
 )
 
 
-@given(keys=st.lists(_STEM_KEYS, min_size=1, max_size=40))
+@given(seed=_SEEDS, rows=st.lists(st.one_of(st.integers(0, 400), st.just(2**32 - 1)), min_size=1, max_size=40),
+       int64=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_couplings_read_every_stem_from_its_stream_blocks(keys):
+def test_couplings_read_every_stem_from_its_stream_blocks(seed, rows, int64):
+    # the seed is split once into the stem; every row, over several stream blocks, in any order
     sites = (0, 3, 64, 1000)
-    got = _couplings(((Uniform(0.0, 1.0), slice(None)),), keys, sites)  # 0.0 + u * 1.0 is u
-    want = site_uniforms([tuple(_words(k)) for k in keys], sites)
+    stem = tuple(random_model._key_words(seed))
+    assert list(stem) == _words(seed)
+    given_rows = np.array(rows, dtype=np.int64) if int64 else rows
+    got = _couplings(((Uniform(0.0, 1.0), slice(None)),), stem, given_rows, sites)  # 0.0 + u * 1.0 is u
+    want = site_uniforms([stem + (r,) for r in rows], sites)
     assert got.tobytes() == want.tobytes()
 
 
@@ -1175,14 +1194,15 @@ def test_minorant_fields_are_the_per_draw_loop(name, covering, cantor):
         model = dataclasses.replace(covering, dists=(BernoulliAt(0.0, 1.0, 0.5),) * len(covering.centers))
     dm = construct_diluted_minorant(model, 4.0)
     box = _box(L=8.0, n=127)
-    keys = [(13, r) for r in range(70)] + [5, (6, 64)]
-    W = dm.sample_on(model, box, keys)
-    assert W.shape == (box.ndof, len(keys))
     nodes = box.nodes()
-    for key, w in zip(keys, W.T):
-        want = np.zeros(box.ndof)
-        for cell in dm.cells:
-            pi = model.dists[cell.site_index]._from_uniform(_numpy_uniform(key, cell.site_index))
-            if pi >= dm.threshold:
-                want += dm.threshold * dm.weight * cell.kept.contains(nodes).astype(float)
-        assert w.tobytes() == want.tobytes(), key
+    for seed, rows in ((13, range(70)), ((6, 2**40), [64, 5, 2**32 - 1])):
+        W = dm.sample_on(model, box, seed, rows)
+        assert W.shape == (box.ndof, len(rows))
+        for r, w in zip(rows, W.T):
+            key = tuple(_words((seed, r)))
+            want = np.zeros(box.ndof)
+            for cell in dm.cells:
+                pi = model.dists[cell.site_index]._from_uniform(_numpy_uniform(key, cell.site_index))
+                if pi >= dm.threshold:
+                    want += dm.threshold * dm.weight * cell.kept.contains(nodes).astype(float)
+            assert w.tobytes() == want.tobytes(), key
