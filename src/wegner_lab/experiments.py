@@ -123,8 +123,8 @@ def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: in
     return query(add_potentials(build_free_laplacian(box), V), *args)
 
 
-# the most draws one _replica_block call takes: a whole number of stream
-# blocks, so a serial map of replicas 0, 1, ... reads each stream block in one
+# draws a serial map hands to one _replica_block call: a whole number of
+# stream blocks, so a map of replicas 0, 1, ... reads each stream block in one
 # pass, and few enough that a 10,000-replica map never holds (n, 10,000) arrays.
 # On the battery (one pinned core of a 2-vCPU x86-64 host, one BLAS thread),
 # 128 and 256 draws read wall times within 1.3% of each other over four
@@ -136,20 +136,22 @@ SERIAL_BLOCK = 2 * REPLICA_BLOCK
 def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: int, draws: list, workers: int, cap=None):
     """The block query over the seed's draws, each conditioned below cap; one result per draw, in draw order.
 
-    One rule cuts every map: each worker's share of the draws,
-    ceil(len(draws) / workers), goes in blocks of at most SERIAL_BLOCK.  So a
-    serial map of up to SERIAL_BLOCK draws samples, builds and counts as one
-    block, and a parallel map of up to workers * SERIAL_BLOCK draws hands each
-    worker one block.
+    Serial maps go in blocks of SERIAL_BLOCK draws, aligned with the stream blocks when the draws are replicas
+    0, 1, ..., so up to SERIAL_BLOCK draws are one block; parallel maps go in blocks of about a quarter of each
+    worker's share, at most REPLICA_BLOCK, so a worker that runs slow leaves its later blocks to the others.
     """
     task = functools.partial(_replica_block, query, args, model, box, seed, cap)
-    size = min(SERIAL_BLOCK, max(1, -(-len(draws) // workers)))
+    size = SERIAL_BLOCK if workers <= 1 else min(REPLICA_BLOCK, max(1, len(draws) // (4 * workers)))
     blocks = [draws[i : i + size] for i in range(0, len(draws), size)]
-    if workers > 1 and not _POOL.get():
-        from concurrent.futures import ProcessPoolExecutor  # about 8 ms to load; serial runs never need it
+    if workers <= 1:
+        results = map(task, blocks)
+    else:
+        pools = _POOL.get()
+        if not pools:
+            from concurrent.futures import ProcessPoolExecutor  # about 8 ms to load; serial runs never need it
 
-        _POOL.get().append(ProcessPoolExecutor(max_workers=workers))
-    results = map(task, blocks) if workers <= 1 else _POOL.get()[0].map(task, blocks)
+            pools.append(ProcessPoolExecutor(max_workers=workers))
+        results = pools[0].map(task, blocks)
     return [result for block in results for result in block]
 
 

@@ -509,13 +509,13 @@ def test_a_serial_map_is_one_block_up_to_the_cap(covering):
     assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(200), 1) == want
 
 
-def test_a_parallel_map_gives_each_worker_one_share(covering):
-    # the serial rule's cap, with one block of ceil(n / 2) draws for each of two workers
+def test_a_parallel_map_cuts_quarter_shares_of_at_most_a_stream_block(covering):
+    # about a quarter of each of two workers' shares, n // 8 draws, at least 1 and at most REPLICA_BLOCK
     box = X._box(1, 4.0, 16)
-    cap = X.SERIAL_BLOCK
     token = X._POOL.set([])
     try:
-        for n, want in [(1, [1]), (3, [2, 2, 1]), (200, [100] * 200), (2 * cap + 2, [cap] * 2 * cap + [2, 2])]:
+        for n, want in [(1, [1]), (3, [1, 1, 1]), (200, [25] * 200), (258, [32] * 256 + [2, 2]),
+                        (600, [REPLICA_BLOCK] * 576 + [24] * 24)]:
             assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(n), 2) == want, n
         assert len(X._POOL.get()) == 1
     finally:
@@ -524,9 +524,10 @@ def test_a_parallel_map_gives_each_worker_one_share(covering):
         X._POOL.reset(token)
 
 
-def test_the_two_worker_cut_reads_each_share_in_one_pass(covering, monkeypatch):
-    # a 200-draw map: the serial cut reads stream blocks 0-1 and 2-3, and the two-worker cut 0-1 for
-    # replicas 0-99 and 1-3 for replicas 100-199, each block of the map in one _pool_uniforms pass
+def test_the_two_worker_cut_reads_straddled_stream_blocks_again(covering, monkeypatch):
+    # a 200-draw map: the serial cut reads stream blocks 0-1 and 2-3 in one _pool_uniforms pass each; the
+    # two-worker cut's blocks of 25 read blocks 0, 0-1, 1, 1-2, 2 and 2-3, each straddle computing again
+    # stream blocks an earlier map block read (blocks 25-49 and 100-124 reuse a cached array)
     rows = []
     pool_uniforms = random_model._pool_uniforms
 
@@ -536,7 +537,7 @@ def test_the_two_worker_cut_reads_each_share_in_one_pass(covering, monkeypatch):
 
     monkeypatch.setattr(random_model, "_pool_uniforms", counted)
     box = X._box(1, 4.0, 16)
-    for workers, want in [(1, [128, 128]), (2, [128, 192])]:
+    for workers, want in [(1, [128, 128]), (2, [64, 128, 64, 128, 64, 128])]:
         random_model._uniform_blocks.cache_clear()
         rows.clear()
         token = X._POOL.set([types.SimpleNamespace(map=map)])  # a pool that maps in this process
