@@ -1,7 +1,9 @@
 """The shipped scripts run end to end against the current drivers."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -10,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from wegner_lab import experiments, random_model, spectral
+from wegner_lab import cli, experiments, random_model, spectral
 from wegner_lab.thick_sets import (
     WindowSpec,
     build_fat_cantor,
@@ -54,20 +57,64 @@ def _battery(out, *extra):
     return _script("run_battery.py", "--quick", "--out", str(out), *extra)
 
 
-def test_quick_battery_writes_every_report(tmp_path):
-    proc = _battery(tmp_path / "serial")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in (tmp_path / "serial").iterdir()) == sorted(BATTERY_JOBS)
+# the shipped run files and the model file each runs on (None: the run builds its own set)
+RUN_FILES = {"ise": "covering", "stubborn": "geometric", "uncertainty": None, "wegner": "covering"}
+OUTPUT_HASHES = Path(__file__).with_name("output_hashes.json")
+
+
+def _run_outputs(out):
+    """The quick battery at one and two workers and the shipped run files, each under its own directory
+    of out; returns the battery processes and the run files' exit codes."""
+    procs = [_battery(out / f"battery-workers-{w}", "--workers", str(w)) for w in (1, 2)]
+    codes = []
+    for name, model in RUN_FILES.items():
+        argv = ["run", "--config", str(ROOT / "configs" / f"{name}.run.ini"), "--out", str(out / "run" / name)]
+        codes.append(cli.main(argv + (["--model", str(ROOT / "configs" / f"{model}.model.ini")] if model else [])))
+    return procs, codes
+
+
+def _output_hashes(out):
+    """sha256 of every byte-stable output under out, by its path relative to out."""
+    paths = [p for name in ("report.json", "records.csv", "config.resolved.ini") for p in out.rglob(name)]
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("outputs")
+    procs, codes = _run_outputs(out)
+    for proc in procs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert codes == [0] * len(RUN_FILES)
+    return out
+
+
+def test_quick_battery_writes_every_report(outputs):
+    serial, two = (outputs / f"battery-workers-{w}" for w in (1, 2))
+    assert sorted(p.name for p in serial.iterdir()) == sorted(BATTERY_JOBS)
     for job in BATTERY_JOBS:
         for name in ("report.json", "records.csv", "summary.txt"):
-            assert (tmp_path / "serial" / job / name).is_file(), f"{job}/{name}"
+            assert (serial / job / name).is_file(), f"{job}/{name}"
     # two workers, each filling its own draw-block cache, write the same bytes
-    proc = _battery(tmp_path / "two", "--workers", "2")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
     for job in BATTERY_JOBS:
         for name in ("report.json", "records.csv"):
-            serial, two = (tmp_path / run / job / name for run in ("serial", "two"))
-            assert two.read_bytes() == serial.read_bytes(), f"{job}/{name}"
+            assert (two / job / name).read_bytes() == (serial / job / name).read_bytes(), f"{job}/{name}"
+
+
+def test_outputs_match_the_byte_table(outputs):
+    # the table pins the bytes across commits; an output change refreshes it on purpose
+    # (python tests/test_scripts.py rewrites it), in a commit that lists old -> new
+    table = json.loads(OUTPUT_HASHES.read_text())
+    made, here = table["made_with"], {"numpy": np.__version__, "scipy": scipy.__version__}
+    if made != here:
+        pytest.skip(
+            f"the byte table was made with numpy {made['numpy']} and scipy {made['scipy']};"
+            f" this is numpy {here['numpy']} and scipy {here['scipy']}"
+        )
+    got = _output_hashes(outputs)
+    assert sorted(got) == sorted(table["sha256"])
+    moved = [f"{path}: {want} -> {got[path]}" for path, want in table["sha256"].items() if got[path] != want]
+    assert not moved, "\n".join(moved)
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -106,3 +153,16 @@ def test_benchmark_tracer_targets_are_package_functions(monkeypatch):
         assert callable(getattr(importlib.import_module(f"wegner_lab.{module}"), name, None)), (module, name)
     assert experiments.sample_potential is random_model.sample_potential
     assert experiments.count_in_interval is spectral.count_in_interval
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        procs, codes = _run_outputs(out)
+        if any(proc.returncode for proc in procs) or any(codes):
+            sys.exit("a run failed; the table is left as it was")
+        table = {"made_with": {"numpy": np.__version__, "scipy": scipy.__version__}, "sha256": _output_hashes(out)}
+    OUTPUT_HASHES.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"{len(table['sha256'])} hashes written to {OUTPUT_HASHES}")
