@@ -16,17 +16,15 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   shifts are the block's window ends or the two resonance shifts of z.
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
-  cut into one row per slice, in both slice orders.  An open box has n
-  slices of n^(d-1) unknowns; a periodic box is one slice.  Each Schur
-  block's count comes from the Bunch-Kaufman factor that its inverse is
-  built from.  The count is exact at every size whose slice fits
-  INERTIA_DENSE_LIMIT, so every open d=2 box within the dof budget.  A
-  shift at which a Schur block is nearly singular in both slice orders
-  raises ResonantSampleError instead of a count.
-
-A box whose one slice is over INERTIA_DENSE_LIMIT unknowns has no exact
-count and is refused with EigensolverError; no answer rests on an
-uncertified count.
+  cut into one row per slice.  An open box has n slices of n^(d-1)
+  unknowns; a periodic box is one slice.  Each Schur block's count comes
+  from the Bunch-Kaufman factor that its inverse is built from.  A shift
+  at which a Schur block is nearly singular is counted at x -+ 10
+  SCHUR_PIVOT_TOL x the operator scale instead; unequal counts raise
+  ResonantSampleError.  The count is exact at every size whose slice fits
+  INERTIA_DENSE_LIMIT, so every open d=2 box within the dof budget; a
+  larger slice is refused with EigensolverError, since no answer rests on
+  an uncertified count.
 
 A closed window [lo, hi] is counted at its finite ends nudged outward by a
 relative 1e-12 (`_closed_window`), by count_in_interval and count_windows
@@ -231,10 +229,10 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     """Number of eigenvalues strictly below x.
 
     Off the d=1 bands this is the block Sturm count on the stencil's slices
-    (a periodic box is one slice).  It runs in the other slice order when a
-    Schur block is nearly singular, and raises ResonantSampleError when both
-    orders are.  A slice over INERTIA_DENSE_LIMIT unknowns has no exact
-    count: EigensolverError.
+    (a periodic box is one slice).  Where a Schur block is nearly singular,
+    equal counts at x -+ delta leave no eigenvalue in [x - delta, x + delta)
+    and are the count at x; unequal ones raise ResonantSampleError.  A slice
+    over INERTIA_DENSE_LIMIT unknowns has no exact count: EigensolverError.
     """
     count = H.below.get(x)
     if count is not None:
@@ -248,11 +246,13 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
         raise EigensolverError(f"no exact eigenvalue count: {m} unknowns to factor densely, limit {INERTIA_DENSE_LIMIT}")
     diag = H.diag.reshape(-1, m)
     tol = SCHUR_PIVOT_TOL * _operator_scale(H)
-    for order in ((diag, coupling), (diag[::-1], coupling[::-1])):
-        count = block_sturm_count(inner, *order, x, tol)
-        if count is not None:
-            return count
-    raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {x}")
+    count = block_sturm_count(inner, diag, coupling, x, tol)
+    if count is None:
+        delta = 10.0 * tol
+        count, above = (block_sturm_count(inner, diag, coupling, y, tol) for y in (x - delta, x + delta))
+        if count is None or count != above:
+            raise ResonantSampleError(f"an eigenvalue may lie within {delta:.3g} of shift {x}")
+    return count
 
 
 def _closed_window(lo: float, hi: float) -> tuple[float, float]:

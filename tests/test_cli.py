@@ -376,13 +376,13 @@ class TestRunCommand:
 
     def test_resonant_shift_exits_two(self, tmp_path, capsys, monkeypatch):
         def refuse(H, lo, hi):
-            raise ResonantSampleError(f"near-singular Schur block in both slice orders at shift {hi}")
+            raise ResonantSampleError(f"an eigenvalue may lie within 1e-09 of shift {hi}")
 
         monkeypatch.setattr(spectral, "count_in_interval", refuse)
         cfg = _write(tmp_path / "w.ini", "[run]\nexperiment = wegner\nreplicas = 1\n\n[parameters]\nl_list = 4\n")
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "both slice orders" in capsys.readouterr().err
+        assert "an eigenvalue may lie within 1e-09 of shift" in capsys.readouterr().err
 
     def test_unparseable_model_value_exits_two(self, tmp_path, capsys):
         text = (CONFIG_DIR / "covering.model.ini").read_text().replace("extent = 40", "extent = ten")
