@@ -42,15 +42,14 @@ def _load_script(name):
 BATTERY_JOBS = tuple(name for name, *_ in _load_script("run_battery.py").JOBS)
 
 
+def _python(*argv, **env):
+    """The interpreter on argv, the package's src first on PYTHONPATH and env set."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+
+
 def _script(name, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    return _python(str(ROOT / "scripts" / name), *args)
 
 
 def _battery(out, *extra):
@@ -59,13 +58,25 @@ def _battery(out, *extra):
 
 # the shipped run files and the model file each runs on (None: the run builds its own set)
 RUN_FILES = {"ise": "covering", "stubborn": "geometric", "uncertainty": None, "wegner": "covering"}
+# the benchmark's d=2 run files, on the slab model; d>=2 report bytes depend on the BLAS thread count,
+# so they run in a process of their own with every BLAS and OpenMP pool at one thread
+SLAB_RUNS = ("ise", "localisation-probe", "spectral-minimum", "stubborn", "wegner")
+ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 OUTPUT_HASHES = Path(__file__).with_name("output_hashes.json")
 
 
+def _slab_runs(out):
+    """The slab2d run files through the CLI in one process at one BLAS thread, each under out/<name>."""
+    argvs = [["run", "--config", str(ROOT / "perfbench" / "slab2d" / f"{name}.run.ini"),
+              "--model", str(ROOT / "configs" / "slab.model.ini"), "--out", str(out / name)] for name in SLAB_RUNS]
+    code = "import json, sys; from wegner_lab import cli; sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))"
+    return _python("-c", code, json.dumps(argvs), **ONE_THREAD)
+
+
 def _run_outputs(out):
-    """The quick battery at one and two workers and the shipped run files, each under its own directory
-    of out; returns the battery processes and the run files' exit codes."""
-    procs = [_battery(out / f"battery-workers-{w}", "--workers", str(w)) for w in (1, 2)]
+    """The quick battery at one and two workers, the slab2d run files and the shipped run files, each under
+    its own directory of out; returns the battery and slab processes and the run files' exit codes."""
+    procs = [_battery(out / f"battery-workers-{w}", "--workers", str(w)) for w in (1, 2)] + [_slab_runs(out / "slab2d")]
     codes = []
     for name, model in RUN_FILES.items():
         argv = ["run", "--config", str(ROOT / "configs" / f"{name}.run.ini"), "--out", str(out / "run" / name)]
