@@ -31,7 +31,6 @@ import numpy as np
 
 from .grids import BoxSpec, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
-    REPLICA_BLOCK,
     AlloyModel,
     construct_diluted_minorant,
     mean_potential,
@@ -123,25 +122,23 @@ def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: in
     return query(add_potentials(build_free_laplacian(box), V), *args)
 
 
-# draws a serial map hands to one _replica_block call: a whole number of
-# stream blocks, so a map of replicas 0, 1, ... reads each stream block in one
-# pass, and few enough that a 10,000-replica map never holds (n, 10,000) arrays.
-# On the battery (one pinned core of a 2-vCPU x86-64 host, one BLAS thread),
-# 128 and 256 draws read wall times within 1.3% of each other over four
-# paired runs (256 won two); peak RSS rose 0.36 MB at 128 over blocks of 64,
-# and 0.83 MB more at 256.
-SERIAL_BLOCK = 2 * REPLICA_BLOCK
+# draws a serial map hands to one _replica_block call: few enough that a
+# 10,000-replica map never holds (n, 10,000) arrays.  On the battery (one
+# pinned core of a 2-vCPU x86-64 host, one BLAS thread), 128 and 256 draws
+# read wall times within 1.3% of each other over four paired runs (256 won
+# two); peak RSS rose 0.36 MB at 128 over blocks of 64, and 0.83 MB more at 256.
+SERIAL_BLOCK = 128
 
 
 def _map_replicas(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: int, draws: list, workers: int, cap=None):
     """The block query over the seed's draws, each conditioned below cap; one result per draw, in draw order.
 
-    Serial maps go in blocks of SERIAL_BLOCK draws, aligned with the stream blocks when the draws are replicas
-    0, 1, ..., so up to SERIAL_BLOCK draws are one block; parallel maps go in blocks of about a quarter of each
-    worker's share, at most REPLICA_BLOCK, so a worker that runs slow leaves its later blocks to the others.
+    Serial maps go in blocks of SERIAL_BLOCK draws, so up to SERIAL_BLOCK draws are one block; parallel maps
+    go in blocks of about a quarter of each worker's share, at most half a serial block, so a worker that runs
+    slow leaves its later blocks to the others.  Each block mixes the streams of exactly its own draws.
     """
     task = functools.partial(_replica_block, query, args, model, box, seed, cap)
-    size = SERIAL_BLOCK if workers <= 1 else min(REPLICA_BLOCK, max(1, len(draws) // (4 * workers)))
+    size = SERIAL_BLOCK if workers <= 1 else min(SERIAL_BLOCK // 2, max(1, len(draws) // (4 * workers)))
     blocks = [draws[i : i + size] for i in range(0, len(draws), size)]
     if workers <= 1:
         results = map(task, blocks)

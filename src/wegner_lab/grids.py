@@ -167,10 +167,10 @@ class DiscreteHamiltonian:
         return {}
 
     @functools.cached_property
-    def bisections(self) -> dict[tuple[float, str], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """LAPACK stebz's bisections of the d=1 bands per (cutoff, order): the
-        eigenvalues, blocks and splits that spectral._eigs_tridiagonal reuses,
-        each array read-only."""
+    def bisections(self) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """LAPACK stebz's bisections of the d=1 bands per cutoff, in block order:
+        the eigenvalues, blocks and splits that spectral._eigs_tridiagonal
+        reuses, each array read-only."""
         return {}
 
     @property

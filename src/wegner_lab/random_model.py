@@ -6,14 +6,12 @@ distributions through a splittable counter-based generator keyed by
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
 site_uniforms computes for a grid of keys and sites at once, bit for bit.
-Uniforms are drawn in stream blocks of 64 consecutive replicas r of a seed,
-the keys (seed, r).  sample_potentials forms a block of (replica, override)
-draws of one seed as one array: it splits the seed into words once, reads
-the uniforms in one pass over the stream blocks the replicas touch, maps
-them by each coupling law with the IEEE operations of its scalar map, and
-sums the bumps in one sparse product.  Its one-draw call sample_potential
-splits any key into a seed and a replica.  A few uniform arrays are kept,
-and each stream block's 64 key pools for every box size drawn on it.
+sample_potentials forms a block of (replica, override) draws of one seed as
+one array: it splits the seed into words once, mixes the keys (seed, r) of
+exactly the block's replicas r in one array pass, maps the uniforms by each
+coupling law with the IEEE operations of its scalar map, and sums the bumps
+in one sparse product.  Its one-draw call sample_potential splits any key
+into a seed and a replica.  A few uniform arrays are kept.
 A model has one single-site profile u, a nonnegative bump of finite radius;
 u_j = u(x - x_j) is its translate to site center x_j.
 
@@ -226,13 +224,11 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 # The coupling of site j under key k is the first uniform of
 # Generator(Philox(SeedSequence(k, spawn_key=(j,)))).  Both stages are
 # counter-based, so site_uniforms computes them for a whole (keys x sites)
-# grid at once and returns the same bits as numpy's scalar path: each key's
-# pool is numpy's own SeedSequence(k).pool, the site word (the last entropy
-# word) and generate_state(2, uint64) run on uint32 values held in uint64
-# arrays, and ten Philox4x64 rounds run on counter [1, 0, 0, 0].  The pools of
-# a stream block are kept, so a new box size only mixes in its site words,
-# and a block of draws reads its replicas of one seed from one pass over the
-# kept pools of every stream block they touch.
+# grid at once and returns the same bits as numpy's scalar path: numpy's
+# mix_entropy runs on uint32 values held in uint64 arrays, one array pass over
+# the key words (padded to the pool size, as a spawn key pads them) and the site
+# word after them, then generate_state(2, uint64) and ten Philox4x64 rounds on
+# counter [1, 0, 0, 0].  A block of draws mixes exactly its replica rows.
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -244,16 +240,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, steps: int) -> tuple[int, ...]:
-    """SeedSequence's hash constant after steps, ..., steps + 3 hash steps: init * mult**k mod 2**32."""
-    return tuple(init * pow(mult, steps + i, _MASK32 + 1) & _MASK32 for i in range(_POOL_SIZE))
-
-
-# the (xor, multiplier) pair generate_state applies to each pool word
-_STATE_XOR, _STATE_MULT = (np.array(_hash_constants(_INIT_B, _MULT_B, k), dtype=np.uint64) for k in (0, 1))
 
 
 def _key_words(key: Any) -> list[int]:
@@ -268,17 +254,35 @@ def _key_words(key: Any) -> list[int]:
     raise ModelError(f"stream keys are ints or tuples of ints, got {key!r}")
 
 
-def _key_pool(key: Any) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The key's SeedSequence pool before the site word, and the hash constants
-    the site word meets on its way into each pool word.
+def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of the values under hash constant h, and the constant it leaves."""
+    h_next = h * mult & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16, h_next
 
-    With a spawn key the run entropy is padded to the pool size, so the site
-    word is always the last entropy word and mixes into the finished pool,
-    SeedSequence(key).pool.  Mixing the key took four hash steps per pool word
-    and per word beyond the pool, each multiplying the hash constant by MULT_A.
-    """
-    steps = _POOL_SIZE * (_POOL_SIZE + max(0, len(_key_words(key)) - _POOL_SIZE))
-    return np.random.SeedSequence(key).pool, _hash_constants(_INIT_A, _MULT_A, steps)
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_entropy(entropy: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """numpy's SeedSequence.mix_entropy on at least _POOL_SIZE entropy words, each an array of uint32
+    values held in uint64, the arrays broadcasting together: the four pool words."""
+    h, pool = _INIT_A, []
+    for word in entropy[:_POOL_SIZE]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:  # words past the pool into each pool word
+        for dst in range(_POOL_SIZE):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    return pool
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,30 +294,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
 
 
-def _stacked_pools(keys: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
-    """The keys' pools and the hash constants their site words meet, each (keys, 1, 4)."""
-    pools = [_key_pool(k) for k in keys]
-    pool = np.array([p for p, _ in pools], dtype=np.uint64).reshape(-1, 1, _POOL_SIZE)
-    return pool, np.array([c for _, c in pools], dtype=np.uint64).reshape(-1, 1, _POOL_SIZE)
-
-
-def _pool_uniforms(pools: tuple[np.ndarray, np.ndarray], sites: tuple[int, ...]) -> np.ndarray:
-    """site_uniforms for the keys whose _stacked_pools these are."""
+def _pool_uniforms(words: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    """site_uniforms for the keys of a (keys, n) uint64 array of their n entropy words, in one array pass."""
     if any(not isinstance(j, (int, np.integer)) or not 0 <= j <= _MASK32 for j in sites):
         raise ModelError("site indices must be ints in [0, 2**32)")
-    pool, xor = pools
-    if not pool.size or not sites:
-        return np.zeros((pool.shape[0], len(sites)))
-    # the site word's hashmix into each pool word, then mix
-    h = (np.array(sites, dtype=np.uint64)[None, :, None] ^ xor) * (xor * _MULT_A & _MASK32) & _MASK32
-    h ^= h >> 16
-    p = (_MIX_L * pool - _MIX_R * h) & _MASK32
-    p ^= p >> 16
+    padding = [np.zeros((len(words), 1), dtype=np.uint64)] * (_POOL_SIZE - words.shape[1])
+    pool = _mix_entropy([word[:, None] for word in words.T] + padding + [np.array(sites, dtype=np.uint64)[None, :]])
     # generate_state(2, uint64): four hashed words, paired little-endian
-    s = (p ^ _STATE_XOR) * _STATE_MULT & _MASK32
-    s ^= s >> 16
-    k0 = s[..., 0] | s[..., 1] << 32
-    k1 = s[..., 2] | s[..., 3] << 32
+    h, state = _INIT_B, []
+    for word in pool:
+        value, h = _hashmix(word, h, _MULT_B)
+        state.append(value)
+    k0 = state[0] | state[1] << 32
+    k1 = state[2] | state[3] << 32
     # round one on counter [1, 0, 0, 0] has mulhilo(M0, 1) = (0, M0), mulhilo(M1, 0) = (0, 0)
     c0, c1, c2, c3 = k0, np.zeros_like(k0), k1, np.full_like(k0, _PHILOX_M0)
     for _ in range(_PHILOX_ROUNDS - 1):
@@ -330,30 +323,26 @@ def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
 
     Entry [k, j] equals, bit for bit,
     Generator(Philox(SeedSequence(keys[k], spawn_key=(sites[j],)))).uniform(0.0, 1.0).
-    Sites are single SeedSequence words, 0 <= j < 2**32.
+    Sites are single SeedSequence words, 0 <= j < 2**32.  Keys of one word count share a pass.
     """
-    return _pool_uniforms(_stacked_pools(keys), sites)
+    words = [_key_words(key) for key in keys]
+    u = np.empty((len(keys), len(sites)))
+    for n in set(map(len, words)):
+        at = [k for k, w in enumerate(words) if len(w) == n]
+        u[at] = _pool_uniforms(np.array([words[k] for k in at], dtype=np.uint64).reshape(len(at), n), sites)
+    return u
 
 
-REPLICA_BLOCK = 64  # consecutive replica keys whose pools are mixed together: one stream block
-UNIFORM_CACHE_SIZE = 16  # (key stem, stream blocks, sites) uniform arrays kept, and as many blocks' key pools
-
-
-@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
-def _block_pools(stem: tuple[int, ...], block: int) -> tuple[np.ndarray, np.ndarray]:
-    """_stacked_pools of the keys (*stem, r) of a stream block; every box size drawn on the block shares them."""
-    pools = _stacked_pools([stem + (r,) for r in range(block * REPLICA_BLOCK, (block + 1) * REPLICA_BLOCK)])
-    for a in pools:
-        a.flags.writeable = False
-    return pools
+UNIFORM_CACHE_SIZE = 16  # (key stem, replica rows, sites) uniform arrays kept
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
-def _uniform_blocks(stem: tuple[int, ...], blocks: tuple[int, ...], sites: tuple[int, ...]) -> np.ndarray:
-    """site_uniforms of the keys (*stem, r) of the listed stream blocks, REPLICA_BLOCK rows a block in the
-    listed order, read-only: one _pool_uniforms pass over the blocks' kept pools."""
-    pools = [_block_pools(stem, block) for block in blocks]
-    u = _pool_uniforms((np.concatenate([p for p, _ in pools]), np.concatenate([c for _, c in pools])), sites)
+def _row_uniforms(stem: tuple[int, ...], rows: tuple[int, ...], sites: tuple[int, ...]) -> np.ndarray:
+    """site_uniforms of the keys (*stem, r) of the replica rows r, read-only: one _pool_uniforms pass."""
+    words = np.empty((len(rows), len(stem) + 1), dtype=np.uint64)
+    words[:, :-1] = stem
+    words[:, -1] = rows
+    u = _pool_uniforms(words, sites)
     u.flags.writeable = False
     return u
 
@@ -370,9 +359,9 @@ def _couplings(groups: tuple[tuple[Distribution, Any], ...], stem: tuple[int, ..
                sites: tuple[int, ...], cap: float | None = None) -> np.ndarray:
     """The (rows, sites) couplings of the listed sites under the keys (*stem, r) of the replica rows r, each
     the first uniform of its key's stream at the site, mapped by the site's law (its _law_groups).  stem is
-    the uint32 words of a split key; row r is read as row r % 64 of its stream block, and every row from one
-    _uniform_blocks array.  A row outside [0, 2**32) is refused, and so is a cap under which a listed
-    site's law has no mass; a cap conditions every coupling on staying at or below it."""
+    the uint32 words of a split key, and the rows are read from one _row_uniforms array.  A row outside
+    [0, 2**32) is refused, and so is a cap under which a listed site's law has no mass; a cap conditions
+    every coupling on staying at or below it."""
     if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
     r = np.array(rows)
@@ -380,9 +369,7 @@ def _couplings(groups: tuple[tuple[Distribution, Any], ...], stem: tuple[int, ..
         return np.empty((0, len(sites)))
     if r.dtype.kind not in "iu" or r.min() < 0 or r.max() > _MASK32:
         raise ModelError(f"replica rows must be ints in [0, 2**32), got {rows!r}")
-    block, row = np.divmod(r.astype(np.int64), REPLICA_BLOCK)
-    blocks, slot = np.unique(block, return_inverse=True)
-    u = _uniform_blocks(stem, tuple(blocks.tolist()), sites)[slot * REPLICA_BLOCK + row]
+    u = _row_uniforms(stem, tuple(r.tolist()), sites)
     c = np.empty_like(u)
     for law, at in groups:
         if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time

@@ -35,11 +35,11 @@ exactly the inertia count, and refuses to return silently short.
 
 On the d=1 bands eigs_below runs LAPACK's bisection stebz over (floor, e_max],
 the floor below the Gershgorin disc, then stein for the vectors.  The
-bisection depends only on the operator, the cutoff and stebz's order, so
-each operator keeps it per (cutoff, order) (`DiscreteHamiltonian.bisections`,
-read-only) and bisects a cutoff once; stein runs on every call, so no n x k
-vectors are kept.  The free operator is memoised per box, so every scan over
-a box shares its bisections.
+bisection depends only on the operator and the cutoff, so each operator
+keeps it per cutoff, in stebz's block order (`DiscreteHamiltonian.bisections`,
+read-only), and bisects a cutoff once for calls with and without vectors;
+stein runs on every call, so no n x k vectors are kept.  The free operator
+is memoised per box, so every scan over a box shares its bisections.
 
 A resolvent block is refused when the shift lies within 1e-10 of an
 eigenvalue (the two resonance counts differ).  Otherwise one factorization
@@ -303,37 +303,37 @@ def _check_info(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
 
 
-def _bisect(H: DiscreteHamiltonian, e_max: float, order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bisect(H: DiscreteHamiltonian, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """stebz's eigenvalues of the bands in (floor, e_max], with their blocks and
-    splits, in order "E" (ascending) or "B" (by block); kept in H.bisections.
+    splits, in order "B" (by block); kept in H.bisections.
 
     The floor lies below the Gershgorin disc, so every eigenvalue at or
     below e_max is found; a cutoff at or below the floor has none, and
     stebz is never asked for an empty range (it refuses one).
     """
-    key = (e_max, order)
-    found = H.bisections.get(key)
+    found = H.bisections.get(e_max)
     if found is None:
         diag, off = H.tridiagonal()
         floor = float(diag.min() - 2.0 * (abs(off).max() if off.size else 0.0) - 1.0)
         if not e_max > floor:
             found = (np.empty(0), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
         else:
-            m, w, iblock, isplit, info = _STEBZ(diag, off, 1, floor, e_max, 1, 1, 0.0, order)
+            m, w, iblock, isplit, info = _STEBZ(diag, off, 1, floor, e_max, 1, 1, 0.0, "B")
             _check_info(info, "stebz")
             found = (w[:m].copy(), iblock, isplit)  # not a view of all n entries
         for a in found:
             a.flags.writeable = False
-        H.bisections[key] = found
+        H.bisections[e_max] = found
     return found
 
 
 def _eigs_tridiagonal(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> EigenResult:
     """eigh_tridiagonal's select by value, from its LAPACK calls: stebz with
-    tol 0 (memoised per cutoff), then stein and an argsort for the vectors."""
-    w, iblock, isplit = _bisect(H, e_max, "B" if want_vectors else "E")
+    tol 0 in block order (memoised per cutoff), sorted, and stein for the
+    vectors.  stebz's ascending order "E" is the same bisection, sorted."""
+    w, iblock, isplit = _bisect(H, e_max)
     if not want_vectors:
-        return EigenResult(w, None, "tridiagonal")
+        return EigenResult(np.sort(w), None, "tridiagonal")
     if not w.size:
         return EigenResult(w, np.empty((H.box.ndof, 0)), "tridiagonal")
     v, info = _STEIN(*H.tridiagonal(), w, iblock, isplit)

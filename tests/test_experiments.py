@@ -25,7 +25,6 @@ from wegner_lab import experiments as X
 from wegner_lab import random_model, spectral
 from wegner_lab.grids import BoxSpec, add_potential, add_potentials, build_free_laplacian
 from wegner_lab.random_model import (
-    REPLICA_BLOCK,
     BernoulliAt,
     Uniform,
     covering_model,
@@ -501,7 +500,6 @@ def _block_sizes(block):
 
 
 def test_a_serial_map_is_one_block_up_to_the_cap(covering):
-    assert X.SERIAL_BLOCK % REPLICA_BLOCK == 0  # a whole number of stream blocks
     box = X._box(1, 4.0, 16)
     assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(40), 1) == [40] * 40
     tail = 200 - X.SERIAL_BLOCK
@@ -509,13 +507,13 @@ def test_a_serial_map_is_one_block_up_to_the_cap(covering):
     assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(200), 1) == want
 
 
-def test_a_parallel_map_cuts_quarter_shares_of_at_most_a_stream_block(covering):
-    # about a quarter of each of two workers' shares, n // 8 draws, at least 1 and at most REPLICA_BLOCK
+def test_a_parallel_map_cuts_quarter_shares_of_at_most_half_a_serial_block(covering):
+    # about a quarter of each of two workers' shares, n // 8 draws, at least 1 and at most SERIAL_BLOCK // 2
     box = X._box(1, 4.0, 16)
     token = X._POOL.set([])
     try:
         for n, want in [(1, [1]), (3, [1, 1, 1]), (200, [25] * 200), (258, [32] * 256 + [2, 2]),
-                        (600, [REPLICA_BLOCK] * 576 + [24] * 24)]:
+                        (600, [X.SERIAL_BLOCK // 2] * 576 + [24] * 24)]:
             assert X._map_replicas(_block_sizes, (), covering, box, 3, X._draws(n), 2) == want, n
         assert len(X._POOL.get()) == 1
     finally:
@@ -524,21 +522,20 @@ def test_a_parallel_map_cuts_quarter_shares_of_at_most_a_stream_block(covering):
         X._POOL.reset(token)
 
 
-def test_the_two_worker_cut_reads_straddled_stream_blocks_again(covering, monkeypatch):
-    # a 200-draw map: the serial cut reads stream blocks 0-1 and 2-3 in one _pool_uniforms pass each; the
-    # two-worker cut's blocks of 25 read blocks 0, 0-1, 1, 1-2, 2 and 2-3, each straddle computing again
-    # stream blocks an earlier map block read (blocks 25-49 and 100-124 reuse a cached array)
+def test_a_map_mixes_exactly_the_rows_it_draws(covering, monkeypatch):
+    # a 200-draw map mixes 200 Philox rows, one _pool_uniforms pass per map block, whatever the cut:
+    # blocks of 128 and 72 serially, eight blocks of 25 at two workers
     rows = []
     pool_uniforms = random_model._pool_uniforms
 
-    def counted(pools, sites):
-        rows.append(len(pools[0]))
-        return pool_uniforms(pools, sites)
+    def counted(words, sites):
+        rows.append(len(words))
+        return pool_uniforms(words, sites)
 
     monkeypatch.setattr(random_model, "_pool_uniforms", counted)
     box = X._box(1, 4.0, 16)
-    for workers, want in [(1, [128, 128]), (2, [64, 128, 64, 128, 64, 128])]:
-        random_model._uniform_blocks.cache_clear()
+    for workers, want in [(1, [128, 72]), (2, [25] * 8)]:
+        random_model._row_uniforms.cache_clear()
         rows.clear()
         token = X._POOL.set([types.SimpleNamespace(map=map)])  # a pool that maps in this process
         try:
@@ -551,7 +548,7 @@ def test_the_two_worker_cut_reads_straddled_stream_blocks_again(covering, monkey
 @pytest.mark.parametrize(
     "driver, kw",
     [
-        # 130 draws cross two stream blocks of 64 and a serial block of 128
+        # 130 draws cross a serial block of 128
         ("run_wegner", dict(L_list=(4.0,), eps_list=(0.4, 0.2), seed=99, replicas=130)),
         # 129 replicas and the zero-coupling seam's override, the map's last draw
         ("estimate_ids", dict(L=4.0, E_list=(2.0, 5.0), seed=5, replicas=129)),
@@ -565,7 +562,7 @@ def test_replica_reports_do_not_depend_on_the_block_size(covering, driver, kw, m
     run = getattr(X, driver)
     want = run(covering, **kw)
     assert want.records
-    for size in (1, REPLICA_BLOCK):
+    for size in (1, 64):
         monkeypatch.setattr(X, "SERIAL_BLOCK", size)
         assert run(covering, **kw).to_json() == want.to_json(), size
     monkeypatch.undo()

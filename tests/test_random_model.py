@@ -38,8 +38,8 @@ from wegner_lab.random_model import (
     modulus_s,
     potential_envelope,
     _couplings,
-    _key_pool,
     _law_groups,
+    _mix_entropy,
     build_model,
     sample_potential,
     sample_potentials,
@@ -259,13 +259,13 @@ def _split(key):
     return tuple(words[:-1]), words[-1:]
 
 
-def _mixed_pool(key):
-    """SeedSequence's key mixing by hand, mod 2**32 on Python ints: the pool
-    before the site word, and the hash constants the site word meets.  The
-    oracle for _key_pool."""
+def _mixed_pool(key, *spawn_key):
+    """SeedSequence's entropy mixing by hand, mod 2**32 on Python ints: the pool of
+    the key's words, padded to the pool size, and the spawn key's words after them.
+    The oracle for _mix_entropy."""
     mask, init_a, mult_a, mix_l, mix_r = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
     words = _words(key)
-    words += [0] * (4 - len(words))
+    words += [0] * (4 - len(words)) + list(spawn_key)
     h = init_a
     pool = []
     for w in words[:4]:  # hashmix(v): v ^= h; h *= MULT_A; v *= h; v ^= v >> 16
@@ -282,11 +282,14 @@ def _mixed_pool(key):
             v = v * h & mask
             r = (mix_l * pool[dst] - mix_r * (v ^ v >> 16)) & mask  # mix(x, y) = L x - R y
             pool[dst] = r ^ r >> 16
-    consts = []
-    for _ in range(4):
-        consts.append(h)
-        h = h * mult_a & mask
-    return pool, consts
+    return pool
+
+
+def _entropy(keys, sites=()):
+    """The (keys, 1) word arrays of keys of one word count, padded to the pool size, then a (1, sites) site word."""
+    words = np.array([_words(key) for key in keys], dtype=np.uint64).reshape(len(keys), -1)
+    padded = [w[:, None] for w in words.T] + [np.zeros((len(keys), 1), dtype=np.uint64)] * (4 - words.shape[1])
+    return padded + ([np.array(sites, dtype=np.uint64)[None, :]] if sites else [])
 
 
 class TestStreams:
@@ -334,8 +337,7 @@ class TestStreams:
     def test_a_float_key_word_is_refused_whatever_the_cache_holds(self, covering):
         # (3.0, 5) hashes like (3, 5), so a cached draw of (3, 5) must not answer it
         box = _box()
-        random_model._uniform_blocks.cache_clear()
-        random_model._block_pools.cache_clear()
+        random_model._row_uniforms.cache_clear()
         with pytest.raises(ModelError, match="stream keys"):
             sample_potential(covering, (3.0, 5), box)
         sample_potential(covering, (3, 5), box)
@@ -368,12 +370,37 @@ class TestStreams:
             st.integers(0, 2**200),  # one to seven words
             st.lists(st.integers(0, 2**70), max_size=6).map(tuple),  # () included
             st.tuples(st.integers(0, 2**40), st.lists(st.integers(0, 2**40), max_size=3).map(tuple)),
-        )
+        ),
+        site=_SITES,
     )
     @settings(max_examples=200, deadline=None)
-    def test_key_pool_matches_hand_mixing(self, key):
-        pool, consts = _key_pool(key)
-        assert (pool.tolist(), list(consts)) == _mixed_pool(key)
+    def test_array_mixing_matches_hand_mixing(self, key, site):
+        assert [int(w[0, 0]) for w in _mix_entropy(_entropy([key]))] == _mixed_pool(key)
+        assert [int(w[0, 0]) for w in _mix_entropy(_entropy([key], (site,)))] == _mixed_pool(key, site)
+
+    @given(
+        width=st.integers(1, 6),
+        rows=st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6), min_size=1, max_size=5),
+        sites=st.lists(_SITES, min_size=1, max_size=4).map(tuple),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_array_mixing_is_numpys_seedsequence_pool(self, width, rows, sites):
+        # one pass over a (keys, words) array: each row's pool is SeedSequence(key).pool, and with a site word
+        # after it, SeedSequence(key, spawn_key=(site,)).pool
+        keys = [tuple(row[:width]) for row in rows]
+        pool = np.stack(_mix_entropy(_entropy(keys)), axis=-1)[:, 0]
+        assert pool.tolist() == [np.random.SeedSequence(key).pool.tolist() for key in keys]
+        spawned = np.stack(_mix_entropy(_entropy(keys, sites)), axis=-1)
+        for k, key in enumerate(keys):
+            for j, site in enumerate(sites):
+                assert spawned[k, j].tolist() == np.random.SeedSequence(key, spawn_key=(site,)).pool.tolist()
+
+    @given(keys=st.lists(st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(tuple), min_size=2, max_size=8),
+           sites=st.lists(_SITES, max_size=4).map(tuple))
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_over_keys_of_mixed_word_counts_is_numpys_scalar_path(self, keys, sites):
+        got = site_uniforms(keys, sites)
+        assert got.tolist() == [[_numpy_uniform(key, site) for site in sites] for key in keys]
 
     def test_numpy_seedsequence_golden_values(self):
         # if this fails, numpy changed SeedSequence or Philox, not this package
@@ -1010,7 +1037,7 @@ def test_sampled_potential_is_each_laws_scalar_map_of_numpys_uniform(case):
 def _block_case(draw):
     """A model (one law, or a law per site), a d=1 or d=2 box, a cap or none, a seed of one or more
     words, and a block of (replica, override) draws: consecutive replicas from a start that may
-    straddle replicas 63/64, some overridden, with replicas from other stream blocks mixed in."""
+    straddle replicas 63/64, some overridden, with far replicas mixed in."""
     model, box, _, cap = draw(_law_case())
     seed = draw(st.one_of(st.integers(0, 2**40), st.tuples(st.integers(0, 9), st.integers(0, 2**33)), st.just(())))
     start = draw(st.sampled_from([0, 1, 40, 63, 64, 120]))
@@ -1067,38 +1094,38 @@ def test_a_block_with_a_non_finite_potential_is_refused(covering, bad):
     add_potentials(free, np.delete(V, 3, axis=1))  # the finite draws alone are accepted
 
 
-def test_block_pools_are_numpys_and_shared_by_box_sizes(covering, monkeypatch):
-    random_model._block_pools.cache_clear()
-    random_model._uniform_blocks.cache_clear()
-    stem, built = (918273,), []
-    key_pool = random_model._key_pool
-    monkeypatch.setattr(random_model, "_key_pool", lambda key: built.append(key) or key_pool(key))
+def test_a_draw_mixes_its_own_row_at_every_box_size(covering, monkeypatch):
+    random_model._row_uniforms.cache_clear()
+    stem, mixed = (918273,), []
+    pool_uniforms = random_model._pool_uniforms
+
+    def counted(words, sites):
+        mixed.append(words.tolist())
+        return pool_uniforms(words, sites)
+
+    monkeypatch.setattr(random_model, "_pool_uniforms", counted)
     draws = [sample_potential(covering, stem + (70,), _box(L=L, n=int(16 * L) - 1)) for L in (4.0, 8.0)]
-    assert built == [stem + (r,) for r in range(64, 128)]  # one pool per key of the block, for both sizes
-    pool, _ = random_model._block_pools(stem, 1)
-    assert pool.shape == (64, 1, 4)
-    for r in range(64):
-        assert pool[r, 0].tolist() == np.random.SeedSequence(stem + (64 + r,)).pool.tolist()
-    # the second size's draw is the per-site oracle's
-    box = _box(L=8.0, n=127)
-    want = _loop_potential(covering, box, lambda i: covering.dists[i]._from_uniform(_numpy_uniform(stem + (70,), i)))
-    assert draws[1].tobytes() == want.tobytes()
+    assert mixed == [[[918273, 70]]] * 2  # one key, one row, for each size's sites
+    for L, draw in zip((4.0, 8.0), draws):  # each size's draw is the per-site oracle's
+        box = _box(L=L, n=int(16 * L) - 1)
+        want = _loop_potential(covering, box, lambda i: covering.dists[i]._from_uniform(_numpy_uniform(stem + (70,), i)))
+        assert draw.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# a block's replicas of one seed read from one pass over the stream blocks they touch
+# a block's replicas of one seed read from one pass over exactly its rows
 
 
-def test_uniform_blocks_are_the_site_uniforms_of_their_keys():
-    random_model._uniform_blocks.cache_clear()
+def test_row_uniforms_are_the_site_uniforms_of_their_keys():
+    random_model._row_uniforms.cache_clear()
     sites = (0, 5, 17, 2**32 - 1)
-    u = random_model._uniform_blocks((77, 3), (0, 2, 5), sites)
-    keys = [(77, 3, r) for block in (0, 2, 5) for r in range(64 * block, 64 * block + 64)]
-    assert u.shape == (192, 4) and u.tobytes() == site_uniforms(keys, sites).tobytes()
+    rows = (0, 130, 64, 5, 2**32 - 1, 5)
+    u = random_model._row_uniforms((77, 3), rows, sites)
+    assert u.shape == (6, 4) and u.tobytes() == site_uniforms([(77, 3, r) for r in rows], sites).tobytes()
     assert not u.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         u[0, 0] = 0.5
-    assert random_model._uniform_blocks((77, 3), (0, 2, 5), sites) is u  # kept
+    assert random_model._row_uniforms((77, 3), rows, sites) is u  # kept
 
 
 _SEEDS = st.one_of(
@@ -1112,8 +1139,8 @@ _SEEDS = st.one_of(
 @given(seed=_SEEDS, rows=st.lists(st.one_of(st.integers(0, 400), st.just(2**32 - 1)), min_size=1, max_size=40),
        int64=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_couplings_read_every_stem_from_its_stream_blocks(seed, rows, int64):
-    # the seed is split once into the stem; every row, over several stream blocks, in any order
+def test_couplings_read_every_row_of_every_stem(seed, rows, int64):
+    # the seed is split once into the stem; every row, near or far apart, in any order
     sites = (0, 3, 64, 1000)
     stem = tuple(random_model._key_words(seed))
     assert list(stem) == _words(seed)
