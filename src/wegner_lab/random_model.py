@@ -262,6 +262,7 @@ def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple[np.ndarray
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
     r = (_MIX_L * x - _MIX_R * y) & _MASK32
     return r ^ r >> 16
 
