@@ -420,7 +420,7 @@ def run_stubborn(
 def _untouched_count(block, lo, hi) -> list[tuple[bool, int]]:
     """Whether each draw leaves the box free of potential, and its count in [lo, hi]."""
     untouched = np.abs(block.potentials).max(axis=0) == 0.0
-    return [(bool(u), count_in_interval(H, lo, hi)) for u, H in zip(untouched, block.operators)]
+    return [(bool(u), count) for u, (count,) in zip(untouched, count_windows(block, ((lo, hi),)))]
 
 
 @_experiment("stubborn-exp")

@@ -8,12 +8,12 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   off-diagonal and keeps its diagonals as one (n, R) array
   (`grids.OperatorBlock`), so the block queries (`count_windows`,
   `resolvent_norms`) first count every operator at every shift they will
-  ask for at once: each (operator, shift) pair is a lane, and from
-  LANE_CROSSOVER lanes on one numpy recurrence runs over that array, one
-  step per unknown and two ufuncs a step, with the IEEE operations of the
-  scalar loop in the same order.  Each operator keeps those counts
-  (`DiscreteHamiltonian.below`), and inertia_count reads them first.  The
-  shifts are the block's window ends or the two resonance shifts of z.
+  ask for at once, whatever the block's size: each (operator, shift) pair
+  is a lane, and one numpy recurrence runs over that array, one step per
+  unknown, with the IEEE operations of the scalar loop in the same order.
+  Each operator keeps those counts (`DiscreteHamiltonian.below`), and
+  inertia_count reads them first; a count of one operator alone runs the
+  Python-float loop.  The shifts are the window ends or z -+ 1e-10.
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice.  An open box has n slices of n^(d-1)
@@ -70,15 +70,6 @@ DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs a
 INERTIA_DENSE_LIMIT = 4096  # largest slice (a Schur block; a whole periodic box) factored densely
 SCHUR_PIVOT_TOL = 1e-10  # relative to the operator scale: a Schur block this close to singular is refused
 _LANCZOS_KEY = 12345
-# (operator, shift) lanes from which counting a block's window ends at once,
-# in one numpy Sturm recurrence over all lanes, beats the Python-float loop
-# that count_in_interval runs per lane.  Both costs grow with the n unknowns,
-# so the crossover is a lane count: on covering-model operators with n = 95,
-# 127, 255 and 511 (one pinned core of a 2-vCPU x86-64 host, one BLAS thread)
-# the two met at 24 to 32 lanes; at n = 511, 24 lanes took 2.1 ms looped and
-# 2.4 ms at once, 32 lanes 2.8 and 2.5 ms, 96 lanes 8.5 and 2.8 ms, and 288
-# lanes 23.6 and 4.0 ms.
-LANE_CROSSOVER = 32
 
 
 class EigensolverError(RuntimeError):
@@ -225,8 +216,14 @@ def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarr
             return None
 
 
+def _check_shifts(*shifts: float) -> None:
+    """Refuse a NaN shift: every sign test would read its NaN pivots as not below, and count nothing."""
+    if any(map(math.isnan, shifts)):
+        raise ValueError("no eigenvalue count below shift nan")
+
+
 def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
-    """Number of eigenvalues strictly below x.
+    """Number of eigenvalues strictly below x; a NaN x raises ValueError, an infinite one counts none or all.
 
     Off the d=1 bands this is the block Sturm count on the stencil's slices
     (a periodic box is one slice).  Where a Schur block is nearly singular,
@@ -234,9 +231,10 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     and are the count at x; unequal ones raise ResonantSampleError.  A slice
     over INERTIA_DENSE_LIMIT unknowns has no exact count: EigensolverError.
     """
-    count = H.below.get(x)
+    count = H.below.get(x)  # never holds a NaN shift: _precount_below refuses one
     if count is not None:
         return count
+    _check_shifts(x)
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
         return sturm_count(diag, off, x)
@@ -273,11 +271,12 @@ def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
 
 
 def _precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
-    """Count every operator of the block below every shift at once, for inertia_count to read: for d=1
-    operators with an open boundary, from LANE_CROSSOVER (operator, shift) lanes on, one sturm_count on
-    the block's (n, R) diagonal, kept in each operator's `below`.  Anything else is left to inertia_count."""
+    """Count every operator of the block below every shift at once, for inertia_count to read: a block of
+    d=1 operators with an open boundary, of any size, takes one sturm_count on its (n, R) diagonal, kept in
+    each operator's `below`.  d>=2 and periodic blocks are left to inertia_count.  A NaN shift is refused."""
+    _check_shifts(*shifts)
     shifts = sorted({x for x in shifts if x != -math.inf})
-    if block.diag.shape[1] * len(shifts) < LANE_CROSSOVER or not block.operators[0].is_tridiagonal:
+    if not block.operators[0].is_tridiagonal:
         return
     below = sturm_count(block.diag, block.operators[0].stencil.coupling, shifts)
     for H, counts in zip(block.operators, below.tolist()):
@@ -286,7 +285,7 @@ def _precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
 
 def count_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> list[tuple[int, ...]]:
     """Each operator's count_in_interval in every closed (lo, hi) window, the window ends counted ahead."""
-    _precount_below(block, [x for lo, hi in windows if hi >= lo for x in _closed_window(lo, hi)])
+    _precount_below(block, [x for lo, hi in windows if not hi < lo for x in _closed_window(lo, hi)])
     return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
 
 

@@ -32,7 +32,7 @@ from wegner_lab.random_model import (
     sample_potential,
 )
 from wegner_lab.reports import ExperimentReport
-from wegner_lab.spectral import LANE_CROSSOVER, ResonantSampleError, resolvent_block_norm
+from wegner_lab.spectral import ResonantSampleError, resolvent_block_norm
 from wegner_lab.thick_sets import stripes_raster
 
 EXACT = dict(rel=1e-12, abs=1e-300)
@@ -231,6 +231,13 @@ class TestIds:
         # every worker process fills its own operator and profile caches
         kw = dict(L=4.0, E_list=(2.0, 5.0, 10.0), replicas=8, seed=5)
         assert X.estimate_ids(covering, **kw).to_json() == X.estimate_ids(covering, workers=2, **kw).to_json()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_nan_energy_is_refused(self, covering, slab, d):
+        # a NaN threshold once counted nothing below it and passed both verdicts
+        kw = dict(E_list=(math.nan, 5.0), replicas=3) | ({} if d == 1 else dict(L=2.0, mesh_density=4))
+        with pytest.raises(ValueError, match="shift nan"):
+            X.estimate_ids(covering if d == 1 else slab, **kw)
 
     def test_a_constant_below_the_increments_fails_the_continuity_bound(self, covering):
         rep = X.estimate_ids(covering, replicas=8, c_w=1e-6)
@@ -443,8 +450,7 @@ class TestIse:
         assert rep.verdicts["exponential_rate_positive"] == "FAIL"
         assert rep.verdicts["probability_scaling"] == "FAIL"
 
-    # two resonance shifts per operator: 31 operators are 62 lanes, below the
-    # crossover, and 32 are 64, at it
+    # two resonance shifts per operator, counted ahead for every block size: no scalar count runs
     @pytest.mark.parametrize("R", [1, 31, 32, 64, 65])
     def test_block_query_matches_per_operator_calls(self, R, monkeypatch):
         box = BoxSpec(d=1, length=8.0, center=(0.0,), n=127)
@@ -475,7 +481,7 @@ class TestIse:
         got = spectral.resolvent_norms(add_potentials(free, V.T), z, rows, cols)
         assert got == want
         assert [i for i, norm in enumerate(got) if norm is None] == [hit]
-        assert len(scalar) == (0 if 2 * R >= LANE_CROSSOVER else 2 * R)
+        assert scalar == []
 
 
 @pytest.mark.parametrize("d", [1, 2])

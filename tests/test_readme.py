@@ -27,8 +27,7 @@ def test_a_stated_constant_is_found():
 
 def test_the_readme_states_the_tuning_constants():
     names = {name for _, name, _ in _stated(README)}
-    tuning = {"LANE_CROSSOVER", "INERTIA_DENSE_LIMIT", "FREE_CACHE_SIZE", "PROFILE_CACHE_SIZE", "SERIAL_BLOCK",
-              "UNIFORM_CACHE_SIZE"}
+    tuning = {"INERTIA_DENSE_LIMIT", "FREE_CACHE_SIZE", "PROFILE_CACHE_SIZE", "SERIAL_BLOCK", "UNIFORM_CACHE_SIZE"}
     assert tuning <= names
 
 

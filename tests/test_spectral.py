@@ -7,7 +7,6 @@ iterative path is forced explicitly so method dispatch cannot hide it.
 
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from wegner_lab.grids import (
 from wegner_lab.random_model import load_model_config, sample_potential
 from wegner_lab.spectral import (
     INERTIA_DENSE_LIMIT,
-    LANE_CROSSOVER,
     EigensolverError,
     ResonantSampleError,
     _eigs_dense,
@@ -170,7 +168,16 @@ def _lane_problem(draw):
 
 
 def _loop_counts(diag, off, shifts):
-    return np.array([[sturm_count(diag[:, r], off, x) for x in shifts] for r in range(diag.shape[1])])
+    with np.errstate(over="ignore"):  # a 1e-300 pivot can overflow the next quotient
+        return np.array([[_ndarray_sturm(diag[:, r], off, x) for x in shifts] for r in range(diag.shape[1])])
+
+
+def _counting_lanes(monkeypatch):
+    """The list that gets one entry per _sturm_lanes call from now on."""
+    calls = []
+    real = spectral._sturm_lanes
+    monkeypatch.setattr(spectral, "_sturm_lanes", lambda *a: calls.append(1) or real(*a))
+    return calls
 
 
 class TestSturmLanes:
@@ -197,30 +204,50 @@ class TestSturmLanes:
         free = build_free_laplacian(box)
         ends = st.sampled_from(sorted(set(shifts.tolist())))
         windows = data.draw(st.lists(st.tuples(st.one_of(st.just(-math.inf), ends), ends), min_size=1, max_size=6))
+        # the loop, operator by operator, against the block's lanes
         want = [[count_in_interval(add_potential(free, diag[:, r]), lo, hi) for lo, hi in windows] for r in range(R)]
-        # the lanes, and the loop below the crossover
-        for crossover in (1, LANE_CROSSOVER):
-            block = add_potentials(free, diag)
-            with mock.patch.object(spectral, "LANE_CROSSOVER", crossover):
-                got = count_windows(block, windows)
-            assert [list(counts) for counts in got] == want
-            assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in block.operators] == want
+        block = add_potentials(free, diag)
+        got = count_windows(block, windows)
+        assert [list(counts) for counts in got] == want
+        assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in block.operators] == want
 
-    @pytest.mark.parametrize("R, in_lanes", [(LANE_CROSSOVER - 1, False), (LANE_CROSSOVER, True)])
-    def test_both_sides_of_the_crossover(self, R, in_lanes, monkeypatch):
-        calls = []
-        real = spectral._sturm_lanes
-        monkeypatch.setattr(spectral, "_sturm_lanes", lambda *a: calls.append(1) or real(*a))
+    @pytest.mark.parametrize("R", [1, 2, 31, 32, 200])
+    def test_every_block_counts_ahead_in_one_lane_pass(self, R, monkeypatch):
         free = build_free_laplacian(BoxSpec(d=1, length=5.0, center=(0.0,), n=80))
         V = np.random.default_rng(R).uniform(0.0, 20.0, size=(80, R))
-        block = add_potentials(free, V)
-        # one window end: R lanes
         want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
+        calls = _counting_lanes(monkeypatch)
+        block = add_potentials(free, V)
+        # one window end: R lanes, whatever R is
         got = count_windows(block, [(-math.inf, 40.0)])
-        assert len(calls) == in_lanes
-        assert all(bool(H.below) == in_lanes for H in block.operators)
+        assert len(calls) == 1
+        assert all(H.below for H in block.operators)
         assert got == [(count,) for count in want]
         assert [count_in_interval(H, -math.inf, 40.0) for H in block.operators] == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_a_plane_block_never_counts_ahead(self, R, monkeypatch):
+        box = BoxSpec(d=2, length=3.0, center=(0.0, 0.0), n=7)
+        V = np.random.default_rng(R).uniform(0.0, 3.0, size=(box.ndof, R))
+        rows, cols = box.node_block((-1.5, -1.5), (-0.5, 1.5)), box.node_block((0.5, -1.5), (1.5, 1.5))
+        alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
+        want = [count_in_interval(H, 1.0, 40.0) for H in alone]
+        norms = [resolvent_block_norm(H, 0.5, rows, cols) for H in alone]
+        calls = _counting_lanes(monkeypatch)
+        block = add_potentials(build_free_laplacian(box), V)
+        assert count_windows(block, [(1.0, 40.0)]) == [(count,) for count in want]
+        assert spectral.resolvent_norms(block, 0.5, rows, cols) == norms
+        assert not calls
+        assert not any(H.below for H in block.operators)
+
+    def test_a_count_of_one_operator_runs_the_loop(self, monkeypatch):
+        _, H = _random_operator(1, 127, 8.0, seed=2, amplitude=3.0)
+        calls = _counting_lanes(monkeypatch)
+        assert inertia_count(H, 5.0) == sturm_count(*H.tridiagonal(), 5.0)
+        assert count_in_interval(H, 1.0, 5.0) == inertia_count(H, 5.0 + 5e-12) - inertia_count(H, 1.0 - 5e-12)
+        assert not calls
+        assert not H.below
 
 
 def _zero_pivot_bands(zeros, x, off):
@@ -286,8 +313,8 @@ class TestChunkedLanes:
         shifts = np.array(data.draw(st.lists(st.integers(-4, 5), min_size=1, max_size=6)), dtype=float)
         assert np.array_equal(spectral._sturm_lanes(diag, off * off, shifts), _loop_counts(diag, off, shifts))
 
-    @pytest.mark.parametrize("lanes", [LANE_CROSSOVER - 1, LANE_CROSSOVER])
-    def test_both_sides_of_the_crossover_on_zero_pivots(self, lanes):
+    @pytest.mark.parametrize("lanes", [1, 31, 32])
+    def test_blocks_of_any_size_count_zero_pivots_ahead(self, lanes):
         # unit spacing: the free stencil couples by -1 and has 2 on the diagonal, so the bands are integers
         n = 21
         free = build_free_laplacian(BoxSpec(d=1, length=float(n + 1), center=(0.0,), n=n))
@@ -297,7 +324,7 @@ class TestChunkedLanes:
         columns = [built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(lanes - 1)]
         block = add_potentials(free, np.column_stack(columns) - 2.0)
         spectral._precount_below(block, [1.0])
-        assert all(bool(H.below) == (lanes >= LANE_CROSSOVER) for H in block.operators)
+        assert all(list(H.below) == [1.0] for H in block.operators)
         assert [inertia_count(H, 1.0) for H in block.operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
 
 
@@ -606,8 +633,8 @@ class TestCountInInterval:
     # a window end at +-inf is not nudged and nudges no finite end: the first
     # draw is the free operator, whose dense counts these pin
     @pytest.mark.parametrize("d, n, length, free", [(1, 127, 8.0, (122, 127, 0, 0)), (2, 7, 3.0, (48, 49, 0, 0))])
-    # the ends 5 - 5e-12 and +inf make 2R lanes: below the crossover and at it (lanes run in d=1 only)
-    @pytest.mark.parametrize("R", [LANE_CROSSOVER // 2 - 1, LANE_CROSSOVER // 2])
+    # the ends 5 - 5e-12 and +inf make 2R lanes, counted ahead in d=1 only, for one operator or many
+    @pytest.mark.parametrize("R", [1, 16])
     def test_windows_with_an_infinite_end_match_dense_counts(self, d, n, length, free, R):
         windows = [(5.0, math.inf), (-math.inf, math.inf), (-math.inf, -math.inf), (math.inf, math.inf)]
         box = BoxSpec(d=d, length=length, center=(0.0,) * d, n=n)
@@ -622,7 +649,7 @@ class TestCountInInterval:
         alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
         assert [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in alone] == want
         assert count_windows(block, windows) == want
-        assert all(bool(H.below) == (d == 1 and 2 * R >= LANE_CROSSOVER) for H in block.operators)
+        assert all(bool(H.below) == (d == 1) for H in block.operators)
 
     def test_a_mirror_symmetric_box_counts_at_a_sub_box_level(self):
         # 5 = 2 + 3 is a level of a leading sub-box, 0.082 from every eigenvalue: the bracket answers
@@ -646,6 +673,38 @@ class TestCountInInterval:
         assert levels[0] < 30.0 < levels[1]
         assert count_in_interval(H, -math.inf, 30.0) == 1
         assert count_in_interval(H, 0.0, 10.0) == 0
+
+
+class TestNanShifts:
+    """A NaN shift has no count: every sign test would read its pivots as not below.  (Infinite ends stay legal:
+    TestCountInInterval.test_windows_with_an_infinite_end_match_dense_counts.)"""
+
+    @pytest.fixture(params=[1, 2], ids=["d=1", "d=2"])
+    def free(self, request):
+        d = request.param
+        box = BoxSpec(d=1, length=8.0, center=(0.0,), n=127) if d == 1 else BoxSpec(d=2, length=3.0, center=(0.0, 0.0), n=7)
+        return build_free_laplacian(box), add_potentials(build_free_laplacian(box), np.zeros((box.ndof, 2)))
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 5.0), (0.0, math.nan), (-math.inf, math.nan), (math.nan, math.inf)])
+    def test_a_window_with_a_nan_end_is_refused(self, free, lo, hi):
+        H, block = free
+        with pytest.raises(ValueError, match="shift nan"):
+            count_in_interval(H, lo, hi)
+        with pytest.raises(ValueError, match="shift nan"):
+            count_windows(block, [(1.0, 5.0), (lo, hi)])
+
+    def test_the_counts_and_the_resolvent_refuse_a_nan_shift(self, free):
+        H, block = free
+        with pytest.raises(ValueError, match="shift nan"):
+            inertia_count(H, math.nan)
+        with pytest.raises(ValueError, match="shift nan"):
+            spectral._precount_below(block, [1.0, math.nan])
+        assert not any(G.below for G in block.operators)
+        rows, cols = np.array([0]), np.array([H.box.ndof - 1])
+        with pytest.raises(ValueError, match="shift nan"):
+            resolvent_block_norm(H, math.nan, rows, cols)
+        with pytest.raises(ValueError, match="shift nan"):
+            spectral.resolvent_norms(block, math.nan, rows, cols)
 
 
 class TestEigsBelow:
