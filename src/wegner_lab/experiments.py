@@ -13,8 +13,8 @@ INFORMATIONAL where the run only measures or its data cannot judge the claim
 (a trend over one box size, a rate fitted to fewer than three energies).
 Every threshold encodes a statistical allowance (usually 2 or 3 standard
 errors), never a tuned fudge.  A run with nothing to judge (fewer than one
-replica, an empty grid, a nonpositive window or energy, no spectral subspace)
-is refused with PreconditionError before it reports.
+replica, an empty grid, a NaN, a nonpositive window or energy, no spectral
+subspace) is refused with PreconditionError before it reports.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def _experiment(name: str):
     """Register the driver as the experiment `name`.
 
     A call binds with the driver's defaults, each Grid argument as the sorted
-    tuple of its distinct values; an empty grid or fewer than one replica or
-    worker is refused.  The report is stamped with the name, the seed, the
-    wall-clock time and the config: every bound argument but the first (the
-    model or set), seed and workers, under any entries the driver set itself.
-    The one process pool its replica maps shared is shut down."""
+    tuple of its distinct values; an empty grid, a NaN in one, or fewer than
+    one replica or worker is refused.  The report is stamped with the name,
+    the seed, the wall-clock time and the config: every bound argument but the
+    first (the model or set), seed and workers, under any entries the driver
+    set itself.  The one process pool its replica maps shared is shut down."""
 
     def register(driver):
         EXPERIMENTS[name] = driver.__name__
@@ -87,6 +87,8 @@ def _experiment(name: str):
             bound.apply_defaults()
             call = bound.arguments
             for key in grids:
+                if any(math.isnan(v) for v in call[key]):
+                    raise PreconditionError(f"{key} must not hold NaN, got {tuple(call[key])}")
                 call[key] = tuple(sorted(set(call[key])))
                 if not call[key]:
                     raise PreconditionError(f"{key} must not be empty")
@@ -276,7 +278,7 @@ def estimate_ids(
     is supplied (informational otherwise).  monotone_in_energy cannot fail
     while the counts are exact.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise PreconditionError(f"eps must be positive, got {eps:g}")
     rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
@@ -367,7 +369,7 @@ def run_stubborn(
     half from E.  The verdict demands an eigenvalue in the window for every
     box, every draw, including both coupling extremes.
     """
-    if E <= -1:
+    if not E > -1:
         raise PreconditionError(f"E must exceed -1, got {E:g}")
     if min_boxes < 1:
         raise PreconditionError(f"min_boxes must be at least 1, got {min_boxes}")
@@ -726,8 +728,9 @@ def run_spectral_minimum(
     _require_nonnegative_couplings(model)
     if not eps_list:
         raise PreconditionError("eps_list must not be empty")
-    if any(e <= 0 for e in eps_list):
-        raise PreconditionError(f"eps_list entries must be positive, got {min(eps_list):g}")
+    for e in eps_list:
+        if not e > 0:
+            raise PreconditionError(f"eps_list entries must be positive, got {e:g}")
     rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     ground = float(discrete_dirichlet_spectrum(box)[0])
@@ -820,7 +823,7 @@ def localisation_probe(
     is broken).  Reports participation ratios and per-shell decay rates;
     every verdict is informational by design.
     """
-    if E_lo >= E_hi:
+    if not E_lo < E_hi:
         raise PreconditionError(f"E_lo must be below E_hi, got E_lo = {E_lo:g}, E_hi = {E_hi:g}")
     for dist in model.dists:
         if dist.holder_exponent is None:

@@ -5,13 +5,13 @@ distributions through a splittable counter-based generator keyed by
 (experiment seed, site index), so any subset of sites can be evaluated in
 any order and reproduce the same field.  The uniform behind pi_j under key k
 is the first draw of numpy's Philox(SeedSequence(k, spawn_key=(j,))), which
-site_uniforms computes for a grid of keys and sites at once, bit for bit.
+_row_uniforms computes for a block of keys and sites at once, bit for bit.
 sample_potentials forms a block of (replica, override) draws of one seed as
 one array: it splits the seed into words once, mixes the keys (seed, r) of
 exactly the block's replicas r in one array pass, maps the uniforms by each
-coupling law with the IEEE operations of its scalar map, and sums the bumps
-in one sparse product.  Its one-draw call sample_potential splits any key
-into a seed and a replica.  A few uniform arrays are kept.
+coupling law's one map, capped or not, and sums the bumps in one sparse
+product.  Its one-draw call sample_potential splits any key into a seed and
+a replica.  A few uniform arrays are kept.
 A model has one single-site profile u, a nonnegative bump of finite radius;
 u_j = u(x - x_j) is its translate to site center x_j.
 
@@ -101,10 +101,7 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def _from_uniform(self, u):
-        return self.lo + u * (self.hi - self.lo)
-
-    def _from_uniform_below(self, u, cap: float):
+    def _from_uniform(self, u, cap: float = math.inf):
         return self.lo + u * (min(cap, self.hi) - self.lo)
 
     def cdf(self, x: float) -> float:
@@ -144,12 +141,9 @@ class BernoulliAt:
     def mean(self) -> float:
         return self.p0 * self.v0 + (1 - self.p0) * self.v1
 
-    def _from_uniform(self, u):
-        return np.where(u < self.p0, self.v0, self.v1)
-
-    def _from_uniform_below(self, u, cap: float):
-        # an atom over the cap is never drawn; with both under it, u < p0 picks v0 as the
-        # unconditioned map does (the accumulated masses are p0, then p0 + (1 - p0), which is 1.0 in binary64)
+    def _from_uniform(self, u, cap: float = math.inf):
+        # an atom over the cap is never drawn; with both under it, u < p0 picks v0
+        # (the accumulated masses are p0, then p0 + (1 - p0), which is 1.0 in binary64)
         return np.where(u < (0.0 if self.v0 > cap else 1.0 if self.v1 > cap else self.p0), self.v0, self.v1)
 
     def cdf(self, x: float) -> float:
@@ -195,11 +189,10 @@ class TruncatedPowerHolder:
             return 1.0
         return (x / self.m_plus) ** self.alpha
 
-    def _from_uniform(self, u):
-        return self.m_plus * u ** (1.0 / self.alpha)
-
-    def _from_uniform_below(self, u: float, cap: float) -> float:
-        return self.m_plus * (u * self.cdf(cap)) ** (1.0 / self.alpha)
+    def _from_uniform(self, u, cap: float = math.inf):
+        # one Python float at a time: numpy's array ** can differ from Python's in the last bit
+        mass, power = self.cdf(cap), 1.0 / self.alpha
+        return np.reshape([self.m_plus * (v * mass) ** power for v in np.ravel(u).tolist()], np.shape(u))
 
     def modulus(self, eps: float) -> float:
         # the density is monotone, so the heaviest window sits at an end of the support
@@ -210,11 +203,9 @@ class TruncatedPowerHolder:
         return min(self.alpha, 1.0)
 
 
-# each law maps a uniform draw u through _from_uniform, or _from_uniform_below
-# when conditioned on a cap.  Uniform and BernoulliAt map an array of draws in
-# one numpy operation with the IEEE operations of their scalar maps.
-# TruncatedPowerHolder maps one Python float at a time, because numpy's array **
-# can differ from Python's in the last bit.
+# each law has one map, _from_uniform(u, cap): uniform draws u, a float or an
+# array, to couplings conditioned on staying at or below cap.  At the default
+# cap = +inf it does the unconditioned draw's IEEE operations exactly.
 Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 
 
@@ -223,7 +214,7 @@ Distribution = Uniform | BernoulliAt | TruncatedPowerHolder
 #
 # The coupling of site j under key k is the first uniform of
 # Generator(Philox(SeedSequence(k, spawn_key=(j,)))).  Both stages are
-# counter-based, so site_uniforms computes them for a whole (keys x sites)
+# counter-based, so _row_uniforms computes them for a whole (rows x sites)
 # grid at once and returns the same bits as numpy's scalar path: numpy's
 # mix_entropy runs on uint32 values held in uint64 arrays, one array pass over
 # the key words (padded to the pool size, as a spawn key pads them) and the site
@@ -296,7 +287,8 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pool_uniforms(words: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
-    """site_uniforms for the keys of a (keys, n) uint64 array of their n entropy words, in one array pass."""
+    """The (keys, sites) first uniforms, bit for bit, of the keys of a (keys, n) uint64 array of their n
+    entropy words at the sites (single words, 0 <= j < 2**32), in one array pass."""
     if any(not isinstance(j, (int, np.integer)) or not 0 <= j <= _MASK32 for j in sites):
         raise ModelError("site indices must be ints in [0, 2**32)")
     padding = [np.zeros((len(words), 1), dtype=np.uint64)] * (_POOL_SIZE - words.shape[1])
@@ -319,27 +311,13 @@ def _pool_uniforms(words: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
     return (c0 >> 11).astype(np.float64) * 2.0**-53
 
 
-def site_uniforms(keys: Sequence[Any], sites: tuple[int, ...]) -> np.ndarray:
-    """First uniforms of every (key, site) stream, shape (len(keys), len(sites)).
-
-    Entry [k, j] equals, bit for bit,
-    Generator(Philox(SeedSequence(keys[k], spawn_key=(sites[j],)))).uniform(0.0, 1.0).
-    Sites are single SeedSequence words, 0 <= j < 2**32.  Keys of one word count share a pass.
-    """
-    words = [_key_words(key) for key in keys]
-    u = np.empty((len(keys), len(sites)))
-    for n in set(map(len, words)):
-        at = [k for k, w in enumerate(words) if len(w) == n]
-        u[at] = _pool_uniforms(np.array([words[k] for k in at], dtype=np.uint64).reshape(len(at), n), sites)
-    return u
-
-
 UNIFORM_CACHE_SIZE = 16  # (key stem, replica rows, sites) uniform arrays kept
 
 
 @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
 def _row_uniforms(stem: tuple[int, ...], rows: tuple[int, ...], sites: tuple[int, ...]) -> np.ndarray:
-    """site_uniforms of the keys (*stem, r) of the replica rows r, read-only: one _pool_uniforms pass."""
+    """The (rows, sites) first uniforms of the keys (*stem, r) of the replica rows r, read-only: one
+    _pool_uniforms pass, and the one entry every coupling draw takes."""
     words = np.empty((len(rows), len(stem) + 1), dtype=np.uint64)
     words[:, :-1] = stem
     words[:, -1] = rows
@@ -360,10 +338,13 @@ def _couplings(groups: tuple[tuple[Distribution, Any], ...], stem: tuple[int, ..
                sites: tuple[int, ...], cap: float | None = None) -> np.ndarray:
     """The (rows, sites) couplings of the listed sites under the keys (*stem, r) of the replica rows r, each
     the first uniform of its key's stream at the site, mapped by the site's law (its _law_groups).  stem is
-    the uint32 words of a split key, and the rows are read from one _row_uniforms array.  A row outside
-    [0, 2**32) is refused, and so is a cap under which a listed site's law has no mass; a cap conditions
-    every coupling on staying at or below it."""
-    if cap is not None and any(law.cdf(cap) == 0.0 for law, _ in groups):
+    the uint32 words of a split key, and the rows are read from one _row_uniforms array.  A cap conditions
+    every coupling on staying at or below it, and None is no cap, cap = +inf.  A row outside [0, 2**32) is
+    refused, and so is a NaN cap or one under which a listed site's law has no mass."""
+    cap = math.inf if cap is None else cap
+    if math.isnan(cap):
+        raise ModelError(f"conditioning cap {cap} is not a number")
+    if any(law.cdf(cap) == 0.0 for law, _ in groups):
         raise ModelError(f"conditioning cap {cap} leaves no mass below it")
     r = np.array(rows)
     if not r.size:
@@ -373,12 +354,7 @@ def _couplings(groups: tuple[tuple[Distribution, Any], ...], stem: tuple[int, ..
     u = _row_uniforms(stem, tuple(r.tolist()), sites)
     c = np.empty_like(u)
     for law, at in groups:
-        if isinstance(law, TruncatedPowerHolder):  # Python's float **, one draw at a time
-            x = u[:, at]
-            mapped = [law._from_uniform(v) if cap is None else law._from_uniform_below(v, cap) for v in x.ravel().tolist()]
-            c[:, at] = np.reshape(mapped, x.shape)
-        else:
-            c[:, at] = law._from_uniform(u[:, at]) if cap is None else law._from_uniform_below(u[:, at], cap)
+        c[:, at] = law._from_uniform(u[:, at], cap)
     return c
 
 

@@ -236,8 +236,13 @@ class TestIds:
     def test_a_nan_energy_is_refused(self, covering, slab, d):
         # a NaN threshold once counted nothing below it and passed both verdicts
         kw = dict(E_list=(math.nan, 5.0), replicas=3) | ({} if d == 1 else dict(L=2.0, mesh_density=4))
-        with pytest.raises(ValueError, match="shift nan"):
+        with pytest.raises(X.PreconditionError, match=r"^E_list must not hold NaN, got \(nan, 5.0\)$"):
             X.estimate_ids(covering if d == 1 else slab, **kw)
+
+    def test_a_nan_window_is_refused(self, covering):
+        # it once reached the count layer, which refused its shifts
+        with pytest.raises(X.PreconditionError, match="^eps must be positive, got nan$"):
+            X.estimate_ids(covering, eps=math.nan, replicas=3)
 
     def test_a_constant_below_the_increments_fails_the_continuity_bound(self, covering):
         rep = X.estimate_ids(covering, replicas=8, c_w=1e-6)
@@ -293,6 +298,11 @@ class TestStubbornWindows:
     def test_covering_support_refused(self, covering):
         with pytest.raises(X.PreconditionError, match="sup-norm bound"):
             X.run_stubborn(covering)
+
+    def test_a_nan_energy_is_refused(self, geometric):
+        # it once reported FAIL for every box
+        with pytest.raises(X.PreconditionError, match="^E must exceed -1, got nan$"):
+            X.run_stubborn(geometric, E=math.nan)
 
     def test_too_few_disjoint_boxes_fail(self, geometric):
         # the thin region holds 47 disjoint boxes of side 8 and 23 of side 16, not 500
@@ -615,6 +625,11 @@ def test_shell_decay_rate_is_the_masked_bands(d, L, density, rate, seed):
 
 
 class TestUncertainty:
+    def test_a_nan_energy_is_refused(self, stripes_third):
+        # it once skipped the NaN energy, passed all four verdicts and wrote NaN, no JSON value, into the report
+        with pytest.raises(X.PreconditionError, match="^E_list must not hold NaN"):
+            X.run_uncertainty(stripes_third, E_list=(math.nan, 25, 100, 225), L_list=(2, 3))
+
     WANT = {
         (2.0, 25.0): (0.053473373688890914, 3),
         (2.0, 100.0): (0.00010206660511786355, 6),
@@ -909,11 +924,14 @@ def test_fewer_than_one_replica_refused_before_sampling(driver, fixture, request
     assert sampled == []
 
 
-@pytest.mark.parametrize("eps_list", [(0.0,), (0.5, -0.25)])
-def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps_list, monkeypatch):
+@pytest.mark.parametrize(
+    "eps_list, bad", [((0.0,), "0"), ((0.5, -0.25), "-0.25"), ((math.nan,), "nan"), ((0.5, math.nan), "nan")]
+)
+def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps_list, bad, monkeypatch):
+    # a NaN cap once reached the replica map, whose potentials were all NaN
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
-    with pytest.raises(X.PreconditionError, match=f"eps_list entries must be positive, got {min(eps_list):g}$"):
+    with pytest.raises(X.PreconditionError, match=f"eps_list entries must be positive, got {bad}$"):
         X.run_spectral_minimum(covering, eps_list=eps_list, replicas=4)
     assert sampled == []
 
@@ -1026,6 +1044,16 @@ def test_empty_grid_refused_before_sampling(driver, key, request, monkeypatch):
     subject = request.getfixturevalue(_CONFIG_CALLS[driver][0])
     with pytest.raises(X.PreconditionError, match=f"^{key} must not be empty$"):
         getattr(X, driver)(subject, **{key: ()})
+    assert sampled == []
+
+
+@pytest.mark.parametrize("driver, key", _GRIDS)
+def test_a_nan_grid_point_refused_before_sampling(driver, key, request, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
+    subject = request.getfixturevalue(_CONFIG_CALLS[driver][0])
+    with pytest.raises(X.PreconditionError, match=rf"^{key} must not hold NaN, got \(4.0, nan\)$"):
+        getattr(X, driver)(subject, **{key: [4.0, math.nan]})
     assert sampled == []
 
 

@@ -40,10 +40,10 @@ from wegner_lab.random_model import (
     _couplings,
     _law_groups,
     _mix_entropy,
+    _row_uniforms,
     build_model,
     sample_potential,
     sample_potentials,
-    site_uniforms,
     verify_NoPi,
     verify_Pi,
 )
@@ -145,13 +145,15 @@ def _scanned_modulus(law, eps):
 
 class TestSampling:
     def test_site_streams_reproducible(self):
-        u = site_uniforms([7, 8], (3, 4))
-        assert np.array_equal(site_uniforms([7, 8], (3, 4)), u)
+        random_model._row_uniforms.cache_clear()
+        u = _row_uniforms((), (7, 8), (3, 4))
+        random_model._row_uniforms.cache_clear()
+        assert np.array_equal(_row_uniforms((), (7, 8), (3, 4)), u)
         assert u[0, 0] != u[0, 1]
         assert u[0, 0] != u[1, 0]
 
     def test_replica_keys_are_distinct_streams(self):
-        u = site_uniforms([(7, 0), (7, 1)], (3,))
+        u = _row_uniforms((7,), (0, 1), (3,))
         assert u[0, 0] != u[1, 0]
 
     @given(
@@ -162,9 +164,9 @@ class TestSampling:
     @settings(max_examples=60, deadline=None)
     def test_conditioned_draw_coupled_below(self, cap, seedling, site):
         d = Uniform(0.0, 1.0)
-        u = float(site_uniforms([seedling], (site,))[0, 0])
+        u = float(_row_uniforms((), (seedling,), (site,))[0, 0])
         full = d._from_uniform(u)
-        below = d._from_uniform_below(u, cap)
+        below = d._from_uniform(u, cap)
         assert below <= cap + 1e-15
         assert below <= full + 1e-15  # one shared uniform makes the coupling monotone
 
@@ -178,6 +180,16 @@ class TestSampling:
             model = covering_model(extent=8.0, dist=law)
             with pytest.raises(ModelError, match=f"conditioning cap {cap} leaves no mass below it"):
                 sample_potential(model, (1, 0), _box(), conditioning_cap=cap)
+
+    @pytest.mark.parametrize("law", [Uniform(0.0, 1.0), BernoulliAt(0.0, 1.0, 0.3), TruncatedPowerHolder(1.0, 0.5)],
+                             ids=["uniform", "bernoulli", "power"])
+    def test_a_nan_cap_is_refused_by_name(self, law):
+        # it once drew an all-NaN potential, or was said to leave no mass below it
+        model = covering_model(extent=8.0, dist=law)
+        with pytest.raises(ModelError, match="^conditioning cap nan is not a number$"):
+            sample_potential(model, (5, 0), _box(), conditioning_cap=math.nan)
+        with pytest.raises(ModelError, match="^conditioning cap nan is not a number$"):
+            sample_potentials(model, 5, [(0, None), (1, 0.5)], _box(), conditioning_cap=math.nan)
 
     @given(
         p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -197,11 +209,11 @@ class TestSampling:
             u = float(np.nextafter(p0, p0 + step))  # the draw just below, at or just above p0
             if u >= 1.0:
                 return  # above the largest p0 below 1: no uniform in [0, 1) is drawn there
-        assert law._from_uniform_below(u, cap) == _accumulated_atom(law, u, cap)
+        assert law._from_uniform(u, cap) == _accumulated_atom(law, u, cap)
 
     def test_bernoulli_conditioning_keeps_low_atom(self):
         b = BernoulliAt(0.0, 1.0, 0.3)
-        vals = set(b._from_uniform_below(site_uniforms(list(range(20)), (0,))[:, 0], 0.5).tolist())
+        vals = set(b._from_uniform(_row_uniforms((), tuple(range(20)), (0,))[:, 0], 0.5).tolist())
         assert vals == {0.0}
 
     def test_iid_moments(self):
@@ -217,6 +229,39 @@ class TestSampling:
     def test_empirical_modulus_tracks_closed_form(self):
         p, se, _ = empirical_modulus(Uniform(0.0, 1.0), 0.5, 40_000, 3)
         assert abs(p - 0.5) <= 5 * se
+
+
+_EDGE_UNIFORMS = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]  # the least, the next, a middle and the greatest draw
+_LAWS = st.one_of(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 8.0)).map(lambda t: Uniform(t[0], t[0] + t[1])),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    .filter(lambda t: t[0] != t[1]).map(lambda t: BernoulliAt(*t)),
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 5.0)).map(lambda t: TruncatedPowerHolder(*t)),
+)
+
+
+def _unconditioned(law, u):
+    """Each law's unconditioned draw of a float or an array of uniforms, written out; the power law's on
+    Python floats."""
+    if isinstance(law, Uniform):
+        return law.lo + u * (law.hi - law.lo)
+    if isinstance(law, BernoulliAt):
+        return np.where(u < law.p0, law.v0, law.v1)
+    return np.reshape([law.m_plus * v ** (1 / law.alpha) for v in np.ravel(u).tolist()], np.shape(u))
+
+
+@given(law=_LAWS, u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_each_law_maps_at_no_cap_as_its_unconditioned_draw(law, u):
+    # the one map at cap = +inf does the unconditioned draw's IEEE operations: no bit moves
+    x = np.array(_EDGE_UNIFORMS + u)
+    for draws in (x, x[:, None], x.reshape(2, -1) if x.size % 2 == 0 else x[None, :]):
+        want = _unconditioned(law, draws)
+        for got in (law._from_uniform(draws), law._from_uniform(draws, math.inf)):
+            assert got.shape == draws.shape and got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    for v in x.tolist():
+        want = float(_unconditioned(law, v)).hex()
+        assert float(law._from_uniform(v)).hex() == want and float(law._from_uniform(v, math.inf)).hex() == want
 
 
 def _accumulated_atom(law, u, cap):
@@ -238,11 +283,9 @@ def _numpy_uniform(key, site):
     return np.random.Generator(np.random.Philox(ss)).uniform(0.0, 1.0)
 
 
-_KEYS = st.one_of(
-    st.integers(0, 2**70),  # multi-word keys from 2**32 on
-    st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(tuple),
-)
-_SITES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_WORDS = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_SITES = _WORDS  # a site is one SeedSequence word, as a replica row is
+_STEMS = st.lists(_WORDS, max_size=9).map(tuple)  # a seed's words: keys (*stem, r) of 1 to 10 words
 
 
 def _words(key):
@@ -293,26 +336,27 @@ def _entropy(keys, sites=()):
 
 
 class TestStreams:
-    @given(keys=st.lists(_KEYS, max_size=5), sites=st.lists(_SITES, max_size=6).map(tuple))
+    @given(stem=_STEMS, rows=st.lists(_WORDS, max_size=5).map(tuple), sites=st.lists(_SITES, max_size=6).map(tuple))
     @settings(max_examples=150, deadline=None)
-    def test_vectorised_streams_match_numpy(self, keys, sites):
-        got = site_uniforms(keys, sites)
-        assert got.shape == (len(keys), len(sites)) and got.dtype == np.float64
-        for k, key in enumerate(keys):
+    def test_vectorised_streams_match_numpy(self, stem, rows, sites):
+        got = _row_uniforms(stem, rows, sites)
+        assert got.shape == (len(rows), len(sites)) and got.dtype == np.float64
+        for k, r in enumerate(rows):
             for j, site in enumerate(sites):
-                assert got[k, j] == _numpy_uniform(key, site), (key, site)
+                assert got[k, j] == _numpy_uniform(stem + (r,), site), (stem, r, site)
 
     def test_edge_keys_and_sites(self):
         keys = [0, 2**32 - 1, 2**32, 2**64 + 5, (0,), (1, 2, 3, 4), (1, 2, 3, 4, 5), tuple(range(9)), (5, 2**33)]
         sites = (0, 2**31, 2**32 - 1)
-        got = site_uniforms(keys, sites)
-        want = [[_numpy_uniform(key, site) for site in sites] for key in keys]
-        assert got.tolist() == want
+        for key in keys:  # each key as its stem and its last word, the row
+            stem, rows = _split(key)
+            want = [[_numpy_uniform(key, site) for site in sites]]
+            assert _row_uniforms(stem, tuple(rows), sites).tolist() == want, key
 
     def test_empty_keys_or_sites(self):
-        assert site_uniforms([], (0, 1)).shape == (0, 2)
-        assert site_uniforms([3, (3, 1)], ()).shape == (2, 0)
-        assert site_uniforms([], ()).shape == (0, 0)
+        assert _row_uniforms((3,), (), (0, 1)).shape == (0, 2)
+        assert _row_uniforms((3,), (0, 1), ()).shape == (2, 0)
+        assert _row_uniforms((), (), ()).shape == (0, 0)
 
     @pytest.mark.parametrize(
         "keys, sites",
@@ -320,9 +364,11 @@ class TestStreams:
         ids=["negative-key", "negative-key-word", "site-2**32", "negative-site", "float-key", "float-site"],
     )
     def test_out_of_range_input_raises(self, keys, sites):
-        with pytest.raises(ModelError):
-            site_uniforms(keys, sites)
-        with pytest.raises(ModelError):  # the split of the key, or the sites behind the couplings
+        random_model._row_uniforms.cache_clear()  # a float site hashes like its int, so no kept array may answer it
+        with pytest.raises(ModelError):  # the split of the key, or the sites of the stream
+            words = random_model._key_words(keys[0])
+            _row_uniforms(tuple(words[:-1]), tuple(words[-1:]), sites)
+        with pytest.raises(ModelError):  # the same, behind the couplings
             words = random_model._key_words(keys[0])
             _couplings(((Uniform(0.0, 1.0), slice(None)),), tuple(words[:-1]), words[-1:], sites)
 
@@ -395,20 +441,14 @@ class TestStreams:
             for j, site in enumerate(sites):
                 assert spawned[k, j].tolist() == np.random.SeedSequence(key, spawn_key=(site,)).pool.tolist()
 
-    @given(keys=st.lists(st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(tuple), min_size=2, max_size=8),
-           sites=st.lists(_SITES, max_size=4).map(tuple))
-    @settings(max_examples=80, deadline=None)
-    def test_one_call_over_keys_of_mixed_word_counts_is_numpys_scalar_path(self, keys, sites):
-        got = site_uniforms(keys, sites)
-        assert got.tolist() == [[_numpy_uniform(key, site) for site in sites] for key in keys]
-
     def test_numpy_seedsequence_golden_values(self):
         # if this fails, numpy changed SeedSequence or Philox, not this package
         assert float(_numpy_uniform((20260822, 0), 40)).hex() == "0x1.d12ee300adf1ep-2"
         assert float(_numpy_uniform(7, 3)).hex() == "0x1.10976e51b6d00p-3"
         assert float(_numpy_uniform((777, 199), 2**32 - 1)).hex() == "0x1.3ab605ea98c40p-1"
-        got = site_uniforms([(20260822, 0), 7, (777, 199)], (40, 3, 2**32 - 1))
-        assert [float(got[k, k]).hex() for k in range(3)] == [
+        got = [_row_uniforms((20260822,), (0,), (40,)), _row_uniforms((), (7,), (3,)),
+               _row_uniforms((777,), (199,), (2**32 - 1,))]
+        assert [float(u[0, 0]).hex() for u in got] == [
             "0x1.d12ee300adf1ep-2", "0x1.10976e51b6d00p-3", "0x1.3ab605ea98c40p-1",
         ]
 
@@ -430,7 +470,7 @@ class TestStreams:
         for key in [4, (9, 0), (9, 63), (9, 64), (2**35, 1, 200)]:
             u = [float(_numpy_uniform(key, site)) for site in sites]
             assert _couplings(groups, *_split(key), sites)[0].tolist() == [float(dist._from_uniform(x)) for x in u]
-            assert _couplings(groups, *_split(key), sites, cap)[0].tolist() == [float(dist._from_uniform_below(x, cap)) for x in u]
+            assert _couplings(groups, *_split(key), sites, cap)[0].tolist() == [float(dist._from_uniform(x, cap)) for x in u]
 
     def test_sample_couplings_match_numpy(self):
         model = geometric_dilution_model(extent=40.0, dist=TruncatedPowerHolder(2.0, 0.5))
@@ -547,7 +587,7 @@ class TestAlloyModel:
     def test_sample_couplings_matches_sitewise(self, covering):
         sites = tuple(range(len(covering.dists)))
         cs = _couplings(_law_groups(covering.dists, sites), (), [9], sites)[0]
-        assert cs[3] == float(covering.dists[3]._from_uniform(float(site_uniforms([9], (3,))[0, 0])))
+        assert cs[3] == float(covering.dists[3]._from_uniform(float(_row_uniforms((), (9,), (3,))[0, 0])))
 
     def test_same_draw_on_overlapping_boxes(self, covering):
         # the same site must contribute the same coupling whatever box asks
@@ -964,7 +1004,7 @@ def test_profile_matrix_matches_per_site_loop(case, covering, cantor, geometric,
             want = _loop_potential(model, box, lambda i: float(model.dists[i]._from_uniform(float(u(i)))))
         elif mode == "cap":
             got = sample_potential(model, key, box, conditioning_cap=knob)
-            want = _loop_potential(model, box, lambda i: model.dists[i]._from_uniform_below(float(u(i)), knob))
+            want = _loop_potential(model, box, lambda i: float(model.dists[i]._from_uniform(float(u(i)), knob)))
         else:
             got = sample_potential(model, key, box, couplings_override=knob)
             want = _loop_potential(model, box, lambda i: knob)
@@ -977,7 +1017,7 @@ def test_slab_balls_overlap_two_deep(slab):
     # nodes between neighbouring sites carry two couplings, summed in site order
     box = BoxSpec(d=2, length=3.0, center=(0.0, 0.5), n=23)
     v = sample_potential(slab, 4, box)
-    want = _loop_potential(slab, box, lambda i: float(slab.dists[i]._from_uniform(float(site_uniforms([4], (i,))[0, 0]))))
+    want = _loop_potential(slab, box, lambda i: float(slab.dists[i]._from_uniform(float(_row_uniforms((), (4,), (i,))[0, 0]))))
     assert v.tobytes() == want.tobytes()
     near = slab.sites_near_box(box)
     depth = sum(slab.profile.evaluate(box.nodes(), slab.centers[i]) for i in near)
@@ -1116,12 +1156,12 @@ def test_a_draw_mixes_its_own_row_at_every_box_size(covering, monkeypatch):
 # a block's replicas of one seed read from one pass over exactly its rows
 
 
-def test_row_uniforms_are_the_site_uniforms_of_their_keys():
+def test_row_uniforms_are_numpys_first_uniforms_of_their_keys():
     random_model._row_uniforms.cache_clear()
     sites = (0, 5, 17, 2**32 - 1)
     rows = (0, 130, 64, 5, 2**32 - 1, 5)
     u = random_model._row_uniforms((77, 3), rows, sites)
-    assert u.shape == (6, 4) and u.tobytes() == site_uniforms([(77, 3, r) for r in rows], sites).tobytes()
+    assert u.shape == (6, 4) and u.tolist() == [[_numpy_uniform((77, 3, r), j) for j in sites] for r in rows]
     assert not u.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         u[0, 0] = 0.5
@@ -1146,8 +1186,7 @@ def test_couplings_read_every_row_of_every_stem(seed, rows, int64):
     assert list(stem) == _words(seed)
     given_rows = np.array(rows, dtype=np.int64) if int64 else rows
     got = _couplings(((Uniform(0.0, 1.0), slice(None)),), stem, given_rows, sites)  # 0.0 + u * 1.0 is u
-    want = site_uniforms([stem + (r,) for r in rows], sites)
-    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [[_numpy_uniform(stem + (r,), j) for j in sites] for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every constant the README states as "`NAME` = value" (or "`module.NAME` = value") is the package's value."""
+"""Every constant the README states as "`NAME` = value" (or "`module.NAME` = value") is the package's value,
+and every `module.name` it names is the package's."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import wegner_lab
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 MODULES = [m.name for m in pkgutil.iter_modules(wegner_lab.__path__)]
 _STATED = re.compile(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)`\s+=\s+([-+.\w]+)")
+_NAMED = re.compile(r"`(\w+)\.(\w+)[^`]*`")
 
 
 def _stated(text: str) -> list[tuple[str, str, str]]:
@@ -38,3 +40,19 @@ def test_a_stated_constant_is_the_packages(module, name, value):
     owners = [importlib.import_module(f"wegner_lab.{m}") for m in ([module] if module else MODULES)]
     values = {getattr(m, name) for m in owners if hasattr(m, name)}
     assert values == {ast.literal_eval(value)}, f"README says {name} = {value}, the package has {values or 'none'}"
+
+
+def _named(text: str) -> list[tuple[str, str]]:
+    """(module, name) of every `module.name` of a package module the text names, a call's arguments dropped;
+    a file name such as `experiments.py` names no attribute."""
+    return [(m, n) for m, n in _NAMED.findall(text) if m in MODULES and n != "py"]
+
+
+def test_a_named_attribute_is_found():
+    text = "`spectral.count_windows(block,\nwindows)`, `experiments.py`, `np.where`, `law.cdf` and `grids.BoxSpec`"
+    assert _named(text) == [("spectral", "count_windows"), ("grids", "BoxSpec")]
+
+
+@pytest.mark.parametrize("module, name", [pytest.param(*c, id=".".join(c)) for c in _named(README)])
+def test_a_named_attribute_is_the_packages(module, name):
+    assert hasattr(importlib.import_module(f"wegner_lab.{module}"), name), f"README names {module}.{name}, which is gone"
