@@ -7,14 +7,14 @@ Subcommands:
             (an option the chosen mode would not read is an error)
   report    re-render a stored report as a human summary
 
-An experiment's driver in the experiments module is its one declaration:
-the experiment's name is the one its decorator registers (EXPERIMENTS), a
-run file's [parameters] keys are the driver's keyword arguments lowercased,
-with the driver's defaults and the kinds its annotations give (plus those
-of build_set when the driver takes a set, not a model).  [run] holds the
-experiment, a seed >= 0, and those of replicas, workers and mesh_density
-(each >= 1, as the drivers require of replicas and workers too) the driver
-takes; workers = 1 is the serial run of any driver.
+An experiment's driver in the experiments module is its one declaration: the
+experiment's name is the one its decorator registers (EXPERIMENTS), a run
+file's [parameters] keys are the driver's keyword arguments lowercased, with
+the driver's defaults and the kinds its annotations give (plus those of
+build_set when the driver takes a set, not a model).  [run] holds the
+experiment, the seed, and those of replicas, workers and mesh_density the
+driver takes; workers = 1 is the serial run of any driver.  The driver refuses
+a value outside its kind's domain (experiments.DOMAINS), as in a Python call.
 A model file's keys are random_model.build_model's keywords, and one table,
 random_model.KINDS, parses the values of both kinds of file.
 
@@ -63,8 +63,8 @@ class ConfigError(ValueError):
     pass
 
 
-# [run] keys besides the experiment, in the resolved file's order, with the least value each accepts
-_RUN_KEYS = {"seed": 0, "workers": 1, "replicas": 1, "mesh_density": 1}
+# [run] keys besides the experiment, in the resolved file's order
+_RUN_KEYS = ("seed", "workers", "replicas", "mesh_density")
 
 
 def build_set(
@@ -135,8 +135,6 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if key not in _RUN_KEYS:
             raise ConfigError(f"{path}: unknown key {key!r} in [run]")
         value = _parse_value("int", raw, key, str(path))
-        if value < _RUN_KEYS[key]:
-            raise ConfigError(f"{path}: {key} must be at least {_RUN_KEYS[key]}, got {value}")
         if key not in keys and (key, value) != ("workers", 1):
             raise ConfigError(f"{path}: experiment {experiment} takes no {key!r} in [run]")
         cfg.params[key] = value

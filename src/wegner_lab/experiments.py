@@ -1,7 +1,7 @@
 """Experiment drivers: each takes a model plus run parameters, returns a report.
 
 A driver's signature is its experiment's specification: the report's config
-is the bound call, and a parameter annotated Grid arrives sorted and merged.
+is the bound call, and each argument must lie in its annotated kind's domain.
 
 Replica r of an experiment with root seed s draws its couplings through the
 key (s, r), so any replica can be recomputed in isolation and worker count
@@ -12,9 +12,9 @@ Verdicts are deliberately coarse: PASS/FAIL where a claim is on trial,
 INFORMATIONAL where the run only measures or its data cannot judge the claim
 (a trend over one box size, a rate fitted to fewer than three energies).
 Every threshold encodes a statistical allowance (usually 2 or 3 standard
-errors), never a tuned fudge.  A run with nothing to judge (fewer than one
-replica, an empty grid, a NaN, a nonpositive window or energy, no spectral
-subspace) is refused with PreconditionError before it reports.
+errors), never a tuned fudge.  A run with nothing to judge (an argument
+outside the domain its annotation declares, no spectral subspace) is refused
+with PreconditionError before it reports.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import functools
 import inspect
 import itertools
 import math
+import numbers
 import time
-from typing import Any, Sequence
+from typing import Any, Sequence, get_args
 
 import numpy as np
 
-from .grids import BoxSpec, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
+from .grids import Bc, BoxSpec, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
     AlloyModel,
     construct_diluted_minorant,
@@ -62,39 +63,59 @@ _POOL: contextvars.ContextVar[list] = contextvars.ContextVar("replica_pool")
 # experiment name -> the name of its driver in this module, one entry per @_experiment
 EXPERIMENTS: dict[str, str] = {}
 
-# points the driver scans in ascending order; repeats are merged
-Grid = Sequence[float]
+# The kinds a driver parameter's annotation names: "<kind> | None" also takes
+# None, and a Grid kind arrives sorted, repeats merged (Positives keeps its order).
+Positive, Count, Index = float, int, int
+Grid = PositiveGrid = Positives = Sequence[float]
+
+
+def _positive(v) -> bool:
+    return 0 < v < math.inf
+
+
+def _each(within):
+    return lambda values: len(values) > 0 and all(map(within, values))
+
+
+# kind -> (whether a value lies in its domain, the phrase that names the domain)
+DOMAINS = {
+    "float": (math.isfinite, "a finite number"),
+    "Positive": (_positive, "a positive finite number"),
+    "Count": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    "Index": (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0"),
+    "Grid": (_each(math.isfinite), "a non-empty list of finite numbers"),
+    "PositiveGrid": (_each(_positive), "a non-empty list of positive finite numbers"),
+    "Positives": (_each(_positive), "a non-empty list of positive finite numbers"),
+    "Bc": (lambda v: v in get_args(Bc), f"one of {', '.join(get_args(Bc))}"),
+}
 
 
 def _experiment(name: str):
     """Register the driver as the experiment `name`.
 
-    A call binds with the driver's defaults, each Grid argument as the sorted
-    tuple of its distinct values; an empty grid, a NaN in one, or fewer than
-    one replica or worker is refused.  The report is stamped with the name,
-    the seed, the wall-clock time and the config: every bound argument but the
-    first (the model or set), seed and workers, under any entries the driver
-    set itself.  The one process pool its replica maps shared is shut down."""
+    A call binds with the driver's defaults, refuses any argument after the
+    first (the model or set) outside its kind's domain, and passes each Grid
+    argument as the sorted tuple of its distinct values.  The report is
+    stamped with the name, the seed, the wall-clock time and the config: every
+    bound argument but the first, seed and workers, under any entries the
+    driver set itself.  The one process pool its replica maps shared is shut down."""
 
     def register(driver):
         EXPERIMENTS[name] = driver.__name__
         signature = inspect.signature(driver)
-        grids = [p.name for p in signature.parameters.values() if p.annotation == "Grid"]
+        kinds = {p.name: p.annotation for p in list(signature.parameters.values())[1:]}
 
         @functools.wraps(driver)
         def timed(*args, **kwargs) -> ExperimentReport:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             call = bound.arguments
-            for key in grids:
-                if any(math.isnan(v) for v in call[key]):
-                    raise PreconditionError(f"{key} must not hold NaN, got {tuple(call[key])}")
-                call[key] = tuple(sorted(set(call[key])))
-                if not call[key]:
-                    raise PreconditionError(f"{key} must not be empty")
-            for key in ("replicas", "workers"):
-                if call.get(key, 1) < 1:  # every default is >= 1
-                    raise PreconditionError(f"{key} must be at least 1, got {call[key]}")
+            for key, kind in kinds.items():
+                within, phrase = DOMAINS[kind.removesuffix(" | None")]
+                if not (kind.endswith(" | None") if call[key] is None else within(call[key])):
+                    raise PreconditionError(f"{key} must be {phrase}, got {call[key]}")
+                if kind.endswith("Grid"):
+                    call[key] = tuple(sorted(set(call[key])))
             t0 = time.perf_counter()
             token = _POOL.set([])
             try:
@@ -206,13 +227,13 @@ def _anchor_energy(model: AlloyModel, box: BoxSpec, e_ref: float, eps_max: float
 @_experiment("wegner")
 def run_wegner(
     model: AlloyModel,
-    L_list: Grid = (8.0, 16.0, 32.0),
-    eps_list: Grid = (0.4, 0.2, 0.1),
-    replicas: int = 200,
-    seed: int = 20260822,
-    mesh_density: int = 16,
+    L_list: PositiveGrid = (8.0, 16.0, 32.0),
+    eps_list: PositiveGrid = (0.4, 0.2, 0.1),
+    replicas: Count = 200,
+    seed: Index = 20260822,
+    mesh_density: Count = 16,
     e_ref: float = 30.0,
-    workers: int = 1,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Mean eigenvalue count in [E-eps, E+eps] against the volume law s(eps) L^d.
 
@@ -223,8 +244,6 @@ def run_wegner(
     and the trend verdict demands no growth from smallest to largest box.
     nested_window_monotonicity cannot fail while the counts are exact.
     """
-    if eps_list[0] <= 0:
-        raise PreconditionError(f"eps_list entries must be positive, got {eps_list[0]:g}")
     rep = ExperimentReport()
     s_eps = {e: modulus_s(model.dists, e) for e in eps_list}
     ratios: dict[tuple[float, float], tuple[float, float]] = {}
@@ -261,14 +280,14 @@ def run_wegner(
 @_experiment("ids")
 def estimate_ids(
     model: AlloyModel,
-    L: float = 12.0,
+    L: Positive = 12.0,
     E_list: Grid = (2.0, 5.0, 10.0, 15.0, 20.0),
-    eps: float = 0.25,
-    replicas: int = 100,
-    seed: int = 101,
-    mesh_density: int = 16,
+    eps: Positive = 0.25,
+    replicas: Count = 100,
+    seed: Index = 101,
+    mesh_density: Count = 16,
     c_w: float | None = None,
-    workers: int = 1,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Finite-volume eigenvalue counting function per unit volume.
 
@@ -278,8 +297,6 @@ def estimate_ids(
     is supplied (informational otherwise).  monotone_in_energy cannot fail
     while the counts are exact.
     """
-    if not eps > 0:
-        raise PreconditionError(f"eps must be positive, got {eps:g}")
     rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     vol = L**model.d
@@ -352,12 +369,12 @@ def _greedy_disjoint(centers: list[tuple[tuple[float, ...], float]], L: float, w
 def run_stubborn(
     model: AlloyModel,
     E: float = 4.0,
-    L_list: Grid = (8.0, 16.0),
-    replicas: int = 6,
-    seed: int = 7,
-    mesh_density: int | None = None,
-    min_boxes: int = 3,
-    workers: int = 1,
+    L_list: PositiveGrid = (8.0, 16.0),
+    replicas: Count = 6,
+    seed: Index = 7,
+    mesh_density: Count | None = None,
+    min_boxes: Count = 3,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Windows of half-width 12 pi sqrt(E+1) / L that no disorder can empty.
 
@@ -371,8 +388,6 @@ def run_stubborn(
     """
     if not E > -1:
         raise PreconditionError(f"E must exceed -1, got {E:g}")
-    if min_boxes < 1:
-        raise PreconditionError(f"min_boxes must be at least 1, got {min_boxes}")
     _require_nonnegative_couplings(model)
     rho = mesh_density if mesh_density is not None else (16 if model.d == 1 else 4)
     rep = ExperimentReport(config={"mesh_density": rho})
@@ -428,12 +443,12 @@ def _untouched_count(block, lo, hi) -> list[tuple[bool, int]]:
 @_experiment("stubborn-exp")
 def run_stubborn_exponential(
     model: AlloyModel,
-    L: float = 6.0,
-    eigen_index: int = 3,
-    replicas: int = 8,
-    seed: int = 11,
-    mesh_density: int = 16,
-    workers: int = 1,
+    L: Positive = 6.0,
+    eigen_index: Index = 3,
+    replicas: Count = 8,
+    seed: Index = 11,
+    mesh_density: Count = 16,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """An exponentially thin window exp(-L) that still traps an eigenvalue surely.
 
@@ -445,8 +460,6 @@ def run_stubborn_exponential(
     """
     if L >= 28:
         raise PreconditionError("exp(-L) below achievable eigenvalue accuracy; use L < 28")
-    if eigen_index < 0:
-        raise PreconditionError(f"eigen_index must be at least 0, got {eigen_index}")
     rep = ExperimentReport()
     centers = _candidate_centers(model, L, math.inf)
     zero_centers = [x for x, peak in centers if peak == 0.0]
@@ -519,12 +532,12 @@ def _solve_rate_constant(log_inv_lambda: float, E: float, a_sum: float, d: int, 
 @_experiment("uncertainty")
 def run_uncertainty(
     S: RasterSet,
-    a: Sequence[float] = (1.0,),
-    E_list: Grid = (25.0, 100.0, 225.0, 400.0),
-    L_list: Grid = (2.0, 3.0, 4.0),
-    mesh_density: int = 64,
-    bc: str = "dirichlet",
-    seed: int = 0,
+    a: Positives = (1.0,),
+    E_list: PositiveGrid = (25.0, 100.0, 225.0, 400.0),
+    L_list: PositiveGrid = (2.0, 3.0, 4.0),
+    mesh_density: Count = 64,
+    bc: Bc = "dirichlet",
+    seed: Index = 0,
 ) -> ExperimentReport:
     """How much spectral-subspace mass a thick set is guaranteed to keep.
 
@@ -542,8 +555,6 @@ def run_uncertainty(
     listed in the fitted summary.
     """
     d = S.d
-    if E_list[0] <= 0:  # the rate sqrt(E) says nothing at E <= 0
-        raise PreconditionError(f"E_list entries must be positive, got {E_list[0]:g}")
     rep = ExperimentReport()
     cert = certify_thickness(S, WindowSpec(tuple(float(v) for v in a)))
     gamma = cert.gamma_star - cert.error_bound
@@ -623,11 +634,11 @@ def run_uncertainty(
 @_experiment("ise")
 def run_ise(
     model: AlloyModel,
-    L_list: Grid = (8.0, 16.0),
-    replicas: int = 200,
-    seed: int = 777,
-    mesh_density: int = 16,
-    workers: int = 1,
+    L_list: PositiveGrid = (8.0, 16.0),
+    replicas: Count = 200,
+    seed: Index = 777,
+    mesh_density: Count = 16,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Resolvent decay between opposite ends of a box at shift 1/sqrt(L).
 
@@ -711,12 +722,12 @@ def _ground_within(block, lo, hi) -> list[bool]:
 @_experiment("spectral-minimum")
 def run_spectral_minimum(
     model: AlloyModel,
-    eps_list: Sequence[float] = (0.5, 0.25),
-    replicas: int = 40,
-    seed: int = 5,
-    L: float = 8.0,
-    mesh_density: int = 16,
-    workers: int = 1,
+    eps_list: Positives = (0.5, 0.25),
+    replicas: Count = 40,
+    seed: Index = 5,
+    L: Positive = 8.0,
+    mesh_density: Count = 16,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Ground-state location: floored by the free box, approached under smallness.
 
@@ -726,11 +737,6 @@ def run_spectral_minimum(
     of that floor.  The zero-coupling seam must reproduce the floor exactly.
     """
     _require_nonnegative_couplings(model)
-    if not eps_list:
-        raise PreconditionError("eps_list must not be empty")
-    for e in eps_list:
-        if not e > 0:
-            raise PreconditionError(f"eps_list entries must be positive, got {e:g}")
     rep = ExperimentReport()
     box = _box(model.d, L, mesh_density)
     ground = float(discrete_dirichlet_spectrum(box)[0])
@@ -810,11 +816,11 @@ def localisation_probe(
     model: AlloyModel,
     E_lo: float = 0.0,
     E_hi: float = 2.0,
-    L: float = 24.0,
-    replicas: int = 12,
-    seed: int = 3,
-    mesh_density: int = 16,
-    workers: int = 1,
+    L: Positive = 24.0,
+    replicas: Count = 12,
+    seed: Index = 3,
+    mesh_density: Count = 16,
+    workers: Count = 1,
 ) -> ExperimentReport:
     """Eigenvector concentration in a low-energy window; measurement only.
 
@@ -853,11 +859,11 @@ def localisation_probe(
 @_experiment("minorant")
 def run_minorant_check(
     model: AlloyModel,
-    L: float = 4.0,
-    replicas: int = 20,
-    seed: int = 13,
-    box_length: float = 8.0,
-    mesh_density: int = 16,
+    L: Positive = 4.0,
+    replicas: Count = 20,
+    seed: Index = 13,
+    box_length: Positive = 8.0,
+    mesh_density: Count = 16,
 ) -> ExperimentReport:
     """Build the diluted minorant and confirm W <= V pathwise on sampled draws."""
     rep = ExperimentReport()

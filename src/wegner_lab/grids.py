@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +63,7 @@ class BoxSpec:
             raise GridError("center must have one coordinate per axis")
         if self.n < 2:
             raise GridError("need at least two grid points per axis")
-        if self.bc not in ("dirichlet", "neumann", "periodic"):
+        if self.bc not in get_args(Bc):
             raise GridError(f"unknown boundary condition {self.bc!r}")
         if self.n**self.d > DOF_BUDGET:
             raise GridError(f"{self.n}^{self.d} grid points exceed the dof budget {DOF_BUDGET}")

@@ -962,8 +962,10 @@ def finite_floats(raw: str) -> tuple[float, ...]:
     return values
 
 
-# annotation (less any "| None") -> parser of a run-file or model-file value
+# annotation (less any "| None") -> parser of a run-file or model-file value, a driver's kinds included
 KINDS = {"float": finite_float, "int": int, "str": str.strip, "Sequence[float]": finite_floats, "Grid": finite_floats}
+KINDS |= {"Positive": finite_float, "Count": int, "Index": int, "PositiveGrid": finite_floats, "Positives": finite_floats,
+          "Bc": str.strip}
 
 
 def parse_as(annotation: str, raw: str) -> Any:

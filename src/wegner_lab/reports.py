@@ -2,9 +2,10 @@
 
 Machine-readable outputs (JSON, records CSV) are deterministic functions of
 the experiment inputs: keys are sorted, floats are written with repr (which
-round-trips exactly), and wall-clock timing is never written.  Rerunning an
-experiment with the same seed must reproduce these files byte for byte;
-timing belongs only in the human summary.
+round-trips exactly; NaN and infinities, which strict JSON lacks, raise
+ValueError), and wall-clock timing is never written.  Rerunning an experiment
+with the same seed must reproduce these files byte for byte; timing belongs
+only in the human summary.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ExperimentReport:
             "seed": int(self.seed),
             "reduction_order": "replica-index",  # replicas reduce in index order, whatever the workers
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "ExperimentReport":

@@ -23,6 +23,7 @@ from wegner_lab.thick_sets import (
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
+_POSITIVES = "a non-empty list of positive finite numbers"
 
 
 def _write(path: Path, text: str) -> Path:
@@ -273,11 +274,11 @@ class TestRunCommand:
         [(text, named, None) for text, named in [
             ("[run]\nexperiment = uncertainty\nbogus = 1\n", "bogus"),
             ("[run]\nexperiment = uncertainty\n\n[parameters]\nlambda_floor = 1e-3\n", "unknown key 'lambda_floor'"),
-            ("[run]\nexperiment = wegner\nreplicas = 0\n", "replicas must be at least 1"),
-            ("[run]\nexperiment = ise\nreplicas = 0\n", "replicas must be at least 1"),
-            ("[run]\nexperiment = ise\nworkers = 0\n", "workers must be at least 1"),
-            ("[run]\nexperiment = ise\nmesh_density = 0\n", "mesh_density must be at least 1"),
-            ("[run]\nexperiment = ise\nseed = -1\n", "seed must be at least 0"),
+            ("[run]\nexperiment = wegner\nreplicas = 0\n", "replicas must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = ise\nreplicas = 0\n", "replicas must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = ise\nworkers = 0\n", "workers must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = ise\nmesh_density = 0\n", "mesh_density must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = ise\nseed = -1\n", "seed must be an integer >= 0, got -1"),
             ("[run]\nexperiment = ise\nseed = abc\n", "cannot parse seed"),
             ("[run]\nexperiment = wegner\n\n[parameters]\nl_list =\n", "cannot parse l_list"),
             ("[run]\nexperiment = minorant\nworkers = 2\n", "minorant takes no 'workers'"),
@@ -287,20 +288,29 @@ class TestRunCommand:
                 "[run]\nexperiment = ise\nmesh_density = 3\n\n[parameters]\nl_list = 1\n",
                 "no grid node in [-0.5, -0.25] along axis 0",
             ),
-            ("[run]\nexperiment = stubborn-exp\n\n[parameters]\neigen_index = -1\n", "eigen_index must be at least 0"),
-            ("[run]\nexperiment = wegner\n\n[parameters]\neps_list = 0.0,0.1\n", "eps_list entries must be positive"),
+            ("[run]\nexperiment = stubborn-exp\n\n[parameters]\neigen_index = -1\n", "eigen_index must be an integer >= 0, got -1"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\neps_list = 0.0,0.1\n", f"eps_list must be {_POSITIVES}, got (0.0, 0.1)"),
             ("[run]\nexperiment = stubborn\n\n[parameters]\ne = -2\n", "E must exceed -1"),
             ("[run]\nexperiment = stubborn\n\n[parameters]\ne = -1\n", "E must exceed -1"),
-            ("[run]\nexperiment = ids\n\n[parameters]\neps = -0.25\n", "eps must be positive"),
-            ("[run]\nexperiment = ids\n\n[parameters]\neps = 0\n", "eps must be positive"),
+            ("[run]\nexperiment = ids\n\n[parameters]\neps = -0.25\n", "eps must be a positive finite number, got -0.25"),
+            ("[run]\nexperiment = ids\n\n[parameters]\neps = 0\n", "eps must be a positive finite number, got 0.0"),
             ("[run]\nexperiment = minorant\n\n[parameters]\nl = 4.5\n", "got L = 4.5, spacing 5.5"),
             (
                 "[run]\nexperiment = localisation-probe\n\n[parameters]\ne_lo = 3\ne_hi = 1\n",
                 "E_lo must be below E_hi, got E_lo = 3, E_hi = 1",
             ),
-            ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be at least 1"),
-            ("[run]\nexperiment = spectral-minimum\n\n[parameters]\neps_list = 0\n", "eps_list entries must be positive"),
-            ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = neumann\ne_list = 0,25\n", "E_list entries must be positive, got 0"),
+            ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = spectral-minimum\n\n[parameters]\neps_list = 0\n", f"eps_list must be {_POSITIVES}, got (0.0,)"),
+            ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = neumann\ne_list = 0,25\n", f"E_list must be {_POSITIVES}, got (0.0, 25.0)"),
+            # one value outside its kind's domain per kind: the driver's check, as a Python call meets it
+            ("[run]\nexperiment = ids\n\n[parameters]\nl = 0\n", "L must be a positive finite number, got 0.0"),
+            ("[run]\nexperiment = minorant\n\n[parameters]\nbox_length = -1\n", "box_length must be a positive finite number, got -1.0"),
+            ("[run]\nexperiment = ise\n\n[parameters]\nl_list = 0,8\n", f"L_list must be {_POSITIVES}, got (0.0, 8.0)"),
+            ("[run]\nexperiment = uncertainty\n\n[parameters]\na = -1\n", f"a must be {_POSITIVES}, got (-1.0,)"),
+            ("[run]\nexperiment = stubborn\nmesh_density = 0\n", "mesh_density must be an integer >= 1, got 0"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\ne_ref = inf\n", "cannot parse e_ref = 'inf' as float"),
+            ("[run]\nexperiment = ids\n\n[parameters]\ne_list = 2,nan\n", "cannot parse e_list = '2,nan' as Grid"),
+            ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = open\n", "bc must be one of dirichlet, neumann, periodic"),
         ]]
         + [
             # couplings on [-1, 1]: both drivers' bounds need a nonnegative potential
@@ -313,7 +323,9 @@ class TestRunCommand:
             "uncertainty-workers", "ise-empty-end-block", "stubborn-exp-negative-index", "wegner-zero-eps",
             "stubborn-e-below-minus-one", "stubborn-e-minus-one", "ids-negative-eps", "ids-zero-eps",
             "minorant-fractional-spacing", "probe-empty-window", "stubborn-zero-min-boxes", "spectral-minimum-zero-eps",
-            "uncertainty-zero-energy",
+            "uncertainty-zero-energy", "ids-zero-length", "minorant-negative-box", "ise-zero-box",
+            "uncertainty-negative-window", "stubborn-mesh-density-0", "wegner-infinite-e-ref", "ids-nan-energy",
+            "uncertainty-unknown-bc",
             "spectral-minimum-negative-couplings", "stubborn-negative-couplings",
         ],
     )

@@ -11,6 +11,7 @@ import concurrent.futures
 import inspect
 import json
 import math
+import re
 import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -236,12 +237,12 @@ class TestIds:
     def test_a_nan_energy_is_refused(self, covering, slab, d):
         # a NaN threshold once counted nothing below it and passed both verdicts
         kw = dict(E_list=(math.nan, 5.0), replicas=3) | ({} if d == 1 else dict(L=2.0, mesh_density=4))
-        with pytest.raises(X.PreconditionError, match=r"^E_list must not hold NaN, got \(nan, 5.0\)$"):
+        with pytest.raises(X.PreconditionError, match=r"^E_list must be a non-empty list of finite numbers, got \(nan, 5.0\)$"):
             X.estimate_ids(covering if d == 1 else slab, **kw)
 
     def test_a_nan_window_is_refused(self, covering):
         # it once reached the count layer, which refused its shifts
-        with pytest.raises(X.PreconditionError, match="^eps must be positive, got nan$"):
+        with pytest.raises(X.PreconditionError, match="^eps must be a positive finite number, got nan$"):
             X.estimate_ids(covering, eps=math.nan, replicas=3)
 
     def test_a_constant_below_the_increments_fails_the_continuity_bound(self, covering):
@@ -301,7 +302,7 @@ class TestStubbornWindows:
 
     def test_a_nan_energy_is_refused(self, geometric):
         # it once reported FAIL for every box
-        with pytest.raises(X.PreconditionError, match="^E must exceed -1, got nan$"):
+        with pytest.raises(X.PreconditionError, match="^E must be a finite number, got nan$"):
             X.run_stubborn(geometric, E=math.nan)
 
     def test_too_few_disjoint_boxes_fail(self, geometric):
@@ -627,7 +628,8 @@ def test_shell_decay_rate_is_the_masked_bands(d, L, density, rate, seed):
 class TestUncertainty:
     def test_a_nan_energy_is_refused(self, stripes_third):
         # it once skipped the NaN energy, passed all four verdicts and wrote NaN, no JSON value, into the report
-        with pytest.raises(X.PreconditionError, match="^E_list must not hold NaN"):
+        refusal = r"^E_list must be a non-empty list of positive finite numbers, got \(nan, 25, 100, 225\)$"
+        with pytest.raises(X.PreconditionError, match=refusal):
             X.run_uncertainty(stripes_third, E_list=(math.nan, 25, 100, 225), L_list=(2, 3))
 
     WANT = {
@@ -914,7 +916,7 @@ def test_fewer_than_one_replica_refused_before_sampling(driver, fixture, request
     monkeypatch.setattr(X, "sample_potentials", lambda *a, **k: sampled.append(a))
     for key in [k for k in ("replicas", "workers") if k in inspect.signature(run).parameters]:
         for value in (0, -3):
-            with pytest.raises(X.PreconditionError, match=f"{key} must be at least 1, got {value}$"):
+            with pytest.raises(X.PreconditionError, match=f"^{key} must be an integer >= 1, got {value}$"):
                 run(model, **{key: value})
     # the count is read from the bound arguments, so a positional 0 is refused alike
     params = list(inspect.signature(run).parameters.values())
@@ -924,14 +926,13 @@ def test_fewer_than_one_replica_refused_before_sampling(driver, fixture, request
     assert sampled == []
 
 
-@pytest.mark.parametrize(
-    "eps_list, bad", [((0.0,), "0"), ((0.5, -0.25), "-0.25"), ((math.nan,), "nan"), ((0.5, math.nan), "nan")]
-)
-def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps_list, bad, monkeypatch):
+@pytest.mark.parametrize("eps_list", [(0.0,), (0.5, -0.25), (math.nan,), (0.5, math.nan), (0.5, math.inf)])
+def test_spectral_minimum_refuses_nonpositive_caps_before_sampling(covering, eps_list, monkeypatch):
     # a NaN cap once reached the replica map, whose potentials were all NaN
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
-    with pytest.raises(X.PreconditionError, match=f"eps_list entries must be positive, got {bad}$"):
+    refusal = rf"^eps_list must be a non-empty list of positive finite numbers, got {re.escape(str(eps_list))}$"
+    with pytest.raises(X.PreconditionError, match=refusal):
         X.run_spectral_minimum(covering, eps_list=eps_list, replicas=4)
     assert sampled == []
 
@@ -940,7 +941,7 @@ def test_spectral_minimum_refuses_no_caps_before_sampling(covering, monkeypatch)
     # with no cap there is no conditioned draw, so the run would pass on the floor alone
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
-    with pytest.raises(X.PreconditionError, match="^eps_list must not be empty$"):
+    with pytest.raises(X.PreconditionError, match=r"^eps_list must be a non-empty list of positive finite numbers, got \(\)$"):
         X.run_spectral_minimum(covering, eps_list=(), replicas=3, L=4.0)
     assert sampled == []
 
@@ -1011,7 +1012,7 @@ def test_config_is_the_bound_arguments(driver, request):
     fixture, kw, grids = _CONFIG_CALLS[driver]
     run = getattr(X, driver)
     signature = inspect.signature(run)
-    assert {p.name for p in signature.parameters.values() if p.annotation == "Grid"} == set(grids)
+    assert {p.name for p in signature.parameters.values() if p.annotation.endswith("Grid")} == set(grids)
     rep = run(request.getfixturevalue(fixture), **kw)
     bound = signature.bind(None, **kw)
     bound.apply_defaults()
@@ -1033,8 +1034,13 @@ _GRIDS = [
     (driver, p.name)
     for driver in sorted(X.EXPERIMENTS.values())
     for p in inspect.signature(getattr(X, driver)).parameters.values()
-    if p.annotation == "Grid"
+    if p.annotation.endswith("Grid")
 ]
+
+
+def _grid_domain(driver: str, key: str) -> str:
+    positive = inspect.signature(getattr(X, driver)).parameters[key].annotation == "PositiveGrid"
+    return f"a non-empty list of {'positive ' if positive else ''}finite numbers"
 
 
 @pytest.mark.parametrize("driver, key", _GRIDS)
@@ -1042,7 +1048,7 @@ def test_empty_grid_refused_before_sampling(driver, key, request, monkeypatch):
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
     subject = request.getfixturevalue(_CONFIG_CALLS[driver][0])
-    with pytest.raises(X.PreconditionError, match=f"^{key} must not be empty$"):
+    with pytest.raises(X.PreconditionError, match=rf"^{key} must be {_grid_domain(driver, key)}, got \(\)$"):
         getattr(X, driver)(subject, **{key: ()})
     assert sampled == []
 
@@ -1052,7 +1058,7 @@ def test_a_nan_grid_point_refused_before_sampling(driver, key, request, monkeypa
     sampled = []
     monkeypatch.setattr(X, "sample_potential", lambda *a, **k: sampled.append(a))
     subject = request.getfixturevalue(_CONFIG_CALLS[driver][0])
-    with pytest.raises(X.PreconditionError, match=rf"^{key} must not hold NaN, got \(4.0, nan\)$"):
+    with pytest.raises(X.PreconditionError, match=rf"^{key} must be {_grid_domain(driver, key)}, got \[4.0, nan\]$"):
         getattr(X, driver)(subject, **{key: [4.0, math.nan]})
     assert sampled == []
 
