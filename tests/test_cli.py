@@ -302,7 +302,7 @@ class TestRunCommand:
             ("[run]\nexperiment = stubborn\n\n[parameters]\nmin_boxes = 0\n", "min_boxes must be an integer >= 1, got 0"),
             ("[run]\nexperiment = spectral-minimum\n\n[parameters]\neps_list = 0\n", f"eps_list must be {_POSITIVES}, got (0.0,)"),
             ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = neumann\ne_list = 0,25\n", f"E_list must be {_POSITIVES}, got (0.0, 25.0)"),
-            # one value outside its kind's domain per kind: the driver's check, as a Python call meets it
+            # one value outside its kind's domain per kind: refused by the experiment's parameter check, as a Python call is
             ("[run]\nexperiment = ids\n\n[parameters]\nl = 0\n", "L must be a positive finite number, got 0.0"),
             ("[run]\nexperiment = minorant\n\n[parameters]\nbox_length = -1\n", "box_length must be a positive finite number, got -1.0"),
             ("[run]\nexperiment = ise\n\n[parameters]\nl_list = 0,8\n", f"L_list must be {_POSITIVES}, got (0.0, 8.0)"),
