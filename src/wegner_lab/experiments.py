@@ -30,7 +30,7 @@ from typing import Any, Sequence, get_args
 
 import numpy as np
 
-from .grids import Bc, BoxSpec, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
+from .grids import Bc, BoxSpec, GridError, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
     AlloyModel,
     construct_diluted_minorant,
@@ -140,7 +140,7 @@ def _experiment(name: str):
 def _replica_block(query, args: tuple, model: AlloyModel, box: BoxSpec, seed: int, cap, draws: list) -> list:
     """query(block, *args), one answer per draw in draw order, for one block of (replica, couplings override)
     draws of the seed, sampled and built as one array each: V = block.potentials holds a potential per draw, a
-    column each, and block.operators the read-only operators -Delta + V[:, r] on the box's shared stencil."""
+    column each, and block.diag the diagonals of -Delta + V[:, r], whose operators block.operators builds."""
     V = sample_potentials(model, seed, draws, box, cap)
     return query(add_potentials(build_free_laplacian(box), V), *args)
 
@@ -194,15 +194,12 @@ def _require_nonnegative_couplings(model: AlloyModel) -> None:
         raise PreconditionError(f"couplings must be nonnegative, got min_support = {low:g}")
 
 
-def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None, bc: str = "dirichlet") -> BoxSpec:
+def _box(model_d: int, L: float, mesh_density: int, center: tuple | None = None, bc: Bc = "dirichlet") -> BoxSpec:
     n = int(round(L * mesh_density)) - (1 if bc == "dirichlet" else 0)
-    return BoxSpec(
-        d=model_d,
-        length=float(L),
-        center=center if center is not None else (0.0,) * model_d,
-        n=n,
-        bc=bc,  # type: ignore[arg-type]
-    )
+    try:
+        return BoxSpec(model_d, float(L), center if center is not None else (0.0,) * model_d, n, bc)
+    except GridError as err:
+        raise PreconditionError(f"L = {L} at mesh_density = {mesh_density} makes no grid: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ to which add_potential adds.  -Delta is the Kronecker sum of the 1-d second
 difference, so its diagonal is the Kronecker sum of the 1-d diagonal and its
 stencil recurses over the axes; an open box's first-axis slices are the
 factors of that recursion, and a periodic box is one slice.  A block of
-operators keeps its diagonals as the columns of one array (add_potentials).
-The sparse matrix is summed only when a solver asks for it, with the same
-floating-point additions an eager sum does.
+operators keeps the stencil and the diagonals as one array's columns, and
+builds operator objects on request (add_potentials).  A sparse matrix is
+summed only for a solver that asks, with an eager sum's additions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,6 +136,10 @@ class Stencil:
         for part in (self.off, self.inner, self.coupling):
             _read_only(part)
 
+    @property
+    def is_tridiagonal(self) -> bool:
+        return self.box.d == 1 and self.box.bc != "periodic"
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
@@ -161,12 +165,6 @@ class DiscreteHamiltonian:
         return self.diag, self.stencil.coupling
 
     @functools.cached_property
-    def below(self) -> dict[float, int]:
-        """Counts of eigenvalues strictly below a shift, found ahead of the
-        queries that read them (spectral.count_windows, resolvent_norms)."""
-        return {}
-
-    @functools.cached_property
     def bisections(self) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """LAPACK stebz's bisections of the d=1 bands per cutoff, in block order:
         the eigenvalues, blocks and splits that spectral._eigs_tridiagonal
@@ -175,7 +173,7 @@ class DiscreteHamiltonian:
 
     @property
     def is_tridiagonal(self) -> bool:
-        return self.box.d == 1 and self.box.bc != "periodic"
+        return self.stencil.is_tridiagonal
 
 
 def _kron_sum(values: np.ndarray, d: int) -> np.ndarray:
@@ -210,12 +208,18 @@ def build_free_laplacian(box: BoxSpec) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(Stencil(box, off, inner, band), _read_only(_kron_sum(main, box.d)))
 
 
-class OperatorBlock(NamedTuple):
-    """Operators on one stencil, their diagonals the columns of one read-only (ndof, R) array, and their potentials."""
+@dataclass(frozen=True, eq=False)
+class OperatorBlock:
+    """Operators on one stencil: their diagonals the columns of one read-only (ndof, R) array, and their
+    potentials.  `operators` builds each column's read-only operator on first use, so a d=1 count builds none."""
 
+    stencil: Stencil
     diag: np.ndarray
-    operators: list[DiscreteHamiltonian]
     potentials: np.ndarray
+
+    @functools.cached_property
+    def operators(self) -> list[DiscreteHamiltonian]:
+        return [DiscreteHamiltonian(self.stencil, d) for d in self.diag.T]
 
 
 def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
@@ -226,7 +230,7 @@ def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
     if not np.isfinite(V).all():
         raise GridError("potential contains non-finite entries")
     diag = _read_only(ham.diag[:, np.newaxis] + V)
-    return OperatorBlock(diag, [DiscreteHamiltonian(ham.stencil, d) for d in diag.T], V)
+    return OperatorBlock(ham.stencil, diag, V)
 
 
 def add_potential(ham: DiscreteHamiltonian, v: np.ndarray) -> DiscreteHamiltonian:

@@ -4,16 +4,14 @@ Counting is exact integer arithmetic on matrix inertia, so interval counts
 never depend on eigensolver convergence.  Which count runs depends on the box:
 
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
-  tridiagonal bands (`sturm_count`).  A block of replicas shares the free
-  off-diagonal and keeps its diagonals as one (n, R) array
-  (`grids.OperatorBlock`), so the block queries (`count_windows`,
-  `resolvent_norms`) first count every operator at every shift they will
-  ask for at once, whatever the block's size: each (operator, shift) pair
-  is a lane, and one numpy recurrence runs over that array, one step per
-  unknown, with the IEEE operations of the scalar loop in the same order.
-  Each operator keeps those counts (`DiscreteHamiltonian.below`), and
-  inertia_count reads them first; a count of one operator alone runs the
-  Python-float loop.  The shifts are the window ends or z -+ 1e-10.
+  tridiagonal bands (`sturm_count`).  A block of replicas keeps its
+  diagonals as one (n, R) array beside the shared off-diagonal
+  (`grids.OperatorBlock`), and the block queries (`count_windows`,
+  `resolvent_norms`) read their counts from one numpy recurrence over every
+  (operator, shift) lane of it, whatever the block's size: one step per
+  unknown, with the scalar loop's IEEE operations in the same order.  The
+  shifts are the window ends or z -+ 1e-10.  A count of one operator alone
+  (inertia_count) runs the Python-float loop.
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice.  An open box has n slices of n^(d-1)
@@ -25,10 +23,6 @@ never depend on eigensolver convergence.  Which count runs depends on the box:
   INERTIA_DENSE_LIMIT, so every open d=2 box within the dof budget; a
   larger slice is refused with EigensolverError, since no answer rests on
   an uncertified count.
-
-A closed window [lo, hi] is counted at its finite ends nudged outward by a
-relative 1e-12 (`_closed_window`), by count_in_interval and count_windows
-alike.
 
 The iterative eigensolver accepts its Ritz values only when they number
 exactly the inertia count, and refuses to return silently short.
@@ -225,15 +219,13 @@ def _check_shifts(*shifts: float) -> None:
 def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     """Number of eigenvalues strictly below x; a NaN x raises ValueError, an infinite one counts none or all.
 
-    Off the d=1 bands this is the block Sturm count on the stencil's slices
-    (a periodic box is one slice).  Where a Schur block is nearly singular,
-    equal counts at x -+ delta leave no eigenvalue in [x - delta, x + delta)
-    and are the count at x; unequal ones raise ResonantSampleError.  A slice
-    over INERTIA_DENSE_LIMIT unknowns has no exact count: EigensolverError.
+    On the d=1 bands this is sturm_count's loop; off them, the block Sturm
+    count on the stencil's slices (a periodic box is one slice).  Where a
+    Schur block is nearly singular, equal counts at x -+ delta leave no
+    eigenvalue in [x - delta, x + delta) and are the count at x; unequal
+    ones raise ResonantSampleError.  A slice over INERTIA_DENSE_LIMIT
+    unknowns has no exact count: EigensolverError.
     """
-    count = H.below.get(x)  # never holds a NaN shift: _precount_below refuses one
-    if count is not None:
-        return count
     _check_shifts(x)
     if H.is_tridiagonal:
         diag, off = H.tridiagonal()
@@ -253,40 +245,34 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     return count
 
 
-def _closed_window(lo: float, hi: float) -> tuple[float, float]:
-    """The inertia points of the closed window [lo, hi]: each end nudged
-    outward by 1e-12 times the larger of 1 and its finite ends' magnitudes,
-    far below eigenvalue spacing at the scales used here; an infinite end
-    stays put."""
+def _window_ends(lo: float, hi: float) -> list[tuple[float, int]]:
+    """The closed window [lo, hi] as (shift, sign) pairs, its count the sum of sign x (count below shift), for
+    count_in_interval and count_windows alike.  An empty window (hi < lo) has none; an end at -inf is left out.
+    Finite ends move outward by 1e-12 x max(1, their magnitudes), far below eigenvalue spacing here."""
+    if hi < lo:
+        return []
     delta = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0, abs(hi) if math.isfinite(hi) else 0.0)
-    return lo - delta, hi + delta
+    return [(hi + delta, 1)] + ([] if lo == -math.inf else [(lo - delta, -1)])
 
 
 def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
     """Exact count of eigenvalues in the closed interval [lo, hi]."""
-    if hi < lo:
-        return 0
-    x_lo, x_hi = _closed_window(lo, hi)
-    return inertia_count(H, x_hi) - (0 if lo == -math.inf else inertia_count(H, x_lo))
-
-
-def _precount_below(block: OperatorBlock, shifts: Sequence[float]) -> None:
-    """Count every operator of the block below every shift at once, for inertia_count to read: a block of
-    d=1 operators with an open boundary, of any size, takes one sturm_count on its (n, R) diagonal, kept in
-    each operator's `below`.  d>=2 and periodic blocks are left to inertia_count.  A NaN shift is refused."""
-    _check_shifts(*shifts)
-    shifts = sorted({x for x in shifts if x != -math.inf})
-    if not block.operators[0].is_tridiagonal:
-        return
-    below = sturm_count(block.diag, block.operators[0].stencil.coupling, shifts)
-    for H, counts in zip(block.operators, below.tolist()):
-        H.below.update(zip(shifts, counts))
+    return sum(sign * inertia_count(H, x) for x, sign in _window_ends(lo, hi))
 
 
 def count_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> list[tuple[int, ...]]:
-    """Each operator's count_in_interval in every closed (lo, hi) window, the window ends counted ahead."""
-    _precount_below(block, [x for lo, hi in windows if not hi < lo for x in _closed_window(lo, hi)])
-    return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
+    """Each operator's count_in_interval in every closed (lo, hi) window; a NaN end is refused before any count.
+    A d=1 block with an open boundary reads every window from one sturm_count pass over its lanes."""
+    ends = [_window_ends(lo, hi) for lo, hi in windows]
+    shifts = sorted({x for pairs in ends for x, _ in pairs})
+    _check_shifts(*shifts)
+    if not block.stencil.is_tridiagonal:
+        return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
+    below = dict(zip(shifts, sturm_count(block.diag, block.stencil.coupling, shifts).T))
+    counts = np.empty((len(windows), block.diag.shape[1]), dtype=np.int64)
+    for row, pairs in zip(counts, ends):
+        row[...] = sum(sign * below[x] for x, sign in pairs)
+    return list(map(tuple, counts.T.tolist()))
 
 
 # the LAPACK routines behind scipy.linalg.eigh_tridiagonal's select by value,
@@ -358,7 +344,7 @@ def _eigs_lanczos(H: DiscreteHamiltonian, e_max: float, want_vectors: bool) -> E
     n = H.box.ndof
     scale = _operator_scale(H)
     tol = 1e-9 * scale
-    want_count = inertia_count(H, _closed_window(-math.inf, e_max)[1])
+    want_count = inertia_count(H, _window_ends(-math.inf, e_max)[0][0])
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=_LANCZOS_KEY)))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -436,10 +422,9 @@ def _resonance_shifts(z: float) -> tuple[float, float]:
     return z - 1e-10, z + 1e-10
 
 
-def _check_off_resonance(H: DiscreteHamiltonian, z: float) -> None:
-    lo, hi = _resonance_shifts(z)
-    if inertia_count(H, lo) != inertia_count(H, hi):
-        raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
+def _check_disjoint(rows: np.ndarray, cols: np.ndarray) -> None:
+    if not set(rows.tolist()).isdisjoint(cols.tolist()):
+        raise ValueError("blocks overlap; the off-diagonal norm is not defined")
 
 
 def resolvent_block_norm(
@@ -454,9 +439,15 @@ def resolvent_block_norm(
     block is then exact (up to the factorization's own accuracy).  A shift
     within 1e-10 of an eigenvalue is refused rather than silently amplified.
     """
-    if not set(rows.tolist()).isdisjoint(cols.tolist()):
-        raise ValueError("blocks overlap; the off-diagonal norm is not defined")
-    _check_off_resonance(H, z)
+    _check_disjoint(rows, cols)
+    lo, hi = _resonance_shifts(z)
+    if inertia_count(H, lo) != inertia_count(H, hi):
+        raise ResonantSampleError(f"eigenvalue within 1e-10 of shift {z}")
+    return _off_resonance_norm(H, z, rows, cols)
+
+
+def _off_resonance_norm(H: DiscreteHamiltonian, z: float, rows: np.ndarray, cols: np.ndarray) -> float:
+    """resolvent_block_norm past its checks: the solve and the block's largest singular value."""
     if rows.size == 0 or cols.size == 0:
         return 0.0
     n = H.box.ndof
@@ -483,16 +474,23 @@ def resolvent_block_norm(
     return float(s[0])
 
 
+def _or_none(norm, *args) -> float | None:
+    try:
+        return norm(*args)
+    except ResonantSampleError:
+        return None
+
+
 def resolvent_norms(block: OperatorBlock, z: float, rows: np.ndarray, cols: np.ndarray) -> list[float | None]:
-    """Each operator's resolvent_block_norm, None where z is resonant for it; the resonance shifts counted ahead."""
-    _precount_below(block, _resonance_shifts(z))
-    norms: list[float | None] = []
-    for H in block.operators:
-        try:
-            norms.append(resolvent_block_norm(H, z, rows, cols))
-        except ResonantSampleError:
-            norms.append(None)
-    return norms
+    """Each operator's resolvent_block_norm, None where z is resonant for it; a NaN z is refused before any count.
+    A d=1 block with an open boundary reads both resonance counts from one sturm_count pass over its lanes."""
+    shifts = _resonance_shifts(z)
+    _check_shifts(*shifts)
+    if not block.stencil.is_tridiagonal:
+        return [_or_none(resolvent_block_norm, H, z, rows, cols) for H in block.operators]
+    _check_disjoint(rows, cols)
+    resonant = [lo != hi for lo, hi in sturm_count(block.diag, block.stencil.coupling, shifts).tolist()]
+    return [None if r else _or_none(_off_resonance_norm, H, z, rows, cols) for H, r in zip(block.operators, resonant)]
 
 
 # ---------------------------------------------------------------------------

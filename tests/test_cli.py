@@ -347,7 +347,7 @@ class TestRunCommand:
         cfg = _write(tmp_path / "s.ini", text)
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "grid points" in capsys.readouterr().err
+        assert "L = 1.0 at mesh_density = 1 makes no grid: need at least two grid points per axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["covering", "slab"])
     def test_probe_window_below_the_spectrum_finds_no_state(self, tmp_path, model):
@@ -390,9 +390,10 @@ class TestRunCommand:
         def refuse(H, lo, hi):
             raise ResonantSampleError(f"an eigenvalue may lie within 1e-09 of shift {hi}")
 
+        # a d=2 block counts operator by operator, where a Schur block can refuse a shift; a d=1 block never does
         monkeypatch.setattr(spectral, "count_in_interval", refuse)
         cfg = _write(tmp_path / "w.ini", "[run]\nexperiment = wegner\nreplicas = 1\n\n[parameters]\nl_list = 4\n")
-        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "covering.model.ini")]
+        argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "slab.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "an eigenvalue may lie within 1e-09 of shift" in capsys.readouterr().err
 

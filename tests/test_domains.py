@@ -14,6 +14,7 @@ import pytest
 
 from wegner_lab import experiments as X
 from wegner_lab import random_model
+from wegner_lab.grids import GridError
 from wegner_lab.reports import ExperimentReport
 
 SWEEP = (math.nan, math.inf, -math.inf, 0, -1)
@@ -124,6 +125,23 @@ def test_sweep(driver, name, kind, value, request, monkeypatch):
         raise AssertionError(f"{constant} in report.json")
 
     json.loads(rep.to_json(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "driver, call, message",
+    [
+        ("estimate_ids", dict(L=0.1, replicas=2), "L = 0.1 at mesh_density = 16 makes no grid: "
+         "need at least two grid points per axis"),
+        ("run_wegner", dict(L_list=(1e6,), replicas=1), "L = 1000000.0 at mesh_density = 16 makes no grid: "
+         "15999999^1 grid points exceed the dof budget 2000000"),
+    ],
+)
+def test_a_box_the_grid_cannot_hold_is_refused_by_name(driver, call, message, covering):
+    # each value lies in its kind's domain; the pair with mesh_density makes no grid (it once raised GridError)
+    with pytest.raises(X.PreconditionError) as refusal:
+        getattr(X, driver)(covering, **call)
+    assert str(refusal.value) == message
+    assert isinstance(refusal.value.__cause__, GridError)
 
 
 @pytest.mark.parametrize("bc", ["dirichlett", "", 0, None])

@@ -461,7 +461,7 @@ class TestIse:
         assert rep.verdicts["exponential_rate_positive"] == "FAIL"
         assert rep.verdicts["probability_scaling"] == "FAIL"
 
-    # two resonance shifts per operator, counted ahead for every block size: no scalar count runs
+    # two resonance shifts per operator, counted in one lane pass for every block size: no scalar count runs
     @pytest.mark.parametrize("R", [1, 31, 32, 64, 65])
     def test_block_query_matches_per_operator_calls(self, R, monkeypatch):
         box = BoxSpec(d=1, length=8.0, center=(0.0,), n=127)

@@ -211,20 +211,63 @@ class TestSturmLanes:
         assert [list(counts) for counts in got] == want
         assert [[count_in_interval(H, lo, hi) for lo, hi in windows] for H in block.operators] == want
 
+    @given(_lane_problem(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resolvent_lanes_match_resolvent_block_norm(self, problem, data):
+        diag, _, _ = problem
+        n, R = diag.shape
+        free = build_free_laplacian(BoxSpec(d=1, length=float(n + 1), center=(0.0,), n=n))
+        alone = [add_potential(free, diag[:, r]) for r in range(R)]
+        # z is an eigenvalue of one lane's operator, up to rounding
+        hit = data.draw(st.integers(0, R - 1))
+        z = data.draw(st.sampled_from(sla.eigvalsh(alone[hit].matrix.toarray()).tolist()))
+        picks = np.array(data.draw(st.permutations(range(n))))
+        p = data.draw(st.integers(1, n - 1))
+        q = data.draw(st.integers(1, n - p))
+        rows, cols = np.sort(picks[:p]), np.sort(picks[p : p + q])
+
+        def one(H):
+            try:
+                return resolvent_block_norm(H, z, rows, cols)
+            except ResonantSampleError:
+                return None
+
+        want = [one(H) for H in alone]
+        block = add_potentials(free, diag)
+        got = spectral.resolvent_norms(block, z, rows, cols)
+        assert got[hit] is None and want[hit] is None
+        assert got == want  # every other lane bit for bit, floats compared exactly
+        with pytest.raises(ValueError, match="blocks overlap"):
+            spectral.resolvent_norms(block, z, rows, np.append(cols, rows[0]))
+
     @pytest.mark.parametrize("R", [1, 2, 31, 32, 200])
     def test_every_block_counts_ahead_in_one_lane_pass(self, R, monkeypatch):
         free = build_free_laplacian(BoxSpec(d=1, length=5.0, center=(0.0,), n=80))
         V = np.random.default_rng(R).uniform(0.0, 20.0, size=(80, R))
         want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
+        norms = [resolvent_block_norm(add_potential(free, v), 5.0, np.array([0]), np.array([79])) for v in V.T]
         calls = _counting_lanes(monkeypatch)
         block = add_potentials(free, V)
         # one window end: R lanes, whatever R is
-        got = count_windows(block, [(-math.inf, 40.0)])
+        assert count_windows(block, [(-math.inf, 40.0)]) == [(count,) for count in want]
         assert len(calls) == 1
-        assert all(H.below for H in block.operators)
-        assert got == [(count,) for count in want]
-        assert [count_in_interval(H, -math.inf, 40.0) for H in block.operators] == want
-        assert len(calls) == 1
+        # the two resonance shifts: 2R lanes, one more pass
+        assert spectral.resolvent_norms(block, 5.0, np.array([0]), np.array([79])) == norms
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_line_block_builds_no_operator_to_count(self, d, monkeypatch):
+        box = BoxSpec(d=d, length=3.0, center=(0.0,) * d, n=7)
+        free = build_free_laplacian(box)
+        V = np.random.default_rng(d).uniform(0.0, 3.0, size=(box.ndof, 5))
+        windows = [(1.0, 9.0), (-math.inf, 4.0)]
+        want = [tuple(count_in_interval(add_potential(free, v), lo, hi) for lo, hi in windows) for v in V.T]
+        built = []
+        init = DiscreteHamiltonian.__init__
+        monkeypatch.setattr(DiscreteHamiltonian, "__init__", lambda H, *args: built.append(H) or init(H, *args))
+        assert count_windows(add_potentials(free, V), windows) == want
+        # a d=2 block counts operator by operator, so it builds each one
+        assert len(built) == (0 if d == 1 else 5)
 
     @pytest.mark.parametrize("R", [1, 3])
     def test_a_plane_block_never_counts_ahead(self, R, monkeypatch):
@@ -239,7 +282,6 @@ class TestSturmLanes:
         assert count_windows(block, [(1.0, 40.0)]) == [(count,) for count in want]
         assert spectral.resolvent_norms(block, 0.5, rows, cols) == norms
         assert not calls
-        assert not any(H.below for H in block.operators)
 
     def test_a_count_of_one_operator_runs_the_loop(self, monkeypatch):
         _, H = _random_operator(1, 127, 8.0, seed=2, amplitude=3.0)
@@ -247,7 +289,6 @@ class TestSturmLanes:
         assert inertia_count(H, 5.0) == sturm_count(*H.tridiagonal(), 5.0)
         assert count_in_interval(H, 1.0, 5.0) == inertia_count(H, 5.0 + 5e-12) - inertia_count(H, 1.0 - 5e-12)
         assert not calls
-        assert not H.below
 
 
 def _zero_pivot_bands(zeros, x, off):
@@ -323,9 +364,10 @@ class TestChunkedLanes:
         rng = np.random.default_rng(lanes)
         columns = [built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(lanes - 1)]
         block = add_potentials(free, np.column_stack(columns) - 2.0)
-        spectral._precount_below(block, [1.0])
-        assert all(list(H.below) == [1.0] for H in block.operators)
-        assert [inertia_count(H, 1.0) for H in block.operators] == [sturm_count(v, -np.ones(n - 1), 1.0) for v in columns]
+        # a window whose upper end is nudged onto the integer shift 1, where the pivots are exactly zero
+        hi = 1.0 - 1e-12
+        assert spectral._window_ends(-math.inf, hi) == [(1.0, 1)]
+        assert count_windows(block, [(-math.inf, hi)]) == [(sturm_count(v, -np.ones(n - 1), 1.0),) for v in columns]
 
 
 class TestInertiaCount:
@@ -633,9 +675,9 @@ class TestCountInInterval:
     # a window end at +-inf is not nudged and nudges no finite end: the first
     # draw is the free operator, whose dense counts these pin
     @pytest.mark.parametrize("d, n, length, free", [(1, 127, 8.0, (122, 127, 0, 0)), (2, 7, 3.0, (48, 49, 0, 0))])
-    # the ends 5 - 5e-12 and +inf make 2R lanes, counted ahead in d=1 only, for one operator or many
+    # the ends 5 - 5e-12 and +inf make 2R lanes, one lane pass in d=1 only, for one operator or many
     @pytest.mark.parametrize("R", [1, 16])
-    def test_windows_with_an_infinite_end_match_dense_counts(self, d, n, length, free, R):
+    def test_windows_with_an_infinite_end_match_dense_counts(self, d, n, length, free, R, monkeypatch):
         windows = [(5.0, math.inf), (-math.inf, math.inf), (-math.inf, -math.inf), (math.inf, math.inf)]
         box = BoxSpec(d=d, length=length, center=(0.0,) * d, n=n)
         V = np.random.default_rng(R).uniform(0.0, 3.0, size=(box.ndof, R))
@@ -648,8 +690,9 @@ class TestCountInInterval:
         assert want[0] == free
         alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
         assert [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in alone] == want
+        calls = _counting_lanes(monkeypatch)
         assert count_windows(block, windows) == want
-        assert all(bool(H.below) == (d == 1) for H in block.operators)
+        assert len(calls) == (d == 1)
 
     def test_a_mirror_symmetric_box_counts_at_a_sub_box_level(self):
         # 5 = 2 + 3 is a level of a leading sub-box, 0.082 from every eigenvalue: the bracket answers
@@ -693,18 +736,20 @@ class TestNanShifts:
         with pytest.raises(ValueError, match="shift nan"):
             count_windows(block, [(1.0, 5.0), (lo, hi)])
 
-    def test_the_counts_and_the_resolvent_refuse_a_nan_shift(self, free):
+    def test_the_counts_and_the_resolvent_refuse_a_nan_shift(self, free, monkeypatch):
         H, block = free
         with pytest.raises(ValueError, match="shift nan"):
             inertia_count(H, math.nan)
-        with pytest.raises(ValueError, match="shift nan"):
-            spectral._precount_below(block, [1.0, math.nan])
-        assert not any(G.below for G in block.operators)
         rows, cols = np.array([0]), np.array([H.box.ndof - 1])
         with pytest.raises(ValueError, match="shift nan"):
             resolvent_block_norm(H, math.nan, rows, cols)
+        # the block queries refuse before any lane pass
+        calls = _counting_lanes(monkeypatch)
+        with pytest.raises(ValueError, match="shift nan"):
+            count_windows(block, [(1.0, 5.0), (math.nan, 5.0)])
         with pytest.raises(ValueError, match="shift nan"):
             spectral.resolvent_norms(block, math.nan, rows, cols)
+        assert not calls
 
 
 class TestEigsBelow:
@@ -903,12 +948,11 @@ class TestResolventMatchesTheWrappers:
             assume(False)
         assert got == _wrapper_norm(H, z, rows, cols)
 
-    def test_zero_pivot_is_refused_as_resonant(self, monkeypatch):
-        # with the resonance check switched off, a singular solve still returns no number
-        monkeypatch.setattr(spectral, "_check_off_resonance", lambda H, z: None)
+    def test_zero_pivot_is_refused_as_resonant(self):
+        # past the resonance check, a singular solve still returns no number
         H = _jacobi(np.array([1.0, 1.0, 5.0]), np.array([0.0, 1.0]))
         with pytest.raises(ResonantSampleError, match="zero pivot"):
-            resolvent_block_norm(H, 1.0, np.array([0]), np.array([2]))
+            spectral._off_resonance_norm(H, 1.0, np.array([0]), np.array([2]))
 
 
 def _band_floor(H):
