@@ -98,6 +98,8 @@ class BoxSpec:
 
     def node_block(self, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
         """Flat C-order indices of the nodes in the closed box [lo, hi], each end widened by 1e-12."""
+        if not len(lo) == len(hi) == self.d:
+            raise GridError(f"corners of {len(lo)} and {len(hi)} coordinates for a box of dimension {self.d}")
         axes = []
         for axis in range(self.d):
             xs = self.axis_nodes(axis)
@@ -225,8 +227,8 @@ class OperatorBlock:
 def add_potentials(ham: DiscreteHamiltonian, V: np.ndarray) -> OperatorBlock:
     """The operators ham + diag(V[:, r]) on ham's stencil as one block, ham left untouched: the
     potentials' finiteness is checked once, and the diagonals are one elementwise sum."""
-    if V.shape[0] != ham.box.ndof:
-        raise GridError(f"potential length {V.shape[0]} does not match {ham.box.ndof} dof")
+    if V.ndim != 2 or V.shape[0] != ham.box.ndof:
+        raise GridError(f"potentials of shape {V.shape} for {ham.box.ndof} dof; need one column per operator")
     if not np.isfinite(V).all():
         raise GridError("potential contains non-finite entries")
     diag = _read_only(ham.diag[:, np.newaxis] + V)
@@ -242,12 +244,15 @@ def free_dirichlet_spectrum(L: float, d: int, E_max: float) -> list[tuple[float,
     """Continuum Dirichlet eigenvalues (pi^2/L^2) * sum(n_j^2) up to E_max.
 
     Returns (eigenvalue, multiplicity) pairs sorted ascending.  E_max below
-    the ground state yields an empty list rather than an error.
+    the ground state (-inf too) yields an empty list; a NaN or +inf one has
+    no finite list and raises GridError.
     """
     if not (1 <= d <= MAX_DIMENSION):
         raise GridError(f"dimension {d} unsupported")
     if not (L > 0 and math.isfinite(L)):
         raise GridError("box length must be positive")
+    if not E_max < math.inf:
+        raise GridError(f"energy cutoff must be finite or -inf, got {E_max}")
     scale = (math.pi / L) ** 2
     cap = E_max / scale
     if cap < d:  # smallest integer sum of d squares is d

@@ -4,14 +4,14 @@ Counting is exact integer arithmetic on matrix inertia, so interval counts
 never depend on eigensolver convergence.  Which count runs depends on the box:
 
 - d=1 with Dirichlet or Neumann boundary: a Sturm sequence on the
-  tridiagonal bands (`sturm_count`).  A block of replicas keeps its
-  diagonals as one (n, R) array beside the shared off-diagonal
+  tridiagonal bands (`sturm_count`), one numpy recurrence over every
+  (operator, shift) lane, one step per unknown.  A block of replicas keeps
+  its diagonals as one (n, R) array beside the shared off-diagonal
   (`grids.OperatorBlock`), and the block queries (`count_windows`,
-  `resolvent_norms`) read their counts from one numpy recurrence over every
-  (operator, shift) lane of it, whatever the block's size: one step per
-  unknown, with the scalar loop's IEEE operations in the same order.  The
-  shifts are the window ends or z -+ 1e-10.  A count of one operator alone
-  (inertia_count) runs the Python-float loop.
+  `resolvent_norms`) read their counts from one pass over its lanes,
+  whatever the block's size.  The shifts are the window ends or z -+ 1e-10.
+  A count of one operator alone (`inertia_count`, `count_in_interval`) is a
+  one-lane pass.
 - everything else (d>=2, and periodic boxes): the block Sturm count
   (`block_sturm_count`) on the stencil's first-axis slices and the diagonal
   cut into one row per slice.  An open box has n slices of n^(d-1)
@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .grids import BoxSpec, DiscreteHamiltonian, OperatorBlock
+from .grids import BoxSpec, DiscreteHamiltonian, OperatorBlock, Stencil
 from .thick_sets import RasterSet
 
 DENSE_LIMIT = 2000  # largest operator eigs_below solves densely; Lanczos runs above it
@@ -92,7 +92,13 @@ def _operator_scale(H: DiscreteHamiltonian) -> float:
     return float(max(rows.max(), 1.0))
 
 
-_STURM_CHUNK = 8  # steps per chunk of _sturm_lanes: few, so its (steps, R, S) buffer stays small
+_STURM_CHUNK = 8  # steps per chunk of sturm_count: few, so its (steps, R, S) buffer stays small
+
+
+def _check_shifts(shifts: float | np.ndarray) -> None:
+    """Refuse a NaN shift: every sign test would read its NaN pivots as not below, and count nothing."""
+    if np.isnan(shifts).any():
+        raise ValueError("no eigenvalue count below shift nan")
 
 
 def _sturm_steps(q: np.ndarray | None, o2: list[float], chunk: np.ndarray, zero_rule: bool) -> None:
@@ -108,64 +114,46 @@ def _sturm_steps(q: np.ndarray | None, o2: list[float], chunk: np.ndarray, zero_
         q = q_i
 
 
-def _sturm_lanes(diag: np.ndarray, o2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """The recurrence of sturm_count's loop on every (column, shift) lane at once: (R, S) counts.
-
-    The steps go in chunks of _STURM_CHUNK: one subtraction forms d - x for
-    the chunk, then each step is one division and one subtraction over the
-    R x S lanes.  At the end of a chunk one pass counts its negative pivots;
-    a chunk with an exact zero pivot is first run again with the loop's
-    1e-300 rule, step by step.  The IEEE operations per lane are the loop's,
-    in its order, so the counts are its counts.
-    """
-    count = np.zeros((diag.shape[1], shifts.shape[0]), dtype=np.int64)
-    o2 = [0.0] + o2.tolist()  # o2[i] meets the pivot before step i; step 0 has none
-    q = None
-    # a zero pivot divides before its chunk is run again; a 1e-300 one can overflow the next quotient, as in the loop
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, diag.shape[0], _STURM_CHUNK):
-            rows = diag[start : start + _STURM_CHUNK, :, np.newaxis]
-            chunk = rows - shifts
-            _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=False)
-            if not chunk.all():
-                chunk = rows - shifts
-                _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=True)
-            count += (chunk < 0.0).sum(axis=0)
-            q = chunk[-1]
-    return count
-
-
 def sturm_count(diag: np.ndarray, off: np.ndarray, x: float | Sequence[float]) -> int | np.ndarray:
     """Eigenvalues strictly below x of symmetric tridiagonal matrices.
 
     The Sturm sequence of Barth, Martin and Wilkinson (1967): the count of
     negative q_i in q_1 = d_1 - x, q_i = (d_i - x) - o_i*o_i / q_{i-1}, a zero
-    q_i taken as 1e-300.  With a 1-d diag and a scalar x the answer is an int,
-    from a loop on Python floats.  A 2-d diag holds one diagonal per column (all
-    sharing off) and x is then a sequence of shifts: the answer is the (R, S)
-    array of counts, diagonal by shift, from one numpy recurrence over all
-    (column, shift) lanes.
+    q_i taken as 1e-300.  diag holds one diagonal or one per column, all
+    sharing off, and x is one shift or a sequence; the counts take the shape
+    diag.shape[1:] + np.shape(x), an int for one of each.  An off whose length
+    is not n - 1, or a NaN shift, raises ValueError before any step.
+
+    One numpy recurrence runs over every (column, shift) lane in chunks of
+    _STURM_CHUNK steps: one subtraction forms d - x, then each step is one
+    division and one subtraction.  At the end of a chunk one pass counts its
+    negative pivots; a chunk with an exact zero pivot is first run again with
+    the 1e-300 rule, step by step.
     """
-    off = np.asarray(off, dtype=float)
     diag = np.asarray(diag, dtype=float)
-    if diag.ndim == 2:
-        return _sturm_lanes(diag, off * off, np.asarray(x, dtype=float).reshape(-1))
-    # Python floats are much cheaper to index and combine than numpy scalars
-    x = float(x)
-    d = diag.tolist()
-    count = 0
-    q = d[0] - x
-    if q == 0.0:
-        q = 1e-300
-    elif q < 0.0:
-        count += 1
-    for di, o2 in zip(d[1:], (off * off).tolist()):
-        q = (di - x) - o2 / q
-        if q == 0.0:
-            q = 1e-300
-        elif q < 0.0:
-            count += 1
-    return count
+    off = np.asarray(off, dtype=float)
+    shifts = np.asarray(x, dtype=float)
+    if diag.ndim not in (1, 2) or off.shape != (diag.shape[0] - 1,):
+        raise ValueError(f"off-diagonal of shape {off.shape} for diagonals of shape {diag.shape}")
+    _check_shifts(shifts)
+    lanes = diag.reshape(diag.shape[0], -1, 1)
+    flat = shifts.reshape(-1)
+    count = np.zeros((lanes.shape[1], flat.shape[0]), dtype=np.int64)
+    o2 = [0.0] + (off * off).tolist()  # o2[i] meets the pivot before step i; step 0 has none
+    q = None
+    # a zero pivot divides before its chunk is run again; a 1e-300 one can overflow the next quotient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, diag.shape[0], _STURM_CHUNK):
+            rows = lanes[start : start + _STURM_CHUNK]
+            chunk = rows - flat
+            _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=False)
+            if not chunk.all():
+                chunk = rows - flat
+                _sturm_steps(q, o2[start : start + _STURM_CHUNK], chunk, zero_rule=True)
+            count += (chunk < 0.0).sum(axis=0)
+            q = chunk[-1]
+    count = count.reshape(diag.shape[1:] + shifts.shape)
+    return int(count) if count.ndim == 0 else count
 
 
 def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarray, x: float, tol: float) -> int | None:
@@ -210,26 +198,19 @@ def block_sturm_count(inner: sp.csr_matrix, diag: np.ndarray, coupling: np.ndarr
             return None
 
 
-def _check_shifts(*shifts: float) -> None:
-    """Refuse a NaN shift: every sign test would read its NaN pivots as not below, and count nothing."""
-    if any(map(math.isnan, shifts)):
-        raise ValueError("no eigenvalue count below shift nan")
-
-
 def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
     """Number of eigenvalues strictly below x; a NaN x raises ValueError, an infinite one counts none or all.
 
-    On the d=1 bands this is sturm_count's loop; off them, the block Sturm
-    count on the stencil's slices (a periodic box is one slice).  Where a
+    On the d=1 bands this is a one-lane sturm_count pass; off them, the block
+    Sturm count on the stencil's slices (a periodic box is one slice).  Where a
     Schur block is nearly singular, equal counts at x -+ delta leave no
     eigenvalue in [x - delta, x + delta) and are the count at x; unequal
     ones raise ResonantSampleError.  A slice over INERTIA_DENSE_LIMIT
     unknowns has no exact count: EigensolverError.
     """
-    _check_shifts(x)
     if H.is_tridiagonal:
-        diag, off = H.tridiagonal()
-        return sturm_count(diag, off, x)
+        return sturm_count(*H.tridiagonal(), x)
+    _check_shifts(x)
     inner, coupling = H.stencil.inner, H.stencil.coupling
     m = inner.shape[0]
     if m > INERTIA_DENSE_LIMIT:
@@ -246,33 +227,42 @@ def inertia_count(H: DiscreteHamiltonian, x: float) -> int:
 
 
 def _window_ends(lo: float, hi: float) -> list[tuple[float, int]]:
-    """The closed window [lo, hi] as (shift, sign) pairs, its count the sum of sign x (count below shift), for
-    count_in_interval and count_windows alike.  An empty window (hi < lo) has none; an end at -inf is left out.
-    Finite ends move outward by 1e-12 x max(1, their magnitudes), far below eigenvalue spacing here."""
+    """The closed window [lo, hi] as (shift, sign) pairs, its count the sum of sign x (count below shift).
+    An empty window (hi < lo) has none; an end at -inf is left out.  Finite ends move outward by
+    1e-12 x max(1, their magnitudes), far below eigenvalue spacing here."""
     if hi < lo:
         return []
     delta = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0, abs(hi) if math.isfinite(hi) else 0.0)
     return [(hi + delta, 1)] + ([] if lo == -math.inf else [(lo - delta, -1)])
 
 
+def _window_counts(stencil: Stencil, diag: np.ndarray, windows: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The (windows, R) counts of the operators stencil + diag(diag[:, r]) in each closed (lo, hi) window.
+    On the d=1 bands one sturm_count pass counts below every distinct end of every column; off them
+    inertia_count is asked once per operator and distinct end."""
+    ends = [_window_ends(lo, hi) for lo, hi in windows]
+    shifts = sorted({x for pairs in ends for x, _ in pairs})
+    if stencil.is_tridiagonal:
+        below = sturm_count(diag, stencil.coupling, shifts)
+    else:
+        operators = [DiscreteHamiltonian(stencil, column) for column in diag.T]
+        below = np.array([[inertia_count(H, x) for x in shifts] for H in operators])
+    at = dict(zip(shifts, below.T))
+    counts = np.zeros((len(windows), diag.shape[1]), dtype=np.int64)
+    for row, pairs in zip(counts, ends):
+        row[...] = sum(sign * at[x] for x, sign in pairs)
+    return counts
+
+
 def count_in_interval(H: DiscreteHamiltonian, lo: float, hi: float) -> int:
-    """Exact count of eigenvalues in the closed interval [lo, hi]."""
-    return sum(sign * inertia_count(H, x) for x, sign in _window_ends(lo, hi))
+    """Exact count of eigenvalues in the closed interval [lo, hi]: count_windows' sum for H alone."""
+    return int(_window_counts(H.stencil, H.diag[:, np.newaxis], [(lo, hi)])[0, 0])
 
 
 def count_windows(block: OperatorBlock, windows: Sequence[tuple[float, float]]) -> list[tuple[int, ...]]:
-    """Each operator's count_in_interval in every closed (lo, hi) window; a NaN end is refused before any count.
+    """Each operator's count_in_interval in every closed (lo, hi) window; a NaN end raises ValueError.
     A d=1 block with an open boundary reads every window from one sturm_count pass over its lanes."""
-    ends = [_window_ends(lo, hi) for lo, hi in windows]
-    shifts = sorted({x for pairs in ends for x, _ in pairs})
-    _check_shifts(*shifts)
-    if not block.stencil.is_tridiagonal:
-        return [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in block.operators]
-    below = dict(zip(shifts, sturm_count(block.diag, block.stencil.coupling, shifts).T))
-    counts = np.empty((len(windows), block.diag.shape[1]), dtype=np.int64)
-    for row, pairs in zip(counts, ends):
-        row[...] = sum(sign * below[x] for x, sign in pairs)
-    return list(map(tuple, counts.T.tolist()))
+    return list(map(tuple, _window_counts(block.stencil, block.diag, windows).T.tolist()))
 
 
 # the LAPACK routines behind scipy.linalg.eigh_tridiagonal's select by value,
@@ -484,12 +474,10 @@ def _or_none(norm, *args) -> float | None:
 def resolvent_norms(block: OperatorBlock, z: float, rows: np.ndarray, cols: np.ndarray) -> list[float | None]:
     """Each operator's resolvent_block_norm, None where z is resonant for it; a NaN z is refused before any count.
     A d=1 block with an open boundary reads both resonance counts from one sturm_count pass over its lanes."""
-    shifts = _resonance_shifts(z)
-    _check_shifts(*shifts)
     if not block.stencil.is_tridiagonal:
         return [_or_none(resolvent_block_norm, H, z, rows, cols) for H in block.operators]
     _check_disjoint(rows, cols)
-    resonant = [lo != hi for lo, hi in sturm_count(block.diag, block.stencil.coupling, shifts).tolist()]
+    resonant = [lo != hi for lo, hi in sturm_count(block.diag, block.stencil.coupling, _resonance_shifts(z)).tolist()]
     return [None if r else _or_none(_off_resonance_norm, H, z, rows, cols) for H, r in zip(block.operators, resonant)]
 
 

@@ -387,11 +387,11 @@ class TestRunCommand:
         assert "no exact eigenvalue count: 4225 unknowns to factor densely, limit 4096" in capsys.readouterr().err
 
     def test_resonant_shift_exits_two(self, tmp_path, capsys, monkeypatch):
-        def refuse(H, lo, hi):
-            raise ResonantSampleError(f"an eigenvalue may lie within 1e-09 of shift {hi}")
+        def refuse(H, x):
+            raise ResonantSampleError(f"an eigenvalue may lie within 1e-09 of shift {x}")
 
         # a d=2 block counts operator by operator, where a Schur block can refuse a shift; a d=1 block never does
-        monkeypatch.setattr(spectral, "count_in_interval", refuse)
+        monkeypatch.setattr(spectral, "inertia_count", refuse)
         cfg = _write(tmp_path / "w.ini", "[run]\nexperiment = wegner\nreplicas = 1\n\n[parameters]\nl_list = 4\n")
         argv = ["run", "--config", str(cfg), "--model", str(CONFIG_DIR / "slab.model.ini")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2

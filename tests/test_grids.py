@@ -15,6 +15,7 @@ from wegner_lab.grids import (
     BoxSpec,
     GridError,
     add_potential,
+    add_potentials,
     build_free_laplacian,
     discrete_dirichlet_spectrum,
     free_dirichlet_spectrum,
@@ -143,6 +144,13 @@ class TestLaplacian:
             add_potential(H, np.ones(5))
         with pytest.raises(GridError):
             add_potential(H, np.array([1.0, np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 2, 1), ()])
+    def test_add_potentials_refuses_an_array_that_is_not_2d(self, shape):
+        # a flat potential of ndof entries would broadcast into a (7, 7) block of 7 operators
+        H = build_free_laplacian(_box(n=7))
+        with pytest.raises(GridError, match=r"potentials of shape \(.*\) for 7 dof"):
+            add_potentials(H, np.zeros(shape))
 
     def test_diagonal_seam(self):
         box = _box(n=3)
@@ -358,6 +366,12 @@ class TestNodeBlock:
         with pytest.raises(GridError, match=r"no grid node in \[0.1, 0.2\] along axis 1"):
             box.node_block((-1.0, 0.1), (1.0, 0.2))
 
+    @pytest.mark.parametrize("lo, hi", [((0.0, 5.0), (1.0,)), ((0.0,), (1.0, 5.0)), ((), (1.0,)), ((0.0, 1.0), (1.0, 2.0))])
+    def test_corners_of_another_dimension_refused(self, lo, hi):
+        box = BoxSpec(d=1, length=4.0, center=(0.0,), n=7)
+        with pytest.raises(GridError, match="coordinates for a box of dimension 1"):
+            box.node_block(lo, hi)
+
     def test_c_order_without_repeats(self):
         # nodes at -0.6, -0.2, 0.2, 0.6 on every axis; the window holds axis
         # indices 1..3, 0..1 and 2..3
@@ -382,6 +396,14 @@ class TestContinuumSpectra:
 
     def test_empty_below_ground_state(self):
         assert free_dirichlet_spectrum(1.0, 1, 1.0) == []
+
+    @pytest.mark.parametrize("e_max", [math.nan, math.inf])
+    def test_a_nan_or_infinite_cutoff_is_refused(self, e_max):
+        with pytest.raises(GridError, match=f"energy cutoff must be finite or -inf, got {e_max}"):
+            free_dirichlet_spectrum(1.0, 2, e_max)
+
+    def test_a_cutoff_of_minus_infinity_has_no_level(self):
+        assert free_dirichlet_spectrum(1.0, 2, -math.inf) == []
 
     def test_scaling_in_length(self):
         a = free_dirichlet_spectrum(1.0, 1, 200.0)

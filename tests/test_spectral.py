@@ -84,9 +84,33 @@ class TestSturmCount:
         assert sturm_count(diag, off, 1.0) == 1
         assert sturm_count(diag, off, -1.0) == 0
 
+    def test_counts_take_the_shape_of_the_inputs(self):
+        # uncoupled columns: the eigenvalues are the diagonals 1, 2, 3 and 4, 5, 6
+        diag, off = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]), np.zeros(2)
+        one = sturm_count(diag[:, 0], off, 2.5)
+        assert type(one) is int and one == 2
+        assert sturm_count(diag[:, 0], off, [2.5, 7.0]).tolist() == [2, 3]
+        assert sturm_count(diag, off, 4.5).tolist() == [3, 1]
+        assert sturm_count(diag, off, [2.5]).tolist() == [[2], [0]]
+        assert sturm_count(diag, off, [[0.0, 5.5]]).tolist() == [[[0, 3]], [[0, 2]]]
+
+    def test_a_nan_shift_is_refused(self):
+        with pytest.raises(ValueError, match="shift nan"):
+            sturm_count(np.ones(3), np.ones(2), math.nan)
+        with pytest.raises(ValueError, match="shift nan"):
+            sturm_count(np.ones((3, 2)), np.ones(2), [1.0, math.nan])
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [(np.ones(3), np.ones(5)), (np.ones(3), np.ones(3)), (np.ones((3, 2)), np.ones(7)), (np.ones(3), np.ones((2, 1)))],
+    )
+    def test_an_off_diagonal_of_another_length_is_refused(self, diag, off):
+        with pytest.raises(ValueError, match="off-diagonal of shape"):
+            sturm_count(diag, off, 1.0)
+
 
 def _ndarray_sturm(diag, off, x):
-    """The recurrence as it ran on numpy scalars before moving to Python floats."""
+    """The Sturm recurrence on numpy scalars, one diagonal and one shift: the reference for sturm_count's lanes."""
     count = 0
     q = diag[0] - x
     if q == 0.0:
@@ -103,6 +127,8 @@ def _ndarray_sturm(diag, off, x):
 
 
 class TestSturmFloatLoop:
+    """One diagonal and one shift, a one-lane pass, against the recurrence run on numpy scalars."""
+
     def test_one_unknown_counts_strictly_below(self):
         diag, off = np.array([2.0]), np.array([])
         assert [sturm_count(diag, off, x) for x in (1.0, 2.0, np.nextafter(2.0, 3.0))] == [0, 0, 1]
@@ -172,11 +198,11 @@ def _loop_counts(diag, off, shifts):
         return np.array([[_ndarray_sturm(diag[:, r], off, x) for x in shifts] for r in range(diag.shape[1])])
 
 
-def _counting_lanes(monkeypatch):
-    """The list that gets one entry per _sturm_lanes call from now on."""
+def _counting_passes(monkeypatch):
+    """The list that gets the (diag, x) shapes of each sturm_count call, one lane pass each, from now on."""
     calls = []
-    real = spectral._sturm_lanes
-    monkeypatch.setattr(spectral, "_sturm_lanes", lambda *a: calls.append(1) or real(*a))
+    real = spectral.sturm_count
+    monkeypatch.setattr(spectral, "sturm_count", lambda *a: calls.append((np.shape(a[0]), np.shape(a[2]))) or real(*a))
     return calls
 
 
@@ -185,7 +211,7 @@ class TestSturmLanes:
     @settings(max_examples=200, deadline=None)
     def test_lanes_match_the_loop_and_the_dense_count(self, problem):
         diag, off, shifts = problem
-        lanes = spectral._sturm_lanes(diag, off * off, shifts)
+        lanes = sturm_count(diag, off, shifts)
         assert lanes.shape == (diag.shape[1], shifts.shape[0])
         assert np.array_equal(lanes, _loop_counts(diag, off, shifts))
         for r in range(diag.shape[1]):
@@ -204,7 +230,7 @@ class TestSturmLanes:
         free = build_free_laplacian(box)
         ends = st.sampled_from(sorted(set(shifts.tolist())))
         windows = data.draw(st.lists(st.tuples(st.one_of(st.just(-math.inf), ends), ends), min_size=1, max_size=6))
-        # the loop, operator by operator, against the block's lanes
+        # operator by operator, against the block's lanes
         want = [[count_in_interval(add_potential(free, diag[:, r]), lo, hi) for lo, hi in windows] for r in range(R)]
         block = add_potentials(free, diag)
         got = count_windows(block, windows)
@@ -246,7 +272,7 @@ class TestSturmLanes:
         V = np.random.default_rng(R).uniform(0.0, 20.0, size=(80, R))
         want = [count_in_interval(add_potential(free, v), -math.inf, 40.0) for v in V.T]
         norms = [resolvent_block_norm(add_potential(free, v), 5.0, np.array([0]), np.array([79])) for v in V.T]
-        calls = _counting_lanes(monkeypatch)
+        calls = _counting_passes(monkeypatch)
         block = add_potentials(free, V)
         # one window end: R lanes, whatever R is
         assert count_windows(block, [(-math.inf, 40.0)]) == [(count,) for count in want]
@@ -277,18 +303,37 @@ class TestSturmLanes:
         alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
         want = [count_in_interval(H, 1.0, 40.0) for H in alone]
         norms = [resolvent_block_norm(H, 0.5, rows, cols) for H in alone]
-        calls = _counting_lanes(monkeypatch)
+        calls = _counting_passes(monkeypatch)
         block = add_potentials(build_free_laplacian(box), V)
         assert count_windows(block, [(1.0, 40.0)]) == [(count,) for count in want]
         assert spectral.resolvent_norms(block, 0.5, rows, cols) == norms
         assert not calls
 
-    def test_a_count_of_one_operator_runs_the_loop(self, monkeypatch):
+    def test_a_plane_block_asks_each_distinct_end_once(self, monkeypatch):
+        box = BoxSpec(d=2, length=3.0, center=(0.0, 0.0), n=7)
+        V = np.random.default_rng(4).uniform(0.0, 3.0, size=(box.ndof, 3))
+        # every window ends at 9, moved by the same 9e-12, so four distinct shifts serve nine ends
+        windows = [(1.0, 9.0), (-math.inf, 9.0), (5.0, 9.0), (9.0, 9.0), (1.0, 9.0)]
+        shifts = {x for lo, hi in windows for x, _ in spectral._window_ends(lo, hi)}
+        assert len(shifts) == 4
+        want = [tuple(count_in_interval(add_potential(build_free_laplacian(box), v), lo, hi) for lo, hi in windows) for v in V.T]
+        asked = []
+        real = spectral.inertia_count
+        monkeypatch.setattr(spectral, "inertia_count", lambda H, x: asked.append((id(H), x)) or real(H, x))
+        assert count_windows(add_potentials(build_free_laplacian(box), V), windows) == want
+        assert len(asked) == len(set(asked)) == 3 * len(shifts)
+        assert {x for _, x in asked} == shifts
+
+    def test_a_count_of_one_operator_is_one_lane_pass(self, monkeypatch):
         _, H = _random_operator(1, 127, 8.0, seed=2, amplitude=3.0)
-        calls = _counting_lanes(monkeypatch)
-        assert inertia_count(H, 5.0) == sturm_count(*H.tridiagonal(), 5.0)
-        assert count_in_interval(H, 1.0, 5.0) == inertia_count(H, 5.0 + 5e-12) - inertia_count(H, 1.0 - 5e-12)
-        assert not calls
+        below = [_ndarray_sturm(*H.tridiagonal(), x) for x in (5.0, 5.0 + 5e-12, 1.0 - 5e-12)]
+        calls = _counting_passes(monkeypatch)
+        count = inertia_count(H, 5.0)
+        assert type(count) is int and count == below[0]
+        assert calls == [((127,), ())]
+        # both ends of the window, 5 + 5e-12 and 1 - 5e-12, are two lanes of one pass
+        assert count_in_interval(H, 1.0, 5.0) == below[1] - below[2]
+        assert calls[1:] == [((127, 1), (2,))]
 
 
 def _zero_pivot_bands(zeros, x, off):
@@ -315,7 +360,7 @@ _COUPLINGS = {"unit": [1.0], "overflow": [2.0**14], "mixed": [1.0, 0.0, -(2.0**1
 
 
 class TestChunkedLanes:
-    """_sturm_lanes runs its steps in chunks and reruns a chunk with a zero pivot; the counts stay the loop's."""
+    """sturm_count runs its steps in chunks and reruns a chunk with a zero pivot; the counts stay the scalar loop's."""
 
     @pytest.mark.parametrize("couplings", sorted(_COUPLINGS))
     @pytest.mark.parametrize(
@@ -339,8 +384,7 @@ class TestChunkedLanes:
         # other lanes beside the constructed one: other shifts, and integer diagonals of their own
         diag = np.column_stack([built, rng.integers(-2, 4, size=n).astype(float), built[::-1]])
         shifts = np.array([2.0, 1.0, 2.5, -3.0, 4.0])
-        lanes = spectral._sturm_lanes(diag, off * off, shifts)
-        assert np.array_equal(lanes, _loop_counts(diag, off, shifts))
+        assert np.array_equal(sturm_count(diag, off, shifts), _loop_counts(diag, off, shifts))
 
     @given(n=st.integers(1, 45), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -352,7 +396,7 @@ class TestChunkedLanes:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         diag = np.column_stack([built] + [rng.integers(-2, 4, size=n).astype(float) for _ in range(R - 1)])
         shifts = np.array(data.draw(st.lists(st.integers(-4, 5), min_size=1, max_size=6)), dtype=float)
-        assert np.array_equal(spectral._sturm_lanes(diag, off * off, shifts), _loop_counts(diag, off, shifts))
+        assert np.array_equal(sturm_count(diag, off, shifts), _loop_counts(diag, off, shifts))
 
     @pytest.mark.parametrize("lanes", [1, 31, 32])
     def test_blocks_of_any_size_count_zero_pivots_ahead(self, lanes):
@@ -690,7 +734,7 @@ class TestCountInInterval:
         assert want[0] == free
         alone = [add_potential(build_free_laplacian(box), v) for v in V.T]
         assert [tuple(count_in_interval(H, lo, hi) for lo, hi in windows) for H in alone] == want
-        calls = _counting_lanes(monkeypatch)
+        calls = _counting_passes(monkeypatch)
         assert count_windows(block, windows) == want
         assert len(calls) == (d == 1)
 
@@ -738,18 +782,21 @@ class TestNanShifts:
 
     def test_the_counts_and_the_resolvent_refuse_a_nan_shift(self, free, monkeypatch):
         H, block = free
+        rows, cols = np.array([0]), np.array([H.box.ndof - 1])
+        calls = _counting_passes(monkeypatch)
+        steps = []
+        monkeypatch.setattr(spectral, "_sturm_steps", lambda *a, **k: steps.append(1))
         with pytest.raises(ValueError, match="shift nan"):
             inertia_count(H, math.nan)
-        rows, cols = np.array([0]), np.array([H.box.ndof - 1])
         with pytest.raises(ValueError, match="shift nan"):
             resolvent_block_norm(H, math.nan, rows, cols)
-        # the block queries refuse before any lane pass
-        calls = _counting_lanes(monkeypatch)
         with pytest.raises(ValueError, match="shift nan"):
             count_windows(block, [(1.0, 5.0), (math.nan, 5.0)])
         with pytest.raises(ValueError, match="shift nan"):
             spectral.resolvent_norms(block, math.nan, rows, cols)
-        assert not calls
+        # in d=1 each query makes one sturm_count call, which refuses at its entry, before any step
+        assert len(calls) == (4 if H.is_tridiagonal else 0)
+        assert not steps
 
 
 class TestEigsBelow:
