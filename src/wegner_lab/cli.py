@@ -13,10 +13,12 @@ file's [parameters] keys are the driver's keyword arguments lowercased, with
 the driver's defaults and the kinds its annotations give (plus those of
 build_set when the driver takes a set, not a model).  [run] holds the
 experiment, the seed, and those of replicas, workers and mesh_density the
-driver takes; workers = 1 is the serial run of any driver.  The driver refuses
-a value outside its kind's domain (experiments.DOMAINS), as in a Python call.
-A model file's keys are random_model.build_model's keywords, and one table,
-random_model.KINDS, parses the values of both kinds of file.
+driver takes; workers = 1 is the serial run of any driver.  A model file's
+keys are random_model.build_model's keywords.  One table, random_model.KINDS,
+parses the values of both kinds of file and the certify options, and each
+input refuses by name a value outside its kind's domain, as a Python call
+does: the driver, the model file and build_model, build_set (run-file set_*
+keys and make-set) and the certify options.
 
 Exit codes: 0 when every verdict is PASS or INFORMATIONAL, 1 when any
 verdict is FAIL, 2 on execution errors (bad config, failed preconditions,
@@ -42,7 +44,8 @@ from . import experiments
 from .experiments import PreconditionError
 from .grids import GridError
 from .random_model import (
-    ModelError, finite_float, finite_floats, load_model_config, parse_as, read_ini, verify_NoPi, verify_Pi,
+    KINDS, Count, Index, ModelError, Positive, load_model_config, parse_as, read_ini, refuse_arguments, refuse_outside,
+    verify_NoPi, verify_Pi,
 )
 from .reports import ExperimentReport
 from .spectral import EigensolverError, ResonantSampleError
@@ -69,15 +72,16 @@ _RUN_KEYS = ("seed", "workers", "replicas", "mesh_density")
 
 def build_set(
     set_kind: str = "stripes",
-    set_width: float = 1.0 / 3.0,
-    set_period: float = 1.0,
-    set_resolution: int = 48,
-    set_depth: int = 4,
+    set_width: Positive = 1.0 / 3.0,
+    set_period: Positive = 1.0,
+    set_resolution: Count = 48,
+    set_depth: Index = 4,
     set_path: str | None = None,
     *,
     base: Path = Path("."),
 ) -> RasterSet:
     """Stripes, a fat Cantor stage, or a raster file (set_path, relative to base)."""
+    refuse_arguments(build_set, locals(), ConfigError)  # locals() is the call's arguments here
     if set_kind == "stripes":
         return stripes_raster(set_width, set_period, set_resolution)
     if set_kind == "cantor":
@@ -111,13 +115,6 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=lambda: {"seed": 0, "workers": 1})
 
 
-def _parse_value(kind: str, raw: str, key: str, where: str) -> Any:
-    try:
-        return parse_as(kind, raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {kind.removesuffix(' | None')}") from exc
-
-
 def parse_run_config(path: str | Path) -> RunConfig:
     """Strict run-file parser: every key must be one the experiment's driver reads."""
     path = Path(path)
@@ -134,7 +131,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
     for key, raw in run.items():
         if key not in _RUN_KEYS:
             raise ConfigError(f"{path}: unknown key {key!r} in [run]")
-        value = _parse_value("int", raw, key, str(path))
+        value = parse_as("int", raw, path, key, ConfigError)
         if key not in keys and (key, value) != ("workers", 1):
             raise ConfigError(f"{path}: experiment {experiment} takes no {key!r} in [run]")
         cfg.params[key] = value
@@ -145,7 +142,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [parameters] for experiment {experiment}"
                 )
-            cfg.params[key] = _parse_value(params[key].annotation, raw, key, str(path))
+            cfg.params[key] = parse_as(params[key].annotation, raw, path, key, ConfigError)
     for key, p in params.items():
         cfg.params.setdefault(key, p.default)
     return cfg
@@ -163,6 +160,16 @@ def resolved_ini(cfg: RunConfig) -> str:
         else:
             lines.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
     return "\n".join(lines) + "\n"
+
+
+def _flag(kind: str, name: str):
+    """An option's argparse type: the value read as kind, refused outside the kind's domain."""
+
+    def value(raw: str) -> Any:
+        return refuse_outside(kind, name, KINDS[kind][0](raw), argparse.ArgumentTypeError)
+
+    value.__name__ = kind  # argparse's "invalid <kind> value" when the value does not parse
+    return value
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -269,9 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     ct = sub.add_parser("certify", help="certify thickness or structural claims")
     ct.add_argument("--raster", help="raster file to certify")
     ct.add_argument("--model", help="model file whose claims to verify")
-    ct.add_argument("--window", type=finite_floats, help="window sides, comma separated (default: the unit cube)")
-    ct.add_argument("--gamma", type=finite_float, help="claimed thickness to check (raster mode)")
-    ct.add_argument("--kappa", type=finite_floats, help="level list for refutation, comma separated (bound-only model)")
+    ct.add_argument("--window", type=_flag("Positives", "window"), help="window sides, comma separated (default: the unit cube)")
+    ct.add_argument("--gamma", type=_flag("Positive", "gamma"), help="claimed thickness to check (raster mode)")
+    ct.add_argument("--kappa", type=_flag("Sequence[float]", "kappa"),
+                    help="level list for refutation, comma separated (bound-only model)")
     ct.set_defaults(fn=_cmd_certify)
 
     rp = sub.add_parser("report", help="re-render a stored report")

@@ -24,18 +24,24 @@ import functools
 import inspect
 import itertools
 import math
-import numbers
 import time
-from typing import Any, Sequence, get_args
+from typing import Any
 
 import numpy as np
 
 from .grids import Bc, BoxSpec, GridError, add_potentials, build_free_laplacian, discrete_dirichlet_spectrum, free_dirichlet_spectrum
 from .random_model import (
     AlloyModel,
+    Count,
+    Grid,
+    Index,
+    Positive,
+    PositiveGrid,
+    Positives,
     construct_diluted_minorant,
     mean_potential,
     modulus_s,
+    refuse_outside,
     sample_potential,
     sample_potentials,
     verify_NoPi,
@@ -63,32 +69,6 @@ _POOL: contextvars.ContextVar[list] = contextvars.ContextVar("replica_pool")
 # experiment name -> the name of its driver in this module, one entry per @_experiment
 EXPERIMENTS: dict[str, str] = {}
 
-# The kinds a driver parameter's annotation names: "<kind> | None" also takes
-# None, and a Grid kind arrives sorted, repeats merged (Positives keeps its order).
-Positive, Count, Index = float, int, int
-Grid = PositiveGrid = Positives = Sequence[float]
-
-
-def _positive(v) -> bool:
-    return 0 < v < math.inf
-
-
-def _each(within):
-    return lambda values: len(values) > 0 and all(map(within, values))
-
-
-# kind -> (whether a value lies in its domain, the phrase that names the domain)
-DOMAINS = {
-    "float": (math.isfinite, "a finite number"),
-    "Positive": (_positive, "a positive finite number"),
-    "Count": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
-    "Index": (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0"),
-    "Grid": (_each(math.isfinite), "a non-empty list of finite numbers"),
-    "PositiveGrid": (_each(_positive), "a non-empty list of positive finite numbers"),
-    "Positives": (_each(_positive), "a non-empty list of positive finite numbers"),
-    "Bc": (lambda v: v in get_args(Bc), f"one of {', '.join(get_args(Bc))}"),
-}
-
 
 def _experiment(name: str):
     """Register the driver as the experiment `name`.
@@ -111,9 +91,7 @@ def _experiment(name: str):
             bound.apply_defaults()
             call = bound.arguments
             for key, kind in kinds.items():
-                within, phrase = DOMAINS[kind.removesuffix(" | None")]
-                if not (kind.endswith(" | None") if call[key] is None else within(call[key])):
-                    raise PreconditionError(f"{key} must be {phrase}, got {call[key]}")
+                refuse_outside(kind, key, call[key], PreconditionError)
                 if kind.endswith("Grid"):
                     call[key] = tuple(sorted(set(call[key])))
             t0 = time.perf_counter()

@@ -34,15 +34,16 @@ import functools
 import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Collection, Sequence
+from typing import Any, Collection, Sequence, get_args
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import BoxSpec, axes_product
+from .grids import Bc, BoxSpec, axes_product
 from .thick_sets import (
     GridField,
     RasterError,
@@ -54,6 +55,7 @@ from .thick_sets import (
     level_set,
     load_raster,
     rasterize_intervals,
+    refuse_unresolved_stages,
     smith_volterra_spec,
     stripes_raster,
     window_counts,
@@ -838,6 +840,69 @@ def construct_diluted_minorant(model: AlloyModel, L: float) -> DilutedMinorant:
 
 
 # ---------------------------------------------------------------------------
+# value kinds: how a config value parses, and the domain an argument must lie in
+
+# The kinds an annotation may name besides float, int and str: "<kind> | None"
+# also takes None, and a driver gets a Grid kind sorted, repeats merged
+# (Positives keeps its order).
+Positive, Count, Index = float, int, int
+Grid = PositiveGrid = Positives = Sequence[float]
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    """A comma-separated list of floats; blank entries are skipped, but the list may not be empty."""
+    values = tuple(float(v) for v in raw.split(",") if v.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# kind -> (the parser of a run-file or model-file value, syntax only; whether a
+# value lies in the kind's domain; the phrase that names the domain)
+KINDS = {
+    "float": (float, math.isfinite, "a finite number"),
+    "int": (int, lambda v: isinstance(v, numbers.Integral), "an integer"),
+    "str": (str.strip, lambda v: isinstance(v, str), "a string"),
+    "Positive": (float, lambda v: 0 < v < math.inf, "a positive finite number"),
+    "Count": (int, lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    "Index": (int, lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0"),
+    "Bc": (str.strip, lambda v: v in get_args(Bc), f"one of {', '.join(get_args(Bc))}"),
+}
+# a list kind holds a non-empty list of its entry kind's values
+KINDS |= {
+    kind: (_floats, lambda v, within=KINDS[entry][1]: len(v) > 0 and all(map(within, v)),
+           f"a non-empty list of {KINDS[entry][2].removeprefix('a ')}s")
+    for kind, entry in (("Sequence[float]", "float"), ("Grid", "float"), ("PositiveGrid", "Positive"),
+                        ("Positives", "Positive"))
+}
+
+
+def parse_as(annotation: str, raw: str, path: Path, key: str, error: type[Exception]) -> Any:
+    """raw, key's value in the file at path, read as the kind its annotation names; error names both if it is not one."""
+    kind = annotation.removesuffix(" | None")
+    try:
+        return KINDS[kind][0](raw)
+    except ValueError as exc:
+        raise error(f"{path}: cannot parse {key} = {raw!r} as {kind}") from exc
+
+
+def refuse_outside(annotation: str, name: str, value: Any, error: type[Exception]) -> Any:
+    """value, unless it lies outside the domain of the kind its annotation names
+    ("<kind> | None" also takes None): then error("<name> must be <domain>, got <value>")."""
+    _, within, domain = KINDS[annotation.removesuffix(" | None")]
+    if not (annotation.endswith(" | None") if value is None else within(value)):
+        raise error(f"{name} must be {domain}, got {value}")
+    return value
+
+
+def refuse_arguments(fn, arguments: dict[str, Any], error: type[Exception]) -> None:
+    """refuse_outside on each of fn's arguments whose annotation names a kind."""
+    for p in inspect.signature(fn).parameters.values():
+        if p.annotation.removesuffix(" | None") in KINDS:
+            refuse_outside(p.annotation, p.name, arguments[p.name], error)
+
+
+# ---------------------------------------------------------------------------
 # the model builder and the named models
 
 
@@ -862,19 +927,19 @@ def _place_sites(placement: str, d: int, extent: float) -> list[tuple[float, ...
 
 
 def build_model(
-    dimension: int = 1,
-    extent: float = 40.0,
-    resolution: int = 16,
+    dimension: Count = 1,
+    extent: Positive = 40.0,
+    resolution: Count = 16,
     profile: str = "indicator-ball",
-    radius: float = 0.5,
-    cantor_depth: int = 4,
+    radius: Positive = 0.5,
+    cantor_depth: Index = 4,
     raster: str | None = None,
     placement: str = "all-integers",
     set: str | None = None,
-    gamma: float | None = None,
-    a: Sequence[float] = (1.0,),
-    set_resolution: int = 1024,
-    c_u: float | None = None,
+    gamma: Positive | None = None,
+    a: Positives = (1.0,),
+    set_resolution: Count = 1024,
+    c_u: Positive | None = None,
     law: Distribution = Uniform(),
     *,
     base: Path = Path("."),
@@ -883,12 +948,15 @@ def build_model(
     with these defaults, and law is its [distribution] section.  Sites sit at
     the integer points of [-extent, extent]^d, at +-2^m ("powers-of-two", d=1)
     or on the plane x_0 = 0 ("hyperplane"); raster paths are under base."""
+    refuse_arguments(build_model, locals(), ModelConfigError)  # locals() is the call's arguments here
     u: Profile
     if profile == "indicator-ball":
         u = BallIndicator(radius)
     elif profile == "cantor-translate":
         if dimension != 1:
             raise ModelConfigError("cantor-translate profiles are one-dimensional")
+        if set == "cantor":
+            refuse_unresolved_stages(cantor_depth, set_resolution)
         u = CantorTranslate.from_depth(cantor_depth)
     elif profile == "raster-file":
         if not raster:
@@ -946,33 +1014,6 @@ def geometric_dilution_model(
 # config values and model description files
 
 
-def finite_float(raw: str) -> float:
-    """A config value read as a float; nan and inf are refused like any other non-number."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw.strip()!r} is not a finite number")
-    return value
-
-
-def finite_floats(raw: str) -> tuple[float, ...]:
-    """A comma-separated list of finite floats; blank entries are skipped, but the list may not be empty."""
-    values = tuple(finite_float(v) for v in raw.split(",") if v.strip())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-# annotation (less any "| None") -> parser of a run-file or model-file value, a driver's kinds included
-KINDS = {"float": finite_float, "int": int, "str": str.strip, "Sequence[float]": finite_floats, "Grid": finite_floats}
-KINDS |= {"Positive": finite_float, "Count": int, "Index": int, "PositiveGrid": finite_floats, "Positives": finite_floats,
-          "Bc": str.strip}
-
-
-def parse_as(annotation: str, raw: str) -> Any:
-    """raw read as the kind its annotation names; ValueError when it is not one."""
-    return KINDS[annotation.removesuffix(" | None")](raw)
-
-
 def read_ini(path: Path, sections: Collection[str], error: type[ValueError]) -> configparser.ConfigParser:
     """The UTF-8 INI file at path; error names it if it cannot be read or parsed, or has a section not listed."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -1006,10 +1047,9 @@ _PROFILE_KEYS = {"indicator-ball": "radius", "cantor-translate": "cantor_depth",
 
 
 def _parse(path: Path, sec: configparser.SectionProxy, key: str, annotation: str) -> Any:
-    try:
-        return parse_as(annotation, sec[key])
-    except ValueError as exc:
-        raise ModelConfigError(f"{path}: cannot parse [{sec.name}] {key} = {sec[key]!r}") from exc
+    """The key's value read as its annotation says, refused by file, section and key outside the kind's domain."""
+    value = parse_as(annotation, sec[key], path, f"[{sec.name}] {key}", ModelConfigError)
+    return refuse_outside(annotation, f"{path}: [{sec.name}] {key}", value, ModelConfigError)
 
 
 def load_model_config(path: str | Path) -> AlloyModel:

@@ -352,8 +352,16 @@ def smith_volterra_spec(depth: int) -> CantorSpec:
     return CantorSpec(depth=depth, removal=tuple(Fraction(1, 2**k + 2) for k in range(1, depth + 1)))
 
 
+def refuse_unresolved_stages(depth: int, resolution: int) -> None:
+    """RasterError, before any interval is built, unless the 2^depth intervals of a depth stage, each at most
+    2^-depth long, can each span the four cells rasterize_intervals needs."""
+    if depth > resolution or 4 * 2**depth > resolution:  # the first test keeps 2**depth small
+        raise RasterError(f"resolution {resolution} cannot resolve the 2^{depth} intervals of a depth-{depth} Cantor stage")
+
+
 def build_fat_cantor(cspec: CantorSpec, resolution: int) -> RasterSet:
     """Rasterize the stage-depth pre-Cantor set on [0,1], periodic."""
+    refuse_unresolved_stages(cspec.depth, resolution)
     return rasterize_intervals(cspec.stage_intervals(), resolution)
 
 

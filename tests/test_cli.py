@@ -1,6 +1,7 @@
 """Command-line behavior: strict config parsing, run outputs, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 
 from wegner_lab import experiments as X
 from wegner_lab import spectral
-from wegner_lab.cli import ConfigError, main, parse_run_config, resolved_ini
-from wegner_lab.random_model import load_model_config
+from wegner_lab.cli import ConfigError, build_set, main, parse_run_config, resolved_ini
+from wegner_lab.random_model import build_model, load_model_config
 from wegner_lab.spectral import ResonantSampleError
 from wegner_lab.thick_sets import (
+    CantorSpec,
+    RasterError,
     RasterGeometry,
     RasterSet,
     build_fat_cantor,
@@ -128,14 +131,15 @@ class TestParseRunConfig:
             ("spectral-minimum", "eps_list", "NaN"),
         ],
     )
-    def test_non_finite_value_exits_two_naming_file_and_key(self, tmp_path, capsys, experiment, key, raw):
-        # float, Grid and Sequence[float] values share one parser, which refuses nan and inf
+    def test_non_finite_value_exits_two_naming_its_key(self, tmp_path, capsys, experiment, key, raw):
+        # nan and inf parse as floats; the driver refuses them by name, as it refuses any value outside its kind's domain
         p = _write(tmp_path / "r.ini", f"[run]\nexperiment = {experiment}\n\n[parameters]\n{key} = {raw}\n")
-        with pytest.raises(ConfigError, match=f"cannot parse {key} ="):
-            parse_run_config(p)
-        assert main(["run", "--config", str(p), "--model", str(CONFIG_DIR / "covering.model.ini"),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {p}: cannot parse {key} = {raw!r}")
+        assert parse_run_config(p).params[key]
+        model = [] if experiment == "uncertainty" else ["--model", str(CONFIG_DIR / "covering.model.ini")]
+        assert main(["run", "--config", str(p), *model, "--out", str(tmp_path / "out")]) == 2
+        name = {"l_list": "L_list"}.get(key, key)
+        assert re.fullmatch(rf"error: {name} must be a (non-empty list of )?(positive )?finite numbers?, got .*\n",
+                            capsys.readouterr().err)
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_unknown_experiment_lists_known_ones(self, tmp_path):
@@ -308,8 +312,8 @@ class TestRunCommand:
             ("[run]\nexperiment = ise\n\n[parameters]\nl_list = 0,8\n", f"L_list must be {_POSITIVES}, got (0.0, 8.0)"),
             ("[run]\nexperiment = uncertainty\n\n[parameters]\na = -1\n", f"a must be {_POSITIVES}, got (-1.0,)"),
             ("[run]\nexperiment = stubborn\nmesh_density = 0\n", "mesh_density must be an integer >= 1, got 0"),
-            ("[run]\nexperiment = wegner\n\n[parameters]\ne_ref = inf\n", "cannot parse e_ref = 'inf' as float"),
-            ("[run]\nexperiment = ids\n\n[parameters]\ne_list = 2,nan\n", "cannot parse e_list = '2,nan' as Grid"),
+            ("[run]\nexperiment = wegner\n\n[parameters]\ne_ref = inf\n", "e_ref must be a finite number, got inf"),
+            ("[run]\nexperiment = ids\n\n[parameters]\ne_list = 2,nan\n", "E_list must be a non-empty list of finite numbers, got (2.0, nan)"),
             ("[run]\nexperiment = uncertainty\n\n[parameters]\nbc = open\n", "bc must be one of dirichlet, neumann, periodic"),
         ]]
         + [
@@ -521,6 +525,33 @@ class TestMakeSet:
         assert S.measure == want.measure
         assert S.cell_fraction == want.cell_fraction
 
+    @pytest.mark.parametrize("source", ["make-set", "run-file", "model-file", "build_set", "build_model"])
+    def test_a_cantor_stage_finer_than_its_raster_is_refused_before_it_is_built(self, source, tmp_path, capsys,
+                                                                               monkeypatch):
+        # 2^40 stage intervals, none of which 1024 (or 48) cells per unit can give four cells: none is built
+        def built(self):
+            raise AssertionError("stage intervals built before the refusal")
+
+        monkeypatch.setattr(CantorSpec, "stage_intervals", built)
+        refusal = r"cannot resolve the 2\^40 intervals of a depth-40 Cantor stage"
+        if source in ("build_set", "build_model"):
+            with pytest.raises(RasterError, match=refusal):
+                if source == "build_set":
+                    build_set(set_kind="cantor", set_depth=40)
+                else:
+                    build_model(profile="cantor-translate", cantor_depth=40, set="cantor", gamma=0.5)
+            return
+        if source == "make-set":
+            argv = ["make-set", "--kind", "cantor", "--depth", "40", "--out", str(tmp_path / "c.npz")]
+        elif source == "run-file":
+            run = _write(tmp_path / "c.run.ini", "[run]\nexperiment = uncertainty\n[parameters]\nset_kind = cantor\nset_depth = 40\n")
+            argv = ["run", "--config", str(run), "--out", str(tmp_path)]
+        else:
+            shipped = (CONFIG_DIR / "fat_cantor.model.ini").read_text()
+            argv = ["certify", "--model", str(_write(tmp_path / "c.model.ini", shipped.replace("cantor_depth = 4", "cantor_depth = 40")))]
+        assert main(argv) == 2
+        assert re.search(refusal, capsys.readouterr().err)
+
 
 class TestCertify:
     def _stripes_file(self, tmp_path):
@@ -589,7 +620,7 @@ class TestCertify:
         with pytest.raises(SystemExit) as exit_:
             main(["certify", "--raster", str(self._stripes_file(tmp_path)), "--gamma", "nan"])
         assert exit_.value.code == 2
-        assert "argument --gamma: invalid finite_float value: 'nan'" in capsys.readouterr().err
+        assert "argument --gamma: gamma must be a positive finite number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extent", ["nan", "inf"])
     def test_model_with_a_non_finite_extent_exits_two(self, tmp_path, capsys, extent):
@@ -599,7 +630,7 @@ class TestCertify:
             "[distribution]\nkind = uniform\n[thickness]\ngamma = 1.0\n",
         )
         assert main(["certify", "--model", str(model)]) == 2
-        assert capsys.readouterr().err == f"error: {model}: cannot parse [model] extent = {extent!r}\n"
+        assert capsys.readouterr().err == f"error: {model}: [model] extent must be a positive finite number, got {extent}\n"
 
     def test_model_thickness_claim_passes(self, capsys):
         rc = main(["certify", "--model", str(CONFIG_DIR / "covering.model.ini")])

@@ -1,21 +1,31 @@
-"""Every numeric driver parameter, swept across the edges of its kind's domain.
+"""Every numeric driver parameter, model-file key, set key and certify option,
+swept across the edges of its kind's domain.
 
 A value outside the domain its annotation declares is refused by name before
-any coupling is drawn; a value inside it runs to a report that strict JSON
-reads, or meets a precondition of the model or the data.  The domains here
-are written out again, apart from experiments.DOMAINS, so that they check it.
+any coupling is drawn, from a Python call, a file or the command line (exit
+2); a driver given a value inside it runs to a report that strict JSON reads,
+or meets a precondition of the model or the data.  The domains here are
+written out again, apart from random_model.KINDS, so that they check it.
 """
 
 import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from wegner_lab import cli
 from wegner_lab import experiments as X
 from wegner_lab import random_model
 from wegner_lab.grids import GridError
 from wegner_lab.reports import ExperimentReport
+from wegner_lab.thick_sets import save_raster, stripes_raster
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# between them, the shipped model files set every numeric model-file key
+SHIPPED_MODELS = [(CONFIG_DIR / f"{name}.model.ini").read_text() for name in ("covering", "fat_cantor", "geometric")]
 
 SWEEP = (math.nan, math.inf, -math.inf, 0, -1)
 
@@ -56,6 +66,12 @@ def _numeric(driver: str) -> list[tuple[str, str]]:
     return [(p.name, p.annotation.removesuffix(" | None")) for p in params if p.annotation != "Bc"]
 
 
+def _numeric_keywords(fn) -> list[tuple[str, str]]:
+    """(name, kind) of each keyword of a builder whose kind is numeric."""
+    kinds = [(p.name, p.annotation.removesuffix(" | None")) for p in inspect.signature(fn).parameters.values()]
+    return [(name, kind) for name, kind in kinds if kind in IN_DOMAIN]
+
+
 CASES = [
     (driver, name, kind, value)
     for driver in sorted(X.EXPERIMENTS.values())
@@ -73,10 +89,6 @@ def test_every_driver_parameter_has_a_kind():
     for driver in X.EXPERIMENTS.values():
         assert {kind for _, kind in _numeric(driver)} <= IN_DOMAIN.keys(), driver
     assert sorted(SMALL) == sorted(X.EXPERIMENTS.values())
-
-
-def test_each_kind_parses_from_a_run_file():
-    assert X.DOMAINS.keys() <= random_model.KINDS.keys()
 
 
 @pytest.mark.parametrize(
@@ -125,6 +137,71 @@ def test_sweep(driver, name, kind, value, request, monkeypatch):
         raise AssertionError(f"{constant} in report.json")
 
     json.loads(rep.to_json(), parse_constant=refuse)
+
+
+# each builder of a model or a set, with the error its Python call raises
+BUILDERS = {"build_model": (random_model.build_model, random_model.ModelConfigError), "build_set": (cli.build_set, cli.ConfigError)}
+BUILDER_CASES = [
+    (builder, name, kind, value)
+    for builder, (fn, _) in BUILDERS.items()
+    for name, kind in _numeric_keywords(fn)
+    for value in SWEEP
+]
+
+
+def test_every_builder_keyword_a_file_sets_is_swept():
+    model_keys = {key for key, section in random_model._MODEL_SECTIONS.items() if section != "distribution"}
+    assert {name for name, _ in _numeric_keywords(random_model.build_model)} == model_keys - {
+        "profile", "raster", "placement", "set"}
+    assert {name for name, _ in _numeric_keywords(cli.build_set)} == {"set_width", "set_period", "set_resolution", "set_depth"}
+
+
+@pytest.mark.parametrize("builder, name, kind, value", BUILDER_CASES, ids=map(_id, BUILDER_CASES))
+def test_builder_sweep(builder, name, kind, value):
+    fn, error = BUILDERS[builder]
+    call = {name: (value,) if kind in LISTS else value}
+    if IN_DOMAIN[kind](value):
+        fn(**call)  # within every domain, and the defaults make the rest a model or a set
+        return
+    with pytest.raises(error, match=f"^{name} must be "):
+        fn(**call)
+
+
+def _refused_by_name(err: str, key: str) -> bool:
+    """Whether a CLI error names key as a value outside its domain, or (an int kind's nan or inf) as unparseable."""
+    return re.search(rf"\b{key} must be |cannot parse (\[\w+\] )?{key} = ", err) is not None
+
+
+@pytest.mark.parametrize("builder, name, kind, value", BUILDER_CASES, ids=map(_id, BUILDER_CASES))
+def test_builder_sweep_through_a_file(builder, name, kind, value, tmp_path, capsys):
+    if builder == "build_model":
+        shipped = next(text for text in SHIPPED_MODELS if f"\n{name} = " in text)
+        path = tmp_path / "m.model.ini"
+        path.write_text(re.sub(rf"\n{name} = .*", f"\n{name} = {value}", shipped))
+        argv = ["certify", "--model", str(path)]
+    else:
+        path = tmp_path / "u.run.ini"
+        path.write_text("[run]\nexperiment = uncertainty\nmesh_density = 16\n\n[parameters]\ne_list = 25\nl_list = 2\n"
+                        f"{name} = {value}\n")
+        argv = ["run", "--config", str(path), "--out", str(tmp_path)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    if IN_DOMAIN[kind](value):
+        assert code in (0, 1) and not err
+    else:
+        assert code == 2 and _refused_by_name(err, name), err
+
+
+@pytest.mark.parametrize("option, kind", [("--gamma", "Positive"), ("--window", "Positives")])
+@pytest.mark.parametrize("value", SWEEP)
+def test_certify_option_sweep(option, kind, value, tmp_path, capsys):
+    raster = tmp_path / "stripes.npz"
+    save_raster(stripes_raster(0.5, 1.0, 8), raster)
+    assert not IN_DOMAIN[kind](value)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["certify", "--raster", str(raster), f"{option}={value}"])  # "=": -inf is no option
+    assert exit_.value.code == 2
+    assert f"argument {option}: {option[2:]} must be " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -934,7 +934,7 @@ class TestFactoriesAndConfig:
          ("distribution", "hi", "NaN"), ("thickness", "gamma", "inf"), ("thickness", "a", "1.0, nan")],
     )
     def test_non_finite_value_names_file_section_and_key(self, tmp_path, section, key, value):
-        # every float of a model file goes through the run files' finite parser
+        # nan and inf parse as floats; the model file's reader refuses them by the key's kind
         bad = tmp_path / "bad6.model.ini"
         bad.write_text(
             "[model]\ndimension = 1\nextent = 4\n"
@@ -942,7 +942,7 @@ class TestFactoriesAndConfig:
             "[distribution]\nkind = uniform\nhi = 1.0\n"
             "[thickness]\ngamma = 1.0\na = 1.0\n".replace(f"\n{key} = ", f"\n{key} = {value}  # ", 1)
         )
-        with pytest.raises(ModelConfigError, match=rf"bad6\.model\.ini: cannot parse \[{section}\] {key} = '{value}'"):
+        with pytest.raises(ModelConfigError, match=rf"bad6\.model\.ini: \[{section}\] {key} must be a (non-empty list of )?(positive )?finite number"):
             load_model_config(bad)
 
 

@@ -243,6 +243,19 @@ class TestFatCantor:
             build_fat_cantor(smith_volterra_spec(4), 64)
         build_fat_cantor(smith_volterra_spec(4), 128)
 
+    @pytest.mark.parametrize("depth, resolution", [(40, 1024), (8, 1023), (0, 3)])
+    def test_a_stage_finer_than_the_raster_is_refused_before_any_interval(self, depth, resolution, monkeypatch):
+        # each of the 2^depth intervals is at most 2^-depth long, so below 4 * 2^depth cells per unit none spans four
+        def built(self):
+            raise AssertionError("stage intervals built before the refusal")
+
+        monkeypatch.setattr(CantorSpec, "stage_intervals", built)
+        with pytest.raises(RasterError, match=rf"^resolution {resolution} cannot resolve the 2\^{depth} intervals"):
+            build_fat_cantor(smith_volterra_spec(depth), resolution)
+
+    def test_a_stage_at_four_cells_per_interval_is_built(self):
+        assert build_fat_cantor(smith_volterra_spec(0), 4).cells.tolist() == [True] * 4
+
     def test_nowhere_dense_at_stage_depth(self):
         # no surviving interval spans a full removal gap: the longest kept run
         # at depth 4 is below the stage-1 half plus its neighbors
